@@ -54,13 +54,14 @@ class ClusterNode:
 
 
 def dbscan(dist: np.ndarray, eps: float, min_pts: int) -> tuple:
-    """Standard DBSCAN on a precomputed dissimilarity matrix.
+    """Standard DBSCAN on a precomputed symmetric dissimilarity matrix.
 
     A core point has at least min_pts neighbors within eps (itself
     included); clusters are the maximal density-connected sets.  Border
     points join the cluster of their lowest-index core neighbor, and
-    clusters are returned ordered by their lowest member index, so the
-    result is deterministic.  Returns (list of index lists, noise list).
+    clusters are returned ordered by their lowest member index, border
+    points included, so the result is deterministic.  Returns (list of
+    index lists, noise list).
     """
     if eps <= 0:
         raise UsageError("eps must be positive")
@@ -71,39 +72,38 @@ def dbscan(dist: np.ndarray, eps: float, min_pts: int) -> tuple:
     if n == 0:
         return [], []
     within = D <= eps
-    core = within.sum(axis=1) >= min_pts
+    core = np.count_nonzero(within, axis=1) >= min_pts
+    core_idx = np.flatnonzero(core)
 
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    core_idx = [int(i) for i in np.flatnonzero(core)]
-    for a, i in enumerate(core_idx):
-        for j in core_idx[a + 1:]:
-            if within[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    clusters = {}
-    for i in core_idx:
-        clusters.setdefault(find(i), []).append(i)
-    noise = []
-    for i in range(n):
-        if core[i]:
+    # connected components of the core-core graph, by frontier expansion
+    cc = within[np.ix_(core_idx, core_idx)]
+    core_label = np.full(core_idx.size, -1)
+    n_clusters = 0
+    for seed in range(core_idx.size):
+        if core_label[seed] >= 0:
             continue
-        core_neighbors = np.flatnonzero(within[i] & core)
-        if core_neighbors.size:
-            clusters[find(int(core_neighbors[0]))].append(i)
-        else:
-            noise.append(i)
+        core_label[seed] = n_clusters
+        frontier = np.array([seed])
+        while frontier.size:
+            reached = cc[frontier].any(axis=0) & (core_label < 0)
+            core_label[reached] = n_clusters
+            frontier = np.flatnonzero(reached)
+        n_clusters += 1
 
-    ordered = sorted(clusters.values(), key=min)
-    return [sorted(c) for c in ordered], noise
+    label = np.full(n, -1)
+    label[core_idx] = core_label
+    border = np.flatnonzero(~core)
+    if core_idx.size:
+        to_core = within[np.ix_(border, core_idx)]
+        first = to_core.argmax(axis=1)  # lowest-index core neighbor
+        attached = to_core[np.arange(border.size), first]
+        label[border[attached]] = core_label[first[attached]]
+
+    by_label = np.argsort(label, kind="stable")  # members ascending within a label
+    bounds = np.searchsorted(label[by_label], np.arange(n_clusters + 1))
+    clusters = [by_label[bounds[k]:bounds[k + 1]].tolist() for k in range(n_clusters)]
+    clusters.sort(key=lambda c: c[0])
+    return clusters, np.flatnonzero(label < 0).tolist()
 
 
 def estimate_eps(dist: np.ndarray, min_pts: int = MIN_PTS) -> float:
@@ -114,13 +114,19 @@ def estimate_eps(dist: np.ndarray, min_pts: int = MIN_PTS) -> float:
     values, which say nothing about the distance scale and would drag
     the knee to zero on traces full of repeated segments.  The result is
     clamped to (0, 1].
+
+    `dist` must have a zero diagonal and no negative entries, as
+    `dissim.pairwise` gives: each row's own zero is then its smallest
+    entry, so the row's min_pts-th order statistic (0-based) is the
+    k-th nearest other item.
     """
+    if min_pts < 1:
+        raise UsageError("min_pts must be at least 1")
     D = np.asarray(dist, dtype=float)
     n = D.shape[0]
     if n < min_pts + 1:
         raise EstimationError(f"need at least {min_pts + 1} items to estimate eps, got {n}")
-    others = np.sort(D + np.diag(np.full(n, np.inf)), axis=1)
-    curve = np.sort(others[:, min_pts - 1])
+    curve = np.sort(np.partition(D, min_pts, axis=1)[:, min_pts])
     curve = curve[curve > 0]
     if curve.size == 0:
         return 1e-9  # nothing but duplicates; any positive radius works

@@ -84,8 +84,7 @@ def _block_values(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             Y = B[None, :, o:o + m]
             num = np.abs(X - Y)
             den = X + Y
-            np.divide(num, den, out=num, where=den > 0)
-            num[~(den > 0)] = 0.0
+            np.divide(num, den, out=num, where=den > 0)  # den = 0 only where num = 0
             np.minimum(best, num.sum(axis=2), out=best)
         out[lo:hi] = best
     return (out + (n - m) * UNMATCHED_PENALTY) / n

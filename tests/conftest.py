@@ -2,7 +2,7 @@
 
 The oracles here deliberately do not reuse the library's code paths:
 the Jacobi eigensolver checks the LAPACK-backed decomposition, and the
-fixpoint DBSCAN checks the union-find implementation.
+fixpoint DBSCAN checks the frontier-expansion implementation.
 """
 
 import numpy as np

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import reference_dbscan
+from protoseg import dissim, synth
 from protoseg.cluster import (ABANDONED_SMALL, PCA_SUITABLE, RECURSED,
                               dbscan, estimate_eps, recursive_cluster)
-from protoseg.model import EstimationError, SegmentRef, UsageError
+from protoseg.model import EstimationError, SegmentRef, UsageError, segments_of
+from protoseg.pca import kneedle
+from protoseg.refine import null_segmenter
 
 
 def ref(values, message_id=0, start=0):
@@ -60,6 +65,36 @@ class TestDbscan:
             assert got[0] == want[0]
             assert got[1] == want[1]
 
+    def test_cluster_order_counts_border_points(self):
+        # cores 1-4 and cores 5-8 form two clusters; border 0 hangs off
+        # core 5 only, so the second cluster's lowest member is a border
+        # point and it sorts first.  Border 9 reaches cores 3 and 6 and
+        # joins the lower one.
+        D = np.full((10, 10), 0.9)
+        D[1:5, 1:5] = 0.1
+        D[5:9, 5:9] = 0.1
+        D[0, 5] = D[5, 0] = 0.1
+        D[9, [3, 6]] = D[[3, 6], 9] = 0.1
+        np.fill_diagonal(D, 0.0)
+        want = ([[0, 5, 6, 7, 8], [1, 2, 3, 4, 9]], [])
+        assert dbscan(D, eps=0.2, min_pts=4) == want
+        assert reference_dbscan(D.tolist(), 0.2, 4) == want
+
+    def test_matches_reference_on_duplicate_heavy_segments(self):
+        # the length-2 segments of the mixed spec under the null-byte
+        # segmenter: many repeated values, so many exact ties in the matrix
+        spec = dataclasses.replace(synth.reference_specs()["mixed"], message_count=200)
+        messages, _ = synth.generate(spec)
+        values = [r.values for m in messages for r in segments_of(null_segmenter(m), m)
+                  if len(r.values) == 2]
+        D = dissim.pairwise(values)
+        assert len(values) > 2 * len(set(values))
+        entries = np.unique(D[np.triu_indices(len(D), 1)])
+        entries = entries[entries > 0]
+        for eps in [estimate_eps(D)] + [float(entries[int(q * (entries.size - 1))])
+                                        for q in (0.0, 0.05, 0.2, 0.5)]:
+            assert dbscan(D, eps, 3) == reference_dbscan(D.tolist(), eps, 3)
+
 
 class TestEstimateEps:
     def test_flat_distances_fall_back_to_percentile(self):
@@ -90,7 +125,6 @@ class TestEstimateEps:
     def test_knee_of_listed_kdist_curve(self):
         # the estimator takes the knee of the ascending k-distance curve;
         # on this curve the knee sits at the 0.03 elbow, below the jump
-        from protoseg.pca import kneedle
         curve = [0.01, 0.01, 0.02, 0.02, 0.03, 0.5, 0.6]
         descending = curve[::-1]
         knee = kneedle(descending)
@@ -101,6 +135,33 @@ class TestEstimateEps:
     def test_too_few_items(self):
         with pytest.raises(EstimationError):
             estimate_eps(np.zeros((3, 3)))
+        with pytest.raises(UsageError):
+            estimate_eps(np.zeros((3, 3)), min_pts=0)
+
+    @staticmethod
+    def full_sort_eps(D, min_pts):
+        # the k-th nearest other taken from fully sorted rows, self excluded
+        n = len(D)
+        others = np.sort(D + np.diag(np.full(n, np.inf)), axis=1)
+        curve = np.sort(others[:, min_pts - 1])
+        curve = curve[curve > 0]
+        if curve.size == 0:
+            return 1e-9
+        knee = kneedle(curve[::-1])
+        eps = float(curve[::-1][knee]) if knee is not None else float(np.percentile(curve, 90))
+        return min(max(eps, 1e-9), 1.0)
+
+    def test_matches_full_sort_on_zero_diagonal_ties(self):
+        # zero diagonal and nonnegative entries, with many exact
+        # off-diagonal zeros and ties, as duplicate segments produce
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            min_pts = int(rng.integers(1, 6))
+            n = int(rng.integers(min_pts + 1, 31))
+            D = rng.integers(0, 5, size=(n, n)) / 4.0
+            D = np.triu(D, 1)
+            D = D + D.T
+            assert estimate_eps(D, min_pts) == self.full_sort_eps(D, min_pts)
 
 
 class TestRecursiveCluster:
