@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -120,6 +121,21 @@ def _read_config_file(path) -> list:
     return entries
 
 
+def _config_value(name, raw, default):
+    """A finite number of the default's type, or a UsageError naming the parameter."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise UsageError(f"parameter {name!r} needs a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"parameter {name!r} needs a finite number, got {raw!r}")
+    if isinstance(default, int):
+        if not value.is_integer():
+            raise UsageError(f"parameter {name!r} needs an integer, got {raw!r}")
+        return int(value)
+    return value
+
+
 def _build_config(args) -> refine.PipelineConfig:
     """Merge config-file entries and --param/--sigma overrides (flags win)."""
     entries = _read_config_file(args.config) if args.config else []
@@ -134,16 +150,14 @@ def _build_config(args) -> refine.PipelineConfig:
         name = name.strip()
         raw = raw.strip()
         if name in param_fields:
-            default = getattr(AnalysisParams(), name)
-            params[name] = type(default)(float(raw)) if isinstance(default, int) else float(raw)
+            params[name] = _config_value(name, raw, getattr(AnalysisParams(), name))
         elif name in knob_fields:
-            default = getattr(refine.PipelineConfig(), name)
-            knobs[name] = type(default)(float(raw)) if isinstance(default, int) else float(raw)
+            knobs[name] = _config_value(name, raw, getattr(refine.PipelineConfig(), name))
         else:
             known = ", ".join(sorted(param_fields | set(knob_fields)))
             raise UsageError(f"unknown parameter {name!r}; known: {known}")
     if args.sigma is not None:
-        knobs["sigma"] = args.sigma
+        knobs["sigma"] = _config_value("sigma", args.sigma, refine.PipelineConfig().sigma)
     return refine.PipelineConfig(analysis=AnalysisParams(**params), **knobs)
 
 

@@ -184,8 +184,7 @@ def _analyze(members: tuple, dist, depth: int, params: AnalysisParams, max_depth
     C = pca.covariance(matrix.X)
     eig = pca.eig_sym(C)
     spectrum = pca.analyze_spectrum(eig.eigenvalues, eig.loadings, params)
-    bound = min(params.max_principals, spectrum.eigenvalues.size * params.principal_ratio)
-    if spectrum.n_sig <= bound:
+    if spectrum.n_sig <= pca.suitability_bound(spectrum.eigenvalues.size, params):
         return ClusterNode(members, PCA_SUITABLE, depth,
                            overlay=overlay, matrix=matrix, spectrum=spectrum)
 

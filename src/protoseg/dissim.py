@@ -16,6 +16,17 @@ best.  Aligning every member of a cluster against the cluster medoid at
 these offsets superimposes the segments at their most comparable
 positions and yields the rectangular data matrix the covariance is
 computed from.
+
+`pairwise` evaluates the formula over whole blocks of segments.  Every
+per-byte term is read from one 256x256 table of |u - v| / (u + v),
+computed once in float64 with the same operations as `canberra`, and
+each pair's terms are summed along one contiguous axis in the order
+`canberra` sums them, so every entry holds the same bits that
+`dissimilarity` gives for its pair.  The term is symmetric, so blocks
+of equal-length segments compute only the upper half and mirror it.
+One gather covers at most _BLOCK_BUDGET terms, which bounds the
+kernel's scratch memory at a few MB whatever the segment count; the
+returned segments x segments matrix itself takes 8 n^2 bytes.
 """
 
 from __future__ import annotations
@@ -30,8 +41,8 @@ from .model import DegenerateClusterError, UsageError
 # per-unmatched-byte penalty of the length-tolerant dissimilarity
 UNMATCHED_PENALTY = 1.0
 
-# soft cap on the a*b*m broadcast used by the blocked pairwise kernel
-_BLOCK_BUDGET = 32_000_000
+# soft cap on the rows*cols*m gather of one pairwise block (elements)
+_BLOCK_BUDGET = 262_144
 
 
 def canberra(u, v) -> float:
@@ -70,24 +81,42 @@ def dissimilarity(s, t) -> tuple:
     return float(value), best_offset
 
 
-def _block_values(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise dissimilarity values between row vectors of A (a,m) and B (b,n), m <= n."""
+def _term_table() -> np.ndarray:
+    """Canberra term of every byte pair, flat: T[u << 8 | v] = |u - v| / (u + v)."""
+    u = np.arange(256, dtype=float)[:, None]
+    v = np.arange(256, dtype=float)[None, :]
+    num = np.abs(u - v)
+    den = u + v
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0).ravel()
+
+
+_TERMS = _term_table()
+
+
+def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
+    """Write the dissimilarities of the rows of A (a,m) to those of B (b,n), m <= n, to out.
+
+    A and B hold bytes.  When A is B the matrix is symmetric: each row
+    block computes only the columns from its own first row onward and
+    mirrors them.
+    """
     a, m = A.shape
     b, n = B.shape
+    symmetric = A is B
+    high = A.astype(np.intp) << 8
     rows_per_chunk = max(1, _BLOCK_BUDGET // max(1, b * m))
-    out = np.empty((a, b))
     for lo in range(0, a, rows_per_chunk):
         hi = min(a, lo + rows_per_chunk)
-        X = A[lo:hi, None, :]
-        best = np.full((hi - lo, b), np.inf)
-        for o in range(n - m + 1):
-            Y = B[None, :, o:o + m]
-            num = np.abs(X - Y)
-            den = X + Y
-            np.divide(num, den, out=num, where=den > 0)  # den = 0 only where num = 0
-            np.minimum(best, num.sum(axis=2), out=best)
-        out[lo:hi] = best
-    return (out + (n - m) * UNMATCHED_PENALTY) / n
+        first = lo if symmetric else 0
+        X = high[lo:hi, None, :]
+        Y = B[None, first:, :]
+        best = _TERMS.take(X + Y[:, :, :m]).sum(axis=2)
+        for o in range(1, n - m + 1):
+            np.minimum(best, _TERMS.take(X + Y[:, :, o:o + m]).sum(axis=2), out=best)
+        vals = (best + (n - m) * UNMATCHED_PENALTY) / n
+        out[lo:hi, first:] = vals
+        if symmetric:
+            out[hi:, lo:hi] = vals[:, hi - lo:].T
 
 
 def pairwise(values) -> np.ndarray:
@@ -105,7 +134,6 @@ def pairwise(values) -> np.ndarray:
         inverse.append(index[k])
     uniq = list(index)
     u = len(uniq)
-    U = np.zeros((u, u))
 
     by_len = defaultdict(list)
     for i, k in enumerate(uniq):
@@ -113,21 +141,34 @@ def pairwise(values) -> np.ndarray:
     lengths = sorted(by_len)
     arrays = {
         L: (np.array(idx), np.frombuffer(b"".join(uniq[i] for i in idx), dtype=np.uint8)
-            .reshape(len(idx), L).astype(float))
-        for L, idx in ((L, by_len[L]) for L in lengths)
+            .reshape(len(idx), L))
+        for L, idx in by_len.items()
     }
-    for ai, La in enumerate(lengths):
-        ia, A = arrays[La]
-        for Lb in lengths[ai:]:
-            ib, B = arrays[Lb]
-            vals = _block_values(A, B)
-            U[np.ix_(ia, ib)] = vals
-            if La != Lb:
-                U[np.ix_(ib, ia)] = vals.T
+    U = np.empty((u, u))
+    if len(lengths) == 1:  # the one block is the whole matrix
+        _, A = arrays[lengths[0]]
+        _block_values(A, A, U)
+    else:
+        for ai, La in enumerate(lengths):
+            ia, A = arrays[La]
+            for Lb in lengths[ai:]:
+                ib, B = arrays[Lb]
+                vals = np.empty((len(ia), len(ib)))
+                _block_values(A, B, vals)
+                U[np.ix_(ia, ib)] = vals
+                if La != Lb:
+                    U[np.ix_(ib, ia)] = vals.T
     np.fill_diagonal(U, 0.0)
 
+    if u == len(keys):
+        return U  # every value unique: the unique-value matrix is the matrix
     inv = np.array(inverse)
-    return U[np.ix_(inv, inv)]
+    # rows, then columns: whole-row copies run about twice as fast as
+    # np.ix_, and freeing U before the column copy keeps the peak memory
+    # near that of np.ix_
+    rows = U.take(inv, axis=0)
+    del U
+    return rows.take(inv, axis=1)
 
 
 @dataclass(frozen=True)
@@ -200,7 +241,8 @@ def build_matrix(ov: Overlay) -> DataMatrix:
     n = len(ov.members)
     quorum = (n + 1) // 2
     starts = np.array(ov.shifts)
-    ends = starts + np.array([len(m) for m in ov.members])
+    lengths = np.array([len(m) for m in ov.members])
+    ends = starts + lengths
 
     positions = np.arange(ov.width)
     observed = (positions >= starts[:, None]) & (positions < ends[:, None])
@@ -210,11 +252,14 @@ def build_matrix(ov: Overlay) -> DataMatrix:
 
     column_map = positions[keep]
     mask = observed[:, keep]
-    X = np.zeros((n, column_map.size))
-    for i, member in enumerate(ov.members):
-        row = np.frombuffer(member.values, dtype=np.uint8).astype(float)
-        cols = mask[i]
-        X[i, cols] = row[column_map[cols] - starts[i]]
+    raw = np.frombuffer(b"".join(m.values for m in ov.members), dtype=np.uint8)
+    if (lengths == lengths[0]).all():
+        rows = raw.reshape(n, lengths[0])
+    else:  # pad every member to the longest one
+        rows = np.zeros((n, lengths.max()), dtype=np.uint8)
+        rows[np.arange(rows.shape[1]) < lengths[:, None]] = raw
+    index = np.where(mask, column_map - starts[:, None], 0)
+    X = rows[np.arange(n)[:, None], index].astype(float)
     col_means = np.where(mask, X, 0.0).sum(axis=0) / mask.sum(axis=0)
     X = np.where(mask, X, col_means[None, :])
     return DataMatrix(X=X, mask=mask, column_map=column_map)

@@ -109,15 +109,17 @@ def kneedle(values) -> Optional[int]:
     return knee if d[knee] > threshold else None
 
 
-def significance_threshold(eigenvalues) -> float:
+def significance_threshold(eigenvalues, params: AnalysisParams = AnalysisParams()) -> float:
     """q_s = min(knee eigenvalue, lambda_0/10, scree_min)."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.size == 0:
-        raise UsageError("empty eigenvalue list")
-    params = AnalysisParams()
-    knee = kneedle(lam)
-    knee_value = float(lam[knee]) if knee is not None else np.inf
-    return float(min(knee_value, lam[0] / 10.0, params.scree_min))
+    return analyze_spectrum(eigenvalues, params=params).q_s
+
+
+def suitability_bound(dim: int, params: AnalysisParams = AnalysisParams()) -> float:
+    """Most significant PCs a suitable cluster of dim dimensions may have.
+
+    min(max_principals, dim * principal_ratio)
+    """
+    return min(params.max_principals, dim * params.principal_ratio)
 
 
 def analyze_spectrum(eigenvalues, loadings=None, params: AnalysisParams = AnalysisParams()) -> PcaResult:
@@ -139,8 +141,7 @@ def pca_prerequisites(eigenvalues, params: AnalysisParams = AnalysisParams()) ->
     """Whether a cluster's variance is concentrated enough for interpretation.
 
     Passes iff the number of significant PCs does not exceed
-    min(max_principals, dim * principal_ratio).
+    suitability_bound(dim, params).
     """
     result = analyze_spectrum(eigenvalues, params=params)
-    bound = min(params.max_principals, result.eigenvalues.size * params.principal_ratio)
-    return result.n_sig <= bound
+    return result.n_sig <= suitability_bound(result.eigenvalues.size, params)

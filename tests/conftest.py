@@ -1,12 +1,17 @@
 """Shared fixtures and independent oracle implementations.
 
 The oracles here deliberately do not reuse the library's code paths:
-the Jacobi eigensolver checks the LAPACK-backed decomposition, and the
-fixpoint DBSCAN checks the frontier-expansion implementation.
+the Jacobi eigensolver checks the LAPACK-backed decomposition, the
+fixpoint DBSCAN checks the frontier-expansion implementation, and the
+broadcast Canberra formula checks the byte-pair table kernel.
 """
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
+
+from protoseg.dissim import UNMATCHED_PENALTY
 
 # the published 8x5 example: eight aligned 5-byte segments
 EXAMPLE_X = np.array([
@@ -106,3 +111,35 @@ def reference_dbscan(dist, eps, min_pts):
     clusters = [sorted(c) for c in clusters]
     order = sorted(range(len(clusters)), key=lambda k: min(clusters[k]))
     return [clusters[k] for k in order], noise
+
+
+def reference_pairwise(values):
+    """Dissimilarity matrix by the direct broadcast formula, without deduplication.
+
+    Per pair of length groups (m <= n) and offset o, the float64 terms
+    |x - y| / (x + y) of every member pair form one (a, b, m) array that
+    is summed over its last axis; the minimum over offsets is charged
+    (n - m) unmatched bytes and divided by n.
+    """
+    rows = [np.frombuffer(bytes(v), dtype=np.uint8).astype(float) for v in values]
+    by_len = defaultdict(list)
+    for i, row in enumerate(rows):
+        by_len[row.size].append(i)
+    lengths = sorted(by_len)
+    D = np.zeros((len(rows), len(rows)))
+    for ai, m in enumerate(lengths):
+        X = np.array([rows[i] for i in by_len[m]])[:, None, :]
+        for n in lengths[ai:]:
+            B = np.array([rows[i] for i in by_len[n]])
+            best = np.full((X.shape[0], B.shape[0]), np.inf)
+            for o in range(n - m + 1):
+                Y = B[None, :, o:o + m]
+                num = np.abs(X - Y)
+                den = X + Y
+                np.divide(num, den, out=num, where=den > 0)  # den = 0 only where num = 0
+                np.minimum(best, num.sum(axis=2), out=best)
+            vals = (best + (n - m) * UNMATCHED_PENALTY) / n
+            D[np.ix_(by_len[m], by_len[n])] = vals
+            D[np.ix_(by_len[n], by_len[m])] = vals.T
+    np.fill_diagonal(D, 0.0)
+    return D

@@ -146,3 +146,32 @@ def test_out_dir_from_environment(synth_dir, tmp_path, monkeypatch):
     rc = main(["segment", "--trace", str(synth_dir / "trace.hex"), "--no-dedupe"])
     assert rc == 0
     assert (target / "segments.json").exists()
+
+
+@pytest.mark.parametrize("override", ["min_cluster=abc", "max_depth=inf",
+                                      "min_cluster=2.7", "delta_min=nan"])
+def test_bad_param_values_exit_1(synth_dir, tmp_path, capsys, override):
+    rc = main(["segment", "--trace", str(synth_dir / "trace.hex"), "--no-dedupe",
+               "--param", override, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    name = override.split("=")[0]
+    assert f"parameter '{name}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_config_value_exit_1(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "knobs.conf"
+    cfg.write_text("chunk = 1e400\n")
+    rc = main(["segment", "--trace", str(synth_dir / "trace.hex"), "--no-dedupe",
+               "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "parameter 'chunk'" in capsys.readouterr().err
+
+
+def test_integral_float_accepted_for_integer_param(synth_dir, tmp_path):
+    out = tmp_path / "seg"
+    rc = main(["segment", "--trace", str(synth_dir / "trace.hex"), "--no-dedupe",
+               "--param", "min_cluster=1000.0", "--out", str(out)])
+    assert rc == 0
+    clusters = json.loads((out / "clusters.json").read_text())
+    assert clusters[0]["verdict"] in ("abandoned_small", "recursed")

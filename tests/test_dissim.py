@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from conftest import reference_pairwise
 
-from protoseg.dissim import (build_matrix, canberra, dissimilarity,
+from protoseg import dissim
+from protoseg.dissim import (Overlay, build_matrix, canberra, dissimilarity,
                              overlay_cluster, pairwise)
 from protoseg.model import DegenerateClusterError, SegmentRef, UsageError
 
@@ -71,17 +73,79 @@ class TestDissimilarity:
 
 class TestPairwise:
     def test_matches_scalar_path(self):
+        # bit for bit, also at lengths of 8 and more, where numpy sums pairwise
         rng = np.random.default_rng(23)
-        values = [bytes(rng.integers(0, 256, size=int(rng.integers(1, 7))).tolist())
-                  for _ in range(12)]
+        values = [bytes(rng.integers(0, 256, size=int(rng.integers(1, 20))).tolist())
+                  for _ in range(25)]
         D = pairwise(values)
         for i in range(len(values)):
             for j in range(len(values)):
-                assert D[i, j] == pytest.approx(dissimilarity(values[i], values[j])[0])
+                assert D[i, j] == dissimilarity(values[i], values[j])[0]
 
     def test_duplicates_share_zero_distance(self):
         D = pairwise([b"\x01\x02", b"\x01\x02", b"\x09"])
         assert D[0, 1] == 0.0 and D[0, 0] == 0.0
+
+
+def random_values(rng, count, lengths):
+    return [bytes(rng.integers(0, 256, size=int(rng.choice(lengths))).tolist())
+            for _ in range(count)]
+
+
+class TestPairwiseOracle:
+    """`pairwise` holds the same bits as the broadcast formula of conftest.
+
+    Every test runs at the module's block budget and at a tiny one that
+    splits each length group into blocks of a few rows, so equal-length
+    blocks take the mirrored half.
+    """
+
+    @pytest.fixture(autouse=True, params=["tiny", "default"])
+    def budget(self, request, monkeypatch):
+        if request.param == "tiny":
+            monkeypatch.setattr(dissim, "_BLOCK_BUDGET", 64)
+
+    def test_mixed_lengths_with_extreme_bytes(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            values = random_values(rng, 40, range(1, 10))
+            # 0x00 and 0xFF bytes, and all-zero segments whose terms have den = 0
+            values += [b"\x00", b"\xff", b"\x00" * 4, b"\xff\x00\xff", b"\x00" * 9,
+                       b"\x00\xff" * 3]
+            rng.shuffle(values)
+            D = pairwise(values)
+            assert np.array_equal(D, reference_pairwise(values))
+
+    def test_duplicate_heavy(self):
+        rng = np.random.default_rng(43)
+        pool = random_values(rng, 40, [2, 3, 5])
+        values = [pool[i] for i in rng.integers(0, len(pool), size=300)]
+        D = pairwise(values)
+        assert np.array_equal(D, reference_pairwise(values))
+        assert D.shape == (300, 300)
+
+    @pytest.mark.parametrize("budget_terms", [1, 5000, 50000])
+    def test_single_length_in_row_blocks(self, monkeypatch, budget_terms):
+        # 121 unique values of length 6: blocks of 1, 6 and 68 rows; every
+        # block but the last mirrors into later rows
+        monkeypatch.setattr(dissim, "_BLOCK_BUDGET", budget_terms)
+        rng = np.random.default_rng(47)
+        values = random_values(rng, 120, [6]) + [b"\x00" * 6] * 3
+        D = pairwise(values)
+        assert np.array_equal(D, reference_pairwise(values))
+
+    def test_mixed_lengths_with_repeats(self):
+        rng = np.random.default_rng(53)
+        values = random_values(rng, 90, [2, 3, 7])
+        values += values[:10]
+        assert np.array_equal(pairwise(values), reference_pairwise(values))
+
+    def test_every_value_unique(self):
+        rng = np.random.default_rng(59)
+        values = list(dict.fromkeys(random_values(rng, 200, [4])))
+        D = pairwise(values)
+        assert np.array_equal(D, reference_pairwise(values))
+        assert np.array_equal(D, D.T)
 
 
 class TestOverlay:
@@ -134,7 +198,6 @@ class TestBuildMatrix:
     def test_degenerate_overlay_rejected(self):
         # three members on disjoint spans: no position reaches the majority
         # quorum of 2, so there is no column to analyze
-        from protoseg.dissim import Overlay
         members = tuple(ref(bytes([1, 2]), message_id=i) for i in range(3))
         broken = Overlay(members=members, shifts=(0, 3, 6), width=8, reference=0)
         with pytest.raises(DegenerateClusterError):
@@ -152,3 +215,51 @@ class TestBuildMatrix:
         # a filled cell sits exactly at its column mean, so its deviation is
         # zero and it contributes nothing to any covariance entry
         assert np.allclose(deviations[filled], 0.0)
+
+
+def loop_build_matrix(ov):
+    """Data matrix of an overlay filled member by member."""
+    n = len(ov.members)
+    starts = np.array(ov.shifts)
+    ends = starts + np.array([len(m) for m in ov.members])
+    positions = np.arange(ov.width)
+    observed = (positions >= starts[:, None]) & (positions < ends[:, None])
+    keep = observed.sum(axis=0) >= (n + 1) // 2
+    column_map = positions[keep]
+    mask = observed[:, keep]
+    X = np.zeros((n, column_map.size))
+    for i, member in enumerate(ov.members):
+        row = np.frombuffer(member.values, dtype=np.uint8).astype(float)
+        cols = mask[i]
+        X[i, cols] = row[column_map[cols] - starts[i]]
+    col_means = np.where(mask, X, 0.0).sum(axis=0) / mask.sum(axis=0)
+    return np.where(mask, X, col_means[None, :]), mask, column_map
+
+
+class TestBuildMatrixOracle:
+    """`build_matrix` equals a member-by-member fill."""
+
+    @pytest.mark.parametrize("lengths", [range(1, 9), [5]])
+    def test_random_overlays(self, lengths):
+        rng = np.random.default_rng(67)
+        checked = filled = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 12))
+            members = tuple(ref(rng.integers(0, 256, size=int(rng.choice(lengths))).tolist(),
+                                message_id=i) for i in range(n))
+            shifts = rng.integers(0, 4, size=n)
+            shifts -= shifts.min()
+            width = int(max(s + len(m) for s, m in zip(shifts, members)))
+            ov = Overlay(members=members, shifts=tuple(int(s) for s in shifts),
+                         width=width, reference=0)
+            try:
+                dm = build_matrix(ov)
+            except DegenerateClusterError:
+                continue
+            X, mask, column_map = loop_build_matrix(ov)
+            assert np.array_equal(dm.X, X)
+            assert np.array_equal(dm.mask, mask)
+            assert np.array_equal(dm.column_map, column_map)
+            checked += 1
+            filled += bool((~mask).any())
+        assert checked > 200 and filled > 50

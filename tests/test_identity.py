@@ -1,0 +1,114 @@
+"""Golden SHA-256 digests of the `segment` artifacts.
+
+Refactors and kernel rewrites must leave `segments.json`, `edits.json`
+and `clusters.json` byte-identical.  This test runs the `segment`
+command on every bundled spec under both presets at 150 messages with
+fixed rng seeds and compares each artifact's SHA-256 with the digest
+pinned below.
+
+The digests were recorded on commit b1b2241, before the byte-pair table
+Canberra kernel and the gather-based `build_matrix` replaced the
+broadcast kernel and the per-member loop, so they pin the output of the
+older code.  The artifacts hold floats (eps, eigenvalues) printed from
+numpy results, so a different numpy or BLAS build may change them; a
+digest that changes with the code unchanged points there first.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from protoseg import synth, traceio
+from protoseg.cli import main
+
+ARTIFACTS = ("segments.json", "edits.json", "clusters.json")
+MESSAGES = 150
+
+# "<spec>/<preset>": SHA-256 of (segments.json, edits.json, clusters.json)
+GOLDEN = {
+    "chars/nemepca": (
+        "e145d1938ad5d8f4443489d432fcf341bfa1f7178d7d3b447430b6b7f33587a8",
+        "d9b665412240c704d97209fc1d3cf46112bd2c3516c3ba020b2801052e3a9409",
+        "c1ea882aaa26c06d9ce8d5cadeb058d54a967089259a192f7beae5612ea7cb7e",
+    ),
+    "chars/nullpca": (
+        "02bbbb1084637307f5a575de7293243bccb9343d2d3efc36f6de625b82fdf2d8",
+        "7d41b6d86cba0beda0662a2931ce72e94dc57b4cc302dc0066dd127974b43bf4",
+        "fcd9fae7e8a59e0de040f6983f38c97fd952432ae44b310e0f0c42c124e3063b",
+    ),
+    "fixed/nemepca": (
+        "61264fa5c039b3da4faca63eecb476017a14ada0484979bc937d8d3f0096328e",
+        "b3d8d08d72a397e703b89dc0d9483d31b8599d320b519a31bd7118b374ee9fc1",
+        "b2b7778d2767b43822dd91f6b464db81dd18321b7075c03a001c1a79c6fdd9e1",
+    ),
+    "fixed/nullpca": (
+        "c96b5ee5fbca28374e580c3e5bd10f744333fb671efa17cd5276d48b71258757",
+        "f18f3180556bc59f9fd73e94ca617ca6e6a1dc771b76616291bad71a67edbb9c",
+        "34dc8efd036d54b5295106e8616125a7e926b3dbfe660c8af310137ff7669901",
+    ),
+    "mixed/nemepca": (
+        "77f7c435810846e54018f1b72733e4614931707a2b110cc4a8fc9d60862d7a57",
+        "c40b451a2721cc937c88633e9e62fdee8940106b079e665eda82bf27ecbf44e2",
+        "67faa9dcc1a3981f47e0048df7a34e32dcf7ab01f3fffef02face942ccad77ac",
+    ),
+    "mixed/nullpca": (
+        "abc4b1fbfef5c9757e6aaccde44cdb4da436907ae3d06a392b3ab76a280db255",
+        "5a7a2f5bfa4576da716c15ab3074c4daceeb0c9040862331e81630413ff5aeb5",
+        "0fbe5374618adb2cf093d1bfcf048adefe75c326a705105a05c76444d3c913ab",
+    ),
+    "nullsep/nemepca": (
+        "d028f98f53a7abb560bc7aef16cdac4ceda62681c7328f2a6e8ca276e686158f",
+        "9208adba027b69eaded35841a57955878ab0fc1bd87c6a4b19b4d47f94aced3b",
+        "aa7aa2c18f7a685599d0f807015ba41e9f5ea43bf036999ac85ab07d1df90a67",
+    ),
+    "nullsep/nullpca": (
+        "fb357b7fadf5f54396d2de9c41382526a80029fa5428d1c838dbe831fe27b041",
+        "7a480c72f0c714d4fd91d5a8121099bb057f76fc362749092d65a1f5662d835b",
+        "c112b516739196431319809aa350b1cd635be721716dcc5b514f8108f56bfcac",
+    ),
+    "optional/nemepca": (
+        "d16e0308c68c9d13dfa1598647f6adcf1d9a90cc00a504288f984809be3510a4",
+        "edc6123863042899628b9cf5596992d5d0e8acd6fa8f4c4a89b53d848a20cfef",
+        "c775d970cd6e55ccc48c6fc66050ea2847a44a6a5e43b80095279cb7e0a370dc",
+    ),
+    "optional/nullpca": (
+        "1d9b483a702158e57998f5f0dcd4a2e37d7cf11cc3eeb4a38e9264324a94341b",
+        "91066a1ad7f60f2a3abaebb43ccbff18fd818acc8df08a65fad00c8141521ab3",
+        "1b25804f35ef7857a07cc83976aae66e4f572ac92686d4058ac5a2557fb024cb",
+    ),
+    "packed/nemepca": (
+        "a3646238c94b381ec946f7dbf5fd63f68353578bc6dbf9bcc479b77da0d03532",
+        "4111ba4b92a8c5bfb3976f3e5c7dc77ca49d00494367ff7939ab87987c503d03",
+        "8efadca812c4750eeb953c7351e75761bf0987d5f9389675a5e97dd3ded87b60",
+    ),
+    "packed/nullpca": (
+        "695075eb5a3d08e31b8c3926252d673dabfaac1e741c2c2a95132d33ee4d0a6a",
+        "66e8d748b844f903557838c017f401c66e85e3312ade12161fee2069a3b25223",
+        "1943fb885e50fc8ce4865963741084a3abb7c4170cf8fd80994360750e6d061d",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory):
+    """One hex trace per bundled spec, spec k seeded with MESSAGES + k."""
+    root = tmp_path_factory.mktemp("identity")
+    paths = {}
+    for k, (name, spec) in enumerate(sorted(synth.reference_specs().items())):
+        spec = dataclasses.replace(spec, message_count=MESSAGES, rng_seed=MESSAGES + k)
+        messages, _ = synth.generate(spec)
+        paths[name] = root / f"{name}.hex"
+        traceio.save_hexlines(str(paths[name]), messages)
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_artifacts_match_golden_digests(case, traces, tmp_path, capsys):
+    spec, preset = case.split("/")
+    out = tmp_path / "out"
+    assert main(["segment", "--trace", str(traces[spec]), "--preset", preset,
+                 "--no-dedupe", "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ARTIFACTS)
+    assert digests == GOLDEN[case]

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import jacobi_eigvals
-from protoseg.model import UsageError
+from protoseg.model import AnalysisParams, UsageError
 from protoseg.pca import (analyze_spectrum, covariance, eig_sym, kneedle,
-                          pca_prerequisites, significance_threshold)
+                          pca_prerequisites, significance_threshold, suitability_bound)
 
 
 class TestCovariance:
@@ -98,6 +98,22 @@ class TestSignificance:
         assert res.q_s == pytest.approx(0.8)
         assert res.n_sig == 8
         assert pca_prerequisites(lam) is False
+
+    def test_threshold_follows_caller_params(self):
+        lam = [5000, 540, 2, 0, 0]
+        params = AnalysisParams(scree_min=1)
+        assert significance_threshold(lam, params) == 1
+        assert significance_threshold(lam, params) == analyze_spectrum(lam, params=params).q_s
+        # q_s = 1 makes the third eigenvalue significant too
+        assert analyze_spectrum(lam, params=params).n_sig == 3
+
+    def test_suitability_bound(self):
+        assert suitability_bound(5) == 2.5
+        assert suitability_bound(20) == 4
+        assert suitability_bound(20, AnalysisParams(max_principals=6)) == 6
+        # three significant PCs pass in 8 dimensions (bound 4), not in 5 (bound 2.5)
+        assert pca_prerequisites([900, 800, 700, 1, 1, 0, 0, 0]) is True
+        assert pca_prerequisites([900, 800, 700, 1, 1]) is False
 
     def test_single_dimension_fails(self):
         res = analyze_spectrum([1.0])
