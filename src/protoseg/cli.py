@@ -62,8 +62,6 @@ def _build_parser() -> _Parser:
                      help="analysis parameter override (repeatable)")
     seg.add_argument("--config", default=None,
                      help="flat name=value file with analysis parameters and pass knobs")
-    seg.add_argument("--sigma", type=float, default=None,
-                     help="gaussian std of the bit-congruence base segmenter")
     seg.add_argument("--out", default=None, help="output directory")
 
     eva = sub.add_parser("evaluate", help="score segmentations against ground truth")
@@ -137,7 +135,7 @@ def _config_value(name, raw, default):
 
 
 def _build_config(args) -> refine.PipelineConfig:
-    """Merge config-file entries and --param/--sigma overrides (flags win)."""
+    """Merge config-file entries and --param overrides (flags win)."""
     entries = _read_config_file(args.config) if args.config else []
     entries += list(args.param)
     param_fields = {f.name for f in dataclasses.fields(AnalysisParams)}
@@ -156,8 +154,6 @@ def _build_config(args) -> refine.PipelineConfig:
         else:
             known = ", ".join(sorted(param_fields | set(knob_fields)))
             raise UsageError(f"unknown parameter {name!r}; known: {known}")
-    if args.sigma is not None:
-        knobs["sigma"] = _config_value("sigma", args.sigma, refine.PipelineConfig().sigma)
     return refine.PipelineConfig(analysis=AnalysisParams(**params), **knobs)
 
 

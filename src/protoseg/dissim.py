@@ -17,16 +17,17 @@ these offsets superimposes the segments at their most comparable
 positions and yields the rectangular data matrix the covariance is
 computed from.
 
-`pairwise` evaluates the formula over whole blocks of segments.  Every
-per-byte term is read from one 256x256 table of |u - v| / (u + v),
-computed once in float64 with the same operations as `canberra`, and
-each pair's terms are summed along one contiguous axis in the order
-`canberra` sums them, so every entry holds the same bits that
-`dissimilarity` gives for its pair.  The term is symmetric, so blocks
-of equal-length segments compute only the upper half and mirror it.
-One gather covers at most _BLOCK_BUDGET terms, which bounds the
-kernel's scratch memory at a few MB whatever the segment count; the
-returned segments x segments matrix itself takes 8 n^2 bytes.
+The per-byte term is spelled once, in `_terms`: `canberra` sums it and
+`_TERMS` tabulates it for all 256x256 byte pairs.  `dissimilarity`
+(one pair) and `pairwise` (whole blocks of segments) both read their
+terms from that table and sum each pair's terms along one contiguous
+axis in the order `canberra` sums them, so every entry of `pairwise`
+holds the same bits that `dissimilarity` gives for its pair.  The term
+is symmetric, so blocks of equal-length segments compute only the
+upper half and mirror it.  One gather covers at most _BLOCK_BUDGET
+terms, which bounds the kernel's scratch memory at a few MB whatever
+the segment count; the returned segments x segments matrix itself
+takes 8 n^2 bytes.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ UNMATCHED_PENALTY = 1.0
 _BLOCK_BUDGET = 262_144
 
 
+def _terms(u, v) -> np.ndarray:
+    """Canberra terms |u - v| / (u + v) of float arrays, 0 where u = v = 0."""
+    num = np.abs(u - v)
+    den = u + v
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
 def canberra(u, v) -> float:
     """Canberra distance between equal-length nonnegative vectors."""
     u = np.asarray(u, dtype=float)
@@ -53,44 +61,28 @@ def canberra(u, v) -> float:
         raise UsageError("canberra needs two non-empty 1-d vectors")
     if u.size != v.size:
         raise UsageError(f"canberra needs equal lengths, got {u.size} and {v.size}")
-    num = np.abs(u - v)
-    den = u + v
-    return float(np.sum(np.divide(num, den, out=np.zeros_like(num), where=den > 0)))
+    return float(np.sum(_terms(u, v)))
+
+
+# Canberra term of every byte pair, flat: _TERMS[u << 8 | v]
+_TERMS = _terms(np.arange(256.0)[:, None], np.arange(256.0)[None, :]).ravel()
 
 
 def dissimilarity(s, t) -> tuple:
-    """Length-tolerant Canberra dissimilarity and best-match offset.
+    """Length-tolerant Canberra dissimilarity and best-match offset of two byte strings.
 
-    Returns (value in [0,1], offset of the shorter vector within the
+    Returns (value in [0,1], offset of the shorter value within the
     longer, smallest offset on ties).  Symmetric in its arguments.
     """
-    u = np.asarray(bytearray(s) if isinstance(s, (bytes, bytearray)) else s, dtype=float)
-    v = np.asarray(bytearray(t) if isinstance(t, (bytes, bytearray)) else t, dtype=float)
-    if u.size == 0 or v.size == 0:
-        raise UsageError("dissimilarity needs non-empty vectors")
-    short, long_ = (u, v) if u.size <= v.size else (v, u)
-    m, n = short.size, long_.size
-    best_value = np.inf
-    best_offset = 0
-    for o in range(n - m + 1):
-        c = canberra(short, long_[o:o + m])
-        if c < best_value:
-            best_value = c
-            best_offset = o
-    value = (best_value + (n - m) * UNMATCHED_PENALTY) / n
-    return float(value), best_offset
-
-
-def _term_table() -> np.ndarray:
-    """Canberra term of every byte pair, flat: T[u << 8 | v] = |u - v| / (u + v)."""
-    u = np.arange(256, dtype=float)[:, None]
-    v = np.arange(256, dtype=float)[None, :]
-    num = np.abs(u - v)
-    den = u + v
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0).ravel()
-
-
-_TERMS = _term_table()
+    if not (isinstance(s, (bytes, bytearray)) and isinstance(t, (bytes, bytearray)) and s and t):
+        raise UsageError("dissimilarity needs two non-empty bytes or bytearray values")
+    short, long_ = (s, t) if len(s) <= len(t) else (t, s)
+    m, n = len(short), len(long_)
+    high = np.frombuffer(short, dtype=np.uint8).astype(np.intp) << 8
+    low = np.frombuffer(long_, dtype=np.uint8)
+    sums = [_TERMS.take(high + low[o:o + m]).sum() for o in range(n - m + 1)]
+    best = int(np.argmin(sums))
+    return float((sums[best] + (n - m) * UNMATCHED_PENALTY) / n), best
 
 
 def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
@@ -252,12 +244,10 @@ def build_matrix(ov: Overlay) -> DataMatrix:
 
     column_map = positions[keep]
     mask = observed[:, keep]
-    raw = np.frombuffer(b"".join(m.values for m in ov.members), dtype=np.uint8)
-    if (lengths == lengths[0]).all():
-        rows = raw.reshape(n, lengths[0])
-    else:  # pad every member to the longest one
-        rows = np.zeros((n, lengths.max()), dtype=np.uint8)
-        rows[np.arange(rows.shape[1]) < lengths[:, None]] = raw
+    # every member's bytes, padded to the longest member
+    rows = np.zeros((n, lengths.max()), dtype=np.uint8)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.frombuffer(
+        b"".join(m.values for m in ov.members), dtype=np.uint8)
     index = np.where(mask, column_map - starts[:, None], 0)
     X = rows[np.arange(n)[:, None], index].astype(float)
     col_means = np.where(mask, X, 0.0).sum(axis=0) / mask.sum(axis=0)

@@ -159,7 +159,7 @@ class GroundTruth:
         by_id = {m.id: m for m in messages}
         for mid, cuts in self.cuts.items():
             if mid not in by_id:
-                raise UsageError(f"ground truth references unknown message id {mid}")
+                raise UsageError(f"cuts reference unknown message id {mid}")
             Segmentation(mid, cuts).validate_against(by_id[mid])
 
 

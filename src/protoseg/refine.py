@@ -252,7 +252,6 @@ def crop_distinct(segmentations: list, messages: list,
     by_id = {m.id: m for m in messages}
     occurs = {}
     for seg in segmentations:
-        payload = by_id[seg.message_id].payload
         for ref in segments_of(seg, by_id[seg.message_id]):
             if len(ref) >= 2:
                 occurs.setdefault(ref.values, set()).add(seg.message_id)
@@ -323,6 +322,17 @@ class PipelineConfig:
     char_min_run: int = 6
     distinct_min_fraction: float = 0.10
     distinct_min_messages: int = 3
+
+    def __post_init__(self):
+        for name, low in (("max_depth", 0), ("chunk", 1), ("char_min_run", 1),
+                          ("distinct_min_messages", 1)):
+            if not (isinstance(getattr(self, name), int) and getattr(self, name) >= low):
+                raise UsageError(f"{name} must be an integer of at least {low}")
+        if not 0.0 < self.sigma < math.inf:
+            raise UsageError("sigma must be a positive finite number")
+        for name in ("entropy_floor", "entropy_diff", "distinct_min_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise UsageError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

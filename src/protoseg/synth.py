@@ -14,7 +14,7 @@ import string
 from dataclasses import dataclass
 from importlib import resources
 
-from .model import GroundTruth, Message, SpecError
+from .model import GroundTruth, Message, Segmentation, SpecError, UsageError
 
 KIND_CONST = "const"
 KIND_UINT = "uint"
@@ -178,8 +178,6 @@ def perturb(truth: GroundTruth, messages, delta: int, fraction: float,
     with another cut of the working set; that cut stays unshifted.
     Returns one Segmentation per message, ordered by id.
     """
-    from .model import Segmentation, UsageError
-
     if not 0.0 <= fraction <= 1.0:
         raise UsageError("fraction must lie in [0, 1]")
     lengths = {m.id: len(m.payload) for m in messages}
@@ -198,38 +196,6 @@ def perturb(truth: GroundTruth, messages, delta: int, fraction: float,
             working.add(target)
         out.append(Segmentation(mid, tuple(sorted(working))))
     return out
-
-
-def spec_to_json(spec: ProtocolSpec) -> dict:
-    fields = []
-    for f in spec.fields:
-        entry = {"name": f.name, "kind": f.kind}
-        if f.kind == KIND_CONST:
-            entry["value"] = f.value.hex()
-        if f.kind in (KIND_UINT, KIND_FLAGS, KIND_PADDING, KIND_LENGTH_OF):
-            entry["width"] = f.width
-        if f.kind in (KIND_UINT, KIND_CHARS, KIND_PAYLOAD):
-            entry["lo"] = f.lo
-            entry["hi"] = f.hi
-        if f.kind == KIND_ENUM:
-            entry["values"] = list(f.values)
-        if f.kind == KIND_CHARS:
-            if f.charset != _DEFAULT_CHARSET:
-                entry["charset"] = f.charset
-            if f.null_terminated:
-                entry["null_terminated"] = True
-        if f.kind == KIND_LENGTH_OF:
-            entry["ref"] = f.ref
-        if f.optional:
-            entry["optional"] = True
-        fields.append(entry)
-    return {
-        "name": spec.name,
-        "message_count": spec.message_count,
-        "rng_seed": spec.rng_seed,
-        "endianness": spec.endianness,
-        "fields": fields,
-    }
 
 
 def spec_from_json(data: dict) -> ProtocolSpec:

@@ -218,20 +218,15 @@ def _parse_cut_map(data, path: str, allow_records: bool):
     return cuts_by_id, labels_by_id
 
 
-def _validate_cuts(cuts_by_id: dict, messages, what: str) -> None:
-    if messages is None:
-        return
-    by_id = {m.id: m for m in messages}
-    for mid, cuts in cuts_by_id.items():
-        if mid not in by_id:
-            raise IngestionError(f"{what} references unknown message id {mid}")
-        length = len(by_id[mid].payload)
-        for prev, cur in zip((0,) + tuple(cuts), cuts):
-            if cur <= prev:
-                raise IngestionError(f"{what}: cuts for message {mid} not strictly increasing")
-        if cuts and cuts[-1] >= length:
-            raise IngestionError(
-                f"{what}: cut {cuts[-1]} out of range for message {mid} of length {length}")
+def _validate_cuts(cuts_by_id: dict, messages, what: str) -> list:
+    """Segmentations of a cut map by message id, checked against the trace when given."""
+    try:
+        segs = [Segmentation(mid, cuts_by_id[mid]) for mid in sorted(cuts_by_id)]
+        if messages is not None:
+            GroundTruth(cuts=cuts_by_id).validate_against(messages)
+    except UsageError as exc:
+        raise IngestionError(f"{what}: {exc}") from None
+    return segs
 
 
 def load_ground_truth(path: str, messages=None) -> GroundTruth:
@@ -248,8 +243,7 @@ def load_segmentation(path: str, messages=None) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     cuts_by_id, _ = _parse_cut_map(data, path, allow_records=False)
-    _validate_cuts(cuts_by_id, messages, f"{path}: segmentation")
-    return [Segmentation(mid, cuts_by_id[mid]) for mid in sorted(cuts_by_id)]
+    return _validate_cuts(cuts_by_id, messages, f"{path}: segmentation")
 
 
 def write_text_atomic(path: str, text: str) -> None:

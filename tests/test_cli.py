@@ -1,16 +1,15 @@
 import json
+from importlib import resources
 
 import pytest
 
 from protoseg.cli import main
-from protoseg.synth import reference_specs, spec_to_json
 
 
 @pytest.fixture
 def synth_dir(tmp_path):
     """A small synthetic trace with truth and spec on disk."""
-    spec = reference_specs()["mixed"]
-    blob = spec_to_json(spec)
+    blob = json.loads((resources.files("protoseg") / "specs" / "mixed.json").read_text())
     blob["message_count"] = 30
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(blob))
@@ -175,3 +174,23 @@ def test_integral_float_accepted_for_integer_param(synth_dir, tmp_path):
     assert rc == 0
     clusters = json.loads((out / "clusters.json").read_text())
     assert clusters[0]["verdict"] in ("abandoned_small", "recursed")
+
+
+@pytest.mark.parametrize("override", ["chunk=0", "max_depth=-1", "char_min_run=0",
+                                      "distinct_min_messages=-3", "sigma=0", "sigma=-0.5",
+                                      "entropy_floor=1.5", "entropy_diff=-0.1",
+                                      "distinct_min_fraction=2"])
+def test_out_of_range_knobs_exit_1(synth_dir, tmp_path, capsys, override):
+    rc = main(["segment", "--trace", str(synth_dir / "trace.hex"), "--no-dedupe",
+               "--preset", "nemepca", "--param", override, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_knob_range_edges_accepted(synth_dir, tmp_path):
+    rc = main(["segment", "--trace", str(synth_dir / "trace.hex"), "--no-dedupe",
+               "--preset", "nemepca", "--out", str(tmp_path / "o"),
+               "--param", "max_depth=0", "--param", "chunk=1", "--param", "entropy_floor=1",
+               "--param", "entropy_diff=0", "--param", "distinct_min_fraction=0"])
+    assert rc == 0

@@ -3,8 +3,8 @@ import pytest
 from conftest import reference_pairwise
 
 from protoseg import dissim
-from protoseg.dissim import (Overlay, build_matrix, canberra, dissimilarity,
-                             overlay_cluster, pairwise)
+from protoseg.dissim import (UNMATCHED_PENALTY, Overlay, build_matrix, canberra,
+                             dissimilarity, overlay_cluster, pairwise)
 from protoseg.model import DegenerateClusterError, SegmentRef, UsageError
 
 
@@ -69,6 +69,51 @@ class TestDissimilarity:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             dissimilarity(b"", b"\x01")
+
+    @pytest.mark.parametrize("value", [[1, 2], np.array([1, 2], dtype=np.uint8), "ab"])
+    def test_non_bytes_rejected(self, value):
+        # bytes(ndarray) would read the array's buffer, not its values
+        with pytest.raises(UsageError):
+            dissimilarity(value, b"\x01\x02")
+        with pytest.raises(UsageError):
+            dissimilarity(b"\x01\x02", value)
+
+
+def brute_dissimilarity(s, t):
+    """Smallest canberra over every offset of the shorter value, first offset on ties."""
+    short, long_ = (s, t) if len(s) <= len(t) else (t, s)
+    m, n = len(short), len(long_)
+    sums = [canberra(list(short), list(long_[o:o + m])) for o in range(n - m + 1)]
+    best = min(range(len(sums)), key=sums.__getitem__)
+    return (sums[best] + (n - m) * UNMATCHED_PENALTY) / n, best
+
+
+class TestDissimilarityOracle:
+    """`dissimilarity` holds the same bits as a brute-force minimum over offsets."""
+
+    def test_random_pairs_with_extreme_bytes(self):
+        rng = np.random.default_rng(71)
+        alphabet = np.array([0x00, 0x00, 0xff, 0xff, 0x01, 0x7f, 0x80, 0xfe])
+        for _ in range(2000):
+            s, t = (bytes(rng.choice(alphabet if rng.random() < 0.5 else 256,
+                                     size=int(rng.integers(1, 26))).tolist())
+                    for _ in range(2))
+            assert dissimilarity(s, t) == brute_dissimilarity(s, t)
+        long_ = [b"\x00" * 20, b"\xff" * 20, b"\x00\xff" * 10]
+        for s in long_:
+            for t in long_:
+                assert dissimilarity(s[:9], t) == brute_dissimilarity(s[:9], t)
+
+    def test_periodic_ties_take_the_smallest_offset(self):
+        cases = [(b"\x01\x02", b"\x01\x02" * 6, 0),
+                 (b"\x01\x02", b"\x09" + b"\x01\x02" * 6, 1),
+                 (b"\x00\xff" * 4, b"\xff" + b"\x00\xff" * 8, 1),
+                 (b"\x05" * 8, b"\x05" * 17, 0)]
+        for short, long_, first in cases:
+            value, offset = dissimilarity(short, long_)
+            assert (value, offset) == brute_dissimilarity(short, long_)
+            assert offset == first
+            assert dissimilarity(long_, short) == (value, offset)
 
 
 class TestPairwise:

@@ -9,17 +9,25 @@ pinned below.
 The digests were recorded on commit b1b2241, before the byte-pair table
 Canberra kernel and the gather-based `build_matrix` replaced the
 broadcast kernel and the per-member loop, so they pin the output of the
-older code.  The artifacts hold floats (eps, eigenvalues) printed from
-numpy results, so a different numpy or BLAS build may change them; a
-digest that changes with the code unchanged points there first.
+older code.  The artifacts hold no floats, only integers and names
+(message and node ids, cut offsets, edit kinds and provenances,
+verdicts, depths, member ranges), but floats computed by numpy
+(dissimilarities, eps, eigenvalues) decide which of them appear, so a
+different numpy or BLAS build may change them; a digest that changes
+with the code unchanged points there first.
+
+The same runs also check that `edits.json` is a faithful log: replayed
+in order over the preset's base segmentation, every edit is valid when
+it is applied and the result is `segments.json`.
 """
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
-from protoseg import synth, traceio
+from protoseg import refine, synth, traceio
 from protoseg.cli import main
 
 ARTIFACTS = ("segments.json", "edits.json", "clusters.json")
@@ -103,12 +111,64 @@ def traces(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def runs(traces, tmp_path_factory):
+    """Output directory of one `segment` run per case, made on first use."""
+    root = tmp_path_factory.mktemp("runs")
+    done = {}
+
+    def run(case):
+        if case not in done:
+            spec, preset = case.split("/")
+            out = root / case.replace("/", "-")
+            assert main(["segment", "--trace", str(traces[spec]), "--preset", preset,
+                         "--no-dedupe", "--out", str(out)]) == 0
+            done[case] = out
+        return done[case]
+    return run
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_artifacts_match_golden_digests(case, traces, tmp_path, capsys):
-    spec, preset = case.split("/")
-    out = tmp_path / "out"
-    assert main(["segment", "--trace", str(traces[spec]), "--preset", preset,
-                 "--no-dedupe", "--out", str(out)]) == 0
+def test_artifacts_match_golden_digests(case, runs, capsys):
+    out = runs(case)
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in ARTIFACTS)
     assert digests == GOLDEN[case]
+
+
+def replay(cuts: set, length: int, edits) -> set:
+    """Apply one message's edits in order, asserting each is valid when applied."""
+    for e in edits:
+        kind, offset = e["kind"], e["offset"]
+        assert 0 < offset < length, e
+        if kind == "add":
+            assert offset not in cuts, e
+            cuts.add(offset)
+        elif kind == "move":
+            assert e["old_offset"] in cuts and offset not in cuts, e
+            cuts.remove(e["old_offset"])
+            cuts.add(offset)
+        else:
+            assert kind == "remove" and offset in cuts, e
+            cuts.remove(offset)
+    return cuts
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_edit_log_replays_to_segments(case, runs, traces, capsys):
+    spec, preset = case.split("/")
+    out = runs(case)
+    messages = traceio.load_trace(traceio.TraceSpec(str(traces[spec]), dedupe=False))
+    if refine.PRESETS[preset][0] == refine.BASE_NULL_BYTES:
+        base = [refine.null_segmenter(m) for m in messages]
+    else:
+        sigma = refine.PipelineConfig().sigma
+        base = [refine.bit_congruence_segmenter(m, sigma) for m in messages]
+    edits = json.loads((out / "edits.json").read_text())
+    segments = json.loads((out / "segments.json").read_text())
+    assert edits  # every case edits something, so the replay is not vacuous
+    assert set(map(int, segments)) == {m.id for m in messages}
+    assert {e["message"] for e in edits} <= set(map(int, segments))
+    for m, seg in zip(messages, base):
+        mine = [e for e in edits if e["message"] == m.id]
+        assert sorted(replay(set(seg.cuts), len(m.payload), mine)) == segments[str(m.id)]

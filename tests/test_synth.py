@@ -2,8 +2,7 @@ import pytest
 
 from protoseg.model import SpecError, UsageError
 from protoseg.synth import (FieldSpec, ProtocolSpec, generate, load_spec,
-                            perturb, reference_specs, spec_from_json,
-                            spec_to_json)
+                            perturb, reference_specs, spec_from_json)
 
 
 def simple_spec(**kwargs):
@@ -137,11 +136,6 @@ class TestPerturb:
 
 
 class TestSpecJson:
-    def test_round_trip(self):
-        for spec in reference_specs().values():
-            again = spec_from_json(spec_to_json(spec))
-            assert again == spec
-
     def test_reference_suite_shape(self):
         specs = reference_specs()
         assert sorted(specs) == ["chars", "fixed", "mixed", "nullsep",
@@ -155,5 +149,8 @@ class TestSpecJson:
     def test_load_spec_from_file(self, tmp_path):
         import json
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(spec_to_json(simple_spec())))
+        path.write_text(json.dumps({
+            "name": "t", "message_count": 20, "rng_seed": 7,
+            "fields": [{"name": "magic", "kind": "const", "value": "01"},
+                       {"name": "num", "kind": "uint", "width": 2, "lo": 0, "hi": 255}]}))
         assert load_spec(str(path)) == simple_spec()

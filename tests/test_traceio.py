@@ -209,6 +209,24 @@ class TestSegmentationJson:
         assert p1.read_bytes() == p2.read_bytes()
         assert [s.message_id for s in loaded] == [0, 2, 10]
 
+    @pytest.mark.parametrize("cuts", ["[3, 2]", "[0, 2]", "[2, 2]"])
+    def test_bad_cut_order_is_ingestion_error_with_or_without_trace(self, tmp_path, cuts):
+        trace = tmp_path / "t.hex"
+        trace.write_text("001122334455\n")
+        path = tmp_path / "s.json"
+        path.write_text(f'{{"0": {cuts}}}')
+        for messages in (None, load_trace(TraceSpec(str(trace)))):
+            with pytest.raises(IngestionError, match="message 0"):
+                load_segmentation(str(path), messages)
+
+    def test_unknown_message_id_rejected(self, tmp_path):
+        trace = tmp_path / "t.hex"
+        trace.write_text("001122334455\n")
+        path = tmp_path / "s.json"
+        path.write_text('{"0": [2], "7": [1]}')
+        with pytest.raises(IngestionError, match="unknown message id 7"):
+            load_segmentation(str(path), load_trace(TraceSpec(str(trace))))
+
     def test_records_rejected_in_segmentations(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text('{"0": [{"start": 0, "end": 2}]}')
