@@ -5,6 +5,16 @@ dissimilarity.  Each cluster is checked against the variance-analysis
 prerequisites; clusters that fail are sub-clustered with a freshly
 estimated epsilon until they pass, fall below the minimum size, or
 exhaust the depth budget.
+
+Every node clusters its distinct values, not its segments: the
+dissimilarity matrix of a node is over the distinct byte values of its
+members in first-occurrence order, and each value carries the number
+of members holding it as an integer weight.  `dbscan` and
+`estimate_eps` take those weights and give exactly what they give on
+the segments x segments matrix with every value repeated per member.
+Identical members are at distance 0, so they always share a cluster;
+a child's distinct values are therefore a subset of its parent's in
+the same order, and its matrix is a slice of the parent's.
 """
 
 from __future__ import annotations
@@ -22,6 +32,9 @@ from .model import AnalysisParams, DegenerateClusterError, EstimationError, Usag
 MIN_PTS = 3
 
 DEFAULT_MAX_DEPTH = 3
+
+# rows * columns of one block of the k-distance partition (elements)
+_PARTITION_BUDGET = 262_144
 
 PCA_SUITABLE = "pca_suitable"
 RECURSED = "recursed"
@@ -53,15 +66,17 @@ class ClusterNode:
             yield from child.leaves()
 
 
-def dbscan(dist: np.ndarray, eps: float, min_pts: int) -> tuple:
+def dbscan(dist: np.ndarray, eps: float, min_pts: int, weights=None) -> tuple:
     """Standard DBSCAN on a precomputed symmetric dissimilarity matrix.
 
-    A core point has at least min_pts neighbors within eps (itself
-    included); clusters are the maximal density-connected sets.  Border
-    points join the cluster of their lowest-index core neighbor, and
-    clusters are returned ordered by their lowest member index, border
-    points included, so the result is deterministic.  Returns (list of
-    index lists, noise list).
+    Row i stands for weights[i] identical items (1 each by default).  A
+    core row has items of total weight at least min_pts within eps
+    (its own included); clusters are the maximal density-connected sets.
+    Border rows join the cluster of their lowest-index core neighbor,
+    and clusters are returned ordered by their lowest row, border rows
+    included, so the result is deterministic.  Expanding the rows to
+    their items in order gives DBSCAN on the items.  Returns (list of
+    row-index lists, noise list).
     """
     if eps <= 0:
         raise UsageError("eps must be positive")
@@ -72,7 +87,13 @@ def dbscan(dist: np.ndarray, eps: float, min_pts: int) -> tuple:
     if n == 0:
         return [], []
     within = D <= eps
-    core = np.count_nonzero(within, axis=1) >= min_pts
+    count = np.count_nonzero(within, axis=1)
+    if weights is not None:
+        # a row of weight w adds its w - 1 duplicates to every neighbor
+        w = np.asarray(weights)
+        heavy = np.flatnonzero(w > 1)
+        count += within[:, heavy] @ (w[heavy] - 1)
+    core = count >= min_pts
     core_idx = np.flatnonzero(core)
 
     # connected components of the core-core graph, by frontier expansion
@@ -106,7 +127,7 @@ def dbscan(dist: np.ndarray, eps: float, min_pts: int) -> tuple:
     return clusters, np.flatnonzero(label < 0).tolist()
 
 
-def estimate_eps(dist: np.ndarray, min_pts: int = MIN_PTS) -> float:
+def estimate_eps(dist: np.ndarray, min_pts: int = MIN_PTS, weights=None) -> float:
     """Epsilon from the knee of the sorted k-nearest-dissimilarity curve.
 
     k = min_pts; falls back to the 90th percentile when the curve has no
@@ -115,18 +136,38 @@ def estimate_eps(dist: np.ndarray, min_pts: int = MIN_PTS) -> float:
     the knee to zero on traces full of repeated segments.  The result is
     clamped to (0, 1].
 
-    `dist` must have a zero diagonal and no negative entries, as
-    `dissim.pairwise` gives: each row's own zero is then its smallest
-    entry, so the row's min_pts-th order statistic (0-based) is the
-    k-th nearest other item.
+    Row i stands for weights[i] identical items (1 each by default);
+    the curve has one point per item and is the curve of the matrix
+    with every row and column repeated per item.  `dist` must have a
+    zero diagonal and no negative entries, as `dissim.pairwise` gives:
+    each item's own zero is then its smallest entry, so the min_pts-th
+    order statistic (0-based) of its row is the k-th nearest other item.
     """
     if min_pts < 1:
         raise UsageError("min_pts must be at least 1")
     D = np.asarray(dist, dtype=float)
-    n = D.shape[0]
+    w = np.ones(D.shape[0], dtype=np.intp) if weights is None else np.asarray(weights)
+    n = int(w.sum())
     if n < min_pts + 1:
         raise EstimationError(f"need at least {min_pts + 1} items to estimate eps, got {n}")
-    curve = np.sort(np.partition(D, min_pts, axis=1)[:, min_pts])
+    # the min_pts + 1 smallest entries of a fully repeated row are among
+    # the row's min_pts + 1 smallest and the extra copies (at most
+    # min_pts per column) of its columns of weight above 1; rows go in
+    # blocks, so the scratch copies stay small and each block is read
+    # while it is in cache
+    u = D.shape[0]
+    extra = np.arange(u).repeat(np.minimum(w, min_pts + 1) - 1) if n > u else None
+    step = max(1, _PARTITION_BUDGET // u)
+    kdist = np.empty(u)
+    for lo in range(0, u, step):
+        rows = D[lo:lo + step]
+        near = np.partition(rows, min(min_pts, u - 1), axis=1)[:, :min_pts + 1]
+        if extra is not None:
+            near = np.concatenate((near, rows.take(extra, axis=1)), axis=1)
+            near.partition(min_pts, axis=1)
+        kdist[lo:lo + step] = near[:, min_pts]
+    curve = kdist.repeat(w)
+    curve.sort()
     curve = curve[curve > 0]
     if curve.size == 0:
         return 1e-9  # nothing but duplicates; any positive radius works
@@ -152,28 +193,53 @@ def recursive_cluster(segments, params: AnalysisParams = AnalysisParams(),
     segments = tuple(segments)
     if not segments:
         raise UsageError("recursive_cluster needs at least one segment")
-    return [_analyze(segments, None, 0, params, max_depth)]
+    return [_analyze(segments, None, None, 0, params, max_depth)]
 
 
-def _analyze(members: tuple, dist, depth: int, params: AnalysisParams, max_depth: int) -> ClusterNode:
+def _subset(members: tuple, inverse: np.ndarray, dist: np.ndarray, idx: np.ndarray,
+            rows) -> tuple:
+    """(members, inverse, dist) of the members at the ascending positions idx.
+
+    rows are the ascending distinct ids of those members.  Identical
+    members are never separated, so these are the subset's distinct
+    values in first-occurrence order, and its matrix is the parent's
+    restricted to them.
+    """
+    rows = np.asarray(rows)
+    return (tuple(members[i] for i in idx.tolist()), np.searchsorted(rows, inverse[idx]),
+            dist.take(rows, axis=0).take(rows, axis=1))
+
+
+def _analyze(members: tuple, inverse, dist, depth: int,
+             params: AnalysisParams, max_depth: int) -> ClusterNode:
+    """Verdict and subtree of one node.
+
+    inverse[i] numbers the distinct value of members[i], in order of
+    first occurrence, and dist is the dissimilarity matrix of those
+    distinct values; both are None until the node or an ancestor
+    computes the matrix.
+    """
     if len(members) < params.min_cluster:
         return ClusterNode(members, ABANDONED_SMALL, depth)
 
-    lengths = [len(m) for m in members]
+    lengths = [len(m.values) for m in members]  # len(m) runs a Python-level __len__
     if 1.0 - min(lengths) / max(lengths) > params.length_ratio:
         groups = {}
-        for idx, m in enumerate(members):
-            groups.setdefault(len(m), []).append(idx)
+        for idx, length in enumerate(lengths):
+            groups.setdefault(length, []).append(idx)
         children = []
-        for length in sorted(groups):
-            idx = groups[length]
-            sub = tuple(members[i] for i in idx)
-            sub_dist = dist[np.ix_(idx, idx)] if dist is not None else None
-            children.append(_analyze(sub, sub_dist, depth, params, max_depth))
+        for _, idx in sorted(groups.items()):
+            if dist is None:
+                sub = (tuple(members[i] for i in idx), None, None)
+            else:
+                idx = np.array(idx)
+                sub = _subset(members, inverse, dist, idx, np.unique(inverse[idx]))
+            children.append(_analyze(*sub, depth, params, max_depth))
         return ClusterNode(members, RECURSED, depth, children=tuple(children))
 
     if dist is None:
-        dist = dissim.pairwise([m.values for m in members])
+        distinct, inverse = dissim.distinct_values([m.values for m in members])
+        dist = dissim.pairwise(distinct)
 
     try:
         overlay = dissim.overlay_cluster(members, dist)
@@ -191,18 +257,26 @@ def _analyze(members: tuple, dist, depth: int, params: AnalysisParams, max_depth
     if depth >= max_depth:
         return ClusterNode(members, ABANDONED_DEPTH, depth)
 
+    weights = np.bincount(inverse)
     try:
-        eps = estimate_eps(dist, MIN_PTS)
+        eps = estimate_eps(dist, MIN_PTS, weights)
     except EstimationError:
         return ClusterNode(members, ABANDONED_DEPTH, depth)
-    clusters, noise = dbscan(dist, eps, MIN_PTS)
+    clusters, noise = dbscan(dist, eps, MIN_PTS, weights)
 
-    children = []
-    for idx in clusters:
-        sub = tuple(members[i] for i in idx)
-        children.append(_analyze(sub, dist[np.ix_(idx, idx)], depth + 1, params, max_depth))
+    # each member takes its distinct value's cluster; noise is the last group
+    label = np.full(len(weights), len(clusters))
+    for k, rows in enumerate(clusters):
+        label[rows] = k
+    member_label = label[inverse]
+    order = np.argsort(member_label, kind="stable")  # ascending within a group
+    bounds = np.searchsorted(member_label[order], np.arange(len(clusters) + 1)).tolist()
+    children = [_analyze(*_subset(members, inverse, dist, order[lo:hi], rows),
+                         depth + 1, params, max_depth)
+                for rows, lo, hi in zip(clusters, bounds, bounds[1:])]
     if noise:
-        children.append(ClusterNode(tuple(members[i] for i in noise), NOISE, depth + 1))
+        children.append(ClusterNode(tuple(members[i] for i in order[bounds[-1]:].tolist()),
+                                    NOISE, depth + 1))
     return ClusterNode(members, RECURSED, depth, children=tuple(children))
 
 

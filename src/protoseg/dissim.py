@@ -26,12 +26,17 @@ holds the same bits that `dissimilarity` gives for its pair.  The term
 is symmetric, so blocks of equal-length segments compute only the
 upper half and mirror it.  One gather covers at most _BLOCK_BUDGET
 terms, which bounds the kernel's scratch memory at a few MB whatever
-the segment count; the returned segments x segments matrix itself
-takes 8 n^2 bytes.
+the segment count; the returned n x n matrix itself takes 8 n^2 bytes.
+
+The clustering passes `pairwise` a node's distinct values only, in
+order of first occurrence, and hands that distinct-value matrix to
+`overlay_cluster`, which expands it per member where a sum needs it;
+so n is the number of distinct values, not of segments.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -111,20 +116,25 @@ def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
             out[hi:, lo:hi] = vals[:, hi - lo:].T
 
 
+def distinct_values(values) -> tuple:
+    """(distinct, inverse) of a list of byte sequences.
+
+    distinct holds each value once as bytes, in order of first
+    occurrence, and values[i] == distinct[inverse[i]].
+    """
+    keys = [bytes(v) for v in values]
+    ids = dict(zip(dict.fromkeys(keys), itertools.count()))
+    return list(ids), np.fromiter(map(ids.__getitem__, keys), np.intp, len(keys))
+
+
 def pairwise(values) -> np.ndarray:
     """Full symmetric dissimilarity matrix over a list of byte sequences.
 
-    Identical values are computed once; the matrix is expanded from the
-    unique-value matrix, so traces with many repeated segments stay cheap.
+    Identical values are computed once and the matrix is expanded from
+    the unique-value matrix.  A list of distinct values, as the
+    clustering passes, gets the unique-value matrix itself.
     """
-    keys = [bytes(v) for v in values]
-    index = {}
-    inverse = []
-    for k in keys:
-        if k not in index:
-            index[k] = len(index)
-        inverse.append(index[k])
-    uniq = list(index)
+    uniq, inv = distinct_values(values)
     u = len(uniq)
 
     by_len = defaultdict(list)
@@ -152,9 +162,8 @@ def pairwise(values) -> np.ndarray:
                     U[np.ix_(ib, ia)] = vals.T
     np.fill_diagonal(U, 0.0)
 
-    if u == len(keys):
+    if u == len(inv):
         return U  # every value unique: the unique-value matrix is the matrix
-    inv = np.array(inverse)
     # rows, then columns: whole-row copies run about twice as fast as
     # np.ix_, and freeing U before the column copy keeps the peak memory
     # near that of np.ix_
@@ -183,33 +192,48 @@ def overlay_cluster(members, dist: np.ndarray = None) -> Overlay:
 
     The medoid is the member with the smallest total dissimilarity to
     all others (lowest index on ties).  Each member is shifted to where
-    the shorter of (member, medoid) best matches the longer.
+    the shorter of (member, medoid) best matches the longer.  `dist`,
+    when given, is the dissimilarity matrix of the members' distinct
+    values in order of first occurrence, as `pairwise` gives it for
+    that list.
     """
     members = list(members)
     if len(members) < 2:
         raise UsageError("overlay needs at least 2 members")
     values = [m.values for m in members]
+    distinct, inverse = distinct_values(values)
     if dist is None:
-        dist = pairwise(values)
-    totals = dist.sum(axis=1)
+        dist = pairwise(distinct)
+    if len(distinct) == len(values):  # dist is the members x members matrix
+        totals = dist.sum(axis=1)
+    else:
+        # A member's total is the sum of its row of the members x members
+        # matrix; a distinct row expanded per member holds those values in
+        # that order, so its sum has their bits.  The weighted sum rounds
+        # differently and can flip the medoid, so it only picks the rows
+        # whose sums can be smallest: two float sums of the same n
+        # nonnegative terms differ by well under 8 (n + 1) eps of the total.
+        approx = np.einsum("ij,j->i", dist, np.bincount(inverse))
+        near = np.flatnonzero(approx <= approx.min() + 8 * (len(values) + 1)
+                              * np.finfo(float).eps * approx.max())
+        totals = np.full(len(distinct), np.inf)
+        totals[near] = dist[near].take(inverse, axis=1).sum(axis=1)
+        totals = totals[inverse]
     reference = int(np.argmin(totals))  # argmin returns the first = lowest index
-    ref_values = values[reference]
+    ref = distinct[inverse[reference]]
 
-    offset_of = {}
-    rel = []
-    for v in values:
-        key = bytes(v)
-        if key not in offset_of:
-            if len(v) == len(ref_values) and key == bytes(ref_values):
-                offset_of[key] = 0
-            else:
-                _, o = dissimilarity(v, ref_values)
-                offset_of[key] = o if len(v) <= len(ref_values) else -o
-        rel.append(offset_of[key])
-
-    low = min(rel)
-    shifts = tuple(r - low for r in rel)
-    width = max(s + len(v) for s, v in zip(shifts, values))
+    # identical members share their shift, so it is found per distinct value
+    offsets = []
+    for v in distinct:
+        if v == ref:
+            offsets.append(0)
+        else:
+            _, o = dissimilarity(v, ref)
+            offsets.append(o if len(v) <= len(ref) else -o)
+    low = min(offsets)
+    shift_of = [o - low for o in offsets]
+    width = max(s + len(v) for s, v in zip(shift_of, distinct))
+    shifts = tuple(map(shift_of.__getitem__, inverse.tolist()))
     return Overlay(members=tuple(members), shifts=shifts, width=width, reference=reference)
 
 

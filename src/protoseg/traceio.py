@@ -14,6 +14,8 @@ whose ends the cuts are derived.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import struct
@@ -140,8 +142,11 @@ def _iter_pcap(path: str, layer: str, port: Optional[int]):
 
 
 def _iter_hexlines(path: str):
-    with open(path, "r", encoding="ascii") as fh:
+    # undecodable bytes become lone surrogates, so they are reported by line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise IngestionError(f"{path}:{lineno}: non-ASCII byte in a hex-line file")
             body = line.split("#", 1)[0]
             body = "".join(body.split())
             if not body:
@@ -246,14 +251,14 @@ def load_segmentation(path: str, messages=None) -> list:
     return _validate_cuts(cuts_by_id, messages, f"{path}: segmentation")
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write and rename into place."""
+def _write_atomic(path: str, pieces) -> None:
+    """Write an iterable of strings to a temporary file and rename it into place."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -261,9 +266,105 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Write and rename into place."""
+    _write_atomic(path, (text,))
+
+
+# JSON values the C encoder writes without a nested container
+_SCALARS = (str, int, float, type(None))
+
+
+def _flat(items) -> bool:
+    return all(map(isinstance, items, itertools.repeat(_SCALARS)))
+
+
+def _records(items) -> bool:
+    """True for a list of non-empty dicts with scalar values only."""
+    return isinstance(items, (list, tuple)) and all(
+        isinstance(d, dict) and d and _flat(d.values()) for d in items)
+
+
+@functools.lru_cache(maxsize=64)
+def _c_encoder(indent: str) -> json.JSONEncoder:
+    """The C encoder, compact except that items are separated by ",\n" + indent."""
+    return json.JSONEncoder(separators=(",\n" + indent, ": "))
+
+
+def _json_key(key) -> str:
+    """A dict key as `json.dumps` turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _inline(obj, level: int):
+    """Indented text of obj when the C encoder writes it in one call, else None.
+
+    That is a scalar, an empty container, a container of scalars, or a
+    list of non-empty flat dicts; the C encoder's item separator then
+    carries the indent of the container's items.  With ensure_ascii no
+    string holds a raw newline, so "},\n" + indent + "{" in its output
+    is always a record boundary.
+    """
+    is_list = isinstance(obj, (list, tuple))
+    if not (is_list or isinstance(obj, dict)):
+        return _c_encoder("").encode(obj)
+    if not obj:
+        return "[]" if is_list else "{}"
+    outer = "\n" + " " * level
+    inner = outer + " "
+    if _flat(obj if is_list else obj.values()):
+        text = _c_encoder(inner[1:]).encode(obj)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if _records(obj):
+        field = inner + " "
+        text = _c_encoder(field[1:]).encode(obj)
+        text = text[2:-2].replace("}," + field + "{", inner + "}," + inner + "{" + field)
+        return "[" + inner + "{" + field + text + inner + "}" + outer + "]"
+    return None
+
+
+def _walk(obj, level: int):
+    """Pieces of a container that `_inline` does not write, item by item."""
+    is_list = isinstance(obj, (list, tuple))
+    outer = "\n" + " " * level
+    inner = outer + " "
+    items = enumerate(obj) if is_list else obj.items()
+    for i, (key, value) in enumerate(items):
+        head = ("[" if is_list else "{") if i == 0 else ","
+        head += inner if is_list else (
+            inner + json.encoder.encode_basestring_ascii(_json_key(key)) + ": ")
+        text = _inline(value, level + 1)
+        if text is None:
+            yield head
+            yield from _walk(value, level + 1)
+        else:
+            yield head + text
+    yield outer + ("]" if is_list else "}")
+
+
+def _json_pieces(obj):
+    """Pieces of `json.dumps(obj, indent=1, separators=(",", ": "))`.
+
+    That call runs the pure-Python encoder because of the indent; here
+    the C encoder writes every part that `_inline` accepts.
+    """
+    text = _inline(obj, 0)
+    if text is None:
+        return _walk(obj, 0)
+    return (text,)
+
+
 def write_json_atomic(path: str, obj) -> None:
-    """Serialize deterministically and rename into place."""
-    write_text_atomic(path, json.dumps(obj, indent=1, separators=(",", ": ")) + "\n")
+    """Serialize deterministically and rename into place.
+
+    The file holds `json.dumps(obj, indent=1, separators=(",", ": "))`
+    and a newline.
+    """
+    _write_atomic(path, itertools.chain(_json_pieces(obj), ("\n",)))
 
 
 def save_segmentation(path: str, segmentations) -> None:

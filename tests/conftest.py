@@ -3,7 +3,9 @@
 The oracles here deliberately do not reuse the library's code paths:
 the Jacobi eigensolver checks the LAPACK-backed decomposition, the
 fixpoint DBSCAN checks the frontier-expansion implementation, and the
-broadcast Canberra formula checks the byte-pair table kernel.
+broadcast Canberra formula checks the byte-pair table kernel.  Both
+work on every item, duplicates included, so they are also the expanded
+oracles of the clustering at distinct-value resolution.
 """
 
 from collections import defaultdict
@@ -143,3 +145,18 @@ def reference_pairwise(values):
             D[np.ix_(by_len[n], by_len[m])] = vals.T
     np.fill_diagonal(D, 0.0)
     return D
+
+
+def duplicate_heavy_values(rng, n):
+    """n short byte values with many repeats, their distinct values and weights.
+
+    Returns (values, distinct, inverse, weights): distinct in order of
+    first occurrence, values[i] == distinct[inverse[i]], and weights[j]
+    the number of values equal to distinct[j].
+    """
+    pool = [bytes(rng.choice([0, 1, 2, 3, 0x80, 0xff], size=int(rng.integers(1, 4))).tolist())
+            for _ in range(int(rng.integers(1, 13)))]
+    values = [pool[int(k)] for k in rng.integers(0, len(pool), size=n)]
+    ids = {}
+    inverse = np.array([ids.setdefault(v, len(ids)) for v in values])
+    return values, list(ids), inverse, np.bincount(inverse)

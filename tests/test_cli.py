@@ -87,6 +87,14 @@ def test_processing_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("line", [b"\xff\xfe00", b"0a0b # caf\xc3\xa9"])
+def test_non_ascii_hex_line_exits_2(tmp_path, capsys, line):
+    bad = tmp_path / "bad.hex"
+    bad.write_bytes(b"0a0b\n" + line + b"\n")
+    assert main(["segment", "--trace", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert f"{bad}:2: non-ASCII byte" in capsys.readouterr().err
+
+
 def test_param_override_applies(synth_dir, tmp_path):
     out = tmp_path / "seg"
     rc = main(["segment", "--trace", str(synth_dir / "trace.hex"), "--no-dedupe",

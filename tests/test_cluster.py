@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import reference_dbscan
-from protoseg import dissim, synth
+from conftest import duplicate_heavy_values, reference_dbscan, reference_pairwise
+from protoseg import cluster, dissim, synth
 from protoseg.cluster import (ABANDONED_SMALL, PCA_SUITABLE, RECURSED,
                               dbscan, estimate_eps, recursive_cluster)
 from protoseg.model import EstimationError, SegmentRef, UsageError, segments_of
@@ -162,6 +162,59 @@ class TestEstimateEps:
             D = np.triu(D, 1)
             D = D + D.T
             assert estimate_eps(D, min_pts) == self.full_sort_eps(D, min_pts)
+
+
+class TestWeightedEquivalence:
+    """Distinct values with weights give what every item, duplicates included, gives."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(2024)
+        for _ in range(150):
+            values, distinct, inverse, weights = duplicate_heavy_values(
+                rng, int(rng.integers(1, 40)))
+            U = dissim.pairwise(distinct)
+            yield rng, U, reference_pairwise(values), inverse, weights
+
+    def test_dbscan_expands_to_the_reference(self):
+        for rng, U, E, inverse, weights in self.cases():
+            entries = np.unique(U[U > 0])  # eps exactly on entries, so ties decide
+            eps_values = rng.choice(entries, size=min(3, entries.size), replace=False)
+            for eps in eps_values.tolist() or [0.5]:
+                min_pts = int(rng.integers(1, 6))
+                clusters, noise = dbscan(U, eps, min_pts, weights)
+                expand = lambda rows: np.flatnonzero(np.isin(inverse, rows)).tolist()
+                got = [expand(c) for c in clusters], expand(noise)
+                assert got == reference_dbscan(E.tolist(), eps, min_pts)
+
+    @pytest.mark.parametrize("budget", [cluster._PARTITION_BUDGET, 7])
+    def test_estimate_eps_equals_the_expanded_estimate(self, monkeypatch, budget):
+        # at a budget of 7 elements the rows are partitioned a few at a time
+        monkeypatch.setattr(cluster, "_PARTITION_BUDGET", budget)
+        checked = 0
+        for rng, U, E, inverse, weights in self.cases():
+            min_pts = int(rng.integers(1, 6))
+            if len(inverse) < min_pts + 1:
+                with pytest.raises(EstimationError):
+                    estimate_eps(U, min_pts, weights)
+                continue
+            want = TestEstimateEps.full_sort_eps(E, min_pts)
+            assert estimate_eps(U, min_pts, weights) == estimate_eps(E, min_pts) == want
+            checked += 1
+        assert checked > 100
+
+    def test_unit_weights_are_the_default(self):
+        rng = np.random.default_rng(5)
+        D = random_dist(rng, 20)
+        ones = np.ones(20, dtype=int)
+        assert estimate_eps(D, 3, ones) == estimate_eps(D, 3)
+        assert dbscan(D, 0.3, 3, ones) == dbscan(D, 0.3, 3)
+
+    def test_weight_makes_a_lone_row_core(self):
+        # one row standing for three identical items is a cluster on its own
+        D = np.array([[0.0, 0.9], [0.9, 0.0]])
+        assert dbscan(D, 0.5, 3, [3, 1]) == ([[0]], [1])
+        assert dbscan(D, 0.5, 3) == ([], [0, 1])
 
 
 class TestRecursiveCluster:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import reference_pairwise
+from conftest import duplicate_heavy_values, reference_pairwise
 
 from protoseg import dissim
 from protoseg.dissim import (UNMATCHED_PENALTY, Overlay, build_matrix, canberra,
@@ -217,6 +217,32 @@ class TestOverlay:
     def test_needs_two_members(self):
         with pytest.raises(UsageError):
             overlay_cluster([ref(b"\x01")])
+
+    def test_medoid_takes_the_rounding_of_the_member_row_sums(self):
+        # both values have total 6 * d exactly, but summed over the members
+        # in order the second row rounds lower, so its first member is the
+        # medoid; a product of the distinct matrix and the counts would tie
+        # and pick member 0
+        members = [ref(b"\x02" if c == "a" else b"\x80\x03", message_id=i)
+                   for i, c in enumerate("aaabaaabbbbb")]
+        assert overlay_cluster(members).reference == 3
+        assert overlay_cluster(members, pairwise([b"\x02", b"\x80\x03"])).reference == 3
+
+    def test_distinct_matrix_gives_the_expanded_overlay(self):
+        # medoid by the row sums of the matrix over every member, shifts
+        # by the scalar dissimilarity of each member to the medoid
+        rng = np.random.default_rng(99)
+        for _ in range(200):
+            values, distinct, _, _ = duplicate_heavy_values(rng, int(rng.integers(2, 40)))
+            members = [ref(v, message_id=i) for i, v in enumerate(values)]
+            reference = int(np.argmin(reference_pairwise(values).sum(axis=1)))
+            medoid = values[reference]
+            rel = [0 if v == medoid else
+                   dissimilarity(v, medoid)[1] * (1 if len(v) <= len(medoid) else -1)
+                   for v in values]
+            want = (reference, tuple(r - min(rel) for r in rel))
+            for ov in (overlay_cluster(members, pairwise(distinct)), overlay_cluster(members)):
+                assert (ov.reference, ov.shifts) == want
 
 
 class TestBuildMatrix:

@@ -16,6 +16,13 @@ verdicts, depths, member ranges), but floats computed by numpy
 different numpy or BLAS build may change them; a digest that changes
 with the code unchanged points there first.
 
+One duplicate-heavy case, `mixed` under nullpca at 600 messages, is
+pinned as well: its length groups hold several times more segments
+than distinct values and its tree recurses below the length split, so
+the clustering at distinct-value resolution is checked on a deep tree.
+Its digests were recorded on commit 629f117, before the clustering
+moved from segment to distinct-value resolution.
+
 The same runs also check that `edits.json` is a faithful log: replayed
 in order over the preset's base segmentation, every edit is valid when
 it is applied and the result is `segments.json`.
@@ -97,18 +104,39 @@ GOLDEN = {
     ),
 }
 
+# "<spec>/<preset>@<messages>": the same digests for the larger cases
+GOLDEN_LARGE = {
+    "mixed/nullpca@600": (
+        "0f13d31b0808ab14637731528f9555a7b746ab02887bc5aac52bd62dad850080",
+        "f295f57c6fb152e29e783eef0d6e54e888538d855b307e9497f78fe657202091",
+        "270b7da1a589493bc433dda0dbc12d83220b54fb87ba7c64afad46334859babb",
+    ),
+}
+
+
+def split_case(case):
+    """(spec, preset, message count) of a GOLDEN or GOLDEN_LARGE key."""
+    name, _, count = case.partition("@")
+    spec, preset = name.split("/")
+    return spec, preset, int(count or MESSAGES)
+
 
 @pytest.fixture(scope="module")
 def traces(tmp_path_factory):
-    """One hex trace per bundled spec, spec k seeded with MESSAGES + k."""
+    """Hex trace of (spec, message count), spec k of n messages seeded with n + k, made on first use."""
     root = tmp_path_factory.mktemp("identity")
+    specs = sorted(synth.reference_specs().items())
     paths = {}
-    for k, (name, spec) in enumerate(sorted(synth.reference_specs().items())):
-        spec = dataclasses.replace(spec, message_count=MESSAGES, rng_seed=MESSAGES + k)
-        messages, _ = synth.generate(spec)
-        paths[name] = root / f"{name}.hex"
-        traceio.save_hexlines(str(paths[name]), messages)
-    return paths
+
+    def trace(name, count=MESSAGES):
+        if (name, count) not in paths:
+            k, spec = next((k, spec) for k, (n, spec) in enumerate(specs) if n == name)
+            spec = dataclasses.replace(spec, message_count=count, rng_seed=count + k)
+            messages, _ = synth.generate(spec)
+            paths[name, count] = root / f"{name}-{count}.hex"
+            traceio.save_hexlines(str(paths[name, count]), messages)
+        return paths[name, count]
+    return trace
 
 
 @pytest.fixture(scope="module")
@@ -119,21 +147,27 @@ def runs(traces, tmp_path_factory):
 
     def run(case):
         if case not in done:
-            spec, preset = case.split("/")
-            out = root / case.replace("/", "-")
-            assert main(["segment", "--trace", str(traces[spec]), "--preset", preset,
+            spec, preset, count = split_case(case)
+            out = root / case.replace("/", "-").replace("@", "-")
+            assert main(["segment", "--trace", str(traces(spec, count)), "--preset", preset,
                          "--no-dedupe", "--out", str(out)]) == 0
             done[case] = out
         return done[case]
     return run
 
 
+def digests(out):
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS)
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_artifacts_match_golden_digests(case, runs, capsys):
-    out = runs(case)
-    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                    for name in ARTIFACTS)
-    assert digests == GOLDEN[case]
+    assert digests(runs(case)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LARGE))
+def test_large_artifacts_match_golden_digests(case, runs, capsys):
+    assert digests(runs(case)) == GOLDEN_LARGE[case]
 
 
 def replay(cuts: set, length: int, edits) -> set:
@@ -154,11 +188,11 @@ def replay(cuts: set, length: int, edits) -> set:
     return cuts
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
+@pytest.mark.parametrize("case", sorted(GOLDEN) + sorted(GOLDEN_LARGE))
 def test_edit_log_replays_to_segments(case, runs, traces, capsys):
-    spec, preset = case.split("/")
+    spec, preset, count = split_case(case)
     out = runs(case)
-    messages = traceio.load_trace(traceio.TraceSpec(str(traces[spec]), dedupe=False))
+    messages = traceio.load_trace(traceio.TraceSpec(str(traces(spec, count)), dedupe=False))
     if refine.PRESETS[preset][0] == refine.BASE_NULL_BYTES:
         base = [refine.null_segmenter(m) for m in messages]
     else:

@@ -6,7 +6,7 @@ import pytest
 from protoseg.model import IngestionError, UsageError
 from protoseg.traceio import (TraceSpec, load_ground_truth, load_segmentation,
                               load_trace, save_ground_truth, save_hexlines,
-                              save_segmentation, sniff_format)
+                              save_segmentation, sniff_format, write_json_atomic)
 
 
 def build_pcap(frames, order="<", nanos=False, linktype=1):
@@ -248,3 +248,31 @@ class TestSegmentationJson:
         save_hexlines(str(path), msgs)
         again = load_trace(TraceSpec(str(path)))
         assert [m.payload for m in again] == [m.payload for m in msgs]
+
+
+class TestJsonWriter:
+    """`write_json_atomic` writes exactly `json.dumps(obj, indent=1)` and a newline.
+
+    test_fuzz.py checks the same on random JSON trees.
+    """
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], [{}], {"a": []}, [[], [[{}]]], ({"a": {}},), [{"a": 1}, {}],
+        [{"a": 1}, {"b": [2]}], [{"x": '"},\n {'}, {"y": 2}], {"k": ['": [', "{}"]},
+        {1: 2, None: 3, True: 4, 1.5: 5, float("nan"): 6}, [-0.0, float("nan"), float("-inf")],
+        "caf\u00e9", 7, None,
+    ])
+    def test_edge_values_match_indented_dumps(self, tmp_path, obj):
+        path = tmp_path / "edge.json"
+        write_json_atomic(str(path), obj)
+        assert path.read_text(encoding="utf-8") == (
+            json.dumps(obj, indent=1, separators=(",", ": ")) + "\n")
+
+    @pytest.mark.parametrize("obj", [{(1,): 2}, {"a": [{(1,): 1}, 2]}, {"a": object()},
+                                     [[1, object()], {"b": {}}]])
+    def test_unserializable_raises_type_error_and_leaves_no_file(self, tmp_path, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=1)
+        with pytest.raises(TypeError):
+            write_json_atomic(str(tmp_path / "bad.json"), obj)
+        assert list(tmp_path.iterdir()) == []
