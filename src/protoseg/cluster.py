@@ -227,14 +227,12 @@ def _analyze(members: tuple, inverse, dist, depth: int,
         groups = {}
         for idx, length in enumerate(lengths):
             groups.setdefault(length, []).append(idx)
-        children = []
-        for _, idx in sorted(groups.items()):
-            if dist is None:
-                sub = (tuple(members[i] for i in idx), None, None)
-            else:
-                idx = np.array(idx)
-                sub = _subset(members, inverse, dist, idx, np.unique(inverse[idx]))
-            children.append(_analyze(*sub, depth, params, max_depth))
+        # only a root splits by length, before any matrix exists: its
+        # children have one length each, and a DBSCAN child's spread is
+        # at most its parent's
+        children = [_analyze(tuple(members[i] for i in idx), None, None, depth,
+                             params, max_depth)
+                    for _, idx in sorted(groups.items())]
         return ClusterNode(members, RECURSED, depth, children=tuple(children))
 
     if dist is None:
@@ -242,7 +240,7 @@ def _analyze(members: tuple, inverse, dist, depth: int,
         dist = dissim.pairwise(distinct)
 
     try:
-        overlay = dissim.overlay_cluster(members, dist)
+        overlay = dissim.overlay_cluster(members, dist, inverse)
         matrix = dissim.build_matrix(overlay)
     except DegenerateClusterError:
         return ClusterNode(members, NOISE, depth)
@@ -263,6 +261,9 @@ def _analyze(members: tuple, inverse, dist, depth: int,
     except EstimationError:
         return ClusterNode(members, ABANDONED_DEPTH, depth)
     clusters, noise = dbscan(dist, eps, MIN_PTS, weights)
+    if len(clusters) == 1 and not noise:  # one cluster of every row: the child is this node
+        child = _analyze(members, inverse, dist, depth + 1, params, max_depth)
+        return ClusterNode(members, RECURSED, depth, children=(child,))
 
     # each member takes its distinct value's cluster; noise is the last group
     label = np.full(len(weights), len(clusters))

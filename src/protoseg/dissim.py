@@ -29,9 +29,10 @@ terms, which bounds the kernel's scratch memory at a few MB whatever
 the segment count; the returned n x n matrix itself takes 8 n^2 bytes.
 
 The clustering passes `pairwise` a node's distinct values only, in
-order of first occurrence, and hands that distinct-value matrix to
-`overlay_cluster`, which expands it per member where a sum needs it;
-so n is the number of distinct values, not of segments.
+order of first occurrence, and hands that distinct-value matrix and
+the members' distinct ids to `overlay_cluster`, which expands the
+matrix per member where a sum needs it; so n is the number of
+distinct values, not of segments.
 """
 
 from __future__ import annotations
@@ -117,39 +118,35 @@ def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
 
 
 def distinct_values(values) -> tuple:
-    """(distinct, inverse) of a list of byte sequences.
+    """(distinct, inverse) of a list of bytes values.
 
-    distinct holds each value once as bytes, in order of first
-    occurrence, and values[i] == distinct[inverse[i]].
+    distinct holds each value once, in order of first occurrence, and
+    values[i] == distinct[inverse[i]].
     """
-    keys = [bytes(v) for v in values]
-    ids = dict(zip(dict.fromkeys(keys), itertools.count()))
-    return list(ids), np.fromiter(map(ids.__getitem__, keys), np.intp, len(keys))
+    ids = dict(zip(dict.fromkeys(values), itertools.count()))
+    return list(ids), np.fromiter(map(ids.__getitem__, values), np.intp, len(values))
 
 
 def pairwise(values) -> np.ndarray:
     """Full symmetric dissimilarity matrix over a list of byte sequences.
 
-    Identical values are computed once and the matrix is expanded from
-    the unique-value matrix.  A list of distinct values, as the
-    clustering passes, gets the unique-value matrix itself.
+    The matrix has one row per value, repeats included; the clustering
+    passes distinct values only, so it gets their matrix and no more.
     """
-    uniq, inv = distinct_values(values)
-    u = len(uniq)
-
+    n = len(values)
     by_len = defaultdict(list)
-    for i, k in enumerate(uniq):
-        by_len[len(k)].append(i)
+    for i, v in enumerate(values):
+        by_len[len(v)].append(i)
     lengths = sorted(by_len)
     arrays = {
-        L: (np.array(idx), np.frombuffer(b"".join(uniq[i] for i in idx), dtype=np.uint8)
+        L: (np.array(idx), np.frombuffer(b"".join(values[i] for i in idx), dtype=np.uint8)
             .reshape(len(idx), L))
         for L, idx in by_len.items()
     }
-    U = np.empty((u, u))
+    D = np.empty((n, n))
     if len(lengths) == 1:  # the one block is the whole matrix
         _, A = arrays[lengths[0]]
-        _block_values(A, A, U)
+        _block_values(A, A, D)
     else:
         for ai, La in enumerate(lengths):
             ia, A = arrays[La]
@@ -157,19 +154,11 @@ def pairwise(values) -> np.ndarray:
                 ib, B = arrays[Lb]
                 vals = np.empty((len(ia), len(ib)))
                 _block_values(A, B, vals)
-                U[np.ix_(ia, ib)] = vals
+                D[np.ix_(ia, ib)] = vals
                 if La != Lb:
-                    U[np.ix_(ib, ia)] = vals.T
-    np.fill_diagonal(U, 0.0)
-
-    if u == len(inv):
-        return U  # every value unique: the unique-value matrix is the matrix
-    # rows, then columns: whole-row copies run about twice as fast as
-    # np.ix_, and freeing U before the column copy keeps the peak memory
-    # near that of np.ix_
-    rows = U.take(inv, axis=0)
-    del U
-    return rows.take(inv, axis=1)
+                    D[np.ix_(ib, ia)] = vals.T
+    np.fill_diagonal(D, 0.0)
+    return D
 
 
 @dataclass(frozen=True)
@@ -187,7 +176,7 @@ class Overlay:
     reference: int
 
 
-def overlay_cluster(members, dist: np.ndarray = None) -> Overlay:
+def overlay_cluster(members, dist: np.ndarray = None, inverse=None) -> Overlay:
     """Align a cluster on its medoid.
 
     The medoid is the member with the smallest total dissimilarity to
@@ -195,13 +184,22 @@ def overlay_cluster(members, dist: np.ndarray = None) -> Overlay:
     the shorter of (member, medoid) best matches the longer.  `dist`,
     when given, is the dissimilarity matrix of the members' distinct
     values in order of first occurrence, as `pairwise` gives it for
-    that list.
+    that list; `inverse`, when given, numbers each member's distinct
+    value in that order, as `distinct_values` does.
     """
     members = list(members)
     if len(members) < 2:
         raise UsageError("overlay needs at least 2 members")
     values = [m.values for m in members]
-    distinct, inverse = distinct_values(values)
+    if inverse is None:
+        distinct, inverse = distinct_values(values)
+    else:
+        # ids count up in order of first occurrence: a member holds a new
+        # value exactly where its id exceeds every id before it
+        inverse = np.asarray(inverse)
+        new = np.ones(len(values), dtype=bool)
+        new[1:] = inverse[1:] > np.maximum.accumulate(inverse)[:-1]
+        distinct = [values[i] for i in np.flatnonzero(new).tolist()]
     if dist is None:
         dist = pairwise(distinct)
     if len(distinct) == len(values):  # dist is the members x members matrix

@@ -226,14 +226,17 @@ class TestOverlay:
         members = [ref(b"\x02" if c == "a" else b"\x80\x03", message_id=i)
                    for i, c in enumerate("aaabaaabbbbb")]
         assert overlay_cluster(members).reference == 3
-        assert overlay_cluster(members, pairwise([b"\x02", b"\x80\x03"])).reference == 3
+        U = pairwise([b"\x02", b"\x80\x03"])
+        assert overlay_cluster(members, U).reference == 3
+        inverse = [0 if c == "a" else 1 for c in "aaabaaabbbbb"]
+        assert overlay_cluster(members, U, inverse).reference == 3
 
     def test_distinct_matrix_gives_the_expanded_overlay(self):
         # medoid by the row sums of the matrix over every member, shifts
         # by the scalar dissimilarity of each member to the medoid
         rng = np.random.default_rng(99)
         for _ in range(200):
-            values, distinct, _, _ = duplicate_heavy_values(rng, int(rng.integers(2, 40)))
+            values, distinct, inverse, _ = duplicate_heavy_values(rng, int(rng.integers(2, 40)))
             members = [ref(v, message_id=i) for i, v in enumerate(values)]
             reference = int(np.argmin(reference_pairwise(values).sum(axis=1)))
             medoid = values[reference]
@@ -241,7 +244,9 @@ class TestOverlay:
                    dissimilarity(v, medoid)[1] * (1 if len(v) <= len(medoid) else -1)
                    for v in values]
             want = (reference, tuple(r - min(rel) for r in rel))
-            for ov in (overlay_cluster(members, pairwise(distinct)), overlay_cluster(members)):
+            U = pairwise(distinct)
+            for ov in (overlay_cluster(members, U, inverse), overlay_cluster(members, U),
+                       overlay_cluster(members)):
                 assert (ov.reference, ov.shifts) == want
 
 
