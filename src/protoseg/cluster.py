@@ -15,6 +15,12 @@ the segments x segments matrix with every value repeated per member.
 Identical members are at distance 0, so they always share a cluster;
 a child's distinct values are therefore a subset of its parent's in
 the same order, and its matrix is a slice of the parent's.
+
+A node that DBSCAN does not split (one cluster holding every row) has
+a child with its own members, matrix and eps, which would get the same
+verdict and the same split at every level.  Its chain of `recursed`
+nodes down to an `abandoned_depth` leaf at max_depth is emitted
+directly, without another overlay, PCA, eps estimate or DBSCAN.
 """
 
 from __future__ import annotations
@@ -248,7 +254,7 @@ def _analyze(members: tuple, inverse, dist, depth: int,
     C = pca.covariance(matrix.X)
     eig = pca.eig_sym(C)
     spectrum = pca.analyze_spectrum(eig.eigenvalues, eig.loadings, params)
-    if spectrum.n_sig <= pca.suitability_bound(spectrum.eigenvalues.size, params):
+    if spectrum.suitable(params):
         return ClusterNode(members, PCA_SUITABLE, depth,
                            overlay=overlay, matrix=matrix, spectrum=spectrum)
 
@@ -261,9 +267,14 @@ def _analyze(members: tuple, inverse, dist, depth: int,
     except EstimationError:
         return ClusterNode(members, ABANDONED_DEPTH, depth)
     clusters, noise = dbscan(dist, eps, MIN_PTS, weights)
-    if len(clusters) == 1 and not noise:  # one cluster of every row: the child is this node
-        child = _analyze(members, inverse, dist, depth + 1, params, max_depth)
-        return ClusterNode(members, RECURSED, depth, children=(child,))
+    if len(clusters) == 1 and not noise:
+        # one cluster of every row: the child has this node's members,
+        # matrix and eps, so every level down to max_depth repeats this
+        # verdict and this split, and the chain ends abandoned there
+        node = ClusterNode(members, ABANDONED_DEPTH, max_depth)
+        for level in range(max_depth - 1, depth - 1, -1):
+            node = ClusterNode(members, RECURSED, level, children=(node,))
+        return node
 
     # each member takes its distinct value's cluster; noise is the last group
     label = np.full(len(weights), len(clusters))

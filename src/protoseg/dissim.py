@@ -33,6 +33,10 @@ order of first occurrence, and hands that distinct-value matrix and
 the members' distinct ids to `overlay_cluster`, which expands the
 matrix per member where a sum needs it; so n is the number of
 distinct values, not of segments.
+
+An equal-length pair has the one offset 0, so `dissimilarity` sums its
+terms once and returns without building the per-offset list; the
+overlay of a cluster of one length calls it only for such pairs.
 """
 
 from __future__ import annotations
@@ -86,6 +90,8 @@ def dissimilarity(s, t) -> tuple:
     m, n = len(short), len(long_)
     high = np.frombuffer(short, dtype=np.uint8).astype(np.intp) << 8
     low = np.frombuffer(long_, dtype=np.uint8)
+    if m == n:  # the only offset is 0
+        return float(_TERMS.take(high + low).sum() / n), 0
     sums = [_TERMS.take(high + low[o:o + m]).sum() for o in range(n - m + 1)]
     best = int(np.argmin(sums))
     return float((sums[best] + (n - m) * UNMATCHED_PENALTY) / n), best

@@ -49,6 +49,13 @@ class PcaResult:
     knee: Optional[int] = None
     n_sig: int = 0
 
+    def suitable(self, params: AnalysisParams = AnalysisParams()) -> bool:
+        """Whether the variance is concentrated enough for interpretation.
+
+        True iff n_sig does not exceed suitability_bound(dim, params).
+        """
+        return self.n_sig <= suitability_bound(self.eigenvalues.size, params)
+
 
 def covariance(X: np.ndarray) -> np.ndarray:
     """Sample covariance of the rows of X (denominator rows-1)."""
@@ -109,11 +116,6 @@ def kneedle(values) -> Optional[int]:
     return knee if d[knee] > threshold else None
 
 
-def significance_threshold(eigenvalues, params: AnalysisParams = AnalysisParams()) -> float:
-    """q_s = min(knee eigenvalue, lambda_0/10, scree_min)."""
-    return analyze_spectrum(eigenvalues, params=params).q_s
-
-
 def suitability_bound(dim: int, params: AnalysisParams = AnalysisParams()) -> float:
     """Most significant PCs a suitable cluster of dim dimensions may have.
 
@@ -140,8 +142,7 @@ def analyze_spectrum(eigenvalues, loadings=None, params: AnalysisParams = Analys
 def pca_prerequisites(eigenvalues, params: AnalysisParams = AnalysisParams()) -> bool:
     """Whether a cluster's variance is concentrated enough for interpretation.
 
-    Passes iff the number of significant PCs does not exceed
-    suitability_bound(dim, params).
+    The spectrum is analyzed with `analyze_spectrum` and judged by
+    `PcaResult.suitable`.
     """
-    result = analyze_spectrum(eigenvalues, params=params)
-    return result.n_sig <= suitability_bound(result.eigenvalues.size, params)
+    return analyze_spectrum(eigenvalues, params=params).suitable(params)

@@ -10,12 +10,21 @@ rules.  Two presets wire the chains:
     nullpca   null_bytes base; crop_chars, pca, crop_distinct, split_fixed
     nemepca   bit_congruence (or external) base; entropy_merge,
               null_bytes_refine, crop_chars, pca, crop_distinct, split_fixed
+
+The per-message passes keep their signatures, but `run_pipeline` hands
+them what a whole run shares: the Gaussian kernel of the bit-congruence
+segmenter is built once per run, and `entropy_merge` reads segment
+entropies from a table keyed by the byte counts in byte-value order,
+which `run_pipeline` creates empty for each run (so no entropy outlives
+the call).  Null runs and printable runs are found by regular
+expressions on the payload bytes.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +39,8 @@ from .rules import (ADD, MOVE, REMOVE, BoundaryEdit, apply_edits, cluster_edits,
 logger = logging.getLogger(__name__)
 
 CHAR_BYTES = frozenset({0x09, 0x0A, 0x0D} | set(range(0x20, 0x7F)))
+# the same bytes as a regular-expression class
+_CHAR_CLASS = b"[" + re.escape(bytes(sorted(CHAR_BYTES))) + b"]"
 
 BASE_NULL_BYTES = "null_bytes"
 BASE_BIT_CONGRUENCE = "bit_congruence"
@@ -57,19 +68,12 @@ def char_heuristic(data: bytes) -> bool:
     return len(data) >= 3 and all(b in CHAR_BYTES for b in data)
 
 
+_NULL_RUN = re.compile(rb"\x00+")
+
+
 def _null_runs(payload: bytes):
     """Maximal runs of 0x00 as (start, end) pairs."""
-    runs = []
-    start = None
-    for i, b in enumerate(payload):
-        if b == 0 and start is None:
-            start = i
-        elif b != 0 and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(payload)))
-    return runs
+    return [m.span() for m in _NULL_RUN.finditer(payload)]
 
 
 def _null_run_target(payload: bytes, run, prev_end: int) -> Optional[int]:
@@ -128,72 +132,119 @@ def null_refine(seg: Segmentation, msg: Message) -> Segmentation:
     return Segmentation(msg.id, tuple(sorted(cuts)))
 
 
-def bit_congruence_segmenter(msg: Message, sigma: float = 0.9) -> Segmentation:
+# set bits of every byte value
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.intp)
+
+
+def gaussian_kernel(sigma: float) -> np.ndarray:
+    """Normalized Gaussian smoothing kernel of std sigma and radius ceil(3 sigma)."""
+    if sigma <= 0:
+        raise UsageError("sigma must be positive")
+    radius = math.ceil(3 * sigma)
+    support = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 * (support / sigma) ** 2)
+    kernel /= kernel.sum()
+    return kernel
+
+
+def bit_congruence_segmenter(msg: Message, sigma: float = 0.9,
+                             kernel: Optional[np.ndarray] = None) -> Segmentation:
     """Cut where the smoothed bit-congruence delta bottoms out before rising.
 
     Bit congruence of adjacent bytes is the fraction of equal bits; its
     delta series is smoothed with a Gaussian kernel (std sigma, radius
     ceil(3 sigma)) and a cut is placed after every local minimum that is
-    followed by a rising edge.
+    followed by a rising edge.  `kernel`, when given, must be
+    `gaussian_kernel(sigma)`; a caller segmenting many messages builds
+    it once.
     """
-    if sigma <= 0:
-        raise UsageError("sigma must be positive")
+    if kernel is None:
+        kernel = gaussian_kernel(sigma)
     payload = msg.payload
     if len(payload) < 3:
         return Segmentation(msg.id, ())
-    data = np.frombuffer(payload, dtype=np.uint8)
-    xored = data[:-1] ^ data[1:]
-    bits = np.unpackbits(xored.reshape(-1, 1), axis=1).sum(axis=1)
-    bc = (8 - bits) / 8.0
-    delta = np.diff(bc)
-    if delta.size == 0:
-        return Segmentation(msg.id, ())
+    bits = _POPCOUNT.take(np.bitwise_xor(
+        np.frombuffer(payload, dtype=np.uint8, count=len(payload) - 1),
+        np.frombuffer(payload, dtype=np.uint8, offset=1)))
+    # delta[j] = bc[j+1] - bc[j] with bc = (8 - bits) / 8 is the
+    # congruence change at byte j+1; every value is a multiple of 1/8,
+    # so this difference has the same bits.  It is written into a
+    # zero-padded buffer so the smoothed series aligns index-for-index
+    # with delta even when the kernel is longer than the series.
+    radius = kernel.size // 2
+    padded = np.zeros(len(payload) - 2 + 2 * radius)
+    np.divide(bits[:-1] - bits[1:], 8.0, out=padded[radius:radius + len(payload) - 2])
+    smoothed = np.convolve(padded, kernel, mode="valid")
 
-    radius = math.ceil(3 * sigma)
-    support = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (support / sigma) ** 2)
-    kernel /= kernel.sum()
-    # zero-pad by the radius so the output aligns index-for-index with
-    # delta even when the kernel is longer than the series
-    smoothed = np.convolve(np.pad(delta, radius), kernel, mode="valid")
+    # a cut after delta[j] (at j + 2) where the series rises next and
+    # j is the first index or no higher than its predecessor
+    turn = smoothed[1:] > smoothed[:-1]
+    turn[1:] &= smoothed[1:-1] <= smoothed[:-2]
+    return Segmentation(msg.id, tuple((np.flatnonzero(turn) + 2).tolist()))
 
-    cuts = []
-    for j in range(smoothed.size - 1):
-        rising = smoothed[j + 1] > smoothed[j]
-        at_floor = j == 0 or smoothed[j] <= smoothed[j - 1]
-        cut = j + 2  # delta[j] is the congruence change at byte j+1
-        if rising and at_floor and 0 < cut < len(payload):
-            cuts.append(cut)
-    return Segmentation(msg.id, tuple(cuts))
+
+def _byte_counts(data: bytes) -> np.ndarray:
+    """Nonzero counts of the byte values of data, in byte-value order."""
+    counts = np.bincount(np.frombuffer(data, dtype=np.uint8))
+    return counts[counts > 0]
+
+
+def _counts_entropy(counts: np.ndarray) -> float:
+    """Shannon entropy of nonzero byte counts, normalized to [0, 1]."""
+    n = int(counts.sum())
+    p = counts / n
+    raw = float(-(p * np.log2(p)).sum())
+    return raw / math.log2(min(n, 256))
 
 
 def _entropy(data: bytes) -> float:
     """Shannon entropy of the byte values, normalized to [0, 1]."""
     if len(data) <= 1:
         return 0.0
-    counts = np.bincount(np.frombuffer(data, dtype=np.uint8))
-    p = counts[counts > 0] / len(data)
-    raw = float(-(p * np.log2(p)).sum())
-    return raw / math.log2(min(len(data), 256))
+    return _counts_entropy(_byte_counts(data))
 
 
 def entropy_merge(seg: Segmentation, msg: Message,
-                  floor: float = 0.6, diff: float = 0.1) -> Segmentation:
+                  floor: float = 0.6, diff: float = 0.1,
+                  table: Optional[dict] = None) -> Segmentation:
     """Merge adjacent segments of similar, high local entropy.
 
     Left-to-right greedy; the merged segment is re-evaluated.  The floor
     keeps distinct constant fields (both entropy 0) apart.
+
+    Entropies are read from `table`, which maps the bytes of a
+    segment's `_byte_counts` to its `_entropy`, as those counts are all
+    it depends on; missing entries are computed and added, so one table
+    can serve every message of a trace.  Without one, a table of this
+    message's segments is used.
     """
+    if not seg.cuts:
+        return Segmentation(msg.id, ())
     payload = msg.payload
-    bounds = [0] + list(seg.cuts) + [len(payload)]
+    if table is None:
+        table = {}
+
+    def entropy(data):
+        if len(data) <= 1:
+            return 0.0
+        counts = _byte_counts(data)
+        key = counts.tobytes()
+        h = table.get(key)
+        if h is None:
+            h = table[key] = _counts_entropy(counts)
+        return h
+
+    bounds = [0, *seg.cuts, len(payload)]
     i = 0
-    while i + 1 < len(bounds) - 1:
-        h_a = _entropy(payload[bounds[i]:bounds[i + 1]])
-        h_b = _entropy(payload[bounds[i + 1]:bounds[i + 2]])
+    h_a = entropy(payload[:bounds[1]])
+    while i + 2 < len(bounds):
+        h_b = entropy(payload[bounds[i + 1]:bounds[i + 2]])
         if h_a >= floor and h_b >= floor and abs(h_a - h_b) <= diff:
             del bounds[i + 1]
+            h_a = entropy(payload[bounds[i]:bounds[i + 1]])
         else:
             i += 1
+            h_a = h_b
     return Segmentation(msg.id, tuple(bounds[1:-1]))
 
 
@@ -219,24 +270,18 @@ def crop_chars(seg: Segmentation, msg: Message, min_run: int = 6) -> Segmentatio
     """
     payload = msg.payload
     cuts = set(seg.cuts)
-    bounds = [0] + list(seg.cuts) + [len(payload)]
+    bounds = [0, *seg.cuts, len(payload)]
+    runs = re.compile(_CHAR_CLASS + b"{%d,}" % min_run)
     for s, e in zip(bounds, bounds[1:]):
         if e - s < min_run:
             continue
-        run_start = None
-        for i in range(s, e + 1):
-            is_char = i < e and payload[i] in CHAR_BYTES
-            if is_char and run_start is None:
-                run_start = i
-            elif not is_char and run_start is not None:
-                run_end = i
-                if run_end - run_start >= min_run:
-                    if run_end < e and payload[run_end] == 0:
-                        run_end += 1  # keep the terminator with the text
-                    for cut in (run_start, run_end):
-                        if s < cut < e:
-                            cuts.add(cut)
-                run_start = None
+        for run in runs.finditer(payload, s, e):
+            run_start, run_end = run.span()
+            if run_end < e and payload[run_end] == 0:
+                run_end += 1  # keep the terminator with the text
+            for cut in (run_start, run_end):
+                if s < cut < e:
+                    cuts.add(cut)
     return Segmentation(msg.id, tuple(sorted(cuts)))
 
 
@@ -381,6 +426,8 @@ class PipelineResult:
 
 def _diff_edits(old: Segmentation, new: Segmentation, provenance: str,
                 pair_moves: bool = False) -> list:
+    if old.cuts == new.cuts:
+        return []
     added = sorted(set(new.cuts) - set(old.cuts))
     removed = sorted(set(old.cuts) - set(new.cuts))
     edits = []
@@ -450,7 +497,8 @@ def run_pipeline(messages: list, pipeline: Pipeline,
     if pipeline.base == BASE_NULL_BYTES:
         segs = [null_segmenter(m) for m in messages]
     elif pipeline.base == BASE_BIT_CONGRUENCE:
-        segs = [bit_congruence_segmenter(m, cfg.sigma) for m in messages]
+        kernel = gaussian_kernel(cfg.sigma)
+        segs = [bit_congruence_segmenter(m, cfg.sigma, kernel) for m in messages]
     else:
         if external is None:
             raise UsageError("external base requires a segmentation list")
@@ -461,9 +509,10 @@ def run_pipeline(messages: list, pipeline: Pipeline,
             seg.validate_against(m)
             segs.append(seg)
 
+    entropies = {}  # this run's entropy table; see entropy_merge
     per_message = {
         PASS_ENTROPY_MERGE: lambda seg, msg: entropy_merge(
-            seg, msg, cfg.entropy_floor, cfg.entropy_diff),
+            seg, msg, cfg.entropy_floor, cfg.entropy_diff, entropies),
         PASS_NULL_REFINE: null_refine,
         PASS_MERGE_CHARS: merge_chars,
         PASS_CROP_CHARS: lambda seg, msg: crop_chars(seg, msg, cfg.char_min_run),

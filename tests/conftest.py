@@ -5,15 +5,24 @@ the Jacobi eigensolver checks the LAPACK-backed decomposition, the
 fixpoint DBSCAN checks the frontier-expansion implementation, and the
 broadcast Canberra formula checks the byte-pair table kernel.  Both
 work on every item, duplicates included, so they are also the expanded
-oracles of the clustering at distinct-value resolution.
+oracles of the clustering at distinct-value resolution.  The
+recomputing recursion checks the clustering tree against the full
+segments x segments analysis at every level.  The per-byte loops of
+the bit-congruence segmenter, the null-run and printable-run scans and
+the uncached entropy merge check their vectorised, table-driven
+replacements in `refine`.
 """
 
+import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from protoseg import cluster, dissim, pca
 from protoseg.dissim import UNMATCHED_PENALTY
+from protoseg.model import DegenerateClusterError, EstimationError
+from protoseg.refine import CHAR_BYTES
 
 # the published 8x5 example: eight aligned 5-byte segments
 EXAMPLE_X = np.array([
@@ -160,3 +169,136 @@ def duplicate_heavy_values(rng, n):
     ids = {}
     inverse = np.array([ids.setdefault(v, len(ids)) for v in values])
     return values, list(ids), inverse, np.bincount(inverse)
+
+
+def reference_bit_congruence(payload, sigma):
+    """Cut offsets of the bit-congruence segmenter, one byte at a time."""
+    if len(payload) < 3:
+        return ()
+    data = np.frombuffer(payload, dtype=np.uint8)
+    xored = data[:-1] ^ data[1:]
+    bits = np.unpackbits(xored.reshape(-1, 1), axis=1).sum(axis=1)
+    delta = np.diff((8 - bits) / 8.0)
+    radius = math.ceil(3 * sigma)
+    support = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 * (support / sigma) ** 2)
+    kernel /= kernel.sum()
+    smoothed = np.convolve(np.pad(delta, radius), kernel, mode="valid")
+    cuts = []
+    for j in range(smoothed.size - 1):
+        rising = smoothed[j + 1] > smoothed[j]
+        at_floor = j == 0 or smoothed[j] <= smoothed[j - 1]
+        cut = j + 2
+        if rising and at_floor and 0 < cut < len(payload):
+            cuts.append(cut)
+    return tuple(cuts)
+
+
+def reference_entropy(data):
+    """Normalized Shannon entropy of the byte values, from a fresh bincount."""
+    if len(data) <= 1:
+        return 0.0
+    counts = np.bincount(np.frombuffer(data, dtype=np.uint8))
+    p = counts[counts > 0] / len(data)
+    raw = float(-(p * np.log2(p)).sum())
+    return raw / math.log2(min(len(data), 256))
+
+
+def reference_entropy_merge(cuts, payload, floor, diff):
+    """Cut offsets of the greedy entropy merge, every entropy computed afresh."""
+    bounds = [0] + list(cuts) + [len(payload)]
+    i = 0
+    while i + 1 < len(bounds) - 1:
+        h_a = reference_entropy(payload[bounds[i]:bounds[i + 1]])
+        h_b = reference_entropy(payload[bounds[i + 1]:bounds[i + 2]])
+        if h_a >= floor and h_b >= floor and abs(h_a - h_b) <= diff:
+            del bounds[i + 1]
+        else:
+            i += 1
+    return tuple(bounds[1:-1])
+
+
+def reference_null_runs(payload):
+    """Maximal runs of 0x00 as (start, end) pairs, one byte at a time."""
+    runs = []
+    start = None
+    for i, b in enumerate(payload):
+        if b == 0 and start is None:
+            start = i
+        elif b != 0 and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(payload)))
+    return runs
+
+
+def reference_crop_chars(cuts, payload, min_run):
+    """Cut offsets of crop_chars, scanning each segment one byte at a time."""
+    out = set(cuts)
+    bounds = [0] + list(cuts) + [len(payload)]
+    for s, e in zip(bounds, bounds[1:]):
+        if e - s < min_run:
+            continue
+        run_start = None
+        for i in range(s, e + 1):
+            is_char = i < e and payload[i] in CHAR_BYTES
+            if is_char and run_start is None:
+                run_start = i
+            elif not is_char and run_start is not None:
+                run_end = i
+                if run_end - run_start >= min_run:
+                    if run_end < e and payload[run_end] == 0:
+                        run_end += 1
+                    out.update(c for c in (run_start, run_end) if s < c < e)
+                run_start = None
+    return tuple(sorted(out))
+
+
+def reference_recursive_cluster(segments, params, max_depth):
+    """Cluster tree of `cluster.recursive_cluster`, every node analysed afresh.
+
+    Each node computes the full segments x segments matrix with
+    `reference_pairwise` and runs its own overlay, PCA, eps estimate and
+    DBSCAN (`reference_dbscan`), also where DBSCAN returned the node's
+    members unchanged one level up.
+    """
+    def analyze(members, depth):
+        if len(members) < params.min_cluster:
+            return cluster.ClusterNode(members, cluster.ABANDONED_SMALL, depth)
+        lengths = [len(m.values) for m in members]
+        if 1.0 - min(lengths) / max(lengths) > params.length_ratio:
+            children = [analyze(tuple(m for m in members if len(m.values) == L), depth)
+                        for L in sorted(set(lengths))]
+            return cluster.ClusterNode(members, cluster.RECURSED, depth, children=tuple(children))
+        dist = reference_pairwise([m.values for m in members])
+        try:
+            matrix = dissim.build_matrix(dissim.overlay_cluster(members))
+        except DegenerateClusterError:
+            return cluster.ClusterNode(members, cluster.NOISE, depth)
+        eig = pca.eig_sym(pca.covariance(matrix.X))
+        if pca.analyze_spectrum(eig.eigenvalues, eig.loadings, params).suitable(params):
+            return cluster.ClusterNode(members, cluster.PCA_SUITABLE, depth)
+        if depth >= max_depth:
+            return cluster.ClusterNode(members, cluster.ABANDONED_DEPTH, depth)
+        try:
+            eps = cluster.estimate_eps(dist, cluster.MIN_PTS)
+        except EstimationError:
+            return cluster.ClusterNode(members, cluster.ABANDONED_DEPTH, depth)
+        clusters, noise = reference_dbscan(dist, eps, cluster.MIN_PTS)
+        children = [analyze(tuple(members[i] for i in c), depth + 1) for c in clusters]
+        if noise:
+            children.append(cluster.ClusterNode(tuple(members[i] for i in noise),
+                                                cluster.NOISE, depth + 1))
+        return cluster.ClusterNode(members, cluster.RECURSED, depth, children=tuple(children))
+
+    return [analyze(tuple(segments), 0)]
+
+
+def extreme_payload(rng, low=1, high=41):
+    """Random payload of low..high-1 bytes, heavy in 0x00 and 0xff."""
+    size = int(rng.integers(low, high))
+    if rng.random() < 0.5:
+        return bytes(rng.choice([0x00, 0x00, 0xff, 0xff, 0x01, 0x7f, 0x80, 0xfe],
+                                size=size).tolist())
+    return bytes(rng.integers(0, 256, size=size).tolist())

@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import duplicate_heavy_values, reference_dbscan, reference_pairwise
+from conftest import (duplicate_heavy_values, reference_dbscan, reference_pairwise,
+                      reference_recursive_cluster)
 from protoseg import cluster, dissim, synth
-from protoseg.cluster import (ABANDONED_SMALL, PCA_SUITABLE, RECURSED,
-                              dbscan, estimate_eps, recursive_cluster)
-from protoseg.model import EstimationError, SegmentRef, UsageError, segments_of
+from protoseg.cluster import (ABANDONED_DEPTH, ABANDONED_SMALL, PCA_SUITABLE, RECURSED,
+                              dbscan, estimate_eps, recursive_cluster, tree_to_json)
+from protoseg.model import (AnalysisParams, EstimationError, SegmentRef, UsageError,
+                            segments_of)
 from protoseg.pca import kneedle
 from protoseg.refine import null_segmenter
 
@@ -271,3 +273,52 @@ class TestRecursiveCluster:
 
         for root in roots:
             walk(root)
+
+
+class TestOneClusterChain:
+    """A node that DBSCAN does not split is emitted as a chain down to max_depth."""
+
+    def test_chain_is_analysed_once(self, monkeypatch):
+        # 20 random 6-byte values: unsuitable, and DBSCAN keeps all of them together
+        rng = np.random.default_rng(2)
+        members = [ref(rng.integers(0, 256, size=6).tolist(), message_id=i) for i in range(20)]
+        calls = {"overlay": 0, "dbscan": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dissim, "overlay_cluster", counted("overlay", dissim.overlay_cluster))
+        monkeypatch.setattr(cluster, "dbscan", counted("dbscan", cluster.dbscan))
+        roots = recursive_cluster(members, max_depth=3)
+        assert calls == {"overlay": 1, "dbscan": 1}
+        node = roots[0]
+        for depth in range(3):
+            assert (node.verdict, node.depth, node.members) == (RECURSED, depth, tuple(members))
+            assert len(node.children) == 1
+            node = node.children[0]
+        assert (node.verdict, node.depth, node.members) == (ABANDONED_DEPTH, 3, tuple(members))
+        assert not node.children
+        reference = reference_recursive_cluster(members, AnalysisParams(), 3)
+        assert calls["overlay"] == 5  # the recomputing recursion overlays every level
+        assert tree_to_json(roots) == tree_to_json(reference)
+
+    @pytest.mark.parametrize("max_depth", [1, 3])
+    def test_random_sets_match_recomputing_recursion(self, max_depth):
+        rng = np.random.default_rng(23 + max_depth)
+        for _ in range(40):
+            length = int(rng.integers(2, 9))
+            members = [ref(rng.integers(0, 256, size=length).tolist(), message_id=i)
+                       for i in range(int(rng.integers(6, 40)))]
+            assert tree_to_json(recursive_cluster(members, max_depth=max_depth)) == tree_to_json(
+                reference_recursive_cluster(members, AnalysisParams(), max_depth))
+
+    @pytest.mark.parametrize("name", sorted(synth.reference_specs()))
+    def test_spec_segments_match_recomputing_recursion(self, name):
+        spec = dataclasses.replace(synth.reference_specs()[name], message_count=40, rng_seed=7)
+        messages, _ = synth.generate(spec)
+        members = [r for m in messages for r in segments_of(null_segmenter(m), m)]
+        assert tree_to_json(recursive_cluster(members)) == tree_to_json(
+            reference_recursive_cluster(members, AnalysisParams(), cluster.DEFAULT_MAX_DEPTH))

@@ -104,6 +104,20 @@ class TestDissimilarityOracle:
             for t in long_:
                 assert dissimilarity(s[:9], t) == brute_dissimilarity(s[:9], t)
 
+    def test_equal_length_pairs(self):
+        # one offset only: the fast path sums the terms once, in the same order
+        rng = np.random.default_rng(72)
+        alphabet = np.array([0x00, 0x00, 0xff, 0xff, 0x01, 0x7f, 0x80, 0xfe])
+        for _ in range(2000):
+            size = int(rng.integers(1, 26))
+            s, t = (bytes(rng.choice(alphabet if rng.random() < 0.5 else 256, size=size).tolist())
+                    for _ in range(2))
+            value, offset = dissimilarity(s, t)
+            assert (value, offset) == brute_dissimilarity(s, t)
+            assert offset == 0
+            assert dissimilarity(t, s) == (value, 0)
+            assert value == pairwise([s, t])[0, 1]
+
     def test_periodic_ties_take_the_smallest_offset(self):
         cases = [(b"\x01\x02", b"\x01\x02" * 6, 0),
                  (b"\x01\x02", b"\x09" + b"\x01\x02" * 6, 1),

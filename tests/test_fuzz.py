@@ -117,7 +117,8 @@ def test_random_hexline_file_raises_only_ingestion_error(fuzz_dir, blob):
 # boundaries the writer fixes up, every scalar kind, empty containers
 
 _TRICKY = st.sampled_from(['"},\n {', "},\n  {", '": [', "{}", "[]", ",\n ", '"', "\\",
-                           "caf\u00e9", "\u2028", "\U0001f600", "\x00"])
+                           "caf\u00e9", "\u2028", "\U0001f600", "\x00",
+                           "[", "]", ",", "],\n  [", '",\n  [', "x]"])
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                      st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
                      st.text(max_size=6), _TRICKY)
@@ -125,10 +126,13 @@ _KEYS = st.one_of(st.text(max_size=4), _TRICKY, st.integers(-3, 3), st.floats(),
                   st.booleans(), st.none())
 _RECORDS = st.lists(st.dictionaries(_KEYS, _SCALARS, min_size=1, max_size=4),
                     min_size=1, max_size=4)
+# the shape of segments.json: short int lists, some empty, under any key
+_LIST_MAPS = st.dictionaries(_KEYS, st.lists(st.one_of(st.integers(0, 1500), _SCALARS),
+                                             max_size=5), min_size=1, max_size=6)
 _JSON = st.recursive(
     _SCALARS,
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
-                            st.dictionaries(_KEYS, inner, max_size=4), _RECORDS),
+                            st.dictionaries(_KEYS, inner, max_size=4), _RECORDS, _LIST_MAPS),
     max_leaves=20)
 
 

@@ -21,7 +21,11 @@ pinned as well: its length groups hold several times more segments
 than distinct values and its tree recurses below the length split, so
 the clustering at distinct-value resolution is checked on a deep tree.
 Its digests were recorded on commit 629f117, before the clustering
-moved from segment to distinct-value resolution.
+moved from segment to distinct-value resolution.  `chars` under
+nemepca at 600 messages is pinned too, because its bit-congruence base
+segmentation and entropy merge decide most of its cuts; its digests
+were recorded on commit fd9dfbb, before the vectorised base segmenter
+and the per-run entropy table replaced the per-byte loops.
 
 The same runs also check that `edits.json` is a faithful log: replayed
 in order over the preset's base segmentation, every edit is valid when
@@ -110,6 +114,11 @@ GOLDEN_LARGE = {
         "0f13d31b0808ab14637731528f9555a7b746ab02887bc5aac52bd62dad850080",
         "f295f57c6fb152e29e783eef0d6e54e888538d855b307e9497f78fe657202091",
         "270b7da1a589493bc433dda0dbc12d83220b54fb87ba7c64afad46334859babb",
+    ),
+    "chars/nemepca@600": (
+        "a6f7658688c28faceeb7b88b1bebce76447f4b1394db28a1770eb1462a3a6b38",
+        "4c6834aa5aad84e8d2d8d925b8001ba4f295254a0b8bf8ea783c413c068abaad",
+        "372b52f0960bc3536bf5b10f0955148cb20f33c3e9a97ddd043f318c3bb3675d",
     ),
 }
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import jacobi_eigvals
 from protoseg.model import AnalysisParams, UsageError
 from protoseg.pca import (analyze_spectrum, covariance, eig_sym, kneedle,
-                          pca_prerequisites, significance_threshold, suitability_bound)
+                          pca_prerequisites, suitability_bound)
 
 
 class TestCovariance:
@@ -87,8 +87,8 @@ class TestKneedle:
 class TestSignificance:
     def test_published_scree_threshold(self):
         lam = [5000, 540, 2, 0, 0]
-        assert significance_threshold(lam) == 10
         res = analyze_spectrum(lam)
+        assert res.q_s == 10
         assert res.n_sig == 2
         assert pca_prerequisites(lam) is True
 
@@ -102,8 +102,7 @@ class TestSignificance:
     def test_threshold_follows_caller_params(self):
         lam = [5000, 540, 2, 0, 0]
         params = AnalysisParams(scree_min=1)
-        assert significance_threshold(lam, params) == 1
-        assert significance_threshold(lam, params) == analyze_spectrum(lam, params=params).q_s
+        assert analyze_spectrum(lam, params=params).q_s == 1
         # q_s = 1 makes the third eigenvalue significant too
         assert analyze_spectrum(lam, params=params).n_sig == 3
 
@@ -114,6 +113,11 @@ class TestSignificance:
         # three significant PCs pass in 8 dimensions (bound 4), not in 5 (bound 2.5)
         assert pca_prerequisites([900, 800, 700, 1, 1, 0, 0, 0]) is True
         assert pca_prerequisites([900, 800, 700, 1, 1]) is False
+        # pca_prerequisites and the clustering share one predicate
+        assert analyze_spectrum([900, 800, 700, 1, 1, 0, 0, 0]).suitable() is True
+        assert analyze_spectrum([900, 800, 700, 1, 1]).suitable() is False
+        assert analyze_spectrum([900, 800, 700, 1, 1]).suitable(
+            AnalysisParams(principal_ratio=0.6)) is True
 
     def test_single_dimension_fails(self):
         res = analyze_spectrum([1.0])

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import (extreme_payload, reference_bit_congruence, reference_crop_chars,
+                      reference_entropy, reference_entropy_merge, reference_null_runs)
 from protoseg.model import Message, Segmentation, UsageError, segments_of
 from protoseg.refine import (BASE_EXTERNAL, PASS_PCA, PRESETS, Pipeline,
                              bit_congruence_segmenter, char_heuristic,
-                             crop_chars, crop_distinct, entropy_merge,
+                             crop_chars, crop_distinct, entropy_merge, gaussian_kernel,
                              merge_chars, null_refine, null_segmenter, preset,
-                             run_pipeline, split_fixed, _entropy)
+                             run_pipeline, split_fixed, _entropy, _null_runs)
 
 
 def msg(data, mid=0):
@@ -116,6 +118,60 @@ class TestBitCongruence:
             m = msg(data)
             seg = bit_congruence_segmenter(m, sigma=float(rng.uniform(0.4, 2.0)))
             seg.validate_against(m)
+
+
+class TestAgainstPerByteReferences:
+    """The vectorised and table-driven passes equal the per-byte loops they replace."""
+
+    def test_bit_congruence(self):
+        rng = np.random.default_rng(61)
+        for _ in range(2000):
+            payload = extreme_payload(rng)
+            sigma = float(rng.uniform(0.4, 2.0))
+            expected = reference_bit_congruence(payload, sigma)
+            assert bit_congruence_segmenter(msg(payload), sigma).cuts == expected
+            assert bit_congruence_segmenter(msg(payload), sigma,
+                                            gaussian_kernel(sigma)).cuts == expected
+
+    def test_entropy_merge_with_a_shared_table(self):
+        rng = np.random.default_rng(62)
+        table = {}
+        for _ in range(2000):
+            payload = extreme_payload(rng)
+            cuts = tuple(c for c in range(1, len(payload)) if rng.random() < 0.35)
+            floor, diff = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.3))
+            expected = reference_entropy_merge(cuts, payload, floor, diff)
+            seg = Segmentation(0, cuts)
+            assert entropy_merge(seg, msg(payload), floor, diff, table).cuts == expected
+            assert entropy_merge(seg, msg(payload), floor, diff).cuts == expected
+        assert len(table) > 100
+        # each entry is the entropy of any data with those counts in byte-value order
+        for key, h in table.items():
+            counts = np.frombuffer(key, dtype=np.intp).tolist()
+            assert reference_entropy(bytes(v for v, c in enumerate(counts) for _ in range(c))) == h
+
+    def test_entropy_depends_only_on_the_ordered_counts(self):
+        # an increasing relabelling of the byte values keeps the counts in
+        # byte-value order, so the entropy keeps its bits
+        rng = np.random.default_rng(63)
+        for _ in range(500):
+            data = extreme_payload(rng)
+            relabel = np.sort(rng.choice(256, size=256, replace=False))
+            assert _entropy(data) == reference_entropy(data)
+            assert _entropy(data) == _entropy(bytes(relabel[list(data)].tolist()))
+
+    def test_null_runs_and_crop_chars(self):
+        rng = np.random.default_rng(64)
+        alphabet = [0x00, 0x00, 0x09, 0x0a, 0x0d, 0x1f, 0x20, 0x41, 0x7e, 0x7f, 0xff]
+        for _ in range(2000):
+            size = int(rng.integers(1, 41))
+            payload = (bytes(rng.choice(alphabet, size=size).tolist()) if rng.random() < 0.5
+                       else extreme_payload(rng))
+            assert _null_runs(payload) == reference_null_runs(payload)
+            cuts = tuple(c for c in range(1, len(payload)) if rng.random() < 0.1)
+            min_run = int(rng.integers(1, 9))
+            assert crop_chars(Segmentation(0, cuts), msg(payload), min_run).cuts == (
+                reference_crop_chars(cuts, payload, min_run))
 
 
 class TestEntropyMerge:

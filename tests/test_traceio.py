@@ -261,6 +261,11 @@ class TestJsonWriter:
         [{"a": 1}, {"b": [2]}], [{"x": '"},\n {'}, {"y": 2}], {"k": ['": [', "{}"]},
         {1: 2, None: 3, True: 4, 1.5: 5, float("nan"): 6}, [-0.0, float("nan"), float("-inf")],
         "caf\u00e9", 7, None,
+        # dicts of short int lists, the shape of segments.json
+        {"0": [3, 5], "1": [], "2": [7]}, {"0": []}, {"0": [], "1": []}, {"a": [1], "b": []},
+        {"[": [1, 2], "]": [], ",": [3], "],\n  [": [4], '",\n  [': [], "x]": [5, 6, 7]},
+        {"a": {"0": [1], "1": []}, "b": [{"c": 1}], "d": [{"e": [], "f": [2]}]},
+        {1: [2], None: [], 1.5: [3, 4]}, {"t": ([1, 2],)}, {"n": [True, None, "]", "[", 2.5]},
     ])
     def test_edge_values_match_indented_dumps(self, tmp_path, obj):
         path = tmp_path / "edge.json"
