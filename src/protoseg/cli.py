@@ -84,6 +84,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once per process: parse_args leaves the parser as it was, so
+# every main() call parses alike without paying for the construction
+_PARSER = _build_parser()
+
+
 def _out_dir(value):
     out = value or os.environ.get(_ENV_OUT) or "."
     os.makedirs(out, exist_ok=True)
@@ -245,9 +250,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

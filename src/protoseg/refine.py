@@ -12,12 +12,14 @@ rules.  Two presets wire the chains:
               null_bytes_refine, crop_chars, pca, crop_distinct, split_fixed
 
 The per-message passes keep their signatures, but `run_pipeline` hands
-them what a whole run shares: the Gaussian kernel of the bit-congruence
-segmenter is built once per run, and `entropy_merge` reads segment
-entropies from a table keyed by the byte counts in byte-value order,
-which `run_pipeline` creates empty for each run (so no entropy outlives
-the call).  Null runs and printable runs are found by regular
-expressions on the payload bytes.
+two of them a table of what a whole run shares: the bit-congruence
+segmenter reads its Gaussian kernel from a table keyed by sigma, and
+`entropy_merge` reads segment entropies from a table keyed by the byte
+counts in byte-value order.  Each table is keyed by all its values
+depend on, so an entry always fits the call that reads it, and
+`run_pipeline` creates both empty for each run, so nothing outlives the
+call.  Null runs and printable runs are found by regular expressions on
+the payload bytes.
 """
 
 from __future__ import annotations
@@ -148,18 +150,22 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def bit_congruence_segmenter(msg: Message, sigma: float = 0.9,
-                             kernel: Optional[np.ndarray] = None) -> Segmentation:
+                             kernels: Optional[dict] = None) -> Segmentation:
     """Cut where the smoothed bit-congruence delta bottoms out before rising.
 
     Bit congruence of adjacent bytes is the fraction of equal bits; its
     delta series is smoothed with a Gaussian kernel (std sigma, radius
     ceil(3 sigma)) and a cut is placed after every local minimum that is
-    followed by a rising edge.  `kernel`, when given, must be
-    `gaussian_kernel(sigma)`; a caller segmenting many messages builds
-    it once.
+    followed by a rising edge.  The kernel is read from `kernels`, which
+    maps sigma to its `gaussian_kernel`; a missing entry is built and
+    added, so one table can serve every message of a trace.  Without
+    one, the kernel is built for this message only.
     """
+    if kernels is None:
+        kernels = {}
+    kernel = kernels.get(sigma)
     if kernel is None:
-        kernel = gaussian_kernel(sigma)
+        kernel = kernels[sigma] = gaussian_kernel(sigma)
     payload = msg.payload
     if len(payload) < 3:
         return Segmentation(msg.id, ())
@@ -497,8 +503,8 @@ def run_pipeline(messages: list, pipeline: Pipeline,
     if pipeline.base == BASE_NULL_BYTES:
         segs = [null_segmenter(m) for m in messages]
     elif pipeline.base == BASE_BIT_CONGRUENCE:
-        kernel = gaussian_kernel(cfg.sigma)
-        segs = [bit_congruence_segmenter(m, cfg.sigma, kernel) for m in messages]
+        kernels = {}  # this run's kernel table; see bit_congruence_segmenter
+        segs = [bit_congruence_segmenter(m, cfg.sigma, kernels) for m in messages]
     else:
         if external is None:
             raise UsageError("external base requires a segmentation list")

@@ -279,12 +279,6 @@ def _flat(items) -> bool:
     return all(map(isinstance, items, itertools.repeat(_SCALARS)))
 
 
-def _flat_lists(items) -> bool:
-    """True for lists or tuples of scalars only (items is iterated twice)."""
-    return all(map(isinstance, items, itertools.repeat((list, tuple)))) and _flat(
-        itertools.chain.from_iterable(items))
-
-
 def _records(items) -> bool:
     """True for a list of non-empty dicts with scalar values only."""
     return isinstance(items, (list, tuple)) and all(
@@ -309,16 +303,11 @@ def _json_key(key) -> str:
 def _inline(obj, level: int):
     """Indented text of obj when the C encoder writes it in one call, else None.
 
-    That is a scalar, an empty container, a container of scalars, a
-    list of non-empty flat dicts, or a dict of lists of scalars; the C
-    encoder's item separator then carries the indent of the container's
-    items.  With ensure_ascii no string holds a raw newline, so
-    "},\n" + indent + "{" in its output is always a record boundary.
-    A dict of lists is encoded as the list [key, value, key, value,
-    ...] with the separator of the lists' items; no scalar starts with
-    "[" or ends with "]", so that separator is a key-value boundary
-    exactly where "[" follows it and a value-key boundary exactly where
-    "]" precedes it.
+    That is a scalar, an empty container, a container of scalars, or a
+    list of non-empty flat dicts; the C encoder's item separator then
+    carries the indent of the container's items.  With ensure_ascii no
+    string holds a raw newline, so "},\n" + indent + "{" in its output
+    is always a record boundary.
     """
     is_list = isinstance(obj, (list, tuple))
     if not (is_list or isinstance(obj, dict)):
@@ -330,14 +319,6 @@ def _inline(obj, level: int):
     if _flat(obj if is_list else obj.values()):
         text = _c_encoder(inner[1:]).encode(obj)
         return text[0] + inner + text[1:-1] + outer + text[-1]
-    if not is_list and _flat_lists(obj.values()):
-        item = inner + " "
-        sep = "," + item
-        text = _c_encoder(item[1:]).encode(list(itertools.chain.from_iterable(
-            zip(map(_json_key, obj), obj.values()))))[1:-2]
-        text = text.replace(sep + "[", ": [" + item).replace("]" + sep, inner + "]," + inner)
-        text = "{" + inner + text + inner + "]" + outer + "}"
-        return text.replace("[" + item + inner + "]", "[]")  # the empty lists
     if _records(obj):
         field = inner + " "
         text = _c_encoder(field[1:]).encode(obj)

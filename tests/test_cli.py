@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from protoseg import cli
 from protoseg.cli import main
 
 
@@ -103,6 +104,15 @@ def test_param_override_applies(synth_dir, tmp_path):
     clusters = json.loads((out / "clusters.json").read_text())
     # with an absurd minimum cluster size everything is abandoned as small
     assert clusters[0]["verdict"] in ("abandoned_small", "recursed")
+
+
+def test_parser_keeps_no_values_between_calls(synth_dir):
+    # main() reuses one parser, so an appended --param must not leak
+    trace = ["segment", "--trace", str(synth_dir / "trace.hex")]
+    first = cli._PARSER.parse_args([*trace, "--param", "min_cluster=1000", "--no-dedupe"])
+    again = cli._PARSER.parse_args(trace)
+    assert first.param == ["min_cluster=1000"] and first.no_dedupe
+    assert again.param == [] and not again.no_dedupe
 
 
 def test_external_base_segmentation(synth_dir, tmp_path):

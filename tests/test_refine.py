@@ -125,13 +125,17 @@ class TestAgainstPerByteReferences:
 
     def test_bit_congruence(self):
         rng = np.random.default_rng(61)
+        kernels = {}
         for _ in range(2000):
             payload = extreme_payload(rng)
             sigma = float(rng.uniform(0.4, 2.0))
             expected = reference_bit_congruence(payload, sigma)
             assert bit_congruence_segmenter(msg(payload), sigma).cuts == expected
-            assert bit_congruence_segmenter(msg(payload), sigma,
-                                            gaussian_kernel(sigma)).cuts == expected
+            assert bit_congruence_segmenter(msg(payload), sigma, kernels).cuts == expected
+        # one table served every sigma, each entry the kernel of its key
+        assert len(kernels) == 2000
+        for sigma, kernel in kernels.items():
+            assert np.array_equal(kernel, gaussian_kernel(sigma))
 
     def test_entropy_merge_with_a_shared_table(self):
         rng = np.random.default_rng(62)
