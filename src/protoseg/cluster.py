@@ -102,29 +102,30 @@ def dbscan(dist: np.ndarray, eps: float, min_pts: int, weights=None) -> tuple:
     core = count >= min_pts
     core_idx = np.flatnonzero(core)
 
-    # connected components of the core-core graph, by frontier expansion
-    cc = within[np.ix_(core_idx, core_idx)]
-    core_label = np.full(core_idx.size, -1)
+    # connected components of the core-core graph, by frontier expansion:
+    # a frontier row's neighbors in `within` that are core and unlabelled
+    label = np.full(n, -1)
+    free = core.copy()
     n_clusters = 0
-    for seed in range(core_idx.size):
-        if core_label[seed] >= 0:
+    for seed in core_idx.tolist():
+        if not free[seed]:
             continue
-        core_label[seed] = n_clusters
+        free[seed] = False
+        label[seed] = n_clusters
         frontier = np.array([seed])
         while frontier.size:
-            reached = cc[frontier].any(axis=0) & (core_label < 0)
-            core_label[reached] = n_clusters
+            reached = within[frontier].any(axis=0) & free
+            free[reached] = False
+            label[reached] = n_clusters
             frontier = np.flatnonzero(reached)
         n_clusters += 1
 
-    label = np.full(n, -1)
-    label[core_idx] = core_label
     border = np.flatnonzero(~core)
     if core_idx.size:
-        to_core = within[np.ix_(border, core_idx)]
+        to_core = within.take(border, axis=0) & core
         first = to_core.argmax(axis=1)  # lowest-index core neighbor
         attached = to_core[np.arange(border.size), first]
-        label[border[attached]] = core_label[first[attached]]
+        label[border[attached]] = label[first[attached]]
 
     by_label = np.argsort(label, kind="stable")  # members ascending within a label
     bounds = np.searchsorted(label[by_label], np.arange(n_clusters + 1))

@@ -19,14 +19,16 @@ computed from.
 
 The per-byte term is spelled once, in `_terms`: `canberra` sums it and
 `_TERMS` tabulates it for all 256x256 byte pairs.  `dissimilarity`
-(one pair) and `pairwise` (whole blocks of segments) both read their
-terms from that table and sum each pair's terms along one contiguous
-axis in the order `canberra` sums them, so every entry of `pairwise`
-holds the same bits that `dissimilarity` gives for its pair.  The term
-is symmetric, so blocks of equal-length segments compute only the
-upper half and mirror it.  One gather covers at most _BLOCK_BUDGET
-terms, which bounds the kernel's scratch memory at a few MB whatever
-the segment count; the returned n x n matrix itself takes 8 n^2 bytes.
+(one pair) sums each offset's terms with numpy's pairwise summation,
+as `canberra` does.  `pairwise` (whole blocks of segments) gathers
+the terms of one byte position for every pair of a block at a time
+and adds these position arrays in the order that summation adds a
+row, so every entry of `pairwise` holds the same bits that
+`dissimilarity` gives for its pair.  The term is symmetric, so blocks
+of equal-length segments compute only the upper half and mirror it.
+A block has at most _BLOCK_BUDGET rows x max(cols, 256) entries,
+which bounds the kernel's scratch memory at a few MB whatever the
+segment count; the returned n x n matrix itself takes 8 n^2 bytes.
 
 The clustering passes `pairwise` a node's distinct values only, in
 order of first occurrence, and hands that distinct-value matrix and
@@ -52,8 +54,11 @@ from .model import DegenerateClusterError, UsageError
 # per-unmatched-byte penalty of the length-tolerant dissimilarity
 UNMATCHED_PENALTY = 1.0
 
-# soft cap on the rows*cols*m gather of one pairwise block (elements)
-_BLOCK_BUDGET = 262_144
+# soft cap on rows * max(cols, 256) of one pairwise block (elements); a
+# block holds about a dozen arrays of that size at once: eight
+# accumulators, the finished halves of sums over more than 128
+# positions, the minimum over offsets and the terms being gathered
+_BLOCK_BUDGET = 65_536
 
 
 def _terms(u, v) -> np.ndarray:
@@ -76,6 +81,8 @@ def canberra(u, v) -> float:
 
 # Canberra term of every byte pair, flat: _TERMS[u << 8 | v]
 _TERMS = _terms(np.arange(256.0)[:, None], np.arange(256.0)[None, :]).ravel()
+# the same table as a matrix: _T2[u, v]
+_T2 = _TERMS.reshape(256, 256)
 
 
 def dissimilarity(s, t) -> tuple:
@@ -97,6 +104,48 @@ def dissimilarity(s, t) -> tuple:
     return float((sums[best] + (n - m) * UNMATCHED_PENALTY) / n), best
 
 
+def _term_sums(X: np.ndarray, Y: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Canberra sums of every row of X (r, m) with every row of Y (c, m), as (r, c).
+
+    Only the positions start to start + count - 1 are summed.  The terms
+    of one position for all pairs are gathered as one (r, c) array, and
+    these arrays are added in the order numpy's pairwise summation adds
+    a row: fewer than 8 left to right, up to 128 in eight interleaved
+    accumulators combined as a tree and then the leftover ones, and more
+    by splitting at a multiple of 8 near the middle.  So each entry has
+    the bits `.sum()` gives its pair's row of terms.  The terms are
+    nonnegative, so starting from the first one instead of 0.0 changes
+    no bits.
+    """
+    def term(j):
+        return _T2.take(X[:, j], axis=0).take(Y[:, j], axis=1)
+
+    if count < 8:
+        acc = term(start)
+        for j in range(start + 1, start + count):
+            acc += term(j)
+        return acc
+    if count > 128:
+        half = count // 2
+        half -= half % 8
+        acc = _term_sums(X, Y, start, half)
+        acc += _term_sums(X, Y, start + half, count - half)
+        return acc
+    r = [term(start + k) for k in range(8)]
+    stop = start + count - count % 8
+    for j in range(start + 8, stop, 8):
+        for k in range(8):
+            r[k] += term(j + k)
+    for k in (0, 2, 4, 6):
+        r[k] += r[k + 1]
+    r[0] += r[2]
+    r[4] += r[6]
+    r[0] += r[4]
+    for j in range(stop, start + count):
+        r[0] += term(j)
+    return r[0]
+
+
 def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
     """Write the dissimilarities of the rows of A (a,m) to those of B (b,n), m <= n, to out.
 
@@ -107,20 +156,21 @@ def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
     a, m = A.shape
     b, n = B.shape
     symmetric = A is B
-    high = A.astype(np.intp) << 8
-    rows_per_chunk = max(1, _BLOCK_BUDGET // max(1, b * m))
+    # a block gathers each row's terms for all 256 byte values before it
+    # picks the columns, so its scratch arrays hold rows x max(cols, 256)
+    rows_per_chunk = max(1, _BLOCK_BUDGET // max(b, 256))
     for lo in range(0, a, rows_per_chunk):
         hi = min(a, lo + rows_per_chunk)
         first = lo if symmetric else 0
-        X = high[lo:hi, None, :]
-        Y = B[None, first:, :]
-        best = _TERMS.take(X + Y[:, :, :m]).sum(axis=2)
+        X = A[lo:hi]
+        Y = B[first:]
+        best = _term_sums(X, Y, 0, m)
         for o in range(1, n - m + 1):
-            np.minimum(best, _TERMS.take(X + Y[:, :, o:o + m]).sum(axis=2), out=best)
-        vals = (best + (n - m) * UNMATCHED_PENALTY) / n
-        out[lo:hi, first:] = vals
+            np.minimum(best, _term_sums(X, Y[:, o:o + m], 0, m), out=best)
+        best += (n - m) * UNMATCHED_PENALTY
+        np.divide(best, n, out=out[lo:hi, first:])
         if symmetric:
-            out[hi:, lo:hi] = vals[:, hi - lo:].T
+            out[hi:, lo:hi] = out[lo:hi, hi:].T
 
 
 def distinct_values(values) -> tuple:

@@ -118,6 +118,7 @@ def null_refine(seg: Segmentation, msg: Message) -> Segmentation:
     """
     payload = msg.payload
     cuts = set(seg.cuts)
+    moved = False
     prev_end = 0
     for run in _null_runs(payload):
         a, b = run
@@ -131,6 +132,9 @@ def null_refine(seg: Segmentation, msg: Message) -> Segmentation:
         nearest = min(candidates, key=lambda c: (abs(c - target), c))
         cuts.discard(nearest)
         cuts.add(target)
+        moved = True
+    if not moved:
+        return seg
     return Segmentation(msg.id, tuple(sorted(cuts)))
 
 
@@ -225,7 +229,7 @@ def entropy_merge(seg: Segmentation, msg: Message,
     message's segments is used.
     """
     if not seg.cuts:
-        return Segmentation(msg.id, ())
+        return seg
     payload = msg.payload
     if table is None:
         table = {}
@@ -251,6 +255,8 @@ def entropy_merge(seg: Segmentation, msg: Message,
         else:
             i += 1
             h_a = h_b
+    if len(bounds) == len(seg.cuts) + 2:  # nothing merged
+        return seg
     return Segmentation(msg.id, tuple(bounds[1:-1]))
 
 
@@ -288,6 +294,8 @@ def crop_chars(seg: Segmentation, msg: Message, min_run: int = 6) -> Segmentatio
             for cut in (run_start, run_end):
                 if s < cut < e:
                     cuts.add(cut)
+    if len(cuts) == len(seg.cuts):  # cuts only grow: nothing added
+        return seg
     return Segmentation(msg.id, tuple(sorted(cuts)))
 
 
@@ -337,7 +345,9 @@ def crop_distinct(segmentations: list, messages: list,
                         if s < cut < e:
                             cuts.add(cut)
                     pos = span[1]
-        out.append(Segmentation(seg.message_id, tuple(sorted(cuts))))
+        # cuts only grow: an unchanged count is an unchanged segmentation
+        out.append(seg if len(cuts) == len(seg.cuts)
+                   else Segmentation(seg.message_id, tuple(sorted(cuts))))
     return out
 
 
@@ -357,6 +367,8 @@ def split_fixed(seg: Segmentation, msg: Message, chunk: int = 2) -> Segmentation
     for pos in range(chunk, first_end, chunk):
         if first_end - pos >= chunk:
             cuts.add(pos)
+    if len(cuts) == len(seg.cuts):  # cuts only grow: nothing added
+        return seg
     return Segmentation(msg.id, tuple(sorted(cuts)))
 
 

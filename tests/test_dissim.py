@@ -185,8 +185,8 @@ class TestPairwiseOracle:
 
     @pytest.mark.parametrize("budget_terms", [1, 5000, 50000])
     def test_single_length_in_row_blocks(self, monkeypatch, budget_terms):
-        # 121 unique values of length 6: blocks of 1, 6 and 68 rows; every
-        # block but the last mirrors into later rows
+        # 121 unique values of length 6: blocks of 1 and 19 rows, and one
+        # block of all rows; every block but the last mirrors into later rows
         monkeypatch.setattr(dissim, "_BLOCK_BUDGET", budget_terms)
         rng = np.random.default_rng(47)
         values = random_values(rng, 120, [6]) + [b"\x00" * 6] * 3
@@ -205,6 +205,34 @@ class TestPairwiseOracle:
         D = pairwise(values)
         assert np.array_equal(D, reference_pairwise(values))
         assert np.array_equal(D, D.T)
+
+    @staticmethod
+    def assert_oracles(values):
+        D = pairwise(values)
+        assert np.array_equal(D, reference_pairwise(values))
+        scalar = np.array([[dissimilarity(s, t)[0] for t in values] for s in values])
+        np.fill_diagonal(scalar, 0.0)
+        assert np.array_equal(D, scalar)
+
+    @pytest.mark.parametrize("length", [*range(1, 41), 127, 128, 129, 255, 256, 257])
+    def test_single_length_at_every_summation_branch(self, length):
+        # numpy adds fewer than 8 terms left to right, up to 128 in eight
+        # accumulators and more in halves; half the values are mostly 0x00
+        # and 0xFF, whose terms are 0 and 1 or have den = 0
+        rng = np.random.default_rng(length)
+        extreme = np.array([0x00, 0x00, 0x00, 0xff, 0xff, 0x01, 0xfe])
+        values = [bytes(rng.choice(extreme if k % 2 else 256, size=length).tolist())
+                  for k in range(14)]
+        values += [b"\x00" * length, b"\xff" * length]
+        self.assert_oracles(values)
+
+    def test_mixed_lengths_above_sixteen_bytes(self):
+        # long values at many offsets, with sums on all three branches
+        rng = np.random.default_rng(61)
+        extreme = np.array([0x00, 0x00, 0xff, 0xff, 0x80])
+        values = [bytes(rng.choice(extreme if k % 2 else 256, size=length).tolist())
+                  for k, length in enumerate([3, 9, 17, 17, 24, 31, 40, 40, 130, 140])]
+        self.assert_oracles(values)
 
 
 class TestOverlay:

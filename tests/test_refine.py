@@ -178,6 +178,30 @@ class TestAgainstPerByteReferences:
                 reference_crop_chars(cuts, payload, min_run))
 
 
+class TestUnchangedCuts:
+    """A pass that leaves the cuts as they are returns the segmentation it was given."""
+
+    def test_per_message_passes(self):
+        rng = np.random.default_rng(65)
+        passes = [crop_chars, null_refine, split_fixed, entropy_merge]
+        kept = dict.fromkeys(passes, 0)
+        for _ in range(2000):
+            payload = extreme_payload(rng)
+            seg = Segmentation(0, tuple(c for c in range(1, len(payload)) if rng.random() < 0.3))
+            for op in passes:
+                out = op(seg, msg(payload))
+                assert (out is seg) == (out.cuts == seg.cuts)
+                kept[op] += out is seg
+        assert min(kept.values()) > 100  # every pass met unchanged and changed cuts
+        assert max(kept.values()) < 2000
+
+    def test_crop_distinct(self):
+        msgs, segs = TestCropDistinct()._trace()
+        out = crop_distinct(segs, msgs)
+        assert out[9] is not segs[9]
+        assert all(new is old for new, old in zip(out[:9], segs))
+
+
 class TestEntropyMerge:
     def test_entropy_values(self):
         assert _entropy(b"\x00" * 4) == 0.0
