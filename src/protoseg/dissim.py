@@ -116,6 +116,12 @@ def _term_sums(X: np.ndarray, Y: np.ndarray, start: int, count: int) -> np.ndarr
     the bits `.sum()` gives its pair's row of terms.  The terms are
     nonnegative, so starting from the first one instead of 0.0 changes
     no bits.
+
+    This copies numpy's internal `pairwise_sum` (numpy/_core/src/umath/
+    loops_utils.h.src): PW_BLOCKSIZE 128, unrolled by 8.  A numpy
+    release that changed them would break the equality with
+    `dissimilarity`; the guard that catches it is
+    `TestPairwiseOracle.test_single_length_at_every_summation_branch`.
     """
     def term(j):
         return _T2.take(X[:, j], axis=0).take(Y[:, j], axis=1)

@@ -280,12 +280,13 @@ def _flat(items) -> bool:
 
 
 def _records(items) -> bool:
-    """True for a list of non-empty dicts with scalar values only."""
-    if not isinstance(items, (list, tuple)):
-        return False
-    if set(map(type, items)) == {dict}:  # plain dicts only: check in C-level passes
-        return all(items) and _flat(itertools.chain.from_iterable(map(dict.values, items)))
-    return all(isinstance(d, dict) and d and _flat(d.values()) for d in items)
+    """True for a list of non-empty plain dicts with scalar values only.
+
+    Any other list, dict subclasses included, goes through `_walk`,
+    which writes the same text.
+    """
+    return (isinstance(items, (list, tuple)) and set(map(type, items)) == {dict}
+            and all(items) and _flat(itertools.chain.from_iterable(map(dict.values, items))))
 
 
 @functools.lru_cache(maxsize=64)
