@@ -18,14 +18,16 @@ positions and yields the rectangular data matrix the covariance is
 computed from.
 
 The per-byte term is spelled once, in `_terms`: `canberra` sums it and
-`_TERMS` tabulates it for all 256x256 byte pairs.  `dissimilarity`
-(one pair) sums each offset's terms with numpy's pairwise summation,
-as `canberra` does.  `pairwise` (whole blocks of segments) gathers
-the terms of one byte position for every pair of a block at a time
-and adds these position arrays in the order that summation adds a
-row, so every entry of `pairwise` holds the same bits that
-`dissimilarity` gives for its pair.  The term is symmetric, so blocks
-of equal-length segments compute only the upper half and mirror it.
+`_TERMS` tabulates it for all 256x256 byte pairs.  numpy's summation
+order is spelled once too, in `_ordered_sum`, and both kernels add
+their terms with it.  `dissimilarity` (one pair) reads each offset's
+terms from the table as Python floats and sums them without numpy;
+`pairwise` (whole blocks of segments) gathers the terms of one byte
+position for every pair of a block at a time and sums these position
+arrays.  So every entry of `pairwise` holds the same bits that
+`dissimilarity` gives for its pair, and both hold the bits of
+`canberra`.  The term is symmetric, so blocks of equal-length segments
+compute only the upper half and mirror it.
 A block has at most _BLOCK_BUDGET rows x max(cols, 256) entries,
 which bounds the kernel's scratch memory at a few MB whatever the
 segment count; the returned n x n matrix itself takes 8 n^2 bytes.
@@ -35,15 +37,12 @@ order of first occurrence, and hands that distinct-value matrix and
 the members' distinct ids to `overlay_cluster`, which expands the
 matrix per member where a sum needs it; so n is the number of
 distinct values, not of segments.
-
-An equal-length pair has the one offset 0, so `dissimilarity` sums its
-terms once and returns without building the per-offset list; the
-overlay of a cluster of one length calls it only for such pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -83,49 +82,31 @@ def canberra(u, v) -> float:
 _TERMS = _terms(np.arange(256.0)[:, None], np.arange(256.0)[None, :]).ravel()
 # the same table as a matrix: _T2[u, v]
 _T2 = _TERMS.reshape(256, 256)
+# the same table read as Python floats without numpy, for the scalar
+# kernel: _TERM_VIEW[u << 8 | v]; a view of _TERMS, so it costs no memory
+_TERM_VIEW = memoryview(_TERMS)
 
 
-def dissimilarity(s, t) -> tuple:
-    """Length-tolerant Canberra dissimilarity and best-match offset of two byte strings.
+def _ordered_sum(term, start: int, count: int):
+    """Sum of term(start) .. term(start + count - 1) in numpy's summation order.
 
-    Returns (value in [0,1], offset of the shorter value within the
-    longer, smallest offset on ties).  Symmetric in its arguments.
-    """
-    if not (isinstance(s, (bytes, bytearray)) and isinstance(t, (bytes, bytearray)) and s and t):
-        raise UsageError("dissimilarity needs two non-empty bytes or bytearray values")
-    short, long_ = (s, t) if len(s) <= len(t) else (t, s)
-    m, n = len(short), len(long_)
-    high = np.frombuffer(short, dtype=np.uint8).astype(np.intp) << 8
-    low = np.frombuffer(long_, dtype=np.uint8)
-    if m == n:  # the only offset is 0
-        return float(_TERMS.take(high + low).sum() / n), 0
-    sums = [_TERMS.take(high + low[o:o + m]).sum() for o in range(n - m + 1)]
-    best = int(np.argmin(sums))
-    return float((sums[best] + (n - m) * UNMATCHED_PENALTY) / n), best
-
-
-def _term_sums(X: np.ndarray, Y: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Canberra sums of every row of X (r, m) with every row of Y (c, m), as (r, c).
-
-    Only the positions start to start + count - 1 are summed.  The terms
-    of one position for all pairs are gathered as one (r, c) array, and
-    these arrays are added in the order numpy's pairwise summation adds
-    a row: fewer than 8 left to right, up to 128 in eight interleaved
-    accumulators combined as a tree and then the leftover ones, and more
-    by splitting at a multiple of 8 near the middle.  So each entry has
-    the bits `.sum()` gives its pair's row of terms.  The terms are
-    nonnegative, so starting from the first one instead of 0.0 changes
-    no bits.
+    numpy's pairwise summation adds fewer than 8 terms left to right, up
+    to 128 in eight interleaved accumulators combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the
+    leftover terms, and more by splitting at a multiple of 8 near the
+    middle.  So a sum of nonnegative terms made here has the bits
+    `.sum()` gives the array of those terms; starting from the first term
+    instead of 0.0 changes no bits.  A term is a float or a fresh array:
+    arrays add in place and floats rebind, so the one order serves the
+    scalar and the block kernel.
 
     This copies numpy's internal `pairwise_sum` (numpy/_core/src/umath/
     loops_utils.h.src): PW_BLOCKSIZE 128, unrolled by 8.  A numpy
-    release that changed them would break the equality with
-    `dissimilarity`; the guard that catches it is
+    release that changed them would break the equality with numpy's
+    sums; the guards that catch it are
+    `TestDissimilarityOracle.test_equal_length_pairs` and
     `TestPairwiseOracle.test_single_length_at_every_summation_branch`.
     """
-    def term(j):
-        return _T2.take(X[:, j], axis=0).take(Y[:, j], axis=1)
-
     if count < 8:
         acc = term(start)
         for j in range(start + 1, start + count):
@@ -134,8 +115,8 @@ def _term_sums(X: np.ndarray, Y: np.ndarray, start: int, count: int) -> np.ndarr
     if count > 128:
         half = count // 2
         half -= half % 8
-        acc = _term_sums(X, Y, start, half)
-        acc += _term_sums(X, Y, start + half, count - half)
+        acc = _ordered_sum(term, start, half)
+        acc += _ordered_sum(term, start + half, count - half)
         return acc
     r = [term(start + k) for k in range(8)]
     stop = start + count - count % 8
@@ -150,6 +131,38 @@ def _term_sums(X: np.ndarray, Y: np.ndarray, start: int, count: int) -> np.ndarr
     for j in range(stop, start + count):
         r[0] += term(j)
     return r[0]
+
+
+def dissimilarity(s, t) -> tuple:
+    """Length-tolerant Canberra dissimilarity and best-match offset of two byte strings.
+
+    Returns (value in [0,1], offset of the shorter value within the
+    longer, smallest offset on ties).  Symmetric in its arguments.
+    Computed in plain Python: a call compares a few bytes, and numpy's
+    per-call overhead would cost more than the arithmetic.
+    """
+    if not (isinstance(s, (bytes, bytearray)) and isinstance(t, (bytes, bytearray)) and s and t):
+        raise UsageError("dissimilarity needs two non-empty bytes or bytearray values")
+    short, long_ = (s, t) if len(s) <= len(t) else (t, s)
+    m, n = len(short), len(long_)
+    best, best_sum = 0, math.inf
+    for o in range(n - m + 1):
+        row = [_TERM_VIEW[u << 8 | v] for u, v in zip(short, long_[o:o + m])]
+        total = _ordered_sum(row.__getitem__, 0, m)
+        if total < best_sum:  # strict, so the smallest offset wins ties
+            best, best_sum = o, total
+    return (best_sum + (n - m) * UNMATCHED_PENALTY) / n, best
+
+
+def _term_sums(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Canberra sums of every row of X (r, m) with every row of Y (c, m), as (r, c).
+
+    The terms of one position for all pairs are gathered as one (r, c)
+    array, and `_ordered_sum` adds these arrays in the order numpy adds a
+    row, so each entry has the bits `dissimilarity` gives its pair.
+    """
+    return _ordered_sum(lambda j: _T2.take(X[:, j], axis=0).take(Y[:, j], axis=1),
+                        0, X.shape[1])
 
 
 def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
@@ -170,9 +183,9 @@ def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
         first = lo if symmetric else 0
         X = A[lo:hi]
         Y = B[first:]
-        best = _term_sums(X, Y, 0, m)
+        best = _term_sums(X, Y)
         for o in range(1, n - m + 1):
-            np.minimum(best, _term_sums(X, Y[:, o:o + m], 0, m), out=best)
+            np.minimum(best, _term_sums(X, Y[:, o:o + m]), out=best)
         best += (n - m) * UNMATCHED_PENALTY
         np.divide(best, n, out=out[lo:hi, first:])
         if symmetric:

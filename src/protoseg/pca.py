@@ -87,10 +87,9 @@ def eig_sym(C: np.ndarray) -> PcaResult:
     clamp = _EIG_CLAMP_REL * max(1.0, float(abs(lam[0])))
     lam = np.where(np.abs(lam) <= clamp, 0.0, lam)
 
-    for i in range(loadings.shape[0]):
-        k = int(np.argmax(np.abs(loadings[i])))
-        if loadings[i, k] < 0:
-            loadings[i] = -loadings[i]
+    k = np.abs(loadings).argmax(axis=1)  # the first of equal magnitudes
+    flip = loadings[np.arange(len(k)), k] < 0
+    np.negative(loadings, out=loadings, where=flip[:, None])
     return PcaResult(eigenvalues=lam, loadings=loadings)
 
 

@@ -193,14 +193,14 @@ def bit_congruence_segmenter(msg: Message, sigma: float = 0.9,
     return Segmentation(msg.id, tuple((np.flatnonzero(turn) + 2).tolist()))
 
 
-def _byte_counts(data: bytes) -> np.ndarray:
+def _byte_counts(data: bytes) -> tuple:
     """Nonzero counts of the byte values of data, in byte-value order."""
-    counts = np.bincount(np.frombuffer(data, dtype=np.uint8))
-    return counts[counts > 0]
+    return tuple(map(data.count, sorted(set(data))))
 
 
-def _counts_entropy(counts: np.ndarray) -> float:
+def _counts_entropy(counts: tuple) -> float:
     """Shannon entropy of nonzero byte counts, normalized to [0, 1]."""
+    counts = np.array(counts, dtype=np.intp)
     n = int(counts.sum())
     p = counts / n
     raw = float(-(p * np.log2(p)).sum())
@@ -222,9 +222,9 @@ def entropy_merge(seg: Segmentation, msg: Message,
     Left-to-right greedy; the merged segment is re-evaluated.  The floor
     keeps distinct constant fields (both entropy 0) apart.
 
-    Entropies are read from `table`, which maps the bytes of a
-    segment's `_byte_counts` to its `_entropy`, as those counts are all
-    it depends on; missing entries are computed and added, so one table
+    Entropies are read from `table`, which maps a segment's
+    `_byte_counts` to its `_entropy`, as those counts are all it
+    depends on; missing entries are computed and added, so one table
     can serve every message of a trace.  Without one, a table of this
     message's segments is used.
     """
@@ -237,11 +237,10 @@ def entropy_merge(seg: Segmentation, msg: Message,
     def entropy(data):
         if len(data) <= 1:
             return 0.0
-        counts = _byte_counts(data)
-        key = counts.tobytes()
+        key = _byte_counts(data)
         h = table.get(key)
         if h is None:
-            h = table[key] = _counts_entropy(counts)
+            h = table[key] = _counts_entropy(key)
         return h
 
     bounds = [0, *seg.cuts, len(payload)]

@@ -104,19 +104,30 @@ class TestDissimilarityOracle:
             for t in long_:
                 assert dissimilarity(s[:9], t) == brute_dissimilarity(s[:9], t)
 
-    def test_equal_length_pairs(self):
-        # one offset only: the fast path sums the terms once, in the same order
-        rng = np.random.default_rng(72)
+    @pytest.mark.parametrize("length", [*range(1, 10), 15, 16, 17, 127, 128, 129, 255, 256, 257])
+    def test_equal_length_pairs(self, length):
+        # numpy adds fewer than 8 terms left to right, up to 128 in eight
+        # accumulators and more in halves; an equal-length pair has the one
+        # offset 0, and a pair (m, m + 3) sums m terms at each of four offsets
+        rng = np.random.default_rng(72 + length)
         alphabet = np.array([0x00, 0x00, 0xff, 0xff, 0x01, 0x7f, 0x80, 0xfe])
-        for _ in range(2000):
-            size = int(rng.integers(1, 26))
-            s, t = (bytes(rng.choice(alphabet if rng.random() < 0.5 else 256, size=size).tolist())
-                    for _ in range(2))
+
+        def draw(size):
+            return bytes(rng.choice(alphabet if rng.random() < 0.5 else 256, size=size).tolist())
+
+        for _ in range(100):
+            s, t = draw(length), draw(length)
             value, offset = dissimilarity(s, t)
             assert (value, offset) == brute_dissimilarity(s, t)
             assert offset == 0
             assert dissimilarity(t, s) == (value, 0)
             assert value == pairwise([s, t])[0, 1]
+            s, t = draw(length), draw(length + 3)
+            assert dissimilarity(s, t) == brute_dissimilarity(s, t)
+            assert dissimilarity(t, s) == brute_dissimilarity(s, t)
+        for s in (b"\x00" * length, b"\xff" * length):
+            for t in (b"\x00" * (length + 3), b"\xff" * (length + 3), b"\x00\xff" * length):
+                assert dissimilarity(s, t) == brute_dissimilarity(s, t)
 
     def test_periodic_ties_take_the_smallest_offset(self):
         cases = [(b"\x01\x02", b"\x01\x02" * 6, 0),

@@ -57,6 +57,39 @@ class TestEigSym:
         for row in res.loadings:
             assert row[np.argmax(np.abs(row))] > 0
 
+    @staticmethod
+    def per_row_signs(C):
+        """eig_sym's loadings with the signs normalized one row at a time."""
+        lam, vecs = np.linalg.eigh(C)
+        loadings = vecs[:, np.argsort(lam)[::-1]].T
+        for i in range(loadings.shape[0]):
+            k = int(np.argmax(np.abs(loadings[i])))
+            if loadings[i, k] < 0:
+                loadings[i] = -loadings[i]
+        return loadings
+
+    def test_sign_normalization_matches_the_per_row_loop(self):
+        # bit for bit, -0.0 included, on random matrices and on ones whose
+        # eigenvectors have components of equal magnitude
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(200):
+            A = rng.normal(size=(int(rng.integers(1, 12)),) * 2)
+            cases.append((A + A.T) / 2)
+        cases += [np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[2.0, -1.0], [-1.0, 2.0]]),
+                  np.ones((4, 4)), np.diag([0.0, -1.0, 2.0]), np.zeros((3, 3))]
+        for n in (2, 3, 5, 8):
+            X = rng.integers(0, 4, size=(6, n)).astype(float)
+            cases.append(covariance(np.hstack([X, X])))  # every column twice
+        ties = 0
+        for C in cases:
+            loadings = eig_sym(C).loadings
+            expected = self.per_row_signs(C)
+            assert loadings.tobytes() == expected.tobytes()
+            magnitude = np.abs(loadings)
+            ties += int(np.sum(magnitude == magnitude.max(axis=1, keepdims=True)) - len(magnitude))
+        assert ties > 0
+
     def test_random_spectra_match_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
