@@ -25,7 +25,9 @@ directly, without another overlay, PCA, eps estimate or DBSCAN.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Optional
 
 import numpy as np
@@ -293,28 +295,64 @@ def _analyze(members: tuple, inverse, dist, depth: int,
     return ClusterNode(members, RECURSED, depth, children=tuple(children))
 
 
-def tree_to_json(roots) -> list:
-    """Cluster tree as JSON-ready dicts (node id, verdict, member refs)."""
-    out = []
-    counter = [0]
+def tree_to_json(roots) -> str:
+    """Text of `clusters.json` (without its trailing newline).
 
-    def visit(node):
-        node_id = counter[0]
-        counter[0] += 1
-        entry = {
-            "id": node_id,
-            "verdict": node.verdict,
-            "depth": node.depth,
-            "members": [
-                {"message": m.message_id, "start": m.start, "end": m.end}
-                for m in node.members
-            ],
-            "children": [],
-        }
-        for child in node.children:
-            entry["children"].append(visit(child))
-        return entry
+    It is `json.dumps(nodes, indent=1, separators=(",", ": "))` of one
+    {"id", "verdict", "depth", "members", "children"} object per node,
+    ids in preorder, each member a {"message", "start", "end"} object,
+    written here straight from the tree: one `%` template per indent
+    level formats the members.  The nodes of a one-cluster chain share
+    one members tuple and come one after another in preorder, so the
+    (message, start, end) rows of the last tuple are kept and a chain
+    builds them once.
+    """
+    pieces = []
+    next_id = itertools.count()
+    last_members = last_rows = None
 
+    def members_text(members, level):
+        # the members' braces at indent `level`, their fields one deeper
+        nonlocal last_members, last_rows
+        if members is not last_members:
+            last_members = members
+            last_rows = [(m.message_id, m.start, m.end) for m in members]
+        close = "\n" + " " * level
+        field = close + " "
+        record = ("{" + field + '"message": %d,' + field + '"start": %d,' + field
+                  + '"end": %d' + close + "}")
+        return ("," + close).join(map(record.__mod__, last_rows))
+
+    def visit(node, level):
+        # the node's braces at indent `level`, its keys one deeper and
+        # the items of its lists two deeper
+        close = "\n" + " " * level
+        key = close + " "
+        item = key + " "
+        pieces.append("{%s\"id\": %d,%s\"verdict\": %s,%s\"depth\": %d,%s\"members\": " % (
+            key, next(next_id), key, _encode_string(node.verdict), key, node.depth, key))
+        if node.members:
+            pieces.extend(("[" + item, members_text(node.members, level + 2), key + "]"))
+        else:
+            pieces.append("[]")
+        pieces.append("," + key + '"children": ')
+        if node.children:
+            sep = "["
+            for child in node.children:
+                pieces.append(sep + item)
+                visit(child, level + 2)
+                sep = ","
+            pieces.append(key + "]")
+        else:
+            pieces.append("[]")
+        pieces.append(close + "}")
+
+    if not roots:
+        return "[]"
+    sep = "["
     for root in roots:
-        out.append(visit(root))
-    return out
+        pieces.append(sep + "\n ")
+        visit(root, 1)
+        sep = ","
+    pieces.append("\n]")
+    return "".join(pieces)

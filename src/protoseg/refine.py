@@ -310,9 +310,13 @@ def crop_distinct(segmentations: list, messages: list,
     by_id = {m.id: m for m in messages}
     occurs = {}
     for seg in segmentations:
-        for ref in segments_of(seg, by_id[seg.message_id]):
-            if len(ref) >= 2:
-                occurs.setdefault(ref.values, set()).add(seg.message_id)
+        msg = by_id[seg.message_id]
+        seg.validate_against(msg)
+        payload = msg.payload
+        bounds = (0,) + seg.cuts + (len(payload),)
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a >= 2:
+                occurs.setdefault(payload[a:b], set()).add(msg.id)
     threshold = max(min_fraction * len(messages), min_messages)
     frequent = sorted((v for v, ids in occurs.items() if len(ids) >= threshold),
                       key=lambda v: (-len(v), v))

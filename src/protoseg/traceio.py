@@ -10,6 +10,15 @@ Segmentations and ground truth are JSON objects mapping decimal
 message-id strings to arrays of interior cut offsets; ground truth may
 instead map to arrays of {"start", "end", "type"} field records, from
 whose ends the cuts are derived.
+
+Every artifact is written atomically (a temporary file renamed into
+place) as `json.dumps(obj, indent=1, separators=(",", ": "))` text and a
+newline.  `save_segmentation` (`segments.json`) and `save_ground_truth`
+(`truth.json`) render their cut maps as text directly, through one
+renderer; `write_json_atomic` writes any other JSON value, such as
+`edits.json` and `report.json`, with the C encoder wherever it can; and
+`write_text_atomic` writes text rendered elsewhere, such as
+`cluster.tree_to_json`'s `clusters.json`.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ import functools
 import itertools
 import json
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -252,10 +261,20 @@ def load_segmentation(path: str, messages=None) -> list:
 
 
 def _write_atomic(path: str, pieces) -> None:
-    """Write an iterable of strings to a temporary file and rename it into place."""
+    """Write an iterable of strings to a temporary file and rename it into place.
+
+    The temporary file is created with mode 0o666 less the umask, as
+    `open` creates a file, so the artifact gets the usual permissions.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f"{os.path.basename(path)}.{secrets.token_hex(6)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
@@ -266,9 +285,9 @@ def _write_atomic(path: str, pieces) -> None:
         raise
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write and rename into place."""
-    _write_atomic(path, (text,))
+def write_text_atomic(path: str, *texts: str) -> None:
+    """Write the texts one after another and rename into place."""
+    _write_atomic(path, texts)
 
 
 # JSON values the C encoder writes without a nested container
@@ -371,16 +390,25 @@ def write_json_atomic(path: str, obj) -> None:
     _write_atomic(path, itertools.chain(_json_pieces(obj), ("\n",)))
 
 
+def _cut_map_text(cuts_by_id: dict) -> str:
+    """`json.dumps` text (indent=1) of {"<id>": [cuts]} in message-id order."""
+    if not cuts_by_id:
+        return "{}"
+    entries = ['"%d": [\n  %s\n ]' % (mid, ",\n  ".join(map(str, cuts))) if cuts
+               else '"%d": []' % mid
+               for mid, cuts in sorted(cuts_by_id.items())]
+    return "{\n " + ",\n ".join(entries) + "\n}"
+
+
 def save_segmentation(path: str, segmentations) -> None:
     """Write segmentations with canonical (numeric) key order."""
-    obj = {str(seg.message_id): list(seg.cuts)
-           for seg in sorted(segmentations, key=lambda s: s.message_id)}
-    write_json_atomic(path, obj)
+    write_text_atomic(path, _cut_map_text({seg.message_id: seg.cuts for seg in segmentations}),
+                      "\n")
 
 
 def save_ground_truth(path: str, truth: GroundTruth) -> None:
-    obj = {str(mid): list(truth.cuts[mid]) for mid in sorted(truth.cuts)}
-    write_json_atomic(path, obj)
+    """Write the cuts of ground truth in the segmentation format."""
+    write_text_atomic(path, _cut_map_text(truth.cuts), "\n")
 
 
 def save_hexlines(path: str, messages) -> None:

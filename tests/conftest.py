@@ -10,9 +10,12 @@ recomputing recursion checks the clustering tree against the full
 segments x segments analysis at every level.  The per-byte loops of
 the bit-congruence segmenter, the null-run and printable-run scans and
 the uncached entropy merge check their vectorised, table-driven
-replacements in `refine`.
+replacements in `refine`.  The dict tree of the cluster nodes and the
+cut-map dicts, run through `json.dumps`, check the text renderers of
+`clusters.json`, `segments.json` and `truth.json`.
 """
 
+import json
 import math
 from collections import defaultdict
 
@@ -293,6 +296,38 @@ def reference_recursive_cluster(segments, params, max_depth):
         return cluster.ClusterNode(members, cluster.RECURSED, depth, children=tuple(children))
 
     return [analyze(tuple(segments), 0)]
+
+
+def reference_tree_dicts(roots) -> list:
+    """The cluster tree as JSON-ready dicts (node id, verdict, member refs)."""
+    out = []
+    counter = [0]
+
+    def visit(node):
+        node_id = counter[0]
+        counter[0] += 1
+        entry = {
+            "id": node_id,
+            "verdict": node.verdict,
+            "depth": node.depth,
+            "members": [
+                {"message": m.message_id, "start": m.start, "end": m.end}
+                for m in node.members
+            ],
+            "children": [],
+        }
+        for child in node.children:
+            entry["children"].append(visit(child))
+        return entry
+
+    for root in roots:
+        out.append(visit(root))
+    return out
+
+
+def indented_dumps(obj) -> str:
+    """The JSON text every artifact holds, before its trailing newline."""
+    return json.dumps(obj, indent=1, separators=(",", ": "))
 
 
 def extreme_payload(rng, low=1, high=41):

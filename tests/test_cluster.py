@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (duplicate_heavy_values, reference_dbscan, reference_pairwise,
-                      reference_recursive_cluster)
+from conftest import (duplicate_heavy_values, indented_dumps, reference_dbscan,
+                      reference_pairwise, reference_recursive_cluster, reference_tree_dicts)
 from protoseg import cluster, dissim, synth
-from protoseg.cluster import (ABANDONED_DEPTH, ABANDONED_SMALL, PCA_SUITABLE, RECURSED,
-                              dbscan, estimate_eps, recursive_cluster, tree_to_json)
+from protoseg.cluster import (ABANDONED_DEPTH, ABANDONED_SMALL, NOISE, PCA_SUITABLE,
+                              RECURSED, ClusterNode, dbscan, estimate_eps, recursive_cluster,
+                              tree_to_json)
 from protoseg.model import (AnalysisParams, EstimationError, SegmentRef, UsageError,
                             segments_of)
 from protoseg.pca import kneedle
@@ -312,7 +313,9 @@ class TestOneClusterChain:
             length = int(rng.integers(2, 9))
             members = [ref(rng.integers(0, 256, size=length).tolist(), message_id=i)
                        for i in range(int(rng.integers(6, 40)))]
-            assert tree_to_json(recursive_cluster(members, max_depth=max_depth)) == tree_to_json(
+            roots = recursive_cluster(members, max_depth=max_depth)
+            assert_renders_like_dumps(roots)
+            assert tree_to_json(roots) == tree_to_json(
                 reference_recursive_cluster(members, AnalysisParams(), max_depth))
 
     @pytest.mark.parametrize("name", sorted(synth.reference_specs()))
@@ -322,3 +325,65 @@ class TestOneClusterChain:
         members = [r for m in messages for r in segments_of(null_segmenter(m), m)]
         assert tree_to_json(recursive_cluster(members)) == tree_to_json(
             reference_recursive_cluster(members, AnalysisParams(), cluster.DEFAULT_MAX_DEPTH))
+
+
+def assert_renders_like_dumps(roots):
+    text = tree_to_json(roots)
+    expected = indented_dumps(reference_tree_dicts(roots))
+    # line lists first: a failure names the first differing line without
+    # diffing hundreds of kilobytes of text
+    assert text.splitlines() == expected.splitlines()
+    assert text == expected
+
+
+class TestTreeToJson:
+    """`tree_to_json` writes the text `json.dumps` gives for the node dicts."""
+
+    def test_empty_root_list(self):
+        assert tree_to_json([]) == "[]"
+        assert_renders_like_dumps([])
+
+    def test_one_cluster_chain(self):
+        rng = np.random.default_rng(2)
+        members = [ref(rng.integers(0, 256, size=6).tolist(), message_id=i) for i in range(20)]
+        roots = recursive_cluster(members, max_depth=3)
+        assert roots[0].children[0].members is roots[0].members  # the chain shares its tuple
+        assert_renders_like_dumps(roots)
+        assert tree_to_json(roots).count('"message": 7,') == 4  # members at every depth
+
+    def test_noise_children_and_deep_nesting(self):
+        rng = np.random.default_rng(5)
+        members = tuple(ref(rng.integers(0, 256, size=4).tolist(), message_id=i, start=i % 3)
+                        for i in range(30))
+        chain = ClusterNode(members[:10], ABANDONED_DEPTH, 3)
+        for level in (2, 1):
+            chain = ClusterNode(members[:10], RECURSED, level, children=(chain,))
+        root = ClusterNode(members, RECURSED, 0, children=(
+            chain,
+            ClusterNode(members[10:17], PCA_SUITABLE, 1),
+            ClusterNode(members[17:20], ABANDONED_SMALL, 1),
+            ClusterNode(members[20:], NOISE, 1),
+        ))
+        roots = [root, ClusterNode(members[:2], NOISE, 0)]
+        assert_renders_like_dumps(roots)
+
+    def test_length_split_roots(self):
+        rng = np.random.default_rng(8)
+        members = [ref(rng.integers(0, 256, size=int(size)).tolist(), message_id=i)
+                   for i, size in enumerate(rng.choice([2, 5, 12], size=60))]
+        roots = recursive_cluster(members)
+        assert roots[0].verdict == RECURSED and len(roots[0].children) == 3
+        assert_renders_like_dumps(roots)
+
+    def test_verdict_and_empty_members_through_the_json_encoder(self):
+        roots = [ClusterNode((), 'caf\u00e9 "q" \\ \n', 0),
+                 ClusterNode((ref([1, 2], message_id=12345, start=678),), NOISE, 0)]
+        assert_renders_like_dumps(roots)
+
+    @pytest.mark.parametrize("name", sorted(synth.reference_specs()))
+    def test_spec_trees(self, name):
+        spec = dataclasses.replace(synth.reference_specs()[name], message_count=120, rng_seed=3)
+        messages, _ = synth.generate(spec)
+        members = [r for m in messages for r in segments_of(null_segmenter(m), m)]
+        roots = recursive_cluster(members)
+        assert_renders_like_dumps(roots)

@@ -278,6 +278,22 @@ class TestCropDistinct:
         segs = [Segmentation(i, ()) for i in range(8)]
         assert [s.cuts for s in crop_distinct(segs, msgs)] == [()] * 8
 
+    def test_value_counts_once_per_message(self):
+        # 81 82 is a segment three times in each of two messages: two messages, not six
+        msgs = [msg(bytes.fromhex("818281828182aa"), mid=i) for i in range(2)]
+        msgs += [msg(bytes.fromhex("cc8182dd"), mid=2)]
+        segs = [Segmentation(i, (2, 4, 6)) for i in range(2)] + [Segmentation(2, ())]
+        assert [s.cuts for s in crop_distinct(segs, msgs)] == [(2, 4, 6)] * 2 + [()]
+        msgs.append(msg(bytes.fromhex("8182ee"), mid=3))
+        segs.append(Segmentation(3, (2,)))
+        assert crop_distinct(segs, msgs)[2].cuts == (1, 3)
+
+    def test_cut_beyond_the_payload_is_rejected(self):
+        msgs, segs = self._trace()
+        segs[4] = Segmentation(4, (2, 3))
+        with pytest.raises(UsageError, match="out of range for message 4"):
+            crop_distinct(segs, msgs)
+
 
 class TestSplitFixed:
     def test_even_first_segment(self):

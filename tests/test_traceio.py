@@ -1,12 +1,17 @@
 import json
+import os
+import stat
 import struct
 
+import numpy as np
 import pytest
 
-from protoseg.model import IngestionError, UsageError
+from conftest import indented_dumps
+from protoseg.model import GroundTruth, IngestionError, Message, Segmentation, UsageError
 from protoseg.traceio import (TraceSpec, load_ground_truth, load_segmentation,
                               load_trace, save_ground_truth, save_hexlines,
-                              save_segmentation, sniff_format, write_json_atomic)
+                              save_segmentation, sniff_format, write_json_atomic,
+                              write_text_atomic)
 
 
 def build_pcap(frames, order="<", nanos=False, linktype=1):
@@ -281,3 +286,58 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             write_json_atomic(str(tmp_path / "bad.json"), obj)
         assert list(tmp_path.iterdir()) == []
+
+
+def random_cut_maps():
+    """Cut maps by message id: empty, all-empty, single, unordered and multi-digit ids."""
+    rng = np.random.default_rng(17)
+    maps = [{}, {0: ()}, {0: (1,)}, {7: (), 3: ()}, {5: (2, 4), 0: (), 12: (1,)},
+            {123456: (3, 99, 1000)}]
+    for _ in range(30):
+        span = 10 ** int(rng.integers(1, 6))
+        ids = rng.choice(span, size=min(span, int(rng.integers(1, 40))), replace=False).tolist()
+        maps.append({mid: tuple(sorted(set(rng.integers(1, 300, size=int(rng.integers(0, 7)))
+                                           .tolist())))
+                     for mid in ids})
+    return maps
+
+
+class TestCutMapWriters:
+    """`save_segmentation` and `save_ground_truth` write `json.dumps(indent=1)` text."""
+
+    @pytest.mark.parametrize("index", range(len(random_cut_maps())))
+    def test_match_indented_dumps(self, tmp_path, index):
+        cut_map = random_cut_maps()[index]
+        expected = indented_dumps({str(mid): list(cut_map[mid]) for mid in sorted(cut_map)}) + "\n"
+        save_segmentation(str(tmp_path / "s.json"),
+                          [Segmentation(mid, cuts) for mid, cuts in cut_map.items()])
+        save_ground_truth(str(tmp_path / "t.json"), GroundTruth(cuts=cut_map))
+        assert (tmp_path / "s.json").read_text(encoding="utf-8") == expected
+        assert (tmp_path / "t.json").read_text(encoding="utf-8") == expected
+
+
+class TestArtifactMode:
+    """Artifacts get 0o666 less the umask, as a file made by `open` does."""
+
+    WRITERS = {
+        "text": lambda path: write_text_atomic(path, "a", "b\n"),
+        "json": lambda path: write_json_atomic(path, [{"a": 1}]),
+        "segments": lambda path: save_segmentation(path, [Segmentation(0, (1,))]),
+        "truth": lambda path: save_ground_truth(path, GroundTruth(cuts={0: (1,)})),
+        "hexlines": lambda path: save_hexlines(path, [Message(0, b"\x01\x02")]),
+    }
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_mode_follows_umask(self, tmp_path, umask, mode, writer):
+        path = tmp_path / "artifact"
+        old = os.umask(umask)
+        try:
+            self.WRITERS[writer](str(path))
+            first = stat.S_IMODE(path.stat().st_mode)
+            self.WRITERS[writer](str(path))  # replacing an existing file
+            second = stat.S_IMODE(path.stat().st_mode)
+        finally:
+            os.umask(old)
+        assert (first, second) == (mode, mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
