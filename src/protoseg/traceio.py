@@ -11,14 +11,16 @@ message-id strings to arrays of interior cut offsets; ground truth may
 instead map to arrays of {"start", "end", "type"} field records, from
 whose ends the cuts are derived.
 
-Every artifact is written atomically (a temporary file renamed into
-place) as `json.dumps(obj, indent=1, separators=(",", ": "))` text and a
-newline.  `save_segmentation` (`segments.json`) and `save_ground_truth`
-(`truth.json`) render their cut maps as text directly, through one
-renderer; `write_json_atomic` writes any other JSON value, such as
-`edits.json` and `report.json`, with the C encoder wherever it can; and
-`write_text_atomic` writes text rendered elsewhere, such as
-`cluster.tree_to_json`'s `clusters.json`.
+Every artifact is written atomically: a temporary file renamed into
+place.  A JSON artifact holds the text of
+`json.dumps(obj, indent=1, separators=(",", ": "))` and a newline.
+`save_segmentation` (`segments.json`) and
+`save_ground_truth` (`truth.json`) render their cut maps as that text
+through one renderer; `write_json_atomic` writes any other JSON value,
+such as `edits.json` and `report.json`, with the C encoder wherever it
+can; and `write_text_atomic` writes text rendered elsewhere, such as
+`cluster.tree_to_json`'s `clusters.json`, `comparison.csv` and the
+hex-line traces of `save_hexlines`.
 """
 
 from __future__ import annotations
