@@ -113,14 +113,18 @@ def _load_messages(args) -> list:
 def _read_config_file(path) -> list:
     """Flat name=value lines, `#` comments."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise UsageError(f"{path}:{lineno}: expected name=value")
-            entries.append(body)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: not UTF-8 text") from None
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise UsageError(f"{path}:{lineno}: expected name=value")
+        entries.append(body)
     return entries
 
 
@@ -226,6 +230,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    if args.limit < 0:
+        raise UsageError(f"--limit must be non-negative, got {args.limit}")
     messages = _load_messages(args)
     if args.segments:
         segs = {s.message_id: s for s in traceio.load_segmentation(args.segments, messages)}

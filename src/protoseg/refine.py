@@ -198,20 +198,23 @@ def _byte_counts(data: bytes) -> tuple:
     return tuple(map(data.count, sorted(set(data))))
 
 
-def _counts_entropy(counts: tuple) -> float:
-    """Shannon entropy of nonzero byte counts, normalized to [0, 1]."""
-    counts = np.array(counts, dtype=np.intp)
-    n = int(counts.sum())
-    p = counts / n
-    raw = float(-(p * np.log2(p)).sum())
-    return raw / math.log2(min(n, 256))
+def _entropy(data: bytes, table: dict) -> float:
+    """Shannon entropy of the byte values, normalized to [0, 1].
 
-
-def _entropy(data: bytes) -> float:
-    """Shannon entropy of the byte values, normalized to [0, 1]."""
+    It depends only on the data's `_byte_counts`, so it is read from
+    `table`, which maps those counts to the entropy; a missing entry is
+    computed and added.
+    """
     if len(data) <= 1:
         return 0.0
-    return _counts_entropy(_byte_counts(data))
+    key = _byte_counts(data)
+    h = table.get(key)
+    if h is None:
+        counts = np.array(key, dtype=np.intp)
+        n = int(counts.sum())
+        p = counts / n
+        h = table[key] = float(-(p * np.log2(p)).sum()) / math.log2(min(n, 256))
+    return h
 
 
 def entropy_merge(seg: Segmentation, msg: Message,
@@ -222,11 +225,9 @@ def entropy_merge(seg: Segmentation, msg: Message,
     Left-to-right greedy; the merged segment is re-evaluated.  The floor
     keeps distinct constant fields (both entropy 0) apart.
 
-    Entropies are read from `table`, which maps a segment's
-    `_byte_counts` to its `_entropy`, as those counts are all it
-    depends on; missing entries are computed and added, so one table
-    can serve every message of a trace.  Without one, a table of this
-    message's segments is used.
+    Entropies are read from and added to `table` (see `_entropy`), so
+    one table can serve every message of a trace.  Without one, a table
+    of this message's segments is used.
     """
     if not seg.cuts:
         return seg
@@ -234,23 +235,14 @@ def entropy_merge(seg: Segmentation, msg: Message,
     if table is None:
         table = {}
 
-    def entropy(data):
-        if len(data) <= 1:
-            return 0.0
-        key = _byte_counts(data)
-        h = table.get(key)
-        if h is None:
-            h = table[key] = _counts_entropy(key)
-        return h
-
     bounds = [0, *seg.cuts, len(payload)]
     i = 0
-    h_a = entropy(payload[:bounds[1]])
+    h_a = _entropy(payload[:bounds[1]], table)
     while i + 2 < len(bounds):
-        h_b = entropy(payload[bounds[i + 1]:bounds[i + 2]])
+        h_b = _entropy(payload[bounds[i + 1]:bounds[i + 2]], table)
         if h_a >= floor and h_b >= floor and abs(h_a - h_b) <= diff:
             del bounds[i + 1]
-            h_a = entropy(payload[bounds[i]:bounds[i + 1]])
+            h_a = _entropy(payload[bounds[i]:bounds[i + 1]], table)
         else:
             i += 1
             h_a = h_b

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .model import GroundTruth, Message, Segmentation, SpecError, UsageError
+from .traceio import load_json
 
 KIND_CONST = "const"
 KIND_UINT = "uint"
@@ -215,13 +216,12 @@ def spec_from_json(data: dict) -> ProtocolSpec:
             rng_seed=int(data.get("rng_seed", 1)),
             endianness=data.get("endianness", "big"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed protocol spec: {exc}") from None
 
 
 def load_spec(path: str) -> ProtocolSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_json(json.load(fh))
+    return spec_from_json(load_json(path, SpecError))
 
 
 def reference_specs() -> dict:

@@ -6,10 +6,12 @@ encapsulation; anything else is rejected rather than guessed.  The
 hex-line format (one even-length hex message per line, `#` comments) is
 the canonical fixture format: deterministic and diffable.
 
-Segmentations and ground truth are JSON objects mapping decimal
-message-id strings to arrays of interior cut offsets; ground truth may
-instead map to arrays of {"start", "end", "type"} field records, from
-whose ends the cuts are derived.
+Segmentations and ground truth are UTF-8 JSON objects mapping message
+ids, written in ASCII decimal digits, to arrays of interior cut offsets;
+ground truth may instead map to arrays of {"start", "end", "type"} field
+records, from whose ends the cuts are derived.  `load_json` reads every
+JSON input, and a file that holds no JSON value is an error naming its
+line and column.
 
 Every artifact is written atomically: a temporary file renamed into
 place.  A JSON artifact holds the text of
@@ -17,15 +19,15 @@ place.  A JSON artifact holds the text of
 `save_segmentation` (`segments.json`) and
 `save_ground_truth` (`truth.json`) render their cut maps as that text
 through one renderer; `write_json_atomic` writes any other JSON value,
-such as `edits.json` and `report.json`, with the C encoder wherever it
-can; and `write_text_atomic` writes text rendered elsewhere, such as
+a list of records such as `edits.json` with one C-encoder call and
+anything else, such as `report.json`, with `json.dumps`; and
+`write_text_atomic` writes text rendered elsewhere, such as
 `cluster.tree_to_json`'s `clusters.json`, `comparison.csv` and the
 hex-line traces of `save_hexlines`.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
@@ -72,6 +74,8 @@ class TraceSpec:
             raise UsageError(f"unknown layer filter {self.layer!r}")
         if self.port is not None and self.layer == LAYER_RAW:
             raise UsageError("a port filter needs a udp_payload or tcp_payload layer")
+        if self.port is not None and not 0 <= self.port <= 65535:
+            raise UsageError(f"port {self.port} is outside 0-65535")
         if self.max_messages is not None and self.max_messages < 1:
             raise UsageError("max_messages must be at least 1")
 
@@ -199,12 +203,19 @@ def _parse_cut_map(data, path: str, allow_records: bool):
         raise IngestionError(f"{path}: $: expected an object at the top level")
     cuts_by_id = {}
     labels_by_id = {}
+    key_of = {}  # message id -> the key that named it
     for key in data:
         where = f"{path}: $.{key}"
         try:
-            mid = int(key)
-        except ValueError:
-            raise IngestionError(f"{where}: key is not a decimal message id") from None
+            mid = int(key) if key.isascii() and key.isdigit() else None
+        except ValueError:  # more digits than int() converts
+            mid = None
+        if mid is None:
+            raise IngestionError(f"{where}: key is not a decimal message id")
+        if mid in key_of:
+            raise IngestionError(
+                f"{where}: keys {key_of[mid]!r} and {key!r} both name message {mid}")
+        key_of[mid] = key
         entries = data[key]
         if not isinstance(entries, list):
             raise IngestionError(f"{where}: expected an array")
@@ -245,25 +256,46 @@ def _validate_cuts(cuts_by_id: dict, messages, what: str) -> list:
     return segs
 
 
+def _distinct_keys(pairs) -> dict:
+    """A JSON object as a dict; a ValueError when it repeats a key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+def load_json(path: str, error=IngestionError):
+    """The value of a UTF-8 JSON file; `error`, naming the line and column, if it holds none."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=_distinct_keys)
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        column = exc.start - raw.rfind(b"\n", 0, exc.start)
+        raise error(f"{path}:{line}:{column}: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # a repeated key, a huge integer, deep nesting
+        raise error(f"{path}: invalid JSON: {exc}") from None
+
+
 def load_ground_truth(path: str, messages=None) -> GroundTruth:
     """Ground truth JSON, validated against the trace when given."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    cuts_by_id, labels_by_id = _parse_cut_map(data, path, allow_records=True)
+    cuts_by_id, labels_by_id = _parse_cut_map(load_json(path), path, allow_records=True)
     _validate_cuts(cuts_by_id, messages, f"{path}: ground truth")
     return GroundTruth(cuts=cuts_by_id, labels=labels_by_id)
 
 
 def load_segmentation(path: str, messages=None) -> list:
     """Segmentation JSON as a list ordered by message id."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    cuts_by_id, _ = _parse_cut_map(data, path, allow_records=False)
+    cuts_by_id, _ = _parse_cut_map(load_json(path), path, allow_records=False)
     return _validate_cuts(cuts_by_id, messages, f"{path}: segmentation")
 
 
-def _write_atomic(path: str, pieces) -> None:
-    """Write an iterable of strings to a temporary file and rename it into place.
+def write_text_atomic(path: str, *texts: str) -> None:
+    """Write the texts one after another to a temporary file and rename it into place.
 
     The temporary file is created with mode 0o666 less the umask, as
     `open` creates a file, so the artifact gets the usual permissions.
@@ -279,7 +311,7 @@ def _write_atomic(path: str, pieces) -> None:
             continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+            fh.writelines(texts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -287,109 +319,36 @@ def _write_atomic(path: str, pieces) -> None:
         raise
 
 
-def write_text_atomic(path: str, *texts: str) -> None:
-    """Write the texts one after another and rename into place."""
-    _write_atomic(path, texts)
-
-
 # JSON values the C encoder writes without a nested container
 _SCALARS = (str, int, float, type(None))
 
-
-def _flat(items) -> bool:
-    return all(map(isinstance, items, itertools.repeat(_SCALARS)))
-
-
-def _records(items) -> bool:
-    """True for a list of non-empty plain dicts with scalar values only.
-
-    Any other list, dict subclasses included, goes through `_walk`,
-    which writes the same text.
-    """
-    return (isinstance(items, (list, tuple)) and set(map(type, items)) == {dict}
-            and all(items) and _flat(itertools.chain.from_iterable(map(dict.values, items))))
+# compact but for the item separator, which carries a record field's indent
+_RECORD_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
 
 
-@functools.lru_cache(maxsize=64)
-def _c_encoder(indent: str) -> json.JSONEncoder:
-    """The C encoder, compact except that items are separated by ",\n" + indent."""
-    return json.JSONEncoder(separators=(",\n" + indent, ": "))
-
-
-def _json_key(key) -> str:
-    """A dict key as `json.dumps` turns it into a string."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _inline(obj, level: int):
-    """Indented text of obj when the C encoder writes it in one call, else None.
-
-    That is a scalar, an empty container, a container of scalars, or a
-    list of non-empty flat dicts; the C encoder's item separator then
-    carries the indent of the container's items.  With ensure_ascii no
-    string holds a raw newline, so "},\n" + indent + "{" in its output
-    is always a record boundary.
-    """
-    is_list = isinstance(obj, (list, tuple))
-    if not (is_list or isinstance(obj, dict)):
-        return _c_encoder("").encode(obj)
-    if not obj:
-        return "[]" if is_list else "{}"
-    outer = "\n" + " " * level
-    inner = outer + " "
-    if _flat(obj if is_list else obj.values()):
-        text = _c_encoder(inner[1:]).encode(obj)
-        return text[0] + inner + text[1:-1] + outer + text[-1]
-    if _records(obj):
-        field = inner + " "
-        text = _c_encoder(field[1:]).encode(obj)
-        text = text[2:-2].replace("}," + field + "{", inner + "}," + inner + "{" + field)
-        return "[" + inner + "{" + field + text + inner + "}" + outer + "]"
-    return None
-
-
-def _walk(obj, level: int):
-    """Pieces of a container that `_inline` does not write, item by item."""
-    is_list = isinstance(obj, (list, tuple))
-    outer = "\n" + " " * level
-    inner = outer + " "
-    items = enumerate(obj) if is_list else obj.items()
-    for i, (key, value) in enumerate(items):
-        head = ("[" if is_list else "{") if i == 0 else ","
-        head += inner if is_list else (
-            inner + json.encoder.encode_basestring_ascii(_json_key(key)) + ": ")
-        text = _inline(value, level + 1)
-        if text is None:
-            yield head
-            yield from _walk(value, level + 1)
-        else:
-            yield head + text
-    yield outer + ("]" if is_list else "}")
-
-
-def _json_pieces(obj):
-    """Pieces of `json.dumps(obj, indent=1, separators=(",", ": "))`.
-
-    That call runs the pure-Python encoder because of the indent; here
-    the C encoder writes every part that `_inline` accepts.
-    """
-    text = _inline(obj, 0)
-    if text is None:
-        return _walk(obj, 0)
-    return (text,)
+def _records(obj) -> bool:
+    """True for a non-empty list of non-empty plain dicts with scalar values only."""
+    return (isinstance(obj, list) and set(map(type, obj)) == {dict} and all(obj)
+            and all(map(isinstance, itertools.chain.from_iterable(map(dict.values, obj)),
+                        itertools.repeat(_SCALARS))))
 
 
 def write_json_atomic(path: str, obj) -> None:
     """Serialize deterministically and rename into place.
 
     The file holds `json.dumps(obj, indent=1, separators=(",", ": "))`
-    and a newline.
+    and a newline.  A list of records, the shape of `edits.json`, is
+    encoded by the C encoder in one call, whose item separator already
+    indents the fields; with ensure_ascii no string holds a raw newline,
+    so "},\n  {" in its output is always a record boundary.  Any other
+    value goes through `json.dumps`, whose indent runs the Python encoder.
     """
-    _write_atomic(path, itertools.chain(_json_pieces(obj), ("\n",)))
+    if _records(obj):
+        text = _RECORD_ENCODER.encode(obj)[2:-2].replace("},\n  {", "\n },\n {\n  ")
+        text = "[\n {\n  " + text + "\n }\n]"
+    else:
+        text = json.dumps(obj, indent=1, separators=(",", ": "))
+    write_text_atomic(path, text, "\n")
 
 
 def _cut_map_text(cuts_by_id: dict) -> str:

@@ -212,3 +212,83 @@ def test_knob_range_edges_accepted(synth_dir, tmp_path):
                "--param", "max_depth=0", "--param", "chunk=1", "--param", "entropy_floor=1",
                "--param", "entropy_diff=0", "--param", "distinct_min_fraction=0"])
     assert rc == 0
+
+
+# JSON inputs that are not JSON, or not UTF-8, end in one line on stderr
+_BAD_JSON = {"truncated": (b'{"0": [1', ":1:9: invalid JSON"),
+             "utf16_bom": (b"\xff\xfe", ":1:1: not UTF-8 text")}
+
+
+def _json_commands(synth_dir, bad, out):
+    trace = ["--trace", str(synth_dir / "trace.hex"), "--no-dedupe"]
+    truth = str(synth_dir / "truth.json")
+    return {
+        "inspect": ["inspect", *trace, "--segments", bad],
+        "evaluate_truth": ["evaluate", *trace, "--truth", bad, "--segments", truth, "--out", out],
+        "evaluate_segments": ["evaluate", *trace, "--truth", truth, "--segments", bad,
+                              "--out", out],
+        "segment_external": ["segment", *trace, "--base", "external",
+                             "--external-segments", bad, "--out", out],
+        "synth": ["synth", "--spec", bad, "--out", out],
+    }
+
+
+@pytest.mark.parametrize("command", ["inspect", "evaluate_truth", "evaluate_segments",
+                                     "segment_external", "synth"])
+@pytest.mark.parametrize("kind", sorted(_BAD_JSON))
+def test_malformed_json_input_exits_2(synth_dir, tmp_path, capsys, command, kind):
+    blob, where = _BAD_JSON[kind]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(blob)
+    argv = _json_commands(synth_dir, str(bad), str(tmp_path / "o"))[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}{where}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_non_utf8_config_file_exits_1(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "knobs.conf"
+    cfg.write_bytes(b"\xff=1\n")
+    rc = main(["segment", "--trace", str(synth_dir / "trace.hex"), "--no-dedupe",
+               "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ('{"1_0": [1]}', "$.1_0: key is not a decimal message id"),
+    ('{" 0": [1]}', "$. 0: key is not a decimal message id"),
+    ('{"\\uff10": [1]}', "$.０: key is not a decimal message id"),
+    ('{"-1": [1]}', "$.-1: key is not a decimal message id"),
+    ('{"7": [1], "07": [2]}', "$.07: keys '7' and '07' both name message 7"),
+    ('{"7": [1], "7": [2]}', "invalid JSON: duplicate key '7'"),
+])
+def test_message_id_keys_are_ascii_decimal_and_distinct(synth_dir, tmp_path, capsys,
+                                                         body, message):
+    seg = tmp_path / "s.json"
+    seg.write_text(body, encoding="utf-8")
+    rc = main(["inspect", "--trace", str(synth_dir / "trace.hex"), "--no-dedupe",
+               "--segments", str(seg)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {seg}: {message}\n"
+
+
+@pytest.mark.parametrize("port", ["-1", "65536", "70000"])
+def test_port_outside_range_exits_1(synth_dir, tmp_path, capsys, port):
+    rc = main(["segment", "--trace", str(synth_dir / "trace.hex"), "--port", port,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: port {port} is outside 0-65535\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_port_range_edges_accepted(synth_dir, tmp_path):
+    for port in ("0", "65535"):
+        assert main(["inspect", "--trace", str(synth_dir / "trace.hex"), "--port", port]) == 0
+
+
+def test_negative_inspect_limit_exits_1(synth_dir, capsys):
+    assert main(["inspect", "--trace", str(synth_dir / "trace.hex"), "--limit", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: --limit must be non-negative, got -1\n")
+    assert main(["inspect", "--trace", str(synth_dir / "trace.hex"), "--limit", "0"]) == 0

@@ -3,13 +3,13 @@
 Whatever the trace, the pipeline returns one segmentation per message
 whose cuts are strictly interior offsets, or raises a ProtosegError;
 any other exception is a bug.  Whatever the bytes of a capture or
-hex-line file, loading it returns messages or raises an IngestionError.
-Whatever the JSON value, the artifact writer writes the text of
-`json.dumps(obj, indent=1)`.
+hex-line file, loading it returns messages or raises an IngestionError;
+so does loading a segmentation or ground-truth file, whatever its bytes
+or JSON tree.  Whatever the JSON value, the artifact writer writes the
+text of `json.dumps(obj, indent=1)`.
 """
 
 import json
-
 
 import pytest
 from test_traceio import build_pcap, eth_ipv4_udp
@@ -17,7 +17,8 @@ from test_traceio import build_pcap, eth_ipv4_udp
 from protoseg.model import IngestionError, Message, ProtosegError
 from protoseg.refine import PRESETS, preset, run_pipeline
 from protoseg.traceio import (FORMAT_HEXLINES, FORMAT_PCAP, LAYER_RAW, LAYER_TCP,
-                              LAYER_UDP, TraceSpec, load_trace, write_json_atomic)
+                              LAYER_UDP, TraceSpec, load_ground_truth, load_segmentation,
+                              load_trace, write_json_atomic)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -143,3 +144,92 @@ def test_json_writer_matches_indented_dumps(fuzz_dir, obj):
     write_json_atomic(str(path), obj)
     assert path.read_text(encoding="utf-8") == (
         json.dumps(obj, indent=1, separators=(",", ": ")) + "\n")
+
+
+# segmentation and ground-truth files: random bytes, and JSON trees of
+# message-id-like keys over cut lists, field records and stray values
+
+_ID_KEYS = st.one_of(st.integers(0, 9).map(str),
+                     st.sampled_from(["07", "00", "1_0", " 0", "０", "٣", "-1", "+1",
+                                      "", "1e2", "9" * 5000]),
+                     st.text(max_size=4))
+_CUTS = st.lists(st.one_of(st.integers(-2, 9), st.sampled_from([2 ** 70, True, 1.0, None])),
+                 max_size=5)
+_FIELD_RECORDS = st.lists(
+    st.fixed_dictionaries({"start": st.integers(-1, 9), "end": st.integers(-1, 9)},
+                          optional={"type": st.sampled_from(["char", "number", "pad", "widget",
+                                                             7, None])}),
+    min_size=1, max_size=4)
+# mostly well-formed: digit keys over sorted cuts or field records
+_PLAIN_CUT_MAPS = st.dictionaries(
+    st.integers(0, 7).map(str),
+    st.one_of(st.lists(st.integers(1, 6), unique=True, max_size=4).map(sorted), _FIELD_RECORDS),
+    max_size=6)
+_CUT_MAPS = st.one_of(_PLAIN_CUT_MAPS, _JSON,
+                      st.dictionaries(_ID_KEYS, st.one_of(_CUTS, _FIELD_RECORDS, _RECORDS, _JSON),
+                                      max_size=6))
+
+
+@st.composite
+def damaged_json(draw):
+    """The text of a mostly well-formed cut map, cut short or with one byte changed."""
+    blob = bytearray(json.dumps(draw(_PLAIN_CUT_MAPS)).encode("utf-8"))
+    if draw(st.booleans()):
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    else:
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(
+            st.one_of(st.sampled_from(b"0123456789 ,"), st.integers(0, 255)))
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def fuzz_trace(fuzz_dir):
+    path = fuzz_dir / "cut-maps.hex"
+    path.write_text("".join(bytes(range(1, n + 2)).hex() + "\n" for n in range(6)))
+    return load_trace(TraceSpec(str(path)))
+
+
+def _check_cut_map_loaders(path, messages, obj=None):
+    """Both loaders return checked cuts or raise an IngestionError.
+
+    What they return has one message per key of obj, when it is an
+    object, and every such key is written in ASCII decimal digits.
+    """
+    lengths = {m.id: len(m.payload) for m in messages or ()}
+    loaded = []
+    try:
+        segs = load_segmentation(str(path), messages)
+        loaded.append({s.message_id: s.cuts for s in segs})
+        assert [s.message_id for s in segs] == sorted(loaded[0])
+    except IngestionError:
+        pass
+    try:
+        loaded.append(load_ground_truth(str(path), messages).cuts)
+    except IngestionError:
+        pass
+    for cuts_by_id in loaded:
+        for mid, cuts in cuts_by_id.items():
+            assert all(0 < c < lengths.get(mid, float("inf")) for c in cuts)
+        if isinstance(obj, dict):
+            assert all(key.isascii() and key.isdigit() for key in json.loads(json.dumps(obj)))
+            assert len(cuts_by_id) == len(obj)
+
+
+@pytest.mark.parametrize("with_trace", [False, True])
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(obj=_CUT_MAPS)
+def test_random_cut_map_tree_raises_only_ingestion_error(fuzz_dir, fuzz_trace, with_trace,
+                                                         obj):
+    path = fuzz_dir / "cut-map.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    _check_cut_map_loaders(path, fuzz_trace if with_trace else None, obj)
+
+
+@pytest.mark.parametrize("with_trace", [False, True])
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(blob=st.one_of(st.binary(max_size=80), damaged_json()))
+def test_random_cut_map_bytes_raise_only_ingestion_error(fuzz_dir, fuzz_trace, with_trace,
+                                                         blob):
+    path = fuzz_dir / "cut-map-bytes.json"
+    path.write_bytes(blob)
+    _check_cut_map_loaders(path, fuzz_trace if with_trace else None)

@@ -160,8 +160,8 @@ class TestAgainstPerByteReferences:
         for _ in range(500):
             data = extreme_payload(rng)
             relabel = np.sort(rng.choice(256, size=256, replace=False))
-            assert _entropy(data) == reference_entropy(data)
-            assert _entropy(data) == _entropy(bytes(relabel[list(data)].tolist()))
+            assert _entropy(data, {}) == reference_entropy(data)
+            assert _entropy(data, {}) == _entropy(bytes(relabel[list(data)].tolist()), {})
 
     def test_null_runs_and_crop_chars(self):
         rng = np.random.default_rng(64)
@@ -203,9 +203,9 @@ class TestUnchangedCuts:
 
 class TestEntropyMerge:
     def test_entropy_values(self):
-        assert _entropy(b"\x00" * 4) == 0.0
-        assert _entropy(bytes([0, 1, 2, 3])) == pytest.approx(1.0)
-        assert _entropy(b"\x07") == 0.0
+        assert _entropy(b"\x00" * 4, {}) == 0.0
+        assert _entropy(bytes([0, 1, 2, 3]), {}) == pytest.approx(1.0)
+        assert _entropy(b"\x07", {}) == 0.0
 
     def test_similar_high_entropy_neighbors_merge(self):
         # both segments near-uniform: entropies close and above the floor

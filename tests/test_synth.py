@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from protoseg.model import SpecError, UsageError
@@ -145,6 +147,18 @@ class TestSpecJson:
     def test_malformed_spec_rejected(self):
         with pytest.raises(SpecError):
             spec_from_json({"name": "x"})
+
+    @pytest.mark.parametrize("blob, message", [
+        (b'{"name": "t", "fields": [', ":1:26: invalid JSON"),
+        (b"\xff\xfe", ":1:1: not UTF-8 text"),
+        (b'{"name": "t", "name": "u", "fields": []}', ": invalid JSON: duplicate key 'name'"),
+        (b'{"name": "t", "fields": [], "message_count": 1e999}', "malformed protocol spec"),
+    ])
+    def test_bad_spec_file_is_spec_error(self, tmp_path, blob, message):
+        path = tmp_path / "p.json"
+        path.write_bytes(blob)
+        with pytest.raises(SpecError, match=re.escape(message)):
+            load_spec(str(path))
 
     def test_load_spec_from_file(self, tmp_path):
         import json
