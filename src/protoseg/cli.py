@@ -218,6 +218,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.messages is not None and args.messages < 0:
+        raise UsageError(f"--messages must be non-negative, got {args.messages}")
     spec = synth.load_spec(args.spec)
     if args.messages is not None:
         spec = dataclasses.replace(spec, message_count=args.messages)

@@ -21,6 +21,13 @@ a child with its own members, matrix and eps, which would get the same
 verdict and the same split at every level.  Its chain of `recursed`
 nodes down to an `abandoned_depth` leaf at max_depth is emitted
 directly, without another overlay, PCA, eps estimate or DBSCAN.
+
+A node's matrix is dead once DBSCAN has split it: its children's
+matrices are gathered from it in blocks of rows, every child but the
+one with the most distinct values into a fresh array, and that one
+into the front of the node's own buffer, before any child recurses.
+The peak is therefore about 8u^2 bytes for the u distinct values of the
+largest length group, plus the copies of that node's other children.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ MIN_PTS = 3
 
 DEFAULT_MAX_DEPTH = 3
 
-# rows * columns of one block of the k-distance partition (elements)
+# rows * columns of one block of the k-distance partition and of the
+# parent rows a child's matrix is gathered from (elements)
 _PARTITION_BUDGET = 262_144
 
 PCA_SUITABLE = "pca_suitable"
@@ -206,17 +214,26 @@ def recursive_cluster(segments, params: AnalysisParams = AnalysisParams(),
 
 
 def _subset(members: tuple, inverse: np.ndarray, dist: np.ndarray, idx: np.ndarray,
-            rows) -> tuple:
+            rows, in_place: bool = False) -> tuple:
     """(members, inverse, dist) of the members at the ascending positions idx.
 
     rows are the ascending distinct ids of those members.  Identical
     members are never separated, so these are the subset's distinct
     values in first-occurrence order, and its matrix is the parent's
-    restricted to them.
+    restricted to them.  The matrix is gathered in blocks of rows, so
+    the scratch stays small; in_place writes it over the front of the
+    parent's own (C-contiguous) buffer, which nothing may read after.
     """
     rows = np.asarray(rows)
-    return (tuple(members[i] for i in idx.tolist()), np.searchsorted(rows, inverse[idx]),
-            dist.take(rows, axis=0).take(rows, axis=1))
+    k, u = rows.size, dist.shape[0]
+    out = (dist.reshape(-1)[:k * k] if in_place else np.empty(k * k)).reshape(k, k)
+    # in place is safe because rows ascend: block [lo, hi) writes the flat
+    # range [lo*k, hi*k) after `take` has copied its own rows out, and
+    # every row a later block reads starts at rows[hi]*u >= hi*k
+    step = max(1, _PARTITION_BUDGET // u)
+    for lo in range(0, k, step):
+        out[lo:lo + step] = dist.take(rows[lo:lo + step], axis=0).take(rows, axis=1)
+    return tuple(members[i] for i in idx.tolist()), np.searchsorted(rows, inverse[idx]), out
 
 
 def _analyze(members: tuple, inverse, dist, depth: int,
@@ -286,9 +303,18 @@ def _analyze(members: tuple, inverse, dist, depth: int,
     member_label = label[inverse]
     order = np.argsort(member_label, kind="stable")  # ascending within a group
     bounds = np.searchsorted(member_label[order], np.arange(len(clusters) + 1)).tolist()
-    children = [_analyze(*_subset(members, inverse, dist, order[lo:hi], rows),
-                         depth + 1, params, max_depth)
-                for rows, lo, hi in zip(clusters, bounds, bounds[1:])]
+    # this matrix is dead once the children are sliced: the others are
+    # copied out first, then the child with the most rows takes its buffer
+    spans = [(order[lo:hi], rows) for rows, lo, hi in zip(clusters, bounds, bounds[1:])]
+    largest = max(range(len(clusters)), key=lambda c: len(clusters[c]))
+    subsets = [None if c == largest else _subset(members, inverse, dist, *span)
+               for c, span in enumerate(spans)]
+    subsets[largest] = _subset(members, inverse, dist, *spans[largest], in_place=True)
+    del dist
+    children = []
+    for c in range(len(subsets)):
+        args, subsets[c] = subsets[c], None  # a copy is freed once its subtree is done
+        children.append(_analyze(*args, depth + 1, params, max_depth))
     if noise:
         children.append(ClusterNode(tuple(members[i] for i in order[bounds[-1]:].tolist()),
                                     NOISE, depth + 1))

@@ -133,6 +133,8 @@ class AnalysisParams:
         for name in ("scree_min", "max_principals", "min_cluster", "quiet_len"):
             if not (isinstance(getattr(self, name), int) and getattr(self, name) > 0):
                 raise UsageError(f"{name} must be a positive integer")
+        if self.min_cluster < 2:  # a one-member group has nothing to overlay
+            raise UsageError(f"min_cluster must be at least 2, got {self.min_cluster}")
         for name in ("principal_ratio", "length_ratio", "contrib_floor",
                      "delta_min", "near_zero", "notable"):
             v = getattr(self, name)

@@ -9,7 +9,8 @@ the canonical fixture format: deterministic and diffable.
 Segmentations and ground truth are UTF-8 JSON objects mapping message
 ids, written in ASCII decimal digits, to arrays of interior cut offsets;
 ground truth may instead map to arrays of {"start", "end", "type"} field
-records, from whose ends the cuts are derived.  `load_json` reads every
+records that tile the message in order, from whose ends the cuts are
+derived.  `load_json` reads every
 JSON input, and a file that holds no JSON value is an error naming its
 line and column.
 
@@ -197,13 +198,19 @@ def load_trace(spec: TraceSpec) -> list:
     return messages
 
 
-def _parse_cut_map(data, path: str, allow_records: bool):
-    """Decode {"<id>": [cuts] | [field records]} with JSON-path errors."""
+def _parse_cut_map(data, path: str, allow_records: bool, messages=None):
+    """Decode {"<id>": [cuts] | [field records]} with JSON-path errors.
+
+    Field records must tile their message in order: the first starts at
+    0, each starts where the previous one ended and ends after it
+    starts, and, with messages given, the last ends at the payload length.
+    """
     if not isinstance(data, dict):
         raise IngestionError(f"{path}: $: expected an object at the top level")
     cuts_by_id = {}
     labels_by_id = {}
     key_of = {}  # message id -> the key that named it
+    lengths = {m.id: len(m.payload) for m in messages or ()}
     for key in data:
         where = f"{path}: $.{key}"
         try:
@@ -222,17 +229,24 @@ def _parse_cut_map(data, path: str, allow_records: bool):
         if entries and all(isinstance(e, dict) for e in entries):
             if not allow_records:
                 raise IngestionError(f"{where}: field records are only valid in ground truth")
-            records = []
+            end = 0
             for i, rec in enumerate(entries):
                 if not {"start", "end"} <= rec.keys():
                     raise IngestionError(f"{where}[{i}]: field record needs start and end")
-                if not (isinstance(rec["start"], int) and isinstance(rec["end"], int)):
+                if not all(type(rec[k]) is int for k in ("start", "end")):
                     raise IngestionError(f"{where}[{i}]: start and end must be integers")
-                records.append(rec)
-            records.sort(key=lambda r: r["start"])
-            ends = [r["end"] for r in records]
-            cuts_by_id[mid] = tuple(sorted(set(ends[:-1])))
-            labels = tuple(str(r.get("type", "unknown")) for r in records)
+                if rec["start"] != end:
+                    raise IngestionError(
+                        f"{where}[{i}]: field record starts at {rec['start']}, expected {end}")
+                if rec["end"] <= end:
+                    raise IngestionError(
+                        f"{where}[{i}]: field record ends at {rec['end']}, not after its start")
+                end = rec["end"]
+            if end != lengths.get(mid, end):
+                raise IngestionError(f"{where}[{len(entries) - 1}]: last field record ends at"
+                                     f" {end}, not at the payload length {lengths[mid]}")
+            cuts_by_id[mid] = tuple(rec["start"] for rec in entries[1:])
+            labels = tuple(str(r.get("type", "unknown")) for r in entries)
             if not set(labels) <= FIELD_TYPES:
                 bad = sorted(set(labels) - FIELD_TYPES)
                 raise IngestionError(f"{where}: unknown field type {bad[0]!r}")
@@ -283,7 +297,7 @@ def load_json(path: str, error=IngestionError):
 
 def load_ground_truth(path: str, messages=None) -> GroundTruth:
     """Ground truth JSON, validated against the trace when given."""
-    cuts_by_id, labels_by_id = _parse_cut_map(load_json(path), path, allow_records=True)
+    cuts_by_id, labels_by_id = _parse_cut_map(load_json(path), path, True, messages)
     _validate_cuts(cuts_by_id, messages, f"{path}: ground truth")
     return GroundTruth(cuts=cuts_by_id, labels=labels_by_id)
 

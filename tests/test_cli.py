@@ -292,3 +292,21 @@ def test_negative_inspect_limit_exits_1(synth_dir, capsys):
     assert main(["inspect", "--trace", str(synth_dir / "trace.hex"), "--limit", "-1"]) == 1
     assert capsys.readouterr() == ("", "error: --limit must be non-negative, got -1\n")
     assert main(["inspect", "--trace", str(synth_dir / "trace.hex"), "--limit", "0"]) == 0
+
+
+def test_min_cluster_one_exits_1(tmp_path, capsys):
+    trace = tmp_path / "t.hex"
+    trace.write_text("6162\n6162\n616263646566676869\n")
+    args = ["segment", "--trace", str(trace), "--no-dedupe", "--out", str(tmp_path / "o")]
+    assert main([*args, "--param", "min_cluster=1"]) == 1
+    assert capsys.readouterr() == ("", "error: min_cluster must be at least 2, got 1\n")
+    assert not (tmp_path / "o").exists()
+    assert main([*args, "--param", "min_cluster=2"]) == 0
+
+
+def test_negative_synth_messages_exits_1(tmp_path, capsys):
+    spec = str(resources.files("protoseg") / "specs" / "mixed.json")
+    assert main(["synth", "--spec", spec, "--messages", "-3", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr() == ("", "error: --messages must be non-negative, got -3\n")
+    assert not (tmp_path / "o").exists()
+    assert main(["synth", "--spec", spec, "--messages", "0", "--out", str(tmp_path / "o")]) == 0

@@ -1,7 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (duplicate_heavy_values, indented_dumps, reference_dbscan,
                       reference_pairwise, reference_recursive_cluster, reference_tree_dicts)
@@ -12,7 +15,7 @@ from protoseg.cluster import (ABANDONED_DEPTH, ABANDONED_SMALL, NOISE, PCA_SUITA
 from protoseg.model import (AnalysisParams, EstimationError, SegmentRef, UsageError,
                             segments_of)
 from protoseg.pca import kneedle
-from protoseg.refine import null_segmenter
+from protoseg.refine import PASS_PCA, null_segmenter, preset, run_pipeline
 
 
 def ref(values, message_id=0, start=0):
@@ -325,6 +328,79 @@ class TestOneClusterChain:
         members = [r for m in messages for r in segments_of(null_segmenter(m), m)]
         assert tree_to_json(recursive_cluster(members)) == tree_to_json(
             reference_recursive_cluster(members, AnalysisParams(), cluster.DEFAULT_MAX_DEPTH))
+
+
+class TestSubsetGather:
+    """A child's matrix gathered in row blocks, into a fresh array or its parent's buffer."""
+
+    @staticmethod
+    def gather(D, rows, in_place):
+        rows = np.asarray(rows)
+        members, inverse, sub = cluster._subset(tuple(range(len(D))), np.arange(len(D)), D,
+                                                rows, rows.tolist(), in_place)
+        assert members == tuple(rows.tolist())
+        assert inverse.tolist() == list(range(rows.size))
+        return sub
+
+    # below 513 distinct values a child fits in one block of rows; above, in two
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(u=st.one_of(st.integers(1, 12), st.integers(513, 560)), data=st.data())
+    def test_gather_equals_fancy_indexing(self, u, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        k = data.draw(st.one_of(st.just(1), st.just(u), st.integers(1, u)))
+        rows = np.sort(rng.choice(u, size=k, replace=False))
+        ends = data.draw(st.sampled_from([(), (0,), (u - 1,), (0, u - 1)]))
+        rows = np.union1d(rows, ends).astype(np.intp)
+        D = random_dist(rng, u)
+        want = D[np.ix_(rows, rows)]
+        assert self.gather(D, rows, False).tobytes() == want.tobytes()
+
+        buffer = D.copy()
+        sub = self.gather(buffer, rows, True)
+        assert np.shares_memory(sub, buffer)
+        assert sub.tobytes() == want.tobytes()
+        # a child gathered in place is a prefix view, and its own child can
+        # again be gathered into the same buffer
+        inner = rows[::2]
+        subsub = self.gather(sub, np.searchsorted(rows, inner), True)
+        assert np.shares_memory(subsub, buffer)
+        assert subsub.tobytes() == D[np.ix_(inner, inner)].tobytes()
+
+    def test_pairwise_matrix_is_c_contiguous(self):
+        # so the in-place gather's reshape(-1) is a view of the root's buffer
+        rng = np.random.default_rng(3)
+        values = [bytes(rng.integers(0, 256, size=4).tolist()) for _ in range(30)]
+        assert dissim.pairwise(values).flags.c_contiguous
+
+    def test_peak_memory_stays_near_the_largest_matrix(self):
+        # criterion 9's trace: mixed at 1000 messages, segmented as nullpca
+        # has it when the pca pass starts
+        spec = dataclasses.replace(synth.reference_specs()["mixed"], message_count=1000)
+        messages, _ = synth.generate(spec)
+        passes = preset("nullpca").passes
+        before_pca = dataclasses.replace(preset("nullpca"), passes=passes[:passes.index(PASS_PCA)])
+        segs = run_pipeline(messages, before_pca).segmentations
+        members = [r for m, s in zip(messages, segs) for r in segments_of(s, m)]
+        groups = {}
+        for r in members:
+            groups.setdefault(len(r.values), set()).add(r.values)
+        u = max(map(len, groups.values()))
+        assert u == 1167
+
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            roots = recursive_cluster(members)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if started:
+                tracemalloc.stop()
+        # the root splits by length, so the largest matrix is that group's
+        assert {len({len(m) for m in child.members}) for child in roots[0].children} == {1}
+        assert peak < 1.6 * 8 * u * u
 
 
 def assert_renders_like_dumps(roots):

@@ -160,13 +160,29 @@ _FIELD_RECORDS = st.lists(
                           optional={"type": st.sampled_from(["char", "number", "pad", "widget",
                                                              7, None])}),
     min_size=1, max_size=4)
+
+
+@st.composite
+def tilings(draw):
+    """Field records that tile bytes 0..end in order, sometimes with one bound changed."""
+    ends = draw(st.lists(st.integers(1, 7), unique=True, min_size=1, max_size=4).map(sorted))
+    records = [{"start": a, "end": b} for a, b in zip([0] + ends, ends)]
+    if draw(st.booleans()):
+        record = records[draw(st.integers(0, len(records) - 1))]
+        record[draw(st.sampled_from(["start", "end"]))] = draw(
+            st.one_of(st.integers(-1, 9), st.booleans()))
+    return records
+
+
 # mostly well-formed: digit keys over sorted cuts or field records
 _PLAIN_CUT_MAPS = st.dictionaries(
     st.integers(0, 7).map(str),
-    st.one_of(st.lists(st.integers(1, 6), unique=True, max_size=4).map(sorted), _FIELD_RECORDS),
+    st.one_of(st.lists(st.integers(1, 6), unique=True, max_size=4).map(sorted), _FIELD_RECORDS,
+              tilings()),
     max_size=6)
 _CUT_MAPS = st.one_of(_PLAIN_CUT_MAPS, _JSON,
-                      st.dictionaries(_ID_KEYS, st.one_of(_CUTS, _FIELD_RECORDS, _RECORDS, _JSON),
+                      st.dictionaries(_ID_KEYS, st.one_of(_CUTS, _FIELD_RECORDS, tilings(),
+                                                          _RECORDS, _JSON),
                                       max_size=6))
 
 
@@ -194,6 +210,7 @@ def _check_cut_map_loaders(path, messages, obj=None):
 
     What they return has one message per key of obj, when it is an
     object, and every such key is written in ASCII decimal digits.
+    Ground truth from field records has one label per segment.
     """
     lengths = {m.id: len(m.payload) for m in messages or ()}
     loaded = []
@@ -204,7 +221,10 @@ def _check_cut_map_loaders(path, messages, obj=None):
     except IngestionError:
         pass
     try:
-        loaded.append(load_ground_truth(str(path), messages).cuts)
+        truth = load_ground_truth(str(path), messages)
+        loaded.append(truth.cuts)
+        assert all(len(labels) == len(truth.cuts[mid]) + 1
+                   for mid, labels in truth.labels.items())
     except IngestionError:
         pass
     for cuts_by_id in loaded:

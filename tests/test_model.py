@@ -86,6 +86,12 @@ def test_params_validate_ranges():
         AnalysisParams(delta_min=1.5)
 
 
+def test_min_cluster_needs_two_members_to_overlay():
+    with pytest.raises(UsageError, match="min_cluster must be at least 2, got 1"):
+        AnalysisParams(min_cluster=1)
+    assert AnalysisParams(min_cluster=2).min_cluster == 2
+
+
 def test_ground_truth_label_validation():
     GroundTruth(cuts={0: (2,)}, labels={0: ("number", "char")})
     with pytest.raises(UsageError):

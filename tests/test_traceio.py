@@ -183,6 +183,28 @@ class TestGroundTruthJson:
         assert truth.cuts == {0: (2,)}
         assert truth.labels == {0: ("number", "char")}
 
+    @pytest.mark.parametrize("records, where, message", [
+        ([{"start": 0, "end": 2, "type": "number"}, {"start": 0, "end": 2, "type": "char"},
+          {"start": 5, "end": 8, "type": "pad"}], 1, "starts at 0, expected 2"),
+        ([{"start": 1, "end": 6}], 0, "starts at 1, expected 0"),
+        ([{"start": 0, "end": 2}, {"start": 3, "end": 6}], 1, "starts at 3, expected 2"),
+        ([{"start": 0, "end": 2}, {"start": 2, "end": 2}], 1, "ends at 2, not after"),
+        ([{"start": False, "end": True}], 0, "must be integers"),
+        ([{"start": 0, "end": 2}, {"start": 2, "end": 5}], 1, "ends at 5, not at the payload"),
+    ])
+    def test_field_records_must_tile_the_message(self, tmp_path, records, where, message):
+        msgs = self._trace(tmp_path)
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"0": records}))
+        for messages in (msgs,) if "payload" in message else (None, msgs):
+            with pytest.raises(IngestionError, match=rf"\$\.0\[{where}\]: .*{message}"):
+                load_ground_truth(str(path), messages)
+
+    def test_field_records_end_anywhere_without_a_trace(self, tmp_path):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"0": [{"start": 0, "end": 2}, {"start": 2, "end": 5}]}))
+        assert load_ground_truth(str(path)).cuts == {0: (2,)}
+
     def test_bad_key_reports_json_path(self, tmp_path):
         path = tmp_path / "gt.json"
         path.write_text('{"zero": [1]}')
