@@ -6,6 +6,7 @@ classic pcap framing, Ethernet/IPv4/UDP decapsulation, deduplication,
 and the null-bytes segmenter over the extracted messages.
 """
 
+import os
 import struct
 import tempfile
 
@@ -36,9 +37,11 @@ for i, p in enumerate(payloads):
 with tempfile.NamedTemporaryFile(suffix=".pcap", delete=False) as fh:
     fh.write(blob)
     path = fh.name
-
-spec = TraceSpec(path, format="pcap", layer="udp_payload", port=9000, dedupe=True)
-messages = load_trace(spec)
+try:
+    messages = load_trace(TraceSpec(path, format="pcap", layer="udp_payload", port=9000,
+                                    dedupe=True))
+finally:
+    os.unlink(path)
 print(f"{len(payloads)} frames in the capture, {len(messages)} unique messages loaded\n")
 
 for msg in messages:

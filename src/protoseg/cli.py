@@ -192,15 +192,24 @@ def _cmd_segment(args) -> int:
     return 0
 
 
+def _report_names(paths) -> list:
+    """A distinct report name per segmentation file.
+
+    A file is named by its stem; colliding stems get their directory's
+    name in front, and names that still collide are the paths as given.
+    """
+    if len(set(map(os.path.abspath, paths))) < len(paths):
+        raise UsageError("--segments names the same file twice")
+    stems = [os.path.splitext(os.path.basename(p))[0] for p in paths]
+    names = [f"{os.path.basename(os.path.dirname(os.path.abspath(p)))}/{stem}"
+             if stems.count(stem) > 1 else stem for p, stem in zip(paths, stems)]
+    return [p if names.count(name) > 1 else name for p, name in zip(paths, names)]
+
+
 def _cmd_evaluate(args) -> int:
+    names = _report_names(args.segments)
     messages = _load_messages(args)
     truth = traceio.load_ground_truth(args.truth, messages)
-    stems = [os.path.splitext(os.path.basename(p))[0] for p in args.segments]
-    names = []
-    for path, stem in zip(args.segments, stems):
-        if stems.count(stem) > 1:  # disambiguate colliding file names
-            stem = f"{os.path.basename(os.path.dirname(os.path.abspath(path)))}/{stem}"
-        names.append(stem)
     reports = []
     for path, name in zip(args.segments, names):
         segs = traceio.load_segmentation(path, messages)

@@ -33,8 +33,8 @@ largest length group, plus the copies of that node's other children.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Optional
 
 import numpy as np
@@ -324,61 +324,24 @@ def _analyze(members: tuple, inverse, dist, depth: int,
 def tree_to_json(roots) -> str:
     """Text of `clusters.json` (without its trailing newline).
 
-    It is `json.dumps(nodes, indent=1, separators=(",", ": "))` of one
-    {"id", "verdict", "depth", "members", "children"} object per node,
-    ids in preorder, each member a {"message", "start", "end"} object,
-    written here straight from the tree: one `%` template per indent
-    level formats the members.  The nodes of a one-cluster chain share
-    one members tuple and come one after another in preorder, so the
-    (message, start, end) rows of the last tuple are kept and a chain
-    builds them once.
+    It is the compact `json.dumps` of {"format": 2, "roots": [...]}, one
+    object per node with its preorder "id", "verdict", "depth" and
+    "member_count".  A leaf adds "members", one [message, start, end]
+    array per member; an inner node adds "children" instead.  The
+    children of a node, its noise child included, partition its
+    members, so an inner node's members are those of its leaves and
+    each member is written once.
     """
-    pieces = []
     next_id = itertools.count()
-    last_members = last_rows = None
 
-    def members_text(members, level):
-        # the members' braces at indent `level`, their fields one deeper
-        nonlocal last_members, last_rows
-        if members is not last_members:
-            last_members = members
-            last_rows = [(m.message_id, m.start, m.end) for m in members]
-        close = "\n" + " " * level
-        field = close + " "
-        record = ("{" + field + '"message": %d,' + field + '"start": %d,' + field
-                  + '"end": %d' + close + "}")
-        return ("," + close).join(map(record.__mod__, last_rows))
-
-    def visit(node, level):
-        # the node's braces at indent `level`, its keys one deeper and
-        # the items of its lists two deeper
-        close = "\n" + " " * level
-        key = close + " "
-        item = key + " "
-        pieces.append("{%s\"id\": %d,%s\"verdict\": %s,%s\"depth\": %d,%s\"members\": " % (
-            key, next(next_id), key, _encode_string(node.verdict), key, node.depth, key))
-        if node.members:
-            pieces.extend(("[" + item, members_text(node.members, level + 2), key + "]"))
-        else:
-            pieces.append("[]")
-        pieces.append("," + key + '"children": ')
+    def visit(node):
+        entry = {"id": next(next_id), "verdict": node.verdict, "depth": node.depth,
+                 "member_count": len(node.members)}
         if node.children:
-            sep = "["
-            for child in node.children:
-                pieces.append(sep + item)
-                visit(child, level + 2)
-                sep = ","
-            pieces.append(key + "]")
+            entry["children"] = [visit(child) for child in node.children]
         else:
-            pieces.append("[]")
-        pieces.append(close + "}")
+            entry["members"] = [[m.message_id, m.start, m.end] for m in node.members]
+        return entry
 
-    if not roots:
-        return "[]"
-    sep = "["
-    for root in roots:
-        pieces.append(sep + "\n ")
-        visit(root, 1)
-        sep = ","
-    pieces.append("\n]")
-    return "".join(pieces)
+    return json.dumps({"format": 2, "roots": [visit(root) for root in roots]},
+                      separators=(",", ":"))

@@ -15,16 +15,16 @@ JSON input, and a file that holds no JSON value is an error naming its
 line and column.
 
 Every artifact is written atomically: a temporary file renamed into
-place.  A JSON artifact holds the text of
+place.  A JSON artifact written here holds the text of
 `json.dumps(obj, indent=1, separators=(",", ": "))` and a newline.
 `save_segmentation` (`segments.json`) and
 `save_ground_truth` (`truth.json`) render their cut maps as that text
 through one renderer; `write_json_atomic` writes any other JSON value,
 a list of records such as `edits.json` with one C-encoder call and
 anything else, such as `report.json`, with `json.dumps`; and
-`write_text_atomic` writes text rendered elsewhere, such as
-`cluster.tree_to_json`'s `clusters.json`, `comparison.csv` and the
-hex-line traces of `save_hexlines`.
+`write_text_atomic` writes text rendered elsewhere, such as the
+compact `clusters.json` of `cluster.tree_to_json`, `comparison.csv`
+and the hex-line traces of `save_hexlines`.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ recomputing recursion checks the clustering tree against the full
 segments x segments analysis at every level.  The per-byte loops of
 the bit-congruence segmenter, the null-run and printable-run scans and
 the uncached entropy merge check their vectorised, table-driven
-replacements in `refine`.  The dict tree of the cluster nodes and the
-cut-map dicts, run through `json.dumps`, check the text renderers of
-`clusters.json`, `segments.json` and `truth.json`.
+replacements in `refine`.  The cut-map dicts, run through
+`json.dumps(indent=1)`, check the text renderer of `segments.json` and
+`truth.json`; the dict tree of the cluster nodes checks the compact
+`clusters.json`.
 """
 
 import json
@@ -298,31 +299,22 @@ def reference_recursive_cluster(segments, params, max_depth):
     return [analyze(tuple(segments), 0)]
 
 
-def reference_tree_dicts(roots) -> list:
-    """The cluster tree as JSON-ready dicts (node id, verdict, member refs)."""
-    out = []
+def reference_tree_dicts(roots) -> dict:
+    """`clusters.json` as JSON-ready dicts: node ids, verdicts, member counts, leaf members."""
     counter = [0]
 
     def visit(node):
-        node_id = counter[0]
+        entry = {"id": counter[0], "verdict": node.verdict, "depth": node.depth,
+                 "member_count": len(node.members)}
         counter[0] += 1
-        entry = {
-            "id": node_id,
-            "verdict": node.verdict,
-            "depth": node.depth,
-            "members": [
-                {"message": m.message_id, "start": m.start, "end": m.end}
-                for m in node.members
-            ],
-            "children": [],
-        }
-        for child in node.children:
-            entry["children"].append(visit(child))
+        children = [visit(child) for child in node.children]
+        if children:
+            entry["children"] = children
+        else:
+            entry["members"] = [[m.message_id, m.start, m.end] for m in node.members]
         return entry
 
-    for root in roots:
-        out.append(visit(root))
-    return out
+    return {"format": 2, "roots": [visit(root) for root in roots]}
 
 
 def indented_dumps(obj) -> str:

@@ -62,6 +62,28 @@ def test_evaluate_compares_pipelines(synth_dir, tmp_path, capsys):
     assert report["truth"]["medians"]["fms_like"] == 1.0
 
 
+def test_evaluate_names_files_with_colliding_directories_apart(synth_dir, tmp_path, capsys):
+    # a/x/segments.json and b/x/segments.json share stem and directory name
+    paths = [tmp_path / top / "x" / "segments.json" for top in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir(parents=True)
+        path.write_bytes((synth_dir / "truth.json").read_bytes())
+    out = tmp_path / "eval"
+    trace = ["--trace", str(synth_dir / "trace.hex"), "--no-dedupe",
+             "--truth", str(synth_dir / "truth.json")]
+    rc = main(["evaluate", *trace, "--segments", *map(str, paths), "--out", str(out)])
+    assert rc == 0
+    assert sorted(json.loads((out / "report.json").read_text())) == sorted(map(str, paths))
+    header = (out / "comparison.csv").read_text().splitlines()[0].split(",")
+    assert header == ["message_id", *map(str, paths)]
+
+    rc = main(["evaluate", *trace, "--segments", str(paths[0]), str(paths[0]),
+               "--out", str(tmp_path / "o2")])
+    assert rc == 1
+    assert "same file twice" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
+
+
 def test_inspect_prints_boundaries(synth_dir, capsys):
     rc = main(["inspect", "--trace", str(synth_dir / "trace.hex"),
                "--no-dedupe", "--limit", "3"])
@@ -103,7 +125,7 @@ def test_param_override_applies(synth_dir, tmp_path):
     assert rc == 0
     clusters = json.loads((out / "clusters.json").read_text())
     # with an absurd minimum cluster size everything is abandoned as small
-    assert clusters[0]["verdict"] in ("abandoned_small", "recursed")
+    assert clusters["roots"][0]["verdict"] in ("abandoned_small", "recursed")
 
 
 def test_parser_keeps_no_values_between_calls(synth_dir):
@@ -137,7 +159,7 @@ def test_config_file_applies_knobs(synth_dir, tmp_path):
                "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     clusters = json.loads((out / "clusters.json").read_text())
-    assert clusters[0]["verdict"] in ("abandoned_small", "recursed")
+    assert clusters["roots"][0]["verdict"] in ("abandoned_small", "recursed")
 
 
 def test_config_file_rejects_unknown_names(synth_dir, tmp_path, capsys):
@@ -191,7 +213,7 @@ def test_integral_float_accepted_for_integer_param(synth_dir, tmp_path):
                "--param", "min_cluster=1000.0", "--out", str(out)])
     assert rc == 0
     clusters = json.loads((out / "clusters.json").read_text())
-    assert clusters[0]["verdict"] in ("abandoned_small", "recursed")
+    assert clusters["roots"][0]["verdict"] in ("abandoned_small", "recursed")
 
 
 @pytest.mark.parametrize("override", ["chunk=0", "max_depth=-1", "char_min_run=0",

@@ -1,13 +1,16 @@
 import dataclasses
+import itertools
+import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (duplicate_heavy_values, indented_dumps, reference_dbscan,
-                      reference_pairwise, reference_recursive_cluster, reference_tree_dicts)
+from conftest import (duplicate_heavy_values, reference_dbscan, reference_pairwise,
+                      reference_recursive_cluster, reference_tree_dicts)
 from protoseg import cluster, dissim, synth
 from protoseg.cluster import (ABANDONED_DEPTH, ABANDONED_SMALL, NOISE, PCA_SUITABLE,
                               RECURSED, ClusterNode, dbscan, estimate_eps, recursive_cluster,
@@ -307,7 +310,8 @@ class TestOneClusterChain:
         assert not node.children
         reference = reference_recursive_cluster(members, AnalysisParams(), 3)
         assert calls["overlay"] == 5  # the recomputing recursion overlays every level
-        assert tree_to_json(roots) == tree_to_json(reference)
+        assert roots == reference
+        assert_children_partition(roots)
 
     @pytest.mark.parametrize("max_depth", [1, 3])
     def test_random_sets_match_recomputing_recursion(self, max_depth):
@@ -317,17 +321,19 @@ class TestOneClusterChain:
             members = [ref(rng.integers(0, 256, size=length).tolist(), message_id=i)
                        for i in range(int(rng.integers(6, 40)))]
             roots = recursive_cluster(members, max_depth=max_depth)
-            assert_renders_like_dumps(roots)
-            assert tree_to_json(roots) == tree_to_json(
-                reference_recursive_cluster(members, AnalysisParams(), max_depth))
+            assert roots == reference_recursive_cluster(members, AnalysisParams(), max_depth)
+            assert_children_partition(roots)
+            assert_round_trips(roots)
 
     @pytest.mark.parametrize("name", sorted(synth.reference_specs()))
     def test_spec_segments_match_recomputing_recursion(self, name):
         spec = dataclasses.replace(synth.reference_specs()[name], message_count=40, rng_seed=7)
         messages, _ = synth.generate(spec)
         members = [r for m in messages for r in segments_of(null_segmenter(m), m)]
-        assert tree_to_json(recursive_cluster(members)) == tree_to_json(
-            reference_recursive_cluster(members, AnalysisParams(), cluster.DEFAULT_MAX_DEPTH))
+        roots = recursive_cluster(members)
+        assert roots == reference_recursive_cluster(members, AnalysisParams(),
+                                                    cluster.DEFAULT_MAX_DEPTH)
+        assert_children_partition(roots)
 
 
 class TestSubsetGather:
@@ -403,29 +409,76 @@ class TestSubsetGather:
         assert peak < 1.6 * 8 * u * u
 
 
-def assert_renders_like_dumps(roots):
+def assert_children_partition(roots):
+    """The children of every inner node, its noise child included, partition its members."""
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                held = [m for child in node.children for m in child.members]
+                assert sorted(map(id, held)) == sorted(map(id, node.members))
+                stack.extend(node.children)
+
+
+def assert_round_trips(roots):
+    """Each node's member multiset and count, rebuilt from the parsed leaves, are the tree's."""
+    def rebuilt(entry, node, ids):
+        assert (entry["id"], entry["verdict"], entry["depth"]) == (next(ids), node.verdict,
+                                                                    node.depth)
+        assert entry["member_count"] == len(node.members)
+        if node.children:
+            assert "members" not in entry and len(entry["children"]) == len(node.children)
+            held = Counter()
+            for child_entry, child in zip(entry["children"], node.children):
+                held += rebuilt(child_entry, child, ids)
+        else:
+            assert "children" not in entry
+            held = Counter(map(tuple, entry["members"]))
+        assert held == Counter((m.message_id, m.start, m.end) for m in node.members)
+        assert sum(held.values()) == entry["member_count"]
+        return held
+
+    tree = json.loads(tree_to_json(roots))
+    assert tree["format"] == 2 and len(tree["roots"]) == len(roots)
+    ids = itertools.count()
+    for entry, root in zip(tree["roots"], roots):
+        rebuilt(entry, root, ids)
+
+
+def assert_encodes_reference_dicts(roots):
     text = tree_to_json(roots)
-    expected = indented_dumps(reference_tree_dicts(roots))
-    # line lists first: a failure names the first differing line without
-    # diffing hundreds of kilobytes of text
-    assert text.splitlines() == expected.splitlines()
-    assert text == expected
+    assert text == json.dumps(reference_tree_dicts(roots), separators=(",", ":"))
 
 
 class TestTreeToJson:
-    """`tree_to_json` writes the text `json.dumps` gives for the node dicts."""
+    """`tree_to_json` writes the compact `json.dumps` of the format-2 node dicts."""
 
     def test_empty_root_list(self):
-        assert tree_to_json([]) == "[]"
-        assert_renders_like_dumps([])
+        assert tree_to_json([]) == '{"format":2,"roots":[]}'
+        assert_encodes_reference_dicts([])
 
     def test_one_cluster_chain(self):
         rng = np.random.default_rng(2)
         members = [ref(rng.integers(0, 256, size=6).tolist(), message_id=i) for i in range(20)]
         roots = recursive_cluster(members, max_depth=3)
-        assert roots[0].children[0].members is roots[0].members  # the chain shares its tuple
-        assert_renders_like_dumps(roots)
-        assert tree_to_json(roots).count('"message": 7,') == 4  # members at every depth
+        assert_encodes_reference_dicts(roots)
+        assert_round_trips(roots)
+        text = tree_to_json(roots)
+        assert text.count("[7,0,6]") == 1  # members once, at the leaf
+        assert text.count('"member_count":20') == 4
+
+    def test_leaf_members_and_inner_counts(self):
+        members = (ref([1, 2], message_id=3, start=4), ref([5, 6, 7], message_id=8))
+        root = ClusterNode(members, RECURSED, 0, children=(
+            ClusterNode(members[1:], PCA_SUITABLE, 1), ClusterNode(members[:1], NOISE, 1)))
+        assert json.loads(tree_to_json([root])) == {"format": 2, "roots": [{
+            "id": 0, "verdict": RECURSED, "depth": 0, "member_count": 2, "children": [
+                {"id": 1, "verdict": PCA_SUITABLE, "depth": 1, "member_count": 1,
+                 "members": [[8, 0, 3]]},
+                {"id": 2, "verdict": NOISE, "depth": 1, "member_count": 1,
+                 "members": [[3, 4, 6]]},
+            ]}]}
 
     def test_noise_children_and_deep_nesting(self):
         rng = np.random.default_rng(5)
@@ -441,7 +494,8 @@ class TestTreeToJson:
             ClusterNode(members[20:], NOISE, 1),
         ))
         roots = [root, ClusterNode(members[:2], NOISE, 0)]
-        assert_renders_like_dumps(roots)
+        assert_encodes_reference_dicts(roots)
+        assert_round_trips(roots)
 
     def test_length_split_roots(self):
         rng = np.random.default_rng(8)
@@ -449,12 +503,37 @@ class TestTreeToJson:
                    for i, size in enumerate(rng.choice([2, 5, 12], size=60))]
         roots = recursive_cluster(members)
         assert roots[0].verdict == RECURSED and len(roots[0].children) == 3
-        assert_renders_like_dumps(roots)
+        assert_encodes_reference_dicts(roots)
+        assert_children_partition(roots)
+        assert_round_trips(roots)
 
     def test_verdict_and_empty_members_through_the_json_encoder(self):
         roots = [ClusterNode((), 'caf\u00e9 "q" \\ \n', 0),
                  ClusterNode((ref([1, 2], message_id=12345, start=678),), NOISE, 0)]
-        assert_renders_like_dumps(roots)
+        assert json.loads(tree_to_json(roots))["roots"][0]["verdict"] == roots[0].verdict
+        assert_encodes_reference_dicts(roots)
+        assert_round_trips(roots)
+
+    def test_duplicate_heavy_sets(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            values = duplicate_heavy_values(rng, int(rng.integers(10, 120)))[0]
+            members = [ref(v, message_id=i, start=i % 5) for i, v in enumerate(values)]
+            roots = recursive_cluster(members)
+            assert_children_partition(roots)
+            assert_round_trips(roots)
+
+    def test_duplicate_heavy_spec_tree(self):
+        # the shape of the golden mixed/nullpca@600 case: length groups with
+        # several times more segments than distinct values, recursing below
+        spec = dataclasses.replace(synth.reference_specs()["mixed"], message_count=300,
+                                   rng_seed=5)
+        messages, _ = synth.generate(spec)
+        members = [r for m in messages for r in segments_of(null_segmenter(m), m)]
+        roots = recursive_cluster(members)
+        assert max(node.depth for node in roots[0].leaves()) >= 2
+        assert_children_partition(roots)
+        assert_round_trips(roots)
 
     @pytest.mark.parametrize("name", sorted(synth.reference_specs()))
     def test_spec_trees(self, name):
@@ -462,4 +541,6 @@ class TestTreeToJson:
         messages, _ = synth.generate(spec)
         members = [r for m in messages for r in segments_of(null_segmenter(m), m)]
         roots = recursive_cluster(members)
-        assert_renders_like_dumps(roots)
+        assert_encodes_reference_dicts(roots)
+        assert_children_partition(roots)
+        assert_round_trips(roots)

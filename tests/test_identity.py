@@ -27,6 +27,12 @@ segmentation and entropy merge decide most of its cuts; its digests
 were recorded on commit fd9dfbb, before the vectorised base segmenter
 and the per-run entropy table replaced the per-byte loops.
 
+The `clusters.json` digests were re-pinned when that file moved to its
+compact format 2, which lists each member once, at its leaf: the new
+files equal the older ones converted to format 2 (each node's member
+count kept, members dropped from inner nodes), and the `segments.json`
+and `edits.json` digests stayed as they were.
+
 The same runs also check that `edits.json` is a faithful log: replayed
 in order over the preset's base segmentation, every edit is valid when
 it is applied and the result is `segments.json`.
@@ -49,62 +55,62 @@ GOLDEN = {
     "chars/nemepca": (
         "e145d1938ad5d8f4443489d432fcf341bfa1f7178d7d3b447430b6b7f33587a8",
         "d9b665412240c704d97209fc1d3cf46112bd2c3516c3ba020b2801052e3a9409",
-        "c1ea882aaa26c06d9ce8d5cadeb058d54a967089259a192f7beae5612ea7cb7e",
+        "3a4d8e83a1405d5b8a83fcde27dbf10b02b6bcc42ec93c3418268bd1eabf5886",
     ),
     "chars/nullpca": (
         "02bbbb1084637307f5a575de7293243bccb9343d2d3efc36f6de625b82fdf2d8",
         "7d41b6d86cba0beda0662a2931ce72e94dc57b4cc302dc0066dd127974b43bf4",
-        "fcd9fae7e8a59e0de040f6983f38c97fd952432ae44b310e0f0c42c124e3063b",
+        "f900917c8a6fae15ef0ace27163fc7041bdc44dcd1ce12dc75df3f9f2427678a",
     ),
     "fixed/nemepca": (
         "61264fa5c039b3da4faca63eecb476017a14ada0484979bc937d8d3f0096328e",
         "b3d8d08d72a397e703b89dc0d9483d31b8599d320b519a31bd7118b374ee9fc1",
-        "b2b7778d2767b43822dd91f6b464db81dd18321b7075c03a001c1a79c6fdd9e1",
+        "10449b8c93fcf396b6c0add57618a9ced92f70aed04440c2e0e5f0de1163bc8c",
     ),
     "fixed/nullpca": (
         "c96b5ee5fbca28374e580c3e5bd10f744333fb671efa17cd5276d48b71258757",
         "f18f3180556bc59f9fd73e94ca617ca6e6a1dc771b76616291bad71a67edbb9c",
-        "34dc8efd036d54b5295106e8616125a7e926b3dbfe660c8af310137ff7669901",
+        "cac750d550c5efeb445582073ba8cdd808e684277ae0142212ef80f77391a3f3",
     ),
     "mixed/nemepca": (
         "77f7c435810846e54018f1b72733e4614931707a2b110cc4a8fc9d60862d7a57",
         "c40b451a2721cc937c88633e9e62fdee8940106b079e665eda82bf27ecbf44e2",
-        "67faa9dcc1a3981f47e0048df7a34e32dcf7ab01f3fffef02face942ccad77ac",
+        "7231548e82f836218f22fb1491ac37e3be5bb33c29311226152895da70cb6e97",
     ),
     "mixed/nullpca": (
         "abc4b1fbfef5c9757e6aaccde44cdb4da436907ae3d06a392b3ab76a280db255",
         "5a7a2f5bfa4576da716c15ab3074c4daceeb0c9040862331e81630413ff5aeb5",
-        "0fbe5374618adb2cf093d1bfcf048adefe75c326a705105a05c76444d3c913ab",
+        "6fbb54d9e82510a8c7ee0a270373d1852891505d22e13540c5c960ebbf10c0c8",
     ),
     "nullsep/nemepca": (
         "d028f98f53a7abb560bc7aef16cdac4ceda62681c7328f2a6e8ca276e686158f",
         "9208adba027b69eaded35841a57955878ab0fc1bd87c6a4b19b4d47f94aced3b",
-        "aa7aa2c18f7a685599d0f807015ba41e9f5ea43bf036999ac85ab07d1df90a67",
+        "979799f6281016a0be9f0109946c77da2ddc9ff5c35a56e38b79a558b1113bcd",
     ),
     "nullsep/nullpca": (
         "fb357b7fadf5f54396d2de9c41382526a80029fa5428d1c838dbe831fe27b041",
         "7a480c72f0c714d4fd91d5a8121099bb057f76fc362749092d65a1f5662d835b",
-        "c112b516739196431319809aa350b1cd635be721716dcc5b514f8108f56bfcac",
+        "5233722a6ae96b0ed90f3e5042ab6f0489ede1f6748d0a71e43622712bdb4e34",
     ),
     "optional/nemepca": (
         "d16e0308c68c9d13dfa1598647f6adcf1d9a90cc00a504288f984809be3510a4",
         "edc6123863042899628b9cf5596992d5d0e8acd6fa8f4c4a89b53d848a20cfef",
-        "c775d970cd6e55ccc48c6fc66050ea2847a44a6a5e43b80095279cb7e0a370dc",
+        "17c9296100fea956d079bfe141c80efb3d15d956785e469d84237145f878fee6",
     ),
     "optional/nullpca": (
         "1d9b483a702158e57998f5f0dcd4a2e37d7cf11cc3eeb4a38e9264324a94341b",
         "91066a1ad7f60f2a3abaebb43ccbff18fd818acc8df08a65fad00c8141521ab3",
-        "1b25804f35ef7857a07cc83976aae66e4f572ac92686d4058ac5a2557fb024cb",
+        "85dbd7b7e2d0589a7c54bdea2ded3acecaabd00df54f8718e7de0e72884afd09",
     ),
     "packed/nemepca": (
         "a3646238c94b381ec946f7dbf5fd63f68353578bc6dbf9bcc479b77da0d03532",
         "4111ba4b92a8c5bfb3976f3e5c7dc77ca49d00494367ff7939ab87987c503d03",
-        "8efadca812c4750eeb953c7351e75761bf0987d5f9389675a5e97dd3ded87b60",
+        "a8aac67274dc04e182ff2af8cc8683659b598b10c55f779f879331840b3067c0",
     ),
     "packed/nullpca": (
         "695075eb5a3d08e31b8c3926252d673dabfaac1e741c2c2a95132d33ee4d0a6a",
         "66e8d748b844f903557838c017f401c66e85e3312ade12161fee2069a3b25223",
-        "1943fb885e50fc8ce4865963741084a3abb7c4170cf8fd80994360750e6d061d",
+        "8c76e3a670f0b7c572bab1ae8a2b28e469d867d7bb15c3ada80800bd0d786365",
     ),
 }
 
@@ -113,12 +119,12 @@ GOLDEN_LARGE = {
     "mixed/nullpca@600": (
         "0f13d31b0808ab14637731528f9555a7b746ab02887bc5aac52bd62dad850080",
         "f295f57c6fb152e29e783eef0d6e54e888538d855b307e9497f78fe657202091",
-        "270b7da1a589493bc433dda0dbc12d83220b54fb87ba7c64afad46334859babb",
+        "1ee6ce55fab6b49f681d6047c1bff3929f8b8ba0d8c1d0e9972709b97a2e8d47",
     ),
     "chars/nemepca@600": (
         "a6f7658688c28faceeb7b88b1bebce76447f4b1394db28a1770eb1462a3a6b38",
         "4c6834aa5aad84e8d2d8d925b8001ba4f295254a0b8bf8ea783c413c068abaad",
-        "372b52f0960bc3536bf5b10f0955148cb20f33c3e9a97ddd043f318c3bb3675d",
+        "c21fc2b2e8b43bc5547be395f4562313791450edea7e2c37f4146b3ca89a2fd4",
     ),
 }
 
