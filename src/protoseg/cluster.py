@@ -14,7 +14,12 @@ of members holding it as an integer weight.  `dbscan` and
 the segments x segments matrix with every value repeated per member.
 Identical members are at distance 0, so they always share a cluster;
 a child's distinct values are therefore a subset of its parent's in
-the same order, and its matrix is a slice of the parent's.
+the same order, and its matrix is a slice of the parent's.  The same
+holds for the overlay offsets: a node hands each child the offsets of
+the child's distinct values against its own medoid and every
+ancestor's, keyed by medoid value, and a child whose medoid holds one
+of those values reuses them instead of recomputing its shifts with
+`dissimilarity`.
 
 A node that DBSCAN does not split (one cluster holding every row) has
 a child with its own members, matrix and eps, which would get the same
@@ -103,45 +108,49 @@ def dbscan(dist: np.ndarray, eps: float, min_pts: int, weights=None) -> tuple:
     if n == 0:
         return [], []
     within = D <= eps
-    count = np.count_nonzero(within, axis=1)
+    count = within.sum(axis=1)
     if weights is not None:
         # a row of weight w adds its w - 1 duplicates to every neighbor
         w = np.asarray(weights)
-        heavy = np.flatnonzero(w > 1)
+        heavy = (w > 1).nonzero()[0]
         count += within[:, heavy] @ (w[heavy] - 1)
     core = count >= min_pts
-    core_idx = np.flatnonzero(core)
 
-    # connected components of the core-core graph, by frontier expansion:
-    # a frontier row's neighbors in `within` that are core and unlabelled
+    # connected components of the core-core graph, by frontier expansion
+    # from the lowest unlabelled core row: a frontier row's neighbors in
+    # `within` that are core and unlabelled
     label = np.full(n, -1)
     free = core.copy()
     n_clusters = 0
-    for seed in core_idx.tolist():
-        if not free[seed]:
-            continue
+    seed = int(free.argmax())
+    while free[seed]:
         free[seed] = False
         label[seed] = n_clusters
-        frontier = np.array([seed])
-        while frontier.size:
-            reached = within[frontier].any(axis=0) & free
+        frontier = within[seed] & free
+        while True:
+            reached = frontier.nonzero()[0]
+            if not reached.size:
+                break
             free[reached] = False
             label[reached] = n_clusters
-            frontier = np.flatnonzero(reached)
+            frontier = within[reached].any(axis=0)
+            frontier &= free
         n_clusters += 1
+        seed = int(free.argmax())
 
-    border = np.flatnonzero(~core)
-    if core_idx.size:
-        to_core = within.take(border, axis=0) & core
+    border = (~core).nonzero()[0]
+    if n_clusters and border.size:
+        to_core = within[border] & core
         first = to_core.argmax(axis=1)  # lowest-index core neighbor
-        attached = to_core[np.arange(border.size), first]
-        label[border[attached]] = label[first[attached]]
+        label[border] = np.where(to_core[np.arange(border.size), first], label[first], -1)
 
-    by_label = np.argsort(label, kind="stable")  # members ascending within a label
-    bounds = np.searchsorted(label[by_label], np.arange(n_clusters + 1))
-    clusters = [by_label[bounds[k]:bounds[k + 1]].tolist() for k in range(n_clusters)]
+    # rows ascend within a cluster, so a cluster's first row is its lowest
+    clusters = [[] for _ in range(n_clusters)]
+    noise = []
+    for row, k in enumerate(label.tolist()):
+        (clusters[k] if k >= 0 else noise).append(row)
     clusters.sort(key=lambda c: c[0])
-    return clusters, np.flatnonzero(label < 0).tolist()
+    return clusters, noise
 
 
 def estimate_eps(dist: np.ndarray, min_pts: int = MIN_PTS, weights=None) -> float:
@@ -233,40 +242,42 @@ def _subset(members: tuple, inverse: np.ndarray, dist: np.ndarray, idx: np.ndarr
     step = max(1, _PARTITION_BUDGET // u)
     for lo in range(0, k, step):
         out[lo:lo + step] = dist.take(rows[lo:lo + step], axis=0).take(rows, axis=1)
-    return tuple(members[i] for i in idx.tolist()), np.searchsorted(rows, inverse[idx]), out
+    return tuple(map(members.__getitem__, idx.tolist())), rows.searchsorted(inverse[idx]), out
 
 
 def _analyze(members: tuple, inverse, dist, depth: int,
-             params: AnalysisParams, max_depth: int) -> ClusterNode:
+             params: AnalysisParams, max_depth: int, known=None) -> ClusterNode:
     """Verdict and subtree of one node.
 
     inverse[i] numbers the distinct value of members[i], in order of
     first occurrence, and dist is the dissimilarity matrix of those
     distinct values; both are None until the node or an ancestor
-    computes the matrix.
+    computes the matrix.  known maps the medoid value of each ancestor's
+    overlay to the offsets of this node's distinct values against it,
+    as `dissim.overlay_cluster` takes them; it is None at a root.
     """
     if len(members) < params.min_cluster:
         return ClusterNode(members, ABANDONED_SMALL, depth)
 
-    lengths = [len(m.values) for m in members]  # len(m) runs a Python-level __len__
-    if 1.0 - min(lengths) / max(lengths) > params.length_ratio:
-        groups = {}
-        for idx, length in enumerate(lengths):
-            groups.setdefault(length, []).append(idx)
+    if dist is None:
         # only a root splits by length, before any matrix exists: its
         # children have one length each, and a DBSCAN child's spread is
         # at most its parent's
-        children = [_analyze(tuple(members[i] for i in idx), None, None, depth,
-                             params, max_depth)
-                    for _, idx in sorted(groups.items())]
-        return ClusterNode(members, RECURSED, depth, children=tuple(children))
-
-    if dist is None:
-        distinct, inverse = dissim.distinct_values([m.values for m in members])
+        values = [m.values for m in members]  # len(m) runs a Python-level __len__
+        lengths = list(map(len, values))
+        if 1.0 - min(lengths) / max(lengths) > params.length_ratio:
+            groups = {}
+            for idx, length in enumerate(lengths):
+                groups.setdefault(length, []).append(idx)
+            children = [_analyze(tuple(map(members.__getitem__, idx)), None, None, depth,
+                                 params, max_depth)
+                        for _, idx in sorted(groups.items())]
+            return ClusterNode(members, RECURSED, depth, children=tuple(children))
+        distinct, inverse = dissim.distinct_values(values)
         dist = dissim.pairwise(distinct)
 
     try:
-        overlay = dissim.overlay_cluster(members, dist, inverse)
+        overlay = dissim.overlay_cluster(members, dist, inverse, known)
         matrix = dissim.build_matrix(overlay)
     except DegenerateClusterError:
         return ClusterNode(members, NOISE, depth)
@@ -301,8 +312,8 @@ def _analyze(members: tuple, inverse, dist, depth: int,
     for k, rows in enumerate(clusters):
         label[rows] = k
     member_label = label[inverse]
-    order = np.argsort(member_label, kind="stable")  # ascending within a group
-    bounds = np.searchsorted(member_label[order], np.arange(len(clusters) + 1)).tolist()
+    order = member_label.argsort(kind="stable")  # ascending within a group
+    bounds = member_label[order].searchsorted(np.arange(len(clusters) + 1)).tolist()
     # this matrix is dead once the children are sliced: the others are
     # copied out first, then the child with the most rows takes its buffer
     spans = [(order[lo:hi], rows) for rows, lo, hi in zip(clusters, bounds, bounds[1:])]
@@ -311,12 +322,20 @@ def _analyze(members: tuple, inverse, dist, depth: int,
                for c, span in enumerate(spans)]
     subsets[largest] = _subset(members, inverse, dist, *spans[largest], in_place=True)
     del dist
+    # each distinct value's offset from the medoid, which every member
+    # holding it shares; a child's distinct values are its rows of these
+    offsets = np.empty(len(weights), np.intp)
+    offsets[inverse] = overlay.shifts
+    offsets -= overlay.shifts[overlay.reference]
+    known = {**(known or {}), members[overlay.reference].values: offsets}
     children = []
     for c in range(len(subsets)):
         args, subsets[c] = subsets[c], None  # a copy is freed once its subtree is done
-        children.append(_analyze(*args, depth + 1, params, max_depth))
+        rows = clusters[c]
+        children.append(_analyze(*args, depth + 1, params, max_depth,
+                                 {value: o[rows] for value, o in known.items()}))
     if noise:
-        children.append(ClusterNode(tuple(members[i] for i in order[bounds[-1]:].tolist()),
+        children.append(ClusterNode(tuple(map(members.__getitem__, order[bounds[-1]:].tolist())),
                                     NOISE, depth + 1))
     return ClusterNode(members, RECURSED, depth, children=tuple(children))
 

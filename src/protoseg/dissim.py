@@ -37,6 +37,14 @@ order of first occurrence, and hands that distinct-value matrix and
 the members' distinct ids to `overlay_cluster`, which expands the
 matrix per member where a sum needs it; so n is the number of
 distinct values, not of segments.
+
+A member's shift is its distinct value's offset against the medoid,
+which depends only on that (value, medoid) pair.  A sub-cluster's
+distinct values are a subset of its parent's, so when its medoid holds
+the medoid value of an overlay it was split from, `overlay_cluster`
+takes the offsets from that overlay (`known`) instead of calling
+`dissimilarity` for each value again; only roots and sub-clusters with
+a new medoid make the calls.
 """
 
 from __future__ import annotations
@@ -45,6 +53,8 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, getitem
 
 import numpy as np
 
@@ -78,13 +88,11 @@ def canberra(u, v) -> float:
     return float(np.sum(_terms(u, v)))
 
 
-# Canberra term of every byte pair, flat: _TERMS[u << 8 | v]
-_TERMS = _terms(np.arange(256.0)[:, None], np.arange(256.0)[None, :]).ravel()
-# the same table as a matrix: _T2[u, v]
-_T2 = _TERMS.reshape(256, 256)
+# Canberra term of every byte pair: _TERMS[u, v]
+_TERMS = _terms(np.arange(256.0)[:, None], np.arange(256.0)[None, :])
 # the same table read as Python floats without numpy, for the scalar
-# kernel: _TERM_VIEW[u << 8 | v]; a view of _TERMS, so it costs no memory
-_TERM_VIEW = memoryview(_TERMS)
+# kernel: _TERM_ROWS[u][v]; views of _TERMS, so they cost no memory
+_TERM_ROWS = [memoryview(row) for row in _TERMS]
 
 
 def _ordered_sum(term, start: int, count: int):
@@ -133,22 +141,35 @@ def _ordered_sum(term, start: int, count: int):
     return r[0]
 
 
+def _fold(row) -> float:
+    """Sum of a list of floats in numpy's summation order.
+
+    Fewer than 8 terms numpy adds left to right, as `reduce` does without
+    a call per term; `sum()` compensates float sums from Python 3.12 on,
+    so its bits would differ.
+    """
+    return reduce(add, row) if len(row) < 8 else _ordered_sum(row.__getitem__, 0, len(row))
+
+
 def dissimilarity(s, t) -> tuple:
     """Length-tolerant Canberra dissimilarity and best-match offset of two byte strings.
 
     Returns (value in [0,1], offset of the shorter value within the
     longer, smallest offset on ties).  Symmetric in its arguments.
     Computed in plain Python: a call compares a few bytes, and numpy's
-    per-call overhead would cost more than the arithmetic.
+    per-call overhead would cost more than the arithmetic.  Values of
+    equal length have the one offset 0, so they skip the offset loop.
     """
     if not (isinstance(s, (bytes, bytearray)) and isinstance(t, (bytes, bytearray)) and s and t):
         raise UsageError("dissimilarity needs two non-empty bytes or bytearray values")
-    short, long_ = (s, t) if len(s) <= len(t) else (t, s)
+    n = len(s)
+    if n == len(t):
+        return _fold(list(map(getitem, map(_TERM_ROWS.__getitem__, s), t))) / n, 0
+    short, long_ = (s, t) if n < len(t) else (t, s)
     m, n = len(short), len(long_)
     best, best_sum = 0, math.inf
     for o in range(n - m + 1):
-        row = [_TERM_VIEW[u << 8 | v] for u, v in zip(short, long_[o:o + m])]
-        total = _ordered_sum(row.__getitem__, 0, m)
+        total = _fold(list(map(getitem, map(_TERM_ROWS.__getitem__, short), long_[o:o + m])))
         if total < best_sum:  # strict, so the smallest offset wins ties
             best, best_sum = o, total
     return (best_sum + (n - m) * UNMATCHED_PENALTY) / n, best
@@ -161,7 +182,7 @@ def _term_sums(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     array, and `_ordered_sum` adds these arrays in the order numpy adds a
     row, so each entry has the bits `dissimilarity` gives its pair.
     """
-    return _ordered_sum(lambda j: _T2.take(X[:, j], axis=0).take(Y[:, j], axis=1),
+    return _ordered_sum(lambda j: _TERMS.take(X[:, j], axis=0).take(Y[:, j], axis=1),
                         0, X.shape[1])
 
 
@@ -251,7 +272,7 @@ class Overlay:
     reference: int
 
 
-def overlay_cluster(members, dist: np.ndarray = None, inverse=None) -> Overlay:
+def overlay_cluster(members, dist: np.ndarray = None, inverse=None, known=None) -> Overlay:
     """Align a cluster on its medoid.
 
     The medoid is the member with the smallest total dissimilarity to
@@ -261,20 +282,24 @@ def overlay_cluster(members, dist: np.ndarray = None, inverse=None) -> Overlay:
     values in order of first occurrence, as `pairwise` gives it for
     that list; `inverse`, when given, numbers each member's distinct
     value in that order, as `distinct_values` does.
+
+    `known`, when given, maps medoid values of overlays of supersets of
+    these members (the clusters this one was split from) to offsets:
+    offsets[d] is where distinct value d starts relative to that
+    medoid's first byte.  An offset depends only on the (value, medoid)
+    pair, so when this medoid's value is among them its offsets are
+    taken from there and `dissimilarity` is not called again.
     """
-    members = list(members)
+    members = tuple(members)
     if len(members) < 2:
         raise UsageError("overlay needs at least 2 members")
     values = [m.values for m in members]
     if inverse is None:
         distinct, inverse = distinct_values(values)
     else:
-        # ids count up in order of first occurrence: a member holds a new
-        # value exactly where its id exceeds every id before it
+        # ids count up in order of first occurrence, as values do
         inverse = np.asarray(inverse)
-        new = np.ones(len(values), dtype=bool)
-        new[1:] = inverse[1:] > np.maximum.accumulate(inverse)[:-1]
-        distinct = [values[i] for i in np.flatnonzero(new).tolist()]
+        distinct = list(dict.fromkeys(values))
     if dist is None:
         dist = pairwise(distinct)
     if len(distinct) == len(values):  # dist is the members x members matrix
@@ -292,22 +317,25 @@ def overlay_cluster(members, dist: np.ndarray = None, inverse=None) -> Overlay:
         totals = np.full(len(distinct), np.inf)
         totals[near] = dist[near].take(inverse, axis=1).sum(axis=1)
         totals = totals[inverse]
-    reference = int(np.argmin(totals))  # argmin returns the first = lowest index
-    ref = distinct[inverse[reference]]
+    reference = int(totals.argmin())  # argmin returns the first = lowest index
+    ref = values[reference]
 
     # identical members share their shift, so it is found per distinct value
-    offsets = []
-    for v in distinct:
-        if v == ref:
-            offsets.append(0)
-        else:
-            _, o = dissimilarity(v, ref)
-            offsets.append(o if len(v) <= len(ref) else -o)
+    if known and ref in known:
+        offsets = np.asarray(known[ref]).tolist()
+    else:
+        offsets = []
+        for v in distinct:
+            if v == ref:
+                offsets.append(0)
+            else:
+                _, o = dissimilarity(v, ref)
+                offsets.append(o if len(v) <= len(ref) else -o)
     low = min(offsets)
     shift_of = [o - low for o in offsets]
-    width = max(s + len(v) for s, v in zip(shift_of, distinct))
+    width = max(map(add, shift_of, map(len, distinct)))
     shifts = tuple(map(shift_of.__getitem__, inverse.tolist()))
-    return Overlay(members=tuple(members), shifts=shifts, width=width, reference=reference)
+    return Overlay(members=members, shifts=shifts, width=width, reference=reference)
 
 
 @dataclass(frozen=True)
@@ -328,25 +356,25 @@ class DataMatrix:
 def build_matrix(ov: Overlay) -> DataMatrix:
     """Data matrix of an overlay, keeping positions observed by a majority."""
     n = len(ov.members)
-    quorum = (n + 1) // 2
+    values = [m.values for m in ov.members]
     starts = np.array(ov.shifts)
-    lengths = np.array([len(m) for m in ov.members])
-    ends = starts + lengths
+    lengths = np.fromiter(map(len, values), np.intp, n)
 
     positions = np.arange(ov.width)
-    observed = (positions >= starts[:, None]) & (positions < ends[:, None])
-    keep = observed.sum(axis=0) >= quorum
+    observed = (positions >= starts[:, None]) & (positions < (starts + lengths)[:, None])
+    keep = observed.sum(axis=0) >= (n + 1) // 2
     if not keep.any():
         raise DegenerateClusterError("no overlay column observed by a majority of members")
 
     column_map = positions[keep]
     mask = observed[:, keep]
-    # every member's bytes, padded to the longest member
-    rows = np.zeros((n, lengths.max()), dtype=np.uint8)
-    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.frombuffer(
-        b"".join(m.values for m in ov.members), dtype=np.uint8)
-    index = np.where(mask, column_map - starts[:, None], 0)
-    X = rows[np.arange(n)[:, None], index].astype(float)
-    col_means = np.where(mask, X, 0.0).sum(axis=0) / mask.sum(axis=0)
-    X = np.where(mask, X, col_means[None, :])
+    # member i's byte at position p sits at firsts[i] + p - starts[i] of all
+    # members' bytes joined; a cell it does not observe may index outside
+    # its bytes, so take clips, and the cell is overwritten below
+    firsts = lengths.cumsum() - lengths
+    index = column_map + (firsts - starts)[:, None]
+    X = np.frombuffer(b"".join(values), dtype=np.uint8).take(index, mode="clip").astype(float)
+    if not mask.all():
+        col_means = np.where(mask, X, 0.0).sum(axis=0) / mask.sum(axis=0)
+        X = np.where(mask, X, col_means[None, :])
     return DataMatrix(X=X, mask=mask, column_map=column_map)

@@ -8,6 +8,7 @@ workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 
@@ -68,7 +69,11 @@ class Segmentation:
     cuts: tuple = ()
 
     def __post_init__(self):
-        cuts = tuple(int(c) for c in self.cuts)
+        try:  # Python and numpy integers pass; 2.7 or "3" is not an offset
+            cuts = tuple(map(operator.index, self.cuts))
+        except TypeError:
+            raise UsageError(
+                f"cuts of message {self.message_id} must be integers: {self.cuts!r}") from None
         object.__setattr__(self, "cuts", cuts)
         for prev, cur in zip((0,) + cuts, cuts):
             if cur <= prev:

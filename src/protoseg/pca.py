@@ -62,7 +62,7 @@ def covariance(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise UsageError("covariance needs a 2-d matrix with at least 2 rows")
-    centered = X - X.mean(axis=0)
+    centered = X - X.sum(axis=0) / X.shape[0]  # the bits of X.mean(axis=0), without its wrapper
     return centered.T @ centered / (X.shape[0] - 1)
 
 
@@ -76,7 +76,10 @@ def eig_sym(C: np.ndarray) -> PcaResult:
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise UsageError("eig_sym needs a square matrix")
-    if not np.allclose(C, C.T, atol=1e-9):
+    # np.allclose accepts every exactly symmetric matrix (x == y is close,
+    # infinities included), and `covariance` gives one, so one comparison
+    # decides the common case and allclose itself decides the others
+    if not (C == C.T).all() and not np.allclose(C, C.T, atol=1e-9):
         raise UsageError("eig_sym needs a symmetric matrix (within 1e-9)")
 
     lam, vecs = np.linalg.eigh(C)
@@ -85,7 +88,7 @@ def eig_sym(C: np.ndarray) -> PcaResult:
     loadings = vecs[:, order].T
 
     clamp = _EIG_CLAMP_REL * max(1.0, float(abs(lam[0])))
-    lam = np.where(np.abs(lam) <= clamp, 0.0, lam)
+    lam[np.abs(lam) <= clamp] = 0.0  # lam is a fresh copy
 
     k = np.abs(loadings).argmax(axis=1)  # the first of equal magnitudes
     flip = loadings[np.arange(len(k)), k] < 0
@@ -104,15 +107,12 @@ def kneedle(values) -> Optional[int]:
     n = v.size
     if n < 3:
         return None
-    span = v[0] - v[-1]
-    if span <= 0 or v.max() == v.min():
+    high, low = v.max(), v.min()
+    if v[0] - v[-1] <= 0 or high == low:
         return None
-    x = np.arange(n) / (n - 1)
-    y = (v - v.min()) / (v.max() - v.min())
-    d = (1.0 - x) - y
-    knee = int(np.argmax(d))
-    threshold = KNEEDLE_SENSITIVITY / (n - 1)
-    return knee if d[knee] > threshold else None
+    d = (1.0 - np.arange(n) / (n - 1)) - (v - low) / (high - low)
+    knee = int(d.argmax())
+    return knee if d[knee] > KNEEDLE_SENSITIVITY / (n - 1) else None
 
 
 def suitability_bound(dim: int, params: AnalysisParams = AnalysisParams()) -> float:
@@ -131,7 +131,7 @@ def analyze_spectrum(eigenvalues, loadings=None, params: AnalysisParams = Analys
     knee = kneedle(lam)
     knee_value = float(lam[knee]) if knee is not None else np.inf
     q_s = float(min(knee_value, lam[0] / 10.0, params.scree_min))
-    n_sig = int(np.sum(lam > q_s))
+    n_sig = int(np.count_nonzero(lam > q_s))
     if loadings is None:
         loadings = np.empty((0, lam.size))
     return PcaResult(eigenvalues=lam, loadings=np.asarray(loadings, dtype=float),

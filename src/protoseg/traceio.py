@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import secrets
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -317,7 +316,7 @@ def write_text_atomic(path: str, *texts: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     while True:
-        tmp = os.path.join(directory, f"{os.path.basename(path)}.{secrets.token_hex(6)}.tmp")
+        tmp = os.path.join(directory, f"{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break

@@ -336,6 +336,94 @@ class TestOneClusterChain:
         assert_children_partition(roots)
 
 
+class TestOverlayReuse:
+    """A sub-cluster whose medoid holds an ancestor's medoid value reuses its offsets."""
+
+    fresh_overlay = staticmethod(dissim.overlay_cluster)
+
+    def record_overlays(self, monkeypatch):
+        """Every overlay made from now on, as (members, overlay, offsets reused)."""
+        overlays = []
+
+        def recorded(members, dist=None, inverse=None, known=None):
+            overlay = self.fresh_overlay(members, dist, inverse, known)
+            reused = bool(known) and members[overlay.reference].values in known
+            overlays.append((tuple(members), overlay, reused))
+            return overlay
+
+        monkeypatch.setattr(dissim, "overlay_cluster", recorded)
+        return overlays
+
+    def assert_fresh(self, overlays):
+        # ClusterNode equality skips the overlay, so it is compared here
+        for members, overlay, _ in overlays:
+            fresh = self.fresh_overlay(members)
+            assert (overlay.reference, overlay.shifts, overlay.width) == \
+                   (fresh.reference, fresh.shifts, fresh.width)
+            assert overlay.members == members
+
+    @pytest.mark.parametrize("preset_name", ["nullpca", "nemepca"])
+    @pytest.mark.parametrize("name", sorted(synth.reference_specs()))
+    def test_overlays_equal_fresh_overlays(self, monkeypatch, name, preset_name):
+        # every overlay of the pipeline's pca pass, reused offsets or not,
+        # equals one computed from the members alone
+        spec = dataclasses.replace(synth.reference_specs()[name], message_count=150, rng_seed=5)
+        messages, _ = synth.generate(spec)
+        overlays = self.record_overlays(monkeypatch)
+        run_pipeline(messages, preset(preset_name))
+        self.assert_fresh(overlays)
+        assert sum(reused for *_, reused in overlays) >= 1
+
+    def test_mixed_length_sets(self, monkeypatch):
+        # the specs' overlaid nodes hold one length each, so every offset
+        # is 0; here members are windows of 7 to 10 bytes of three mutated
+        # prototypes, so reused offsets differ and the shifts are not all 0
+        overlays = self.record_overlays(monkeypatch)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            prototypes = rng.integers(0, 256, size=(3, 10))
+            members = []
+            for i in range(int(rng.integers(30, 80))):
+                value = prototypes[rng.integers(0, 3)].copy()
+                k = int(rng.integers(0, 3))
+                value[rng.integers(0, 10, size=k)] = rng.integers(0, 256, size=k)
+                start = int(rng.integers(0, 3))
+                members.append(ref(value[start:start + int(rng.integers(7, 11 - start))].tolist(),
+                                   message_id=i))
+            roots = recursive_cluster(members)
+            assert roots == reference_recursive_cluster(members, AnalysisParams(),
+                                                        cluster.DEFAULT_MAX_DEPTH)
+        self.assert_fresh(overlays)
+        assert sum(reused and len(set(overlay.shifts)) > 1
+                   for _, overlay, reused in overlays) >= 20
+
+    def test_reused_offsets_skip_dissimilarity(self, monkeypatch):
+        # a medoid held by an ancestor's medoid costs no dissimilarity call
+        spec = dataclasses.replace(synth.reference_specs()["mixed"], message_count=150,
+                                   rng_seed=5)
+        messages, _ = synth.generate(spec)
+        counted = {"reused": 0, "calls": 0}
+        fresh_dissimilarity = dissim.dissimilarity
+        fresh_overlay = dissim.overlay_cluster
+
+        def dissimilarity(s, t):
+            counted["calls"] += 1
+            return fresh_dissimilarity(s, t)
+
+        def overlay(members, dist=None, inverse=None, known=None):
+            before = counted["calls"]
+            result = fresh_overlay(members, dist, inverse, known)
+            if known and members[result.reference].values in known:
+                counted["reused"] += 1
+                assert counted["calls"] == before
+            return result
+
+        monkeypatch.setattr(dissim, "dissimilarity", dissimilarity)
+        monkeypatch.setattr(dissim, "overlay_cluster", overlay)
+        run_pipeline(messages, preset("nullpca"))
+        assert counted["reused"] >= 1 and counted["calls"] >= 1
+
+
 class TestSubsetGather:
     """A child's matrix gathered in row blocks, into a fresh array or its parent's buffer."""
 

@@ -129,6 +129,22 @@ class TestDissimilarityOracle:
             for t in (b"\x00" * (length + 3), b"\xff" * (length + 3), b"\x00\xff" * length):
                 assert dissimilarity(s, t) == brute_dissimilarity(s, t)
 
+    def test_equal_length_is_canberra_over_length(self):
+        # equal lengths skip the offset loop; lengths 1-140 cover the left
+        # to right fold below 8 terms, the eight accumulators up to 128 and
+        # the split above it
+        rng = np.random.default_rng(73)
+        alphabet = np.array([0x00, 0x00, 0xff, 0xff, 0x01, 0x7f, 0x80, 0xfe])
+        for n in range(1, 141):
+            for _ in range(12):
+                s, t = (bytes(rng.choice(alphabet if rng.random() < 0.5 else 256,
+                                         size=n).tolist()) for _ in range(2))
+                value, offset = dissimilarity(s, t)
+                expected = canberra(list(s), list(t)) / n
+                assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+                assert offset == 0
+                assert dissimilarity(bytearray(t), s) == (value, 0)
+
     def test_periodic_ties_take_the_smallest_offset(self):
         cases = [(b"\x01\x02", b"\x01\x02" * 6, 0),
                  (b"\x01\x02", b"\x09" + b"\x01\x02" * 6, 1),

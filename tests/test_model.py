@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from protoseg.model import (AnalysisParams, GroundTruth, Message, Segmentation,
@@ -48,6 +49,19 @@ def test_message_rejects_empty_payload():
 def test_segmentation_rejects_bad_cuts(cuts):
     with pytest.raises(UsageError):
         Segmentation(0, cuts)
+
+
+@pytest.mark.parametrize("cuts", [(2.7, 5), ("3",), (2.0,), (1, None), (np.float64(2),)])
+def test_segmentation_rejects_non_integral_cuts(cuts):
+    # int() used to truncate these: (2.7, 5) became (2, 5) and ("3",) became (3,)
+    with pytest.raises(UsageError, match="must be integers"):
+        Segmentation(0, cuts)
+
+
+def test_segmentation_takes_python_and_numpy_integers():
+    seg = Segmentation(0, (np.int64(2), np.uint8(4), 7))
+    assert seg.cuts == (2, 4, 7)
+    assert all(type(c) is int for c in seg.cuts)
 
 
 def test_segmentation_rejects_out_of_range_cut():

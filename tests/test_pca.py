@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,52 @@ class TestEigSym:
             magnitude = np.abs(loadings)
             ties += int(np.sum(magnitude == magnitude.max(axis=1, keepdims=True)) - len(magnitude))
         assert ties > 0
+
+    @staticmethod
+    def passes_symmetry_check(C):
+        """Whether eig_sym gets past its symmetry check on C."""
+        try:
+            with np.errstate(all="ignore"):
+                eig_sym(C)
+        except UsageError:
+            return False
+        except np.linalg.LinAlgError:  # checked, then eigh failed on a non-finite C
+            return True
+        return True
+
+    def test_symmetry_check_is_allclose(self):
+        # accepted exactly where np.allclose(C, C.T, atol=1e-9) holds:
+        # symmetric matrices, perturbations either side of the tolerance
+        # |x - y| <= 1e-9 + 1e-5 |y|, and non-finite entries, which
+        # allclose calls close only where they are equal infinities
+        rng = np.random.default_rng(41)
+        cases = []
+        for _ in range(100):
+            A = rng.normal(scale=float(rng.choice([1e-12, 1.0, 1e6])),
+                           size=(int(rng.integers(1, 9)),) * 2)
+            cases.append((A + A.T) / 2)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            A = rng.normal(scale=float(rng.choice([1e-12, 1e-9, 1.0, 1e6])), size=(n, n))
+            C = (A + A.T) / 2
+            i, j = rng.choice(n, size=2, replace=False)
+            tolerance = 1e-9 + 1e-5 * abs(C[j, i])
+            C[i, j] = C[j, i] + float(rng.choice([-1, 1])) * tolerance * float(
+                rng.choice([0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0]))
+            cases.append(C)
+        specials = [np.nan, np.inf, -np.inf, 1.0]
+        for upper in specials:
+            for lower in specials:
+                for diagonal in specials:
+                    C = np.array([[diagonal, upper, 0.0], [lower, 2.0, 0.5], [0.0, 0.5, 3.0]])
+                    cases.append(C)
+        verdicts = Counter()
+        for C in cases:
+            expected = bool(np.allclose(C, C.T, atol=1e-9))
+            assert self.passes_symmetry_check(C) == expected, C
+            verdicts[expected, bool(np.isfinite(C).all())] += 1
+        # every combination of finite or not and accepted or not occurs
+        assert len(verdicts) == 4 and min(verdicts.values()) >= 5
 
     def test_random_spectra_match_oracle(self):
         rng = np.random.default_rng(11)
