@@ -179,14 +179,12 @@ def _cmd_segment(args) -> int:
 
     out = _out_dir(args.out)
     traceio.save_segmentation(os.path.join(out, "segments.json"), result.segmentations)
-    # generic writer on purpose: perfbench's tracer times it, not a renderer called from here
     traceio.write_json_atomic(os.path.join(out, "edits.json"), [
         {"message": e.message_id, "offset": e.offset, "kind": e.kind,
          "old_offset": e.old_offset, "provenance": e.provenance}
         for e in result.edits
     ])
-    traceio.write_text_atomic(os.path.join(out, "clusters.json"),
-                              tree_to_json(result.tree or []), "\n")
+    traceio.write_json_atomic(os.path.join(out, "clusters.json"), tree_to_json(result.tree or []))
     print(f"{len(messages)} messages -> {out}/segments.json "
           f"({sum(len(s.cuts) for s in result.segmentations)} cuts, {len(result.edits)} edits)")
     return 0

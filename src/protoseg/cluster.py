@@ -38,7 +38,6 @@ largest length group, plus the copies of that node's other children.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -340,11 +339,10 @@ def _analyze(members: tuple, inverse, dist, depth: int,
     return ClusterNode(members, RECURSED, depth, children=tuple(children))
 
 
-def tree_to_json(roots) -> str:
-    """Text of `clusters.json` (without its trailing newline).
+def tree_to_json(roots) -> dict:
+    """The value of `clusters.json`: {"format": 2, "roots": [...]}.
 
-    It is the compact `json.dumps` of {"format": 2, "roots": [...]}, one
-    object per node with its preorder "id", "verdict", "depth" and
+    One object per node with its preorder "id", "verdict", "depth" and
     "member_count".  A leaf adds "members", one [message, start, end]
     array per member; an inner node adds "children" instead.  The
     children of a node, its noise child included, partition its
@@ -362,5 +360,4 @@ def tree_to_json(roots) -> str:
             entry["members"] = [[m.message_id, m.start, m.end] for m in node.members]
         return entry
 
-    return json.dumps({"format": 2, "roots": [visit(root) for root in roots]},
-                      separators=(",", ":"))
+    return {"format": 2, "roots": [visit(root) for root in roots]}

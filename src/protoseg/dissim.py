@@ -272,16 +272,16 @@ class Overlay:
     reference: int
 
 
-def overlay_cluster(members, dist: np.ndarray = None, inverse=None, known=None) -> Overlay:
+def overlay_cluster(members, dist: np.ndarray, inverse, known=None) -> Overlay:
     """Align a cluster on its medoid.
 
     The medoid is the member with the smallest total dissimilarity to
     all others (lowest index on ties).  Each member is shifted to where
-    the shorter of (member, medoid) best matches the longer.  `dist`,
-    when given, is the dissimilarity matrix of the members' distinct
-    values in order of first occurrence, as `pairwise` gives it for
-    that list; `inverse`, when given, numbers each member's distinct
-    value in that order, as `distinct_values` does.
+    the shorter of (member, medoid) best matches the longer.  `dist` is
+    the dissimilarity matrix of the members' distinct values in order of
+    first occurrence, as `pairwise` gives it for that list, and
+    `inverse` numbers each member's distinct value in that order, as
+    `distinct_values` does.
 
     `known`, when given, maps medoid values of overlays of supersets of
     these members (the clusters this one was split from) to offsets:
@@ -294,14 +294,9 @@ def overlay_cluster(members, dist: np.ndarray = None, inverse=None, known=None) 
     if len(members) < 2:
         raise UsageError("overlay needs at least 2 members")
     values = [m.values for m in members]
-    if inverse is None:
-        distinct, inverse = distinct_values(values)
-    else:
-        # ids count up in order of first occurrence, as values do
-        inverse = np.asarray(inverse)
-        distinct = list(dict.fromkeys(values))
-    if dist is None:
-        dist = pairwise(distinct)
+    # ids count up in order of first occurrence, as values do
+    inverse = np.asarray(inverse)
+    distinct = list(dict.fromkeys(values))
     if len(distinct) == len(values):  # dist is the members x members matrix
         totals = dist.sum(axis=1)
     else:

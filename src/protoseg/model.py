@@ -149,13 +149,17 @@ class AnalysisParams:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """True interior boundaries per message id, with optional field type labels."""
+    """True interior boundaries per message id, with optional field type labels.
+
+    Each cut tuple is checked and normalized as `Segmentation` checks it.
+    """
 
     cuts: dict = field(default_factory=dict)
     labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "cuts", {int(k): tuple(v) for k, v in self.cuts.items()})
+        cuts = {int(k): v for k, v in self.cuts.items()}
+        object.__setattr__(self, "cuts", {k: Segmentation(k, v).cuts for k, v in cuts.items()})
         object.__setattr__(self, "labels", {int(k): tuple(v) for k, v in self.labels.items()})
         for mid, labels in self.labels.items():
             for lab in labels:

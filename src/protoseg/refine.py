@@ -477,7 +477,7 @@ def _pca_pass(messages: list, segmentations: list, config: PipelineConfig):
         for leaf in root.leaves():
             if leaf.verdict != PCA_SUITABLE:
                 continue
-            if leaf.spectrum is None or leaf.spectrum.n_sig < 1:
+            if leaf.spectrum.n_sig < 1:
                 continue  # nothing varies; nothing to interpret
             try:
                 contrib = contribution(leaf.spectrum)

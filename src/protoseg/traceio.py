@@ -15,21 +15,17 @@ JSON input, and a file that holds no JSON value is an error naming its
 line and column.
 
 Every artifact is written atomically: a temporary file renamed into
-place.  A JSON artifact written here holds the text of
-`json.dumps(obj, indent=1, separators=(",", ": "))` and a newline.
-`save_segmentation` (`segments.json`) and
-`save_ground_truth` (`truth.json`) render their cut maps as that text
-through one renderer; `write_json_atomic` writes any other JSON value,
-a list of records such as `edits.json` with one C-encoder call and
-anything else, such as `report.json`, with `json.dumps`; and
-`write_text_atomic` writes text rendered elsewhere, such as the
-compact `clusters.json` of `cluster.tree_to_json`, `comparison.csv`
-and the hex-line traces of `save_hexlines`.
+place.  `write_json_atomic` is the one JSON encoder: an artifact holds
+the compact `json.dumps(obj, separators=(",", ":"))` of its value and a
+newline.  `save_segmentation` (`segments.json`) and `save_ground_truth`
+(`truth.json`) pass it their cut maps in message-id order; `cli` passes
+it `edits.json`, `report.json` and the `clusters.json` value of
+`cluster.tree_to_json`.  `write_text_atomic` writes everything else,
+`comparison.csv` and the hex-line traces of `save_hexlines`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import struct
@@ -332,57 +328,24 @@ def write_text_atomic(path: str, *texts: str) -> None:
         raise
 
 
-# JSON values the C encoder writes without a nested container
-_SCALARS = (str, int, float, type(None))
-
-# compact but for the item separator, which carries a record field's indent
-_RECORD_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
-
-
-def _records(obj) -> bool:
-    """True for a non-empty list of non-empty plain dicts with scalar values only."""
-    return (isinstance(obj, list) and set(map(type, obj)) == {dict} and all(obj)
-            and all(map(isinstance, itertools.chain.from_iterable(map(dict.values, obj)),
-                        itertools.repeat(_SCALARS))))
-
-
 def write_json_atomic(path: str, obj) -> None:
-    """Serialize deterministically and rename into place.
+    """Write `json.dumps(obj, separators=(",", ":"))` and a newline atomically.
 
-    The file holds `json.dumps(obj, indent=1, separators=(",", ": "))`
-    and a newline.  A list of records, the shape of `edits.json`, is
-    encoded by the C encoder in one call, whose item separator already
-    indents the fields; with ensure_ascii no string holds a raw newline,
-    so "},\n  {" in its output is always a record boundary.  Any other
-    value goes through `json.dumps`, whose indent runs the Python encoder.
+    This is the one encoder of every JSON artifact: compact, keys in the
+    order the value holds them.
     """
-    if _records(obj):
-        text = _RECORD_ENCODER.encode(obj)[2:-2].replace("},\n  {", "\n },\n {\n  ")
-        text = "[\n {\n  " + text + "\n }\n]"
-    else:
-        text = json.dumps(obj, indent=1, separators=(",", ": "))
-    write_text_atomic(path, text, "\n")
-
-
-def _cut_map_text(cuts_by_id: dict) -> str:
-    """`json.dumps` text (indent=1) of {"<id>": [cuts]} in message-id order."""
-    if not cuts_by_id:
-        return "{}"
-    entries = ['"%d": [\n  %s\n ]' % (mid, ",\n  ".join(map(str, cuts))) if cuts
-               else '"%d": []' % mid
-               for mid, cuts in sorted(cuts_by_id.items())]
-    return "{\n " + ",\n ".join(entries) + "\n}"
+    write_text_atomic(path, json.dumps(obj, separators=(",", ":")), "\n")
 
 
 def save_segmentation(path: str, segmentations) -> None:
-    """Write segmentations with canonical (numeric) key order."""
-    write_text_atomic(path, _cut_map_text({seg.message_id: seg.cuts for seg in segmentations}),
-                      "\n")
+    """Write segmentations as {"<id>": [cuts]} in message-id order."""
+    cuts_by_id = {seg.message_id: seg.cuts for seg in segmentations}
+    write_json_atomic(path, dict(sorted(cuts_by_id.items())))
 
 
 def save_ground_truth(path: str, truth: GroundTruth) -> None:
     """Write the cuts of ground truth in the segmentation format."""
-    write_text_atomic(path, _cut_map_text(truth.cuts), "\n")
+    write_json_atomic(path, dict(sorted(truth.cuts.items())))
 
 
 def save_hexlines(path: str, messages) -> None:

@@ -10,13 +10,12 @@ recomputing recursion checks the clustering tree against the full
 segments x segments analysis at every level.  The per-byte loops of
 the bit-congruence segmenter, the null-run and printable-run scans and
 the uncached entropy merge check their vectorised, table-driven
-replacements in `refine`.  The cut-map dicts, run through
-`json.dumps(indent=1)`, check the text renderer of `segments.json` and
-`truth.json`; the dict tree of the cluster nodes checks the compact
-`clusters.json`.
+replacements in `refine`.  The dict tree of the cluster nodes checks
+the value `cluster.tree_to_json` gives for `clusters.json`; every
+artifact's text is the compact `json.dumps` of its value, which
+`tests/test_traceio.py` and `tests/test_cli.py` check directly.
 """
 
-import json
 import math
 from collections import defaultdict
 
@@ -160,6 +159,17 @@ def reference_pairwise(values):
     return D
 
 
+def reference_distinct(members):
+    """(matrix, ids) of the members' distinct values, as `dissim.overlay_cluster` takes them.
+
+    The distinct values are numbered in order of first occurrence by a
+    dict, and their matrix is `reference_pairwise`'s.
+    """
+    ids = {}
+    inverse = [ids.setdefault(m.values, len(ids)) for m in members]
+    return reference_pairwise(list(ids)), inverse
+
+
 def duplicate_heavy_values(rng, n):
     """n short byte values with many repeats, their distinct values and weights.
 
@@ -277,7 +287,8 @@ def reference_recursive_cluster(segments, params, max_depth):
             return cluster.ClusterNode(members, cluster.RECURSED, depth, children=tuple(children))
         dist = reference_pairwise([m.values for m in members])
         try:
-            matrix = dissim.build_matrix(dissim.overlay_cluster(members))
+            matrix = dissim.build_matrix(
+                dissim.overlay_cluster(members, *reference_distinct(members)))
         except DegenerateClusterError:
             return cluster.ClusterNode(members, cluster.NOISE, depth)
         eig = pca.eig_sym(pca.covariance(matrix.X))
@@ -315,11 +326,6 @@ def reference_tree_dicts(roots) -> dict:
         return entry
 
     return {"format": 2, "roots": [visit(root) for root in roots]}
-
-
-def indented_dumps(obj) -> str:
-    """The JSON text every artifact holds, before its trailing newline."""
-    return json.dumps(obj, indent=1, separators=(",", ": "))
 
 
 def extreme_payload(rng, low=1, high=41):

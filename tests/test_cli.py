@@ -62,6 +62,24 @@ def test_evaluate_compares_pipelines(synth_dir, tmp_path, capsys):
     assert report["truth"]["medians"]["fms_like"] == 1.0
 
 
+def test_every_json_artifact_is_compact_in_message_id_order(synth_dir, tmp_path, capsys):
+    # synth, segment and evaluate each write the compact json.dumps of the
+    # artifact's value and a newline; cut maps are keyed in message-id order
+    trace, seg, out = str(synth_dir / "trace.hex"), tmp_path / "seg", tmp_path / "eval"
+    assert main(["segment", "--trace", trace, "--no-dedupe", "--out", str(seg)]) == 0
+    assert main(["evaluate", "--trace", trace, "--no-dedupe",
+                 "--truth", str(synth_dir / "truth.json"),
+                 "--segments", str(seg / "segments.json"), "--out", str(out)]) == 0
+    artifacts = [synth_dir / "truth.json", seg / "segments.json", seg / "edits.json",
+                 seg / "clusters.json", out / "report.json"]
+    for path in artifacts:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n", path.name
+    assert json.loads((seg / "edits.json").read_text())  # not vacuous: edits are records
+    for path in artifacts[:2]:
+        assert list(json.loads(path.read_text())) == [str(i) for i in range(30)]
+
+
 def test_evaluate_names_files_with_colliding_directories_apart(synth_dir, tmp_path, capsys):
     # a/x/segments.json and b/x/segments.json share stem and directory name
     paths = [tmp_path / top / "x" / "segments.json" for top in ("a", "b")]

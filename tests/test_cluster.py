@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (duplicate_heavy_values, reference_dbscan, reference_pairwise,
-                      reference_recursive_cluster, reference_tree_dicts)
+from conftest import (duplicate_heavy_values, reference_dbscan, reference_distinct,
+                      reference_pairwise, reference_recursive_cluster, reference_tree_dicts)
 from protoseg import cluster, dissim, synth
 from protoseg.cluster import (ABANDONED_DEPTH, ABANDONED_SMALL, NOISE, PCA_SUITABLE,
                               RECURSED, ClusterNode, dbscan, estimate_eps, recursive_cluster,
@@ -19,6 +19,7 @@ from protoseg.model import (AnalysisParams, EstimationError, SegmentRef, UsageEr
                             segments_of)
 from protoseg.pca import kneedle
 from protoseg.refine import PASS_PCA, null_segmenter, preset, run_pipeline
+from protoseg.traceio import write_json_atomic
 
 
 def ref(values, message_id=0, start=0):
@@ -345,7 +346,7 @@ class TestOverlayReuse:
         """Every overlay made from now on, as (members, overlay, offsets reused)."""
         overlays = []
 
-        def recorded(members, dist=None, inverse=None, known=None):
+        def recorded(members, dist, inverse, known=None):
             overlay = self.fresh_overlay(members, dist, inverse, known)
             reused = bool(known) and members[overlay.reference].values in known
             overlays.append((tuple(members), overlay, reused))
@@ -357,7 +358,7 @@ class TestOverlayReuse:
     def assert_fresh(self, overlays):
         # ClusterNode equality skips the overlay, so it is compared here
         for members, overlay, _ in overlays:
-            fresh = self.fresh_overlay(members)
+            fresh = self.fresh_overlay(members, *reference_distinct(members))
             assert (overlay.reference, overlay.shifts, overlay.width) == \
                    (fresh.reference, fresh.shifts, fresh.width)
             assert overlay.members == members
@@ -410,7 +411,7 @@ class TestOverlayReuse:
             counted["calls"] += 1
             return fresh_dissimilarity(s, t)
 
-        def overlay(members, dist=None, inverse=None, known=None):
+        def overlay(members, dist, inverse, known=None):
             before = counted["calls"]
             result = fresh_overlay(members, dist, inverse, known)
             if known and members[result.reference].values in known:
@@ -510,7 +511,7 @@ def assert_children_partition(roots):
 
 
 def assert_round_trips(roots):
-    """Each node's member multiset and count, rebuilt from the parsed leaves, are the tree's."""
+    """Each node's member multiset and count, rebuilt from its dict's leaves, are the tree's."""
     def rebuilt(entry, node, ids):
         assert (entry["id"], entry["verdict"], entry["depth"]) == (next(ids), node.verdict,
                                                                     node.depth)
@@ -526,32 +527,26 @@ def assert_round_trips(roots):
         assert held == Counter((m.message_id, m.start, m.end) for m in node.members)
         return held
 
-    tree = json.loads(tree_to_json(roots))
+    tree = tree_to_json(roots)
     assert tree["format"] == 2 and len(tree["roots"]) == len(roots)
     ids = itertools.count()
     for entry, root in zip(tree["roots"], roots):
         rebuilt(entry, root, ids)
 
 
-def assert_encodes_reference_dicts(roots):
-    text = tree_to_json(roots)
-    assert text == json.dumps(reference_tree_dicts(roots), separators=(",", ":"))
-
-
 class TestTreeToJson:
-    """`tree_to_json` writes the compact `json.dumps` of the format-2 node dicts."""
+    """`tree_to_json` gives the format-2 node dicts of `clusters.json`."""
 
     def test_empty_root_list(self):
-        assert tree_to_json([]) == '{"format":2,"roots":[]}'
-        assert_encodes_reference_dicts([])
+        assert tree_to_json([]) == {"format": 2, "roots": []} == reference_tree_dicts([])
 
     def test_one_cluster_chain(self):
         rng = np.random.default_rng(2)
         members = [ref(rng.integers(0, 256, size=6).tolist(), message_id=i) for i in range(20)]
         roots = recursive_cluster(members, max_depth=3)
-        assert_encodes_reference_dicts(roots)
+        assert tree_to_json(roots) == reference_tree_dicts(roots)
         assert_round_trips(roots)
-        text = tree_to_json(roots)
+        text = json.dumps(tree_to_json(roots), separators=(",", ":"))
         assert text.count("[7,0,6]") == 1  # members once, at the leaf
         assert text.count('"member_count":20') == 4
 
@@ -559,7 +554,7 @@ class TestTreeToJson:
         members = (ref([1, 2], message_id=3, start=4), ref([5, 6, 7], message_id=8))
         root = ClusterNode(members, RECURSED, 0, children=(
             ClusterNode(members[1:], PCA_SUITABLE, 1), ClusterNode(members[:1], NOISE, 1)))
-        assert json.loads(tree_to_json([root])) == {"format": 2, "roots": [{
+        assert tree_to_json([root]) == {"format": 2, "roots": [{
             "id": 0, "verdict": RECURSED, "depth": 0, "member_count": 2, "children": [
                 {"id": 1, "verdict": PCA_SUITABLE, "depth": 1, "member_count": 1,
                  "members": [[8, 0, 3]]},
@@ -581,7 +576,7 @@ class TestTreeToJson:
             ClusterNode(members[20:], NOISE, 1),
         ))
         roots = [root, ClusterNode(members[:2], NOISE, 0)]
-        assert_encodes_reference_dicts(roots)
+        assert tree_to_json(roots) == reference_tree_dicts(roots)
         assert_round_trips(roots)
 
     def test_length_split_roots(self):
@@ -590,15 +585,16 @@ class TestTreeToJson:
                    for i, size in enumerate(rng.choice([2, 5, 12], size=60))]
         roots = recursive_cluster(members)
         assert roots[0].verdict == RECURSED and len(roots[0].children) == 3
-        assert_encodes_reference_dicts(roots)
+        assert tree_to_json(roots) == reference_tree_dicts(roots)
         assert_children_partition(roots)
         assert_round_trips(roots)
 
-    def test_verdict_and_empty_members_through_the_json_encoder(self):
+    def test_verdict_and_empty_members_through_the_json_encoder(self, tmp_path):
         roots = [ClusterNode((), 'caf\u00e9 "q" \\ \n', 0),
                  ClusterNode((ref([1, 2], message_id=12345, start=678),), NOISE, 0)]
-        assert json.loads(tree_to_json(roots))["roots"][0]["verdict"] == roots[0].verdict
-        assert_encodes_reference_dicts(roots)
+        path = tmp_path / "clusters.json"
+        write_json_atomic(str(path), tree_to_json(roots))
+        assert json.loads(path.read_text(encoding="utf-8")) == reference_tree_dicts(roots)
         assert_round_trips(roots)
 
     def test_duplicate_heavy_sets(self):
@@ -628,6 +624,6 @@ class TestTreeToJson:
         messages, _ = synth.generate(spec)
         members = [r for m in messages for r in segments_of(null_segmenter(m), m)]
         roots = recursive_cluster(members)
-        assert_encodes_reference_dicts(roots)
+        assert tree_to_json(roots) == reference_tree_dicts(roots)
         assert_children_partition(roots)
         assert_round_trips(roots)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import duplicate_heavy_values, reference_pairwise
+from conftest import duplicate_heavy_values, reference_distinct, reference_pairwise
 
 from protoseg import dissim
 from protoseg.dissim import (UNMATCHED_PENALTY, Overlay, build_matrix, canberra,
@@ -265,12 +265,13 @@ class TestPairwiseOracle:
 class TestOverlay:
     def test_identical_members_align_at_zero(self):
         members = [ref(b"\x05\x06", message_id=i) for i in range(3)]
-        ov = overlay_cluster(members)
+        ov = overlay_cluster(members, *reference_distinct(members))
         assert ov.shifts == (0, 0, 0)
         assert ov.width == 2
 
     def test_short_member_aligns_at_best_offset(self):
-        ov = overlay_cluster([ref(b"\x08\x90"), ref(b"\x90", message_id=1)])
+        members = [ref(b"\x08\x90"), ref(b"\x90", message_id=1)]
+        ov = overlay_cluster(members, *reference_distinct(members))
         assert ov.reference == 0
         assert ov.shifts == (0, 1)
         assert ov.width == 2
@@ -279,13 +280,14 @@ class TestOverlay:
         a = ref(b"\x10\x10", message_id=0)
         b1 = ref(b"\x40\x41", message_id=1)
         b2 = ref(b"\x40\x41", message_id=2)
-        ov = overlay_cluster([a, b1, b2])
+        members = [a, b1, b2]
+        ov = overlay_cluster(members, *reference_distinct(members))
         # brute-force totals: the identical pair minimizes total dissimilarity
         assert ov.reference == 1
 
     def test_needs_two_members(self):
         with pytest.raises(UsageError):
-            overlay_cluster([ref(b"\x01")])
+            overlay_cluster([ref(b"\x01")], np.zeros((1, 1)), [0])
 
     def test_medoid_takes_the_rounding_of_the_member_row_sums(self):
         # both values have total 6 * d exactly, but summed over the members
@@ -294,9 +296,7 @@ class TestOverlay:
         # and pick member 0
         members = [ref(b"\x02" if c == "a" else b"\x80\x03", message_id=i)
                    for i, c in enumerate("aaabaaabbbbb")]
-        assert overlay_cluster(members).reference == 3
         U = pairwise([b"\x02", b"\x80\x03"])
-        assert overlay_cluster(members, U).reference == 3
         inverse = [0 if c == "a" else 1 for c in "aaabaaabbbbb"]
         assert overlay_cluster(members, U, inverse).reference == 3
 
@@ -313,17 +313,15 @@ class TestOverlay:
                    dissimilarity(v, medoid)[1] * (1 if len(v) <= len(medoid) else -1)
                    for v in values]
             want = (reference, tuple(r - min(rel) for r in rel))
-            U = pairwise(distinct)
-            for ov in (overlay_cluster(members, U, inverse), overlay_cluster(members, U),
-                       overlay_cluster(members)):
-                assert (ov.reference, ov.shifts) == want
+            ov = overlay_cluster(members, pairwise(distinct), inverse)
+            assert (ov.reference, ov.shifts) == want
 
 
 class TestBuildMatrix:
     def test_equal_length_members_reproduce_raw_bytes(self, example_x):
         members = [ref(row.astype(np.uint8).tobytes(), message_id=i)
                    for i, row in enumerate(example_x)]
-        ov = overlay_cluster(members)
+        ov = overlay_cluster(members, *reference_distinct(members))
         dm = build_matrix(ov)
         assert dm.mask.all()
         assert np.array_equal(dm.X, example_x)
@@ -334,7 +332,7 @@ class TestBuildMatrix:
                    ref(b"\x0a\x14\x28", message_id=1),
                    ref(b"\x0a\x14\x32", message_id=2),
                    ref(b"\x0a\x14", message_id=3)]
-        dm = build_matrix(overlay_cluster(members))
+        dm = build_matrix(overlay_cluster(members, *reference_distinct(members)))
         # last column observed by 3 of 4 members: retained, gap holds the mean
         assert dm.column_map.tolist() == [0, 1, 2]
         assert not dm.mask[3, 2]
@@ -353,7 +351,7 @@ class TestBuildMatrix:
         members = [ref(bytes(rng.integers(0, 256, size=3).tolist()), message_id=i)
                    for i in range(3)]
         members.append(ref(bytes(rng.integers(0, 256, size=2).tolist()), message_id=3))
-        dm = build_matrix(overlay_cluster(members))
+        dm = build_matrix(overlay_cluster(members, *reference_distinct(members)))
         filled = ~dm.mask
         assert filled.any()
         deviations = dm.X - dm.X.mean(axis=0)

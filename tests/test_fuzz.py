@@ -5,8 +5,7 @@ whose cuts are strictly interior offsets, or raises a ProtosegError;
 any other exception is a bug.  Whatever the bytes of a capture or
 hex-line file, loading it returns messages or raises an IngestionError;
 so does loading a segmentation or ground-truth file, whatever its bytes
-or JSON tree.  Whatever the JSON value, the artifact writer writes the
-text of `json.dumps(obj, indent=1)`.
+or JSON tree.
 """
 
 import json
@@ -18,7 +17,7 @@ from protoseg.model import IngestionError, Message, ProtosegError
 from protoseg.refine import PRESETS, preset, run_pipeline
 from protoseg.traceio import (FORMAT_HEXLINES, FORMAT_PCAP, LAYER_RAW, LAYER_TCP,
                               LAYER_UDP, TraceSpec, load_ground_truth, load_segmentation,
-                              load_trace, write_json_atomic)
+                              load_trace)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -114,8 +113,8 @@ def test_random_hexline_file_raises_only_ingestion_error(fuzz_dir, blob):
     assert all(isinstance(m.payload, bytes) and m.payload for m in messages)
 
 
-# JSON trees: strings that look like the separators and record
-# boundaries the writer fixes up, every scalar kind, empty containers
+# JSON trees: strings that look like JSON syntax, every scalar kind,
+# empty containers
 
 _TRICKY = st.sampled_from(['"},\n {', "},\n  {", '": [', "{}", "[]", ",\n ", '"', "\\",
                            "caf\u00e9", "\u2028", "\U0001f600", "\x00",
@@ -135,15 +134,6 @@ _JSON = st.recursive(
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
                             st.dictionaries(_KEYS, inner, max_size=4), _RECORDS, _LIST_MAPS),
     max_leaves=20)
-
-
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@hypothesis.given(obj=_JSON)
-def test_json_writer_matches_indented_dumps(fuzz_dir, obj):
-    path = fuzz_dir / "tree.json"
-    write_json_atomic(str(path), obj)
-    assert path.read_text(encoding="utf-8") == (
-        json.dumps(obj, indent=1, separators=(",", ": ")) + "\n")
 
 
 # segmentation and ground-truth files: random bytes, and JSON trees of

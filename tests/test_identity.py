@@ -33,6 +33,13 @@ files equal the older ones converted to format 2 (each node's member
 count kept, members dropped from inner nodes), and the `segments.json`
 and `edits.json` digests stayed as they were.
 
+The `segments.json` and `edits.json` digests were re-pinned when every
+JSON artifact became the compact `json.dumps(value, separators=(",",
+":"))` of one writer: each new file equals the compact re-dump of the
+older, indented one, so the values did not change (the value column of
+`tests/trace_digests.py` shows the same on the 108-trace set), and the
+`clusters.json` digests, already compact, stayed as they were.
+
 The same runs also check that `edits.json` is a faithful log: replayed
 in order over the preset's base segmentation, every edit is valid when
 it is applied and the result is `segments.json`.
@@ -53,63 +60,63 @@ MESSAGES = 150
 # "<spec>/<preset>": SHA-256 of (segments.json, edits.json, clusters.json)
 GOLDEN = {
     "chars/nemepca": (
-        "e145d1938ad5d8f4443489d432fcf341bfa1f7178d7d3b447430b6b7f33587a8",
-        "d9b665412240c704d97209fc1d3cf46112bd2c3516c3ba020b2801052e3a9409",
+        "62911dfc7a07532aa76348819e4ab4df569e1377274e3a3d2b6836dd75eb8b9e",
+        "c0306748dfe01a675e650bd67d301c5dc771b97ccae5aa548c7435b6c4272a27",
         "3a4d8e83a1405d5b8a83fcde27dbf10b02b6bcc42ec93c3418268bd1eabf5886",
     ),
     "chars/nullpca": (
-        "02bbbb1084637307f5a575de7293243bccb9343d2d3efc36f6de625b82fdf2d8",
-        "7d41b6d86cba0beda0662a2931ce72e94dc57b4cc302dc0066dd127974b43bf4",
+        "145b0ec09c97f4397c7a1644e18deab3526e2ee89c4dbd854a113eebd9f3709d",
+        "5df01f860b7b1d6ecef976e651104b11e3e5157a29a31ec7d8c48285f7a73a72",
         "f900917c8a6fae15ef0ace27163fc7041bdc44dcd1ce12dc75df3f9f2427678a",
     ),
     "fixed/nemepca": (
-        "61264fa5c039b3da4faca63eecb476017a14ada0484979bc937d8d3f0096328e",
-        "b3d8d08d72a397e703b89dc0d9483d31b8599d320b519a31bd7118b374ee9fc1",
+        "5684e5a1e67819b174ea77a2c07b9e7716b05c340aad1cb40724da0961e7ccb3",
+        "677031fcaac89dcff0627e00b2b862e5e6beb184bfe46c54eb0c64287724934a",
         "10449b8c93fcf396b6c0add57618a9ced92f70aed04440c2e0e5f0de1163bc8c",
     ),
     "fixed/nullpca": (
-        "c96b5ee5fbca28374e580c3e5bd10f744333fb671efa17cd5276d48b71258757",
-        "f18f3180556bc59f9fd73e94ca617ca6e6a1dc771b76616291bad71a67edbb9c",
+        "3527a66891ae89a80f93f0513c3b367ca8c5d60ebc559eb0458c70c8baa65231",
+        "defe4a7cd8640a3ad751ef00662aacb49f3cd6a8bb8fcbebbe93870a04e76015",
         "cac750d550c5efeb445582073ba8cdd808e684277ae0142212ef80f77391a3f3",
     ),
     "mixed/nemepca": (
-        "77f7c435810846e54018f1b72733e4614931707a2b110cc4a8fc9d60862d7a57",
-        "c40b451a2721cc937c88633e9e62fdee8940106b079e665eda82bf27ecbf44e2",
+        "52966497a975381125453357c7ec395ad278fc9dc0d134af7f368cba000875d6",
+        "137717e9b979b0354c956dae670b724be0ffe4684486f7c2216bc0a78bc7445c",
         "7231548e82f836218f22fb1491ac37e3be5bb33c29311226152895da70cb6e97",
     ),
     "mixed/nullpca": (
-        "abc4b1fbfef5c9757e6aaccde44cdb4da436907ae3d06a392b3ab76a280db255",
-        "5a7a2f5bfa4576da716c15ab3074c4daceeb0c9040862331e81630413ff5aeb5",
+        "bcca5d492784f306c78e9ab9c51edc611959cbc8db20505c89fd6e7351dc0b20",
+        "0dd5035fcf9e0ade7b021510f8addf980367adc5347609b2cf3e678b8b911b8f",
         "6fbb54d9e82510a8c7ee0a270373d1852891505d22e13540c5c960ebbf10c0c8",
     ),
     "nullsep/nemepca": (
-        "d028f98f53a7abb560bc7aef16cdac4ceda62681c7328f2a6e8ca276e686158f",
-        "9208adba027b69eaded35841a57955878ab0fc1bd87c6a4b19b4d47f94aced3b",
+        "661f1460e892d5f6ea4f31805220a5f5a110bed60492fa0c6cd8b9d7cb744240",
+        "0edd863e3a9fae4195020b0b20d4b8a7efb4fbf74c99afd838fe2ba8e3251281",
         "979799f6281016a0be9f0109946c77da2ddc9ff5c35a56e38b79a558b1113bcd",
     ),
     "nullsep/nullpca": (
-        "fb357b7fadf5f54396d2de9c41382526a80029fa5428d1c838dbe831fe27b041",
-        "7a480c72f0c714d4fd91d5a8121099bb057f76fc362749092d65a1f5662d835b",
+        "98edc22a81506a2ca83567ec3248d8a69c5a3a9c7208fb499319f3c4d58b313e",
+        "b41f7d3c6f493e69f4859680b01904044a96845b571d65f486b961cdad9f4bde",
         "5233722a6ae96b0ed90f3e5042ab6f0489ede1f6748d0a71e43622712bdb4e34",
     ),
     "optional/nemepca": (
-        "d16e0308c68c9d13dfa1598647f6adcf1d9a90cc00a504288f984809be3510a4",
-        "edc6123863042899628b9cf5596992d5d0e8acd6fa8f4c4a89b53d848a20cfef",
+        "9b759df490d2349cbf1e2f4dda13bec56d1df8f4f1f1b9bd7370a57cb3bbe699",
+        "1cf3fe143ea1363eab9a771c080c8abab58d9545bb8ebf90afb7e0882c6ee7f1",
         "17c9296100fea956d079bfe141c80efb3d15d956785e469d84237145f878fee6",
     ),
     "optional/nullpca": (
-        "1d9b483a702158e57998f5f0dcd4a2e37d7cf11cc3eeb4a38e9264324a94341b",
-        "91066a1ad7f60f2a3abaebb43ccbff18fd818acc8df08a65fad00c8141521ab3",
+        "3dc9d34e6081dcf33593762d00eca236a56bf714dabedec7f79e0f937f73f8a2",
+        "97da03ce1416b30ed1de48219e6f80c3b91cd1362c15d8b63c472e212b161678",
         "85dbd7b7e2d0589a7c54bdea2ded3acecaabd00df54f8718e7de0e72884afd09",
     ),
     "packed/nemepca": (
-        "a3646238c94b381ec946f7dbf5fd63f68353578bc6dbf9bcc479b77da0d03532",
-        "4111ba4b92a8c5bfb3976f3e5c7dc77ca49d00494367ff7939ab87987c503d03",
+        "ec9cd41bb064127b777e35cbcdb4f9eb3321cc3834c7cbf965ed7e44931d60ef",
+        "d43e4856146db8aa6449bfb544a0edbcb3222f7673e120506a8cb21c9da31fb4",
         "a8aac67274dc04e182ff2af8cc8683659b598b10c55f779f879331840b3067c0",
     ),
     "packed/nullpca": (
-        "695075eb5a3d08e31b8c3926252d673dabfaac1e741c2c2a95132d33ee4d0a6a",
-        "66e8d748b844f903557838c017f401c66e85e3312ade12161fee2069a3b25223",
+        "72b120952e89ed9a5ab08c04f332e1faa5411bbd5a42c2e0c5decbec5c94973b",
+        "f6bd27dcfcfcea6869f78c0eb5746f105fb446ef08b66e3c122fbd4c92b134fb",
         "8c76e3a670f0b7c572bab1ae8a2b28e469d867d7bb15c3ada80800bd0d786365",
     ),
 }
@@ -117,13 +124,13 @@ GOLDEN = {
 # "<spec>/<preset>@<messages>": the same digests for the larger cases
 GOLDEN_LARGE = {
     "mixed/nullpca@600": (
-        "0f13d31b0808ab14637731528f9555a7b746ab02887bc5aac52bd62dad850080",
-        "f295f57c6fb152e29e783eef0d6e54e888538d855b307e9497f78fe657202091",
+        "eb2c5f1696c95ab118faba5027822290b60c67bdf732ec472eca8b59862aff3d",
+        "64e0fb0ef910d18b9911dda886e5f5e3a5870e8bd21d0e294932ac4225c45745",
         "1ee6ce55fab6b49f681d6047c1bff3929f8b8ba0d8c1d0e9972709b97a2e8d47",
     ),
     "chars/nemepca@600": (
-        "a6f7658688c28faceeb7b88b1bebce76447f4b1394db28a1770eb1462a3a6b38",
-        "4c6834aa5aad84e8d2d8d925b8001ba4f295254a0b8bf8ea783c413c068abaad",
+        "22b5f39c1cdc165cc134fe9a14e2ddabf619e13a20dc603fb0ad6aaaaf9e81b6",
+        "066574f55283f46ea3f59d94ee956aef2be40c3e6052ab6ab4880919d3ac09dd",
         "c21fc2b2e8b43bc5547be395f4562313791450edea7e2c37f4146b3ca89a2fd4",
     ),
 }

@@ -119,3 +119,16 @@ def test_ground_truth_validates_against_trace():
         GroundTruth(cuts={0: (9,)}).validate_against(msgs)
     with pytest.raises(UsageError):
         GroundTruth(cuts={5: (1,)}).validate_against(msgs)
+
+
+@pytest.mark.parametrize("cuts", [{0: (2.7, 5)}, {"1": ("3",)}, {0: (3, 3)}, {0: (0, 2)}])
+def test_ground_truth_checks_cuts_as_segmentation_does(cuts):
+    # these were kept unchecked, and scoring against them failed deep inside
+    with pytest.raises(UsageError, match="message"):
+        GroundTruth(cuts=cuts)
+
+
+def test_ground_truth_normalizes_integer_cuts():
+    truth = GroundTruth(cuts={"1": [np.int64(2), 4], 0: ()})
+    assert truth.cuts == {1: (2, 4), 0: ()}
+    assert all(type(c) is int for c in truth.cuts[1])

@@ -6,7 +6,6 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import indented_dumps
 from protoseg.model import GroundTruth, IngestionError, Message, Segmentation, UsageError
 from protoseg.traceio import (TraceSpec, load_ground_truth, load_segmentation,
                               load_trace, save_ground_truth, save_hexlines,
@@ -277,10 +276,17 @@ class TestSegmentationJson:
         assert [m.payload for m in again] == [m.payload for m in msgs]
 
 
-class TestJsonWriter:
-    """`write_json_atomic` writes exactly `json.dumps(obj, indent=1)` and a newline.
+def value_text(text: str) -> str:
+    """Compact re-dump of the JSON value of a text: equal for equal values, key order included."""
+    return json.dumps(json.loads(text), separators=(",", ":"))
 
-    test_fuzz.py checks the same on random JSON trees.
+
+class TestJsonWriter:
+    """`write_json_atomic` writes exactly `json.dumps(obj, separators=(",", ":"))` and a newline.
+
+    The file holds the same value, key order included, as the indented
+    text `json.dumps(obj, indent=1)` that artifacts held before they
+    became compact: the layout changed and nothing else.
     """
 
     @pytest.mark.parametrize("obj", [
@@ -297,14 +303,15 @@ class TestJsonWriter:
     def test_edge_values_match_indented_dumps(self, tmp_path, obj):
         path = tmp_path / "edge.json"
         write_json_atomic(str(path), obj)
-        assert path.read_text(encoding="utf-8") == (
-            json.dumps(obj, indent=1, separators=(",", ": ")) + "\n")
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(obj, separators=(",", ":")) + "\n"
+        assert value_text(text) == value_text(json.dumps(obj, indent=1))
 
     @pytest.mark.parametrize("obj", [{(1,): 2}, {"a": [{(1,): 1}, 2]}, {"a": object()},
                                      [[1, object()], {"b": {}}]])
     def test_unserializable_raises_type_error_and_leaves_no_file(self, tmp_path, obj):
         with pytest.raises(TypeError):
-            json.dumps(obj, indent=1)
+            json.dumps(obj)
         with pytest.raises(TypeError):
             write_json_atomic(str(tmp_path / "bad.json"), obj)
         assert list(tmp_path.iterdir()) == []
@@ -325,17 +332,23 @@ def random_cut_maps():
 
 
 class TestCutMapWriters:
-    """`save_segmentation` and `save_ground_truth` write `json.dumps(indent=1)` text."""
+    """`save_segmentation` and `save_ground_truth` write {"<id>": [cuts]} compact, in id order.
+
+    Ids sort as numbers, not as their key strings; the value, key order
+    included, is the one the indented text of either writer held before.
+    """
 
     @pytest.mark.parametrize("index", range(len(random_cut_maps())))
     def test_match_indented_dumps(self, tmp_path, index):
         cut_map = random_cut_maps()[index]
-        expected = indented_dumps({str(mid): list(cut_map[mid]) for mid in sorted(cut_map)}) + "\n"
+        ordered = {str(mid): list(cut_map[mid]) for mid in sorted(cut_map)}
         save_segmentation(str(tmp_path / "s.json"),
                           [Segmentation(mid, cuts) for mid, cuts in cut_map.items()])
         save_ground_truth(str(tmp_path / "t.json"), GroundTruth(cuts=cut_map))
-        assert (tmp_path / "s.json").read_text(encoding="utf-8") == expected
-        assert (tmp_path / "t.json").read_text(encoding="utf-8") == expected
+        for name in ("s.json", "t.json"):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert text == json.dumps(ordered, separators=(",", ":")) + "\n"
+            assert value_text(text) == value_text(json.dumps(ordered, indent=1))
 
 
 class TestArtifactMode:

@@ -1,4 +1,4 @@
-"""SHA-256 of every `segment` artifact over the 108-trace identity set.
+"""SHA-256 of every `segment` artifact, by bytes and by JSON value, over the 108-trace identity set.
 
 Usage, from the root of a checkout:
 
@@ -9,10 +9,15 @@ messages, each generated with rng_seed 1000 * seed + messages and
 segmented under both presets with `--no-dedupe`, through `cli.main` as
 the `segment` command runs.  Each artifact file gets one line,
 
-    <spec>/<preset>/s<seed>/n<messages> <artifact> <sha256>
+    <spec>/<preset>/s<seed>/n<messages> <artifact> <sha256 of bytes> <sha256 of value>
 
-so the output of two checkouts is compared with one `diff`; a change
-meant to keep the artifacts byte-identical leaves it empty.  The script
+where the value digest is the SHA-256 of the compact re-dump of the
+parsed file, `json.dumps(value, separators=(",", ":"))`, so it does
+not depend on the file's layout.  The output of two checkouts is
+compared with one `diff`: a change meant to keep the artifacts
+byte-identical leaves it empty, and a layout-only change leaves the
+last column unchanged (`cut -d" " -f1,2,4` of both outputs compare
+equal).  The script
 imports protoseg from this checkout's src/ and writes nothing outside
 a temporary directory.  pytest does not collect it (no test_ prefix).
 """
@@ -23,6 +28,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -40,7 +46,7 @@ SIZES = (150, 600, 1500)
 
 
 def trace_digests(work_dir: str):
-    """Yield one (trace, artifact, sha256) per artifact file of the set."""
+    """Yield one (trace, artifact, bytes sha256, value sha256) per artifact file of the set."""
     for name, spec in sorted(synth.reference_specs().items()):
         for seed in SEEDS:
             for n in SIZES:
@@ -58,7 +64,10 @@ def trace_digests(work_dir: str):
                         raise SystemExit(f"segment exited with {code} on {trace}")
                     for artifact in ARTIFACTS:
                         with open(os.path.join(out, artifact), "rb") as fh:
-                            yield trace, artifact, hashlib.sha256(fh.read()).hexdigest()
+                            raw = fh.read()
+                        value = json.dumps(json.loads(raw), separators=(",", ":"))
+                        yield (trace, artifact, hashlib.sha256(raw).hexdigest(),
+                               hashlib.sha256(value.encode("utf-8")).hexdigest())
 
 
 if __name__ == "__main__":
