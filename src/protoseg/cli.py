@@ -18,7 +18,8 @@ from . import refine, synth, traceio
 from .cluster import tree_to_json
 from .model import AnalysisParams, ProtosegError, UsageError, segments_of
 
-# traces beyond this need --force; the analysis is quadratic in segments
+# traces beyond this need --force; the analysis memory is quadratic in
+# distinct segment values
 MESSAGE_LIMIT = 2000
 
 _ENV_OUT = "PROTOSEG_OUT"
@@ -175,6 +176,8 @@ def _cmd_segment(args) -> int:
         if not args.external_segments:
             raise UsageError("--base external requires --external-segments")
         external = traceio.load_segmentation(args.external_segments, messages)
+    elif args.external_segments:
+        raise UsageError("--external-segments needs --base external")
     result = refine.run_pipeline(messages, pipeline, external=external)
 
     out = _out_dir(args.out)

@@ -38,6 +38,7 @@ largest length group, plus the copies of that node's other children.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -197,11 +198,24 @@ def estimate_eps(dist: np.ndarray, min_pts: int = MIN_PTS, weights=None) -> floa
     if curve.size == 0:
         return 1e-9  # nothing but duplicates; any positive radius works
     knee = pca.kneedle(curve[::-1])
-    if knee is not None:
-        eps = float(curve[::-1][knee])
-    else:
-        eps = float(np.percentile(curve, 90))
+    eps = float(curve[::-1][knee]) if knee is not None else _percentile_90(curve)
     return min(max(eps, 1e-9), 1.0)
+
+
+def _percentile_90(curve: np.ndarray) -> float:
+    """`np.percentile(curve, 90)` of a sorted non-empty curve, with its bits.
+
+    numpy's default "linear" method interpolates between the two order
+    statistics around index 0.9 (n - 1), from the nearer one; read here
+    directly, since `np.percentile` imports numpy.ma on its first call.
+    """
+    n = curve.size
+    vi = (n - 1) * (90 / 100)
+    lo = math.floor(vi)
+    a, b = float(curve[lo]), float(curve[min(lo + 1, n - 1)])
+    g = vi - lo
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 def recursive_cluster(segments, params: AnalysisParams = AnalysisParams(),

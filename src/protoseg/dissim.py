@@ -18,16 +18,16 @@ positions and yields the rectangular data matrix the covariance is
 computed from.
 
 The per-byte term is spelled once, in `_terms`: `canberra` sums it and
-`_TERMS` tabulates it for all 256x256 byte pairs.  numpy's summation
-order is spelled once too, in `_ordered_sum`, and both kernels add
-their terms with it.  `dissimilarity` (one pair) reads each offset's
-terms from the table as Python floats and sums them without numpy;
-`pairwise` (whole blocks of segments) gathers the terms of one byte
-position for every pair of a block at a time and sums these position
-arrays.  So every entry of `pairwise` holds the same bits that
-`dissimilarity` gives for its pair, and both hold the bits of
-`canberra`.  The term is symmetric, so blocks of equal-length segments
-compute only the upper half and mirror it.
+`_TERMS` tabulates it for all 256x256 byte pairs.  Every sum of terms
+adds them left to right with one accumulator, starting from the first
+term.  `dissimilarity` (one pair) reads each offset's terms from the
+table as Python floats and folds them without numpy; `pairwise` (whole
+blocks of segments) gathers the terms of one byte position for every
+pair of a block at a time and adds these position arrays in order.  So
+every entry of `pairwise` holds the same bits that `dissimilarity`
+gives for its pair, and both hold the bits of `canberra`.  The term is
+symmetric, so blocks of equal-length segments compute only the upper
+half and mirror it.
 A block has at most _BLOCK_BUDGET rows x max(cols, 256) entries,
 which bounds the kernel's scratch memory at a few MB whatever the
 segment count; the returned n x n matrix itself takes 8 n^2 bytes.
@@ -64,9 +64,8 @@ from .model import DegenerateClusterError, UsageError
 UNMATCHED_PENALTY = 1.0
 
 # soft cap on rows * max(cols, 256) of one pairwise block (elements); a
-# block holds about a dozen arrays of that size at once: eight
-# accumulators, the finished halves of sums over more than 128
-# positions, the minimum over offsets and the terms being gathered
+# block holds a few arrays of that size at once: the running sum, the
+# minimum over offsets and the terms being gathered
 _BLOCK_BUDGET = 65_536
 
 
@@ -85,7 +84,7 @@ def canberra(u, v) -> float:
         raise UsageError("canberra needs two non-empty 1-d vectors")
     if u.size != v.size:
         raise UsageError(f"canberra needs equal lengths, got {u.size} and {v.size}")
-    return float(np.sum(_terms(u, v)))
+    return float(np.cumsum(_terms(u, v))[-1])  # left to right, as every sum here adds
 
 
 # Canberra term of every byte pair: _TERMS[u, v]
@@ -95,81 +94,27 @@ _TERMS = _terms(np.arange(256.0)[:, None], np.arange(256.0)[None, :])
 _TERM_ROWS = [memoryview(row) for row in _TERMS]
 
 
-def _ordered_sum(term, start: int, count: int):
-    """Sum of term(start) .. term(start + count - 1) in numpy's summation order.
-
-    numpy's pairwise summation adds fewer than 8 terms left to right, up
-    to 128 in eight interleaved accumulators combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the
-    leftover terms, and more by splitting at a multiple of 8 near the
-    middle.  So a sum of nonnegative terms made here has the bits
-    `.sum()` gives the array of those terms; starting from the first term
-    instead of 0.0 changes no bits.  A term is a float or a fresh array:
-    arrays add in place and floats rebind, so the one order serves the
-    scalar and the block kernel.
-
-    This copies numpy's internal `pairwise_sum` (numpy/_core/src/umath/
-    loops_utils.h.src): PW_BLOCKSIZE 128, unrolled by 8.  A numpy
-    release that changed them would break the equality with numpy's
-    sums; the guards that catch it are
-    `TestDissimilarityOracle.test_equal_length_pairs` and
-    `TestPairwiseOracle.test_single_length_at_every_summation_branch`.
-    """
-    if count < 8:
-        acc = term(start)
-        for j in range(start + 1, start + count):
-            acc += term(j)
-        return acc
-    if count > 128:
-        half = count // 2
-        half -= half % 8
-        acc = _ordered_sum(term, start, half)
-        acc += _ordered_sum(term, start + half, count - half)
-        return acc
-    r = [term(start + k) for k in range(8)]
-    stop = start + count - count % 8
-    for j in range(start + 8, stop, 8):
-        for k in range(8):
-            r[k] += term(j + k)
-    for k in (0, 2, 4, 6):
-        r[k] += r[k + 1]
-    r[0] += r[2]
-    r[4] += r[6]
-    r[0] += r[4]
-    for j in range(stop, start + count):
-        r[0] += term(j)
-    return r[0]
-
-
-def _fold(row) -> float:
-    """Sum of a list of floats in numpy's summation order.
-
-    Fewer than 8 terms numpy adds left to right, as `reduce` does without
-    a call per term; `sum()` compensates float sums from Python 3.12 on,
-    so its bits would differ.
-    """
-    return reduce(add, row) if len(row) < 8 else _ordered_sum(row.__getitem__, 0, len(row))
-
-
 def dissimilarity(s, t) -> tuple:
     """Length-tolerant Canberra dissimilarity and best-match offset of two byte strings.
 
     Returns (value in [0,1], offset of the shorter value within the
     longer, smallest offset on ties).  Symmetric in its arguments.
     Computed in plain Python: a call compares a few bytes, and numpy's
-    per-call overhead would cost more than the arithmetic.  Values of
-    equal length have the one offset 0, so they skip the offset loop.
+    per-call overhead would cost more than the arithmetic.  `reduce`
+    adds the terms left to right; `sum()` compensates float sums from
+    Python 3.12 on, so its bits would differ.  Values of equal length
+    have the one offset 0, so they skip the offset loop.
     """
     if not (isinstance(s, (bytes, bytearray)) and isinstance(t, (bytes, bytearray)) and s and t):
         raise UsageError("dissimilarity needs two non-empty bytes or bytearray values")
     n = len(s)
     if n == len(t):
-        return _fold(list(map(getitem, map(_TERM_ROWS.__getitem__, s), t))) / n, 0
+        return reduce(add, map(getitem, map(_TERM_ROWS.__getitem__, s), t)) / n, 0
     short, long_ = (s, t) if n < len(t) else (t, s)
     m, n = len(short), len(long_)
     best, best_sum = 0, math.inf
     for o in range(n - m + 1):
-        total = _fold(list(map(getitem, map(_TERM_ROWS.__getitem__, short), long_[o:o + m])))
+        total = reduce(add, map(getitem, map(_TERM_ROWS.__getitem__, short), long_[o:o + m]))
         if total < best_sum:  # strict, so the smallest offset wins ties
             best, best_sum = o, total
     return (best_sum + (n - m) * UNMATCHED_PENALTY) / n, best
@@ -179,11 +124,13 @@ def _term_sums(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Canberra sums of every row of X (r, m) with every row of Y (c, m), as (r, c).
 
     The terms of one position for all pairs are gathered as one (r, c)
-    array, and `_ordered_sum` adds these arrays in the order numpy adds a
-    row, so each entry has the bits `dissimilarity` gives its pair.
+    array, and these arrays are added in place in position order, so each
+    entry has the bits `dissimilarity` gives its pair.
     """
-    return _ordered_sum(lambda j: _TERMS.take(X[:, j], axis=0).take(Y[:, j], axis=1),
-                        0, X.shape[1])
+    total = _TERMS.take(X[:, 0], axis=0).take(Y[:, 0], axis=1)
+    for j in range(1, X.shape[1]):
+        total += _TERMS.take(X[:, j], axis=0).take(Y[:, j], axis=1)
+    return total
 
 
 def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:

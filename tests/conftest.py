@@ -132,7 +132,8 @@ def reference_pairwise(values):
 
     Per pair of length groups (m <= n) and offset o, the float64 terms
     |x - y| / (x + y) of every member pair form one (a, b, m) array that
-    is summed over its last axis; the minimum over offsets is charged
+    is summed over its last axis, left to right (`np.cumsum`, unlike
+    `.sum()`, adds in sequence); the minimum over offsets is charged
     (n - m) unmatched bytes and divided by n.
     """
     rows = [np.frombuffer(bytes(v), dtype=np.uint8).astype(float) for v in values]
@@ -151,7 +152,7 @@ def reference_pairwise(values):
                 num = np.abs(X - Y)
                 den = X + Y
                 np.divide(num, den, out=num, where=den > 0)  # den = 0 only where num = 0
-                np.minimum(best, num.sum(axis=2), out=best)
+                np.minimum(best, np.cumsum(num, axis=2)[..., -1], out=best)
             vals = (best + (n - m) * UNMATCHED_PENALTY) / n
             D[np.ix_(by_len[m], by_len[n])] = vals
             D[np.ix_(by_len[n], by_len[m])] = vals.T

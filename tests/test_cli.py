@@ -169,6 +169,18 @@ def test_external_base_segmentation(synth_dir, tmp_path):
     assert rc == 1  # external base without a segmentation file
 
 
+@pytest.mark.parametrize("base", [None, "null_bytes"])
+def test_external_segments_without_external_base_exit_1(synth_dir, tmp_path, capsys, base):
+    # the file would be ignored, so it is refused before any output is written
+    out = tmp_path / "seg"
+    rc = main(["segment", "--trace", str(synth_dir / "trace.hex"), "--preset", "nullpca",
+               *(["--base", base] if base else []),
+               "--external-segments", str(tmp_path / "nonexistent.json"), "--out", str(out)])
+    assert rc == 1
+    assert "--base external" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_applies_knobs(synth_dir, tmp_path):
     cfg = tmp_path / "knobs.conf"
     cfg.write_text("# pipeline knobs\nmin_cluster = 1000\nchunk = 2\n")

@@ -1,8 +1,13 @@
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +117,41 @@ class TestEstimateEps:
         D = np.full((n, n), 0.3)
         np.fill_diagonal(D, 0.0)
         assert estimate_eps(D) == pytest.approx(0.3)
+
+    def test_percentile_matches_numpy(self):
+        # the fallback reads numpy's default "linear" percentile from the
+        # sorted curve itself: uniform values, ties, and magnitudes spread
+        # over nine decades, at every size up to 300 and a few larger
+        rng = np.random.default_rng(19)
+        for n in [*range(1, 301), 1000, 1001, 4097, 50_000]:
+            for curve in (rng.random(n), rng.integers(1, 5, size=n) / 7,
+                          10.0 ** rng.uniform(-9, 0, size=n)):
+                curve.sort()
+                assert cluster._percentile_90(curve) == float(np.percentile(curve, 90))
+
+    def test_fallback_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.percentile imports numpy.ma on its first call in a process;
+        # a segment run through the fallback must not import it
+        code = textwrap.dedent("""
+            import dataclasses, sys
+            from protoseg import cluster, synth, traceio
+            from protoseg.cli import main
+            calls = []
+            percentile = cluster._percentile_90
+            cluster._percentile_90 = lambda curve: calls.append(curve.size) or percentile(curve)
+            spec = synth.reference_specs()["mixed"]
+            spec = dataclasses.replace(spec, message_count=150, rng_seed=1)
+            traceio.save_hexlines("trace.hex", synth.generate(spec)[0])
+            assert main(["segment", "--trace", "trace.hex", "--out", "out"]) == 0
+            assert calls, "the run never took the fallback"
+            assert "numpy.ma" not in sys.modules
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_two_scale_set_separates_the_groups(self):
         # two tight groups (intra around 0.02) far apart (inter 0.8): the

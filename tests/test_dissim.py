@@ -106,9 +106,10 @@ class TestDissimilarityOracle:
 
     @pytest.mark.parametrize("length", [*range(1, 10), 15, 16, 17, 127, 128, 129, 255, 256, 257])
     def test_equal_length_pairs(self, length):
-        # numpy adds fewer than 8 terms left to right, up to 128 in eight
-        # accumulators and more in halves; an equal-length pair has the one
-        # offset 0, and a pair (m, m + 3) sums m terms at each of four offsets
+        # an equal-length pair has the one offset 0, and a pair (m, m + 3)
+        # sums m terms at each of four offsets; from 8 terms on numpy's
+        # `.sum()` adds in another order than left to right, so the lengths
+        # past 8, 128 and 256 catch a kernel that sums with it
         rng = np.random.default_rng(72 + length)
         alphabet = np.array([0x00, 0x00, 0xff, 0xff, 0x01, 0x7f, 0x80, 0xfe])
 
@@ -130,18 +131,22 @@ class TestDissimilarityOracle:
                 assert dissimilarity(s, t) == brute_dissimilarity(s, t)
 
     def test_equal_length_is_canberra_over_length(self):
-        # equal lengths skip the offset loop; lengths 1-140 cover the left
-        # to right fold below 8 terms, the eight accumulators up to 128 and
-        # the split above it
+        # equal lengths skip the offset loop; canberra, the scalar fold and
+        # the block kernel all add left to right, so the three agree bit for
+        # bit at every length, also from 8 terms on, where numpy's `.sum()`
+        # would add in another order
         rng = np.random.default_rng(73)
         alphabet = np.array([0x00, 0x00, 0xff, 0xff, 0x01, 0x7f, 0x80, 0xfe])
-        for n in range(1, 141):
-            for _ in range(12):
-                s, t = (bytes(rng.choice(alphabet if rng.random() < 0.5 else 256,
-                                         size=n).tolist()) for _ in range(2))
+        for n in range(1, 301):
+            pairs = [tuple(bytes(rng.choice(alphabet if rng.random() < 0.5 else 256,
+                                            size=n).tolist()) for _ in range(2))
+                     for _ in range(12)]
+            D = pairwise([v for pair in pairs for v in pair])
+            for k, (s, t) in enumerate(pairs):
                 value, offset = dissimilarity(s, t)
                 expected = canberra(list(s), list(t)) / n
                 assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+                assert np.float64(value).tobytes() == D[2 * k, 2 * k + 1].tobytes()
                 assert offset == 0
                 assert dissimilarity(bytearray(t), s) == (value, 0)
 
@@ -159,7 +164,8 @@ class TestDissimilarityOracle:
 
 class TestPairwise:
     def test_matches_scalar_path(self):
-        # bit for bit, also at lengths of 8 and more, where numpy sums pairwise
+        # bit for bit, also at lengths of 8 and more, where numpy's `.sum()`
+        # would add in another order; both paths add left to right
         rng = np.random.default_rng(23)
         values = [bytes(rng.integers(0, 256, size=int(rng.integers(1, 20))).tolist())
                   for _ in range(25)]
@@ -243,9 +249,10 @@ class TestPairwiseOracle:
 
     @pytest.mark.parametrize("length", [*range(1, 41), 127, 128, 129, 255, 256, 257])
     def test_single_length_at_every_summation_branch(self, length):
-        # numpy adds fewer than 8 terms left to right, up to 128 in eight
-        # accumulators and more in halves; half the values are mostly 0x00
-        # and 0xFF, whose terms are 0 and 1 or have den = 0
+        # lengths on both sides of 8, 128 and 256, where numpy's `.sum()`
+        # changes how it adds, against the left-to-right reference; half
+        # the values are mostly 0x00 and 0xFF, whose terms are 0 and 1 or
+        # have den = 0
         rng = np.random.default_rng(length)
         extreme = np.array([0x00, 0x00, 0x00, 0xff, 0xff, 0x01, 0xfe])
         values = [bytes(rng.choice(extreme if k % 2 else 256, size=length).tolist())
@@ -254,7 +261,8 @@ class TestPairwiseOracle:
         self.assert_oracles(values)
 
     def test_mixed_lengths_above_sixteen_bytes(self):
-        # long values at many offsets, with sums on all three branches
+        # long values at many offsets, with sums of under 8, up to 128 and
+        # over 128 terms
         rng = np.random.default_rng(61)
         extreme = np.array([0x00, 0x00, 0xff, 0xff, 0x80])
         values = [bytes(rng.choice(extreme if k % 2 else 256, size=length).tolist())

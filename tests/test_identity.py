@@ -43,15 +43,25 @@ older, indented one, so the values did not change (the value column of
 The same runs also check that `edits.json` is a faithful log: replayed
 in order over the preset's base segmentation, every edit is valid when
 it is applied and the result is `segments.json`.
+
+The bundled specs under either preset split every root into groups of
+one length, so none of the cases above compares values of different
+lengths.  The external cases of `tests/trace_digests.py` do: their
+`segment --base external` runs put segments of several lengths into one
+cluster.  Their digests were recorded on commit 7ba1d39, while the
+Canberra sums still followed numpy's pairwise summation order, and the
+runs record which length-tolerant code paths each case reaches.
 """
 
 import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from trace_digests import external_cases
 
-from protoseg import refine, synth, traceio
+from protoseg import dissim, refine, synth, traceio
 from protoseg.cli import main
 
 ARTIFACTS = ("segments.json", "edits.json", "clusters.json")
@@ -136,6 +146,42 @@ GOLDEN_LARGE = {
 }
 
 
+# "<case>" of `trace_digests.external_cases`: the same digests
+GOLDEN_EXTERNAL = {
+    "chars/windows": (
+        "0b5a47b4e3c44b7a61c4f2d16e168872861b406d0a974738ff89db32b125ad50",
+        "9c8b5aacb99b11540fa13d131487dc89c6a3cfddcf65e866d629ef5a09274125",
+        "d9ed152efebfe5e131b045b76e6e99a22e560fb9c10ee08e87a0df84194b2fe9",
+    ),
+    "mixed/windows": (
+        "0721884bc424200b1b489fcb8a65cbcf9296d706eae8941500326b7665615419",
+        "27836337b3eae686e571e5e4f5e1f97c07432aabf104256a88658674fa34abf8",
+        "95101a01a19b95125cc2f21edc23e053c5dc642fa8a72db1fb038cd40ef9564a",
+    ),
+    "nullsep/windows": (
+        "92088fe39204cf7aa1d31ba83070454237ecb522499c1e699ca93e101624f394",
+        "25fc6ea3a2f0390b37d747d8d4761fda34bfe56a042ff761adf160bdab1b7bb7",
+        "8b736b1baa11b4979d7a8f7e01464ad7381017607ee1449f4bb93bee7d18832e",
+    ),
+    "prototypes/whole": (
+        "aee3e3ac54f49547a5696c44935478b89943d352faf48c394f9ebeac90eb4b4d",
+        "d1d8a3b468fbf28a1ef515f396dee058710f104c2fd8f3ed29dfa6c6d6285c10",
+        "b0925de3524a92def294223a555ce7721dca0474d47e0ab2f05b5b66b78021b6",
+    ),
+}
+
+# length-tolerant paths: `dissimilarity` of two lengths, `pairwise` over
+# several lengths, an overlay taking nonzero offsets from an ancestor's,
+# and `build_matrix` filling unobserved cells with column means
+UNEQUAL, LENGTHS, REUSE, FILL = "unequal", "lengths", "reuse", "fill"
+REACHED = {
+    "chars/windows": {UNEQUAL, LENGTHS},
+    "mixed/windows": {UNEQUAL, LENGTHS},
+    "nullsep/windows": {UNEQUAL, LENGTHS},
+    "prototypes/whole": {UNEQUAL, LENGTHS, REUSE, FILL},
+}
+
+
 def split_case(case):
     """(spec, preset, message count) of a GOLDEN or GOLDEN_LARGE key."""
     name, _, count = case.partition("@")
@@ -178,6 +224,51 @@ def runs(traces, tmp_path_factory):
     return run
 
 
+@pytest.fixture(scope="module")
+def external_runs(tmp_path_factory):
+    """{case: (output directory, paths reached)} of every external case, run once."""
+    root = tmp_path_factory.mktemp("external")
+    runs = {}
+    paths = set()
+    dissimilarity, pairwise = dissim.dissimilarity, dissim.pairwise
+    overlay_cluster, build_matrix = dissim.overlay_cluster, dissim.build_matrix
+
+    def recorded_dissimilarity(s, t):
+        if len(s) != len(t):
+            paths.add(UNEQUAL)
+        return dissimilarity(s, t)
+
+    def recorded_pairwise(values):
+        if len(set(map(len, values))) > 1:
+            paths.add(LENGTHS)
+        return pairwise(values)
+
+    def recorded_overlay(members, dist, inverse, known=None):
+        overlay = overlay_cluster(members, dist, inverse, known)
+        medoid = members[overlay.reference].values
+        if known and medoid in known and np.any(np.asarray(known[medoid]) != 0):
+            paths.add(REUSE)
+        return overlay
+
+    def recorded_matrix(overlay):
+        matrix = build_matrix(overlay)
+        if not matrix.mask.all():
+            paths.add(FILL)
+        return matrix
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dissim, "dissimilarity", recorded_dissimilarity)
+        mp.setattr(dissim, "pairwise", recorded_pairwise)
+        mp.setattr(dissim, "overlay_cluster", recorded_overlay)
+        mp.setattr(dissim, "build_matrix", recorded_matrix)
+        for case, argv in external_cases(str(root)).items():
+            paths.clear()
+            out = root / case.replace("/", "-")
+            assert main([*argv, "--out", str(out)]) == 0
+            runs[case] = (out, frozenset(paths))
+    return runs
+
+
 def digests(out):
     return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS)
 
@@ -190,6 +281,15 @@ def test_artifacts_match_golden_digests(case, runs, capsys):
 @pytest.mark.parametrize("case", sorted(GOLDEN_LARGE))
 def test_large_artifacts_match_golden_digests(case, runs, capsys):
     assert digests(runs(case)) == GOLDEN_LARGE[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EXTERNAL))
+def test_external_artifacts_match_golden_digests(case, external_runs, capsys):
+    assert digests(external_runs[case][0]) == GOLDEN_EXTERNAL[case]
+
+
+def test_external_cases_reach_the_length_tolerant_paths(external_runs, capsys):
+    assert {case: paths for case, (_, paths) in external_runs.items()} == REACHED
 
 
 def replay(cuts: set, length: int, edits) -> set:

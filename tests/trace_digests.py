@@ -1,25 +1,32 @@
-"""SHA-256 of every `segment` artifact, by bytes and by JSON value, over the 108-trace identity set.
+"""SHA-256 of every `segment` artifact, by bytes and by JSON value, over the identity set.
 
 Usage, from the root of a checkout:
 
     python3 tests/trace_digests.py > digests.txt
 
-The set is the six bundled specs x seeds {0, 3, 7} x {150, 600, 1500}
-messages, each generated with rng_seed 1000 * seed + messages and
-segmented under both presets with `--no-dedupe`, through `cli.main` as
-the `segment` command runs.  Each artifact file gets one line,
+The set has two parts.  The 108-trace part is the six bundled specs x
+seeds {0, 3, 7} x {150, 600, 1500} messages, each generated with
+rng_seed 1000 * seed + messages and segmented under both presets with
+`--no-dedupe`.  The external part, `external_cases`, is the length-
+tolerant path: traces whose external base segmentation puts segments of
+several lengths into one cluster, segmented with `--base external`
+under nullpca.  Every run goes through `cli.main` as the `segment`
+command runs.  Each artifact file gets one line,
 
-    <spec>/<preset>/s<seed>/n<messages> <artifact> <sha256 of bytes> <sha256 of value>
+    <trace> <artifact> <sha256 of bytes> <sha256 of value>
 
-where the value digest is the SHA-256 of the compact re-dump of the
-parsed file, `json.dumps(value, separators=(",", ":"))`, so it does
-not depend on the file's layout.  The output of two checkouts is
-compared with one `diff`: a change meant to keep the artifacts
-byte-identical leaves it empty, and a layout-only change leaves the
-last column unchanged (`cut -d" " -f1,2,4` of both outputs compare
-equal).  The script
-imports protoseg from this checkout's src/ and writes nothing outside
-a temporary directory.  pytest does not collect it (no test_ prefix).
+where <trace> is <spec>/<preset>/s<seed>/n<messages> for the 108-trace
+part and external/<case> for the external part, and the value digest is
+the SHA-256 of the compact re-dump of the parsed file,
+`json.dumps(value, separators=(",", ":"))`, so it does not depend on
+the file's layout.  The output of two checkouts is compared with one
+`diff`: a change meant to keep the artifacts byte-identical leaves it
+empty, and a layout-only change leaves the last column unchanged
+(`cut -d" " -f1,2,4` of both outputs compare equal).  Run as a
+script, it imports protoseg from the src/ next to its own directory; it
+writes nothing outside a temporary directory.  pytest does not collect
+it (no test_ prefix); `tests/test_identity.py` imports `external_cases`
+from here and pins the external cases' digests.
 """
 
 from __future__ import annotations
@@ -30,11 +37,13 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "src"))
+if __name__ == "__main__":  # a script imports protoseg from its own checkout
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "src"))
 
 from protoseg import synth, traceio  # noqa: E402
 from protoseg.cli import main  # noqa: E402
@@ -43,6 +52,77 @@ ARTIFACTS = ("segments.json", "edits.json", "clusters.json")
 PRESETS = ("nullpca", "nemepca")
 SEEDS = (0, 3, 7)
 SIZES = (150, 600, 1500)
+EXTERNAL_SPECS = ("chars", "mixed", "nullsep")
+EXTERNAL_MESSAGES = 300
+
+
+def window_cuts(length: int) -> list:
+    """Cuts of 4-byte windows over a payload, its last 4 to 7 bytes merged into one segment."""
+    return list(range(4, length - 3, 4))
+
+
+def prototype_payloads(count: int, seed: int) -> list:
+    """count payloads of 7 to 10 bytes, each a window of one of three mutated 10-byte prototypes.
+
+    A payload starts 0 to 2 bytes into its prototype, with up to two of
+    the prototype's bytes replaced at random.
+    """
+    rng = random.Random(seed)
+    prototypes = [[rng.randrange(256) for _ in range(10)] for _ in range(3)]
+    payloads = []
+    for _ in range(count):
+        value = list(rng.choice(prototypes))
+        for _ in range(rng.randrange(3)):
+            value[rng.randrange(10)] = rng.randrange(256)
+        start = rng.randrange(3)
+        payloads.append(bytes(value[start:start + rng.randint(7, 10 - start)]))
+    return payloads
+
+
+def external_cases(work_dir: str) -> dict:
+    """{case: `segment` arguments but --out} of the external part, inputs written to work_dir.
+
+    "<spec>/windows" is the spec's trace of 300 messages (rng_seed 1) cut
+    by `window_cuts`, so its one root holds segments of 4 to 7 bytes.
+    The specs' DBSCAN children hold one length each, so those cases
+    reuse only zero offsets; "prototypes/whole" takes each payload of
+    `prototype_payloads(300, 5)` as one segment, and there a child of
+    several lengths reuses nonzero offsets and `build_matrix` fills
+    unobserved cells with column means.
+    """
+    specs = synth.reference_specs()
+    inputs = {
+        f"{name}/windows": (
+            [m.payload for m in synth.generate(dataclasses.replace(
+                specs[name], message_count=EXTERNAL_MESSAGES, rng_seed=1))[0]],
+            window_cuts)
+        for name in EXTERNAL_SPECS
+    }
+    inputs["prototypes/whole"] = (prototype_payloads(EXTERNAL_MESSAGES, 5), lambda length: [])
+    cases = {}
+    for case, (payloads, cuts) in inputs.items():
+        stem = os.path.join(work_dir, case.replace("/", "-"))
+        traceio.write_text_atomic(stem + ".hex", "".join(p.hex() + "\n" for p in payloads))
+        traceio.write_json_atomic(stem + ".json",
+                                  {str(i): cuts(len(p)) for i, p in enumerate(payloads)})
+        cases[case] = ["segment", "--trace", stem + ".hex", "--preset", "nullpca",
+                       "--base", "external", "--external-segments", stem + ".json",
+                       "--no-dedupe"]
+    return cases
+
+
+def segment_digests(trace: str, argv: list, out: str):
+    """Run `segment` with argv into out; yield one (trace, artifact, bytes sha256, value sha256) per artifact."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--out", out])
+    if code != 0:
+        raise SystemExit(f"segment exited with {code} on {trace}")
+    for artifact in ARTIFACTS:
+        with open(os.path.join(out, artifact), "rb") as fh:
+            raw = fh.read()
+        value = json.dumps(json.loads(raw), separators=(",", ":"))
+        yield (trace, artifact, hashlib.sha256(raw).hexdigest(),
+               hashlib.sha256(value.encode("utf-8")).hexdigest())
 
 
 def trace_digests(work_dir: str):
@@ -56,18 +136,12 @@ def trace_digests(work_dir: str):
                 traceio.save_hexlines(hex_path, messages)
                 for preset in PRESETS:
                     trace = f"{name}/{preset}/s{seed}/n{n}"
-                    out = os.path.join(work_dir, trace.replace("/", "-"))
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        code = main(["segment", "--trace", hex_path, "--preset", preset,
-                                     "--no-dedupe", "--out", out])
-                    if code != 0:
-                        raise SystemExit(f"segment exited with {code} on {trace}")
-                    for artifact in ARTIFACTS:
-                        with open(os.path.join(out, artifact), "rb") as fh:
-                            raw = fh.read()
-                        value = json.dumps(json.loads(raw), separators=(",", ":"))
-                        yield (trace, artifact, hashlib.sha256(raw).hexdigest(),
-                               hashlib.sha256(value.encode("utf-8")).hexdigest())
+                    yield from segment_digests(
+                        trace, ["segment", "--trace", hex_path, "--preset", preset, "--no-dedupe"],
+                        os.path.join(work_dir, trace.replace("/", "-")))
+    for case, argv in external_cases(work_dir).items():
+        trace = f"external/{case}"
+        yield from segment_digests(trace, argv, os.path.join(work_dir, trace.replace("/", "-")))
 
 
 if __name__ == "__main__":
