@@ -48,7 +48,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--port", type=int, default=None, help="UDP/TCP port filter")
         p.add_argument("--max-messages", type=int, default=None)
         p.add_argument("--no-dedupe", action="store_true",
-                       help="keep byte-identical duplicate payloads")
+                       help="keep byte-identical duplicate payloads (message ids count "
+                            "the loaded messages)")
         p.add_argument("--force", action="store_true",
                        help=f"allow traces larger than {MESSAGE_LIMIT} messages")
 
@@ -96,14 +97,23 @@ def _out_dir(value):
     return out
 
 
-def _load_messages(args) -> list:
+def _load_messages(args, *keyed) -> list:
+    """The trace's messages, to be read with the files `keyed` by message id (None: not given).
+
+    Ids count the loaded messages, so such a file fits only a trace that
+    dedupe leaves whole, which is the trace as loaded without dedupe.
+    """
+    keyed = [path for path in keyed if path]
     fmt = args.trace_format
     if fmt == "auto":
         fmt = traceio.sniff_format(args.trace)
     spec = traceio.TraceSpec(path=args.trace, format=fmt, layer=args.layer,
                              port=args.port, max_messages=args.max_messages,
-                             dedupe=not args.no_dedupe)
+                             dedupe=not (args.no_dedupe or keyed))
     messages = traceio.load_trace(spec)
+    if keyed and not args.no_dedupe and len({m.payload for m in messages}) < len(messages):
+        raise UsageError(f"{', '.join(keyed)}: message ids count the messages dedupe keeps, "
+                         f"and {args.trace} repeats a payload; pass --no-dedupe")
     if len(messages) > MESSAGE_LIMIT and not args.force:
         raise UsageError(
             f"trace has {len(messages)} messages (> {MESSAGE_LIMIT}); "
@@ -168,7 +178,9 @@ def _build_config(args) -> refine.PipelineConfig:
 
 
 def _cmd_segment(args) -> int:
-    messages = _load_messages(args)
+    if args.external_segments and args.base != refine.BASE_EXTERNAL:
+        raise UsageError("--external-segments needs --base external")
+    messages = _load_messages(args, args.external_segments)
     config = _build_config(args)
     pipeline = refine.preset(args.preset, config=config, base=args.base)
     external = None
@@ -176,8 +188,6 @@ def _cmd_segment(args) -> int:
         if not args.external_segments:
             raise UsageError("--base external requires --external-segments")
         external = traceio.load_segmentation(args.external_segments, messages)
-    elif args.external_segments:
-        raise UsageError("--external-segments needs --base external")
     result = refine.run_pipeline(messages, pipeline, external=external)
 
     out = _out_dir(args.out)
@@ -209,7 +219,7 @@ def _report_names(paths) -> list:
 
 def _cmd_evaluate(args) -> int:
     names = _report_names(args.segments)
-    messages = _load_messages(args)
+    messages = _load_messages(args, args.truth, *args.segments)
     truth = traceio.load_ground_truth(args.truth, messages)
     reports = []
     for path, name in zip(args.segments, names):
@@ -244,7 +254,7 @@ def _cmd_synth(args) -> int:
 def _cmd_inspect(args) -> int:
     if args.limit < 0:
         raise UsageError(f"--limit must be non-negative, got {args.limit}")
-    messages = _load_messages(args)
+    messages = _load_messages(args, args.segments)
     if args.segments:
         segs = {s.message_id: s for s in traceio.load_segmentation(args.segments, messages)}
     else:
@@ -279,10 +289,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ProtosegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ProtosegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

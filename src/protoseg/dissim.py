@@ -244,22 +244,19 @@ def overlay_cluster(members, dist: np.ndarray, inverse, known=None) -> Overlay:
     # ids count up in order of first occurrence, as values do
     inverse = np.asarray(inverse)
     distinct = list(dict.fromkeys(values))
-    if len(distinct) == len(values):  # dist is the members x members matrix
-        totals = dist.sum(axis=1)
-    else:
-        # A member's total is the sum of its row of the members x members
-        # matrix; a distinct row expanded per member holds those values in
-        # that order, so its sum has their bits.  The weighted sum rounds
-        # differently and can flip the medoid, so it only picks the rows
-        # whose sums can be smallest: two float sums of the same n
-        # nonnegative terms differ by well under 8 (n + 1) eps of the total.
-        approx = np.einsum("ij,j->i", dist, np.bincount(inverse))
-        near = np.flatnonzero(approx <= approx.min() + 8 * (len(values) + 1)
-                              * np.finfo(float).eps * approx.max())
-        totals = np.full(len(distinct), np.inf)
-        totals[near] = dist[near].take(inverse, axis=1).sum(axis=1)
-        totals = totals[inverse]
-    reference = int(totals.argmin())  # argmin returns the first = lowest index
+    # A member's total is the sum of its row of the members x members
+    # matrix; a distinct row expanded per member holds those values in
+    # that order, so its sum has their bits (with every member distinct,
+    # the expansion is the row itself).  The weighted sum rounds
+    # differently and can flip the medoid, so it only picks the rows
+    # whose sums can be smallest: two float sums of the same n
+    # nonnegative terms differ by well under 8 (n + 1) eps of the total.
+    approx = np.einsum("ij,j->i", dist, np.bincount(inverse))
+    near = np.flatnonzero(approx <= approx.min() + 8 * (len(values) + 1)
+                          * np.finfo(float).eps * approx.max())
+    totals = np.full(len(distinct), np.inf)
+    totals[near] = dist[near].take(inverse, axis=1).sum(axis=1)
+    reference = int(totals[inverse].argmin())  # argmin returns the first = lowest index
     ref = values[reference]
 
     # identical members share their shift, so it is found per distinct value

@@ -92,6 +92,14 @@ def _null_run_target(payload: bytes, run, prev_end: int) -> Optional[int]:
     return target if 0 < target < len(payload) else None
 
 
+def _null_run_targets(payload: bytes):
+    """Each null run of the payload, in order, with its `_null_run_target`."""
+    prev_end = 0
+    for run in _null_runs(payload):
+        yield run, _null_run_target(payload, run, prev_end)
+        prev_end = run[1]
+
+
 def null_segmenter(msg: Message) -> Segmentation:
     """Coarse segmentation at null-byte transitions.
 
@@ -99,15 +107,9 @@ def null_segmenter(msg: Message) -> Segmentation:
     _null_run_target, so the nulls always stay attached to one of their
     neighboring segments.
     """
-    payload = msg.payload
-    cuts = set()
-    prev_end = 0
-    for run in _null_runs(payload):
-        target = _null_run_target(payload, run, prev_end)
-        if target is not None:
-            cuts.add(target)
-        prev_end = run[1]
-    return Segmentation(msg.id, tuple(sorted(cuts)))
+    # a target lies within its run and runs never touch, so the targets ascend
+    cuts = [target for _, target in _null_run_targets(msg.payload) if target is not None]
+    return Segmentation(msg.id, tuple(cuts))
 
 
 def null_refine(seg: Segmentation, msg: Message) -> Segmentation:
@@ -116,14 +118,9 @@ def null_refine(seg: Segmentation, msg: Message) -> Segmentation:
     Only moves existing cuts (the nearest one within one byte of the
     run); never adds or removes any.
     """
-    payload = msg.payload
     cuts = set(seg.cuts)
     moved = False
-    prev_end = 0
-    for run in _null_runs(payload):
-        a, b = run
-        target = _null_run_target(payload, run, prev_end)
-        prev_end = b
+    for (a, b), target in _null_run_targets(msg.payload):
         if target is None or target in cuts:
             continue
         candidates = [c for c in cuts if a - 1 <= c <= b + 1]
@@ -264,6 +261,13 @@ def merge_chars(seg: Segmentation, msg: Message) -> Segmentation:
     return Segmentation(msg.id, tuple(bounds[1:-1]))
 
 
+def _with_added(seg: Segmentation, cuts: set) -> Segmentation:
+    """The result of an add-only pass that grew seg's cuts to `cuts`: seg when it added none."""
+    if len(cuts) == len(seg.cuts):
+        return seg
+    return Segmentation(seg.message_id, tuple(sorted(cuts)))
+
+
 def crop_chars(seg: Segmentation, msg: Message, min_run: int = 6) -> Segmentation:
     """Cut embedded text runs out of larger segments.
 
@@ -285,9 +289,7 @@ def crop_chars(seg: Segmentation, msg: Message, min_run: int = 6) -> Segmentatio
             for cut in (run_start, run_end):
                 if s < cut < e:
                     cuts.add(cut)
-    if len(cuts) == len(seg.cuts):  # cuts only grow: nothing added
-        return seg
-    return Segmentation(msg.id, tuple(sorted(cuts)))
+    return _with_added(seg, cuts)
 
 
 def crop_distinct(segmentations: list, messages: list,
@@ -340,9 +342,7 @@ def crop_distinct(segmentations: list, messages: list,
                         if s < cut < e:
                             cuts.add(cut)
                     pos = span[1]
-        # cuts only grow: an unchanged count is an unchanged segmentation
-        out.append(seg if len(cuts) == len(seg.cuts)
-                   else Segmentation(seg.message_id, tuple(sorted(cuts))))
+        out.append(_with_added(seg, cuts))
     return out
 
 
@@ -362,9 +362,7 @@ def split_fixed(seg: Segmentation, msg: Message, chunk: int = 2) -> Segmentation
     for pos in range(chunk, first_end, chunk):
         if first_end - pos >= chunk:
             cuts.add(pos)
-    if len(cuts) == len(seg.cuts):  # cuts only grow: nothing added
-        return seg
-    return Segmentation(msg.id, tuple(sorted(cuts)))
+    return _with_added(seg, cuts)
 
 
 @dataclass(frozen=True)
@@ -400,7 +398,6 @@ class Pipeline:
     base: str
     passes: tuple
     config: PipelineConfig = field(default_factory=PipelineConfig)
-    name: str = ""
 
     def __post_init__(self):
         if self.base not in (BASE_NULL_BYTES, BASE_BIT_CONGRUENCE, BASE_EXTERNAL):
@@ -427,7 +424,7 @@ def preset(name: str, config: PipelineConfig = None, base: str = None) -> Pipeli
         raise UsageError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     default_base, passes = PRESETS[name]
     return Pipeline(base=base or default_base, passes=passes,
-                    config=config or PipelineConfig(), name=name)
+                    config=config or PipelineConfig())
 
 
 @dataclass(frozen=True)
@@ -437,14 +434,15 @@ class PipelineResult:
     tree: Optional[list] = None
 
 
-def _diff_edits(old: Segmentation, new: Segmentation, provenance: str,
-                pair_moves: bool = False) -> list:
+def _diff_edits(old: Segmentation, new: Segmentation, provenance: str) -> list:
     if old.cuts == new.cuts:
         return []
     added = sorted(set(new.cuts) - set(old.cuts))
     removed = sorted(set(old.cuts) - set(new.cuts))
     edits = []
-    if pair_moves and len(added) == len(removed):
+    # a static pass only adds, only removes or only moves cuts (null_refine),
+    # so equal counts of added and removed cuts are moves, paired in order
+    if len(added) == len(removed):
         for src, dst in zip(removed, added):
             edits.append(BoundaryEdit(new.message_id, dst, MOVE,
                                       old_offset=src, provenance=provenance))
@@ -460,8 +458,6 @@ def _pca_pass(messages: list, segmentations: list, config: PipelineConfig):
     refs = []
     for msg, seg in zip(messages, segmentations):
         refs.extend(segments_of(seg, msg))
-    if not refs:
-        return segmentations, [], []
     params = config.analysis
     roots = recursive_cluster(refs, params, config.max_depth)
 
@@ -555,8 +551,7 @@ def run_pipeline(messages: list, pipeline: Pipeline,
                 except ProtosegError as exc:
                     logger.warning("pass %s failed on message %d: %s", pass_name, msg.id, exc)
                     cur = seg
-                edits.extend(_diff_edits(seg, cur, provenance,
-                                         pair_moves=pass_name == PASS_NULL_REFINE))
+                edits.extend(_diff_edits(seg, cur, provenance))
                 new.append(cur)
             segs = new
     return PipelineResult(segmentations=segs, edits=edits, tree=tree)

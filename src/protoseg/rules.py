@@ -139,7 +139,6 @@ def cluster_edits(node: ClusterNode, positions, segmentations_by_id: dict,
     """
     overlay = node.overlay
     edits = []
-    seen = set()
     for member, shift in zip(overlay.members, overlay.shifts):
         cuts = set(segmentations_by_id[member.message_id].cuts)
         length = payload_len_by_id[member.message_id]
@@ -154,10 +153,6 @@ def cluster_edits(node: ClusterNode, positions, segmentations_by_id: dict,
             # a+1 first: rule positions sit just before the member's end
             # boundary, which is the cut that drifted one byte late
             nearby = [c for c in (a + 1, a - 1) if c in cuts]
-            key = (member.message_id, a, nearby[0] if nearby else None, provenance)
-            if key in seen:
-                continue
-            seen.add(key)
             if nearby:
                 edits.append(BoundaryEdit(member.message_id, a, MOVE,
                                           old_offset=nearby[0], provenance=provenance))

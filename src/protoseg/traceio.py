@@ -3,8 +3,8 @@
 Supported captures are classic pcap (both endiannesses, micro- and
 nanosecond timestamp variants) with Ethernet / IPv4 / UDP-or-TCP
 encapsulation; anything else is rejected rather than guessed.  The
-hex-line format (one even-length hex message per line, `#` comments) is
-the canonical fixture format: deterministic and diffable.
+hex-line format (one even-length hex message per line in ASCII, `#`
+comments in any text) is the canonical fixture format: deterministic and diffable.
 
 Segmentations and ground truth are UTF-8 JSON objects mapping message
 ids, written in ASCII decimal digits, to arrays of interior cut offsets;
@@ -156,9 +156,9 @@ def _iter_hexlines(path: str):
     # undecodable bytes become lone surrogates, so they are reported by line
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
+            body = line.split("#", 1)[0]  # a comment may hold any bytes
+            if not body.isascii():
                 raise IngestionError(f"{path}:{lineno}: non-ASCII byte in a hex-line file")
-            body = line.split("#", 1)[0]
             body = "".join(body.split())
             if not body:
                 continue

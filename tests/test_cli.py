@@ -128,12 +128,67 @@ def test_processing_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("line", [b"\xff\xfe00", b"0a0b # caf\xc3\xa9"])
+@pytest.mark.parametrize("line", [b"\xff\xfe00"])
 def test_non_ascii_hex_line_exits_2(tmp_path, capsys, line):
     bad = tmp_path / "bad.hex"
     bad.write_bytes(b"0a0b\n" + line + b"\n")
     assert main(["segment", "--trace", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert f"{bad}:2: non-ASCII byte" in capsys.readouterr().err
+
+
+def test_utf8_hex_comment_is_accepted(tmp_path, capsys):
+    trace = tmp_path / "t.hex"
+    trace.write_bytes("# capture from café\n0102030405\n".encode("utf-8"))
+    assert main(["inspect", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out.split()[:2] == ["0", "0102030405"]
+
+
+# the first two lines repeat one payload, so dedupe numbers line 3 as message 1
+_REPEATING_TRACE = "0102030405060708\n0102030405060708\n01020304050607\n"
+
+
+def _keyed_file_argv(command, trace, keyed, out):
+    return {
+        "segment": ["segment", "--trace", trace, "--base", "external",
+                    "--external-segments", keyed, "--out", out],
+        "evaluate": ["evaluate", "--trace", trace, "--truth", keyed,
+                     "--segments", keyed, "--out", out],
+        "inspect": ["inspect", "--trace", trace, "--segments", keyed],
+    }[command]
+
+
+@pytest.mark.parametrize("cuts", [{"0": [4], "1": [4]}, {"0": [4], "1": [4], "2": [2]}])
+@pytest.mark.parametrize("command", ["segment", "evaluate", "inspect"])
+def test_id_keyed_file_on_a_trace_dedupe_shortens_exits_1(tmp_path, capsys, command, cuts):
+    # the file is keyed by trace line, the deduplicated messages are not
+    trace, keyed, out = tmp_path / "t.hex", tmp_path / "cuts.json", tmp_path / "o"
+    trace.write_text(_REPEATING_TRACE)
+    keyed.write_text(json.dumps(cuts))
+    argv = _keyed_file_argv(command, str(trace), str(keyed), str(out))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {keyed}") and "--no-dedupe" in captured.err
+    assert captured.out == "" and not out.exists()
+    # numbering every message, the file fits
+    assert main([*argv, "--no-dedupe"]) == 0
+    if command == "segment":
+        assert list(json.loads((out / "segments.json").read_text())) == ["0", "1", "2"]
+
+
+@pytest.mark.parametrize("command", ["segment", "evaluate", "inspect"])
+def test_id_keyed_file_on_a_trace_dedupe_keeps_whole(tmp_path, capsys, command):
+    # the repeat lies past --max-messages, so dedupe would drop nothing
+    trace, keyed = tmp_path / "t.hex", tmp_path / "cuts.json"
+    trace.write_text("01020304050607\n" + _REPEATING_TRACE)
+    keyed.write_text(json.dumps({"0": [2], "1": [4]}))
+    outs = []
+    for dedupe in ([], ["--no-dedupe"]):
+        out = tmp_path / f"o{len(outs)}"
+        argv = _keyed_file_argv(command, str(trace), str(keyed), str(out))
+        assert main([*argv, "--max-messages", "2", *dedupe]) == 0
+        outs.append((capsys.readouterr().out.replace(str(out), ""),
+                     sorted((p.name, p.read_bytes()) for p in out.glob("*"))))
+    assert outs[0] == outs[1]
 
 
 def test_param_override_applies(synth_dir, tmp_path):

@@ -177,6 +177,53 @@ class TestAgainstPerByteReferences:
                 reference_crop_chars(cuts, payload, min_run))
 
 
+class TestPassKinds:
+    """Each static pass only adds cuts, only removes them, or keeps their count.
+
+    `run_pipeline` logs a pass's changes through `_diff_edits`, which
+    reads cuts both added and removed, in equal numbers, as moves.
+    """
+
+    def test_per_message_passes(self):
+        rng = np.random.default_rng(66)
+        passes = {  # pass: how its new cuts relate to the old
+            "crop_chars": (lambda seg, m: crop_chars(seg, m, int(rng.integers(1, 9))),
+                           set.issuperset),
+            "split_fixed": (lambda seg, m: split_fixed(seg, m, int(rng.integers(1, 5))),
+                            set.issuperset),
+            "entropy_merge": (lambda seg, m: entropy_merge(
+                seg, m, float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.3))),
+                set.issubset),
+            "merge_chars": (merge_chars, set.issubset),
+            "null_refine": (null_refine, lambda new, old: len(new) == len(old)),
+        }
+        changed = dict.fromkeys(passes, 0)
+        for _ in range(2000):
+            payload = extreme_payload(rng)
+            seg = Segmentation(0, tuple(c for c in range(1, len(payload)) if rng.random() < 0.3))
+            for name, (op, relation) in passes.items():
+                new = op(seg, msg(payload)).cuts
+                assert relation(set(new), set(seg.cuts)), (name, payload.hex(), seg.cuts, new)
+                changed[name] += new != seg.cuts
+        assert min(changed.values()) > 40  # every pass changed some cut sets
+
+    def test_crop_distinct_only_adds(self):
+        rng = np.random.default_rng(67)
+        changed = 0
+        for _ in range(50):
+            # payloads strung from a few short pieces, so some values are frequent
+            pool = [extreme_payload(rng, 2, 6) for _ in range(4)]
+            payloads = [b"".join(pool[k] for k in rng.integers(0, 4, size=int(rng.integers(1, 4))))
+                        for _ in range(int(rng.integers(3, 40)))]
+            msgs = [msg(p, i) for i, p in enumerate(payloads)]
+            segs = [Segmentation(i, tuple(c for c in range(1, len(p)) if rng.random() < 0.3))
+                    for i, p in enumerate(payloads)]
+            for old, new in zip(segs, crop_distinct(segs, msgs)):
+                assert set(new.cuts) >= set(old.cuts)
+                changed += new.cuts != old.cuts
+        assert changed > 100
+
+
 class TestUnchangedCuts:
     """A pass that leaves the cuts as they are returns the segmentation it was given."""
 

@@ -210,3 +210,32 @@ class TestApplyEdits:
             seg = new[0]
             assert all(0 < c < length for c in seg.cuts)
             assert list(seg.cuts) == sorted(set(seg.cuts))
+
+    @pytest.mark.parametrize("edit", [
+        BoundaryEdit(0, 7, "add", provenance="rule_b"),
+        BoundaryEdit(0, 4, "move", old_offset=5, provenance="rule_a"),
+    ])
+    def test_exact_repeat_applies_once(self, edit):
+        # cluster_edits may propose one edit twice; the repeat is a no-op here
+        segs = [Segmentation(0, (5, 9))]
+        new, applied = apply_edits([edit, edit], segs)
+        assert applied == [edit]
+        assert (new, applied) == apply_edits([edit], segs)
+
+    def test_repeats_change_nothing(self):
+        rng = np.random.default_rng(79)
+        for _ in range(500):
+            length = int(rng.integers(4, 30))
+            segs = [Segmentation(m, tuple(sorted(set(rng.integers(1, length, size=4).tolist()))))
+                    for m in range(2)]
+            edits = []
+            for _ in range(int(rng.integers(1, 8))):
+                mid, offset = int(rng.integers(0, 2)), int(rng.integers(1, length))
+                if rng.random() < 0.5:
+                    edits.append(BoundaryEdit(mid, offset, "add", provenance="rule_b"))
+                else:
+                    edits.append(BoundaryEdit(mid, offset, "move",
+                                              old_offset=int(rng.integers(1, length)),
+                                              provenance="rule_a"))
+            repeats = [edits[int(k)] for k in rng.integers(0, len(edits), size=3)]
+            assert apply_edits(edits + repeats, segs) == apply_edits(edits, segs)

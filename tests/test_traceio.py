@@ -122,6 +122,18 @@ class TestHexlines:
         msgs = load_trace(TraceSpec(str(path)))
         assert [m.payload for m in msgs] == [b"\x00\x08"]
 
+    def test_comment_may_hold_any_text(self, tmp_path):
+        path = tmp_path / "t.hex"
+        path.write_bytes("# capture from café\n0102030405  # ∑\n".encode("utf-8"))
+        msgs = load_trace(TraceSpec(str(path)))
+        assert [m.payload for m in msgs] == [bytes.fromhex("0102030405")]
+
+    def test_non_ascii_in_the_hex_part_rejected_with_line(self, tmp_path):
+        path = tmp_path / "t.hex"
+        path.write_bytes("# capture from café\n01é02 # note\n".encode("utf-8"))
+        with pytest.raises(IngestionError, match=r"t\.hex:2: non-ASCII byte"):
+            load_trace(TraceSpec(str(path)))
+
     def test_odd_length_rejected_with_line(self, tmp_path):
         path = tmp_path / "t.hex"
         path.write_text("0008\n009\n")

@@ -3,6 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tests/trace_digests.py > digests.txt
+    python3 tests/trace_digests.py --against REV
 
 The set has two parts.  The 108-trace part is the six bundled specs x
 seeds {0, 3, 7} x {150, 600, 1500} messages, each generated with
@@ -24,21 +25,33 @@ the file's layout.  The output of two checkouts is compared with one
 empty, and a layout-only change leaves the last column unchanged
 (`cut -d" " -f1,2,4` of both outputs compare equal).  Run as a
 script, it imports protoseg from the src/ next to its own directory; it
-writes nothing outside a temporary directory.  pytest does not collect
+writes nothing outside a temporary directory.
+
+`--against REV` makes that comparison itself: it exports commit REV
+with `git archive` into a temporary directory, runs a copy of this
+script there (so REV's protoseg makes REV's digests) while it makes
+this checkout's digests, working-tree edits included, and prints the
+unified diff of the two outputs.  It exits 1 when they differ and 0,
+with a one-line note on stderr, when they are identical.  pytest does not collect
 it (no test_ prefix); `tests/test_identity.py` imports `external_cases`
 from here and pins the external cases' digests.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
+import difflib
 import hashlib
 import io
 import json
 import os
 import random
+import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 
 if __name__ == "__main__":  # a script imports protoseg from its own checkout
@@ -144,7 +157,44 @@ def trace_digests(work_dir: str):
         yield from segment_digests(trace, argv, os.path.join(work_dir, trace.replace("/", "-")))
 
 
+def diff_against(rev: str) -> int:
+    """Print the diff of REV's digests and this checkout's; 1 when they differ, else 0."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    archive = subprocess.run(["git", "-C", root, "archive", rev],
+                             check=True, stdout=subprocess.PIPE).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        script = os.path.join(tmp, "tests", os.path.basename(__file__))
+        os.makedirs(os.path.dirname(script), exist_ok=True)
+        shutil.copyfile(os.path.abspath(__file__), script)
+        theirs = subprocess.Popen([sys.executable, script], stdout=subprocess.PIPE, text=True)
+        try:
+            with tempfile.TemporaryDirectory() as work_dir:
+                ours = [" ".join(line) + "\n" for line in trace_digests(work_dir)]
+        except BaseException:  # do not leave REV's run behind in a deleted directory
+            theirs.kill()
+            theirs.wait()
+            raise
+        output = theirs.communicate()[0]
+    if theirs.returncode:
+        raise SystemExit(f"the digests of {rev} exited with {theirs.returncode}")
+    diff = list(difflib.unified_diff(output.splitlines(keepends=True), ours,
+                                     fromfile=rev, tofile="this checkout"))
+    sys.stdout.writelines(diff)
+    if diff:
+        return 1
+    print(f"{len(ours)} lines, no difference against {rev}", file=sys.stderr)
+    return 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Digests of the segment artifacts.")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the digests of git commit REV and print the diff")
+    rev = parser.parse_args().against
+    if rev is not None:
+        sys.exit(diff_against(rev))
     with tempfile.TemporaryDirectory() as work_dir:
         for line in trace_digests(work_dir):
             print(*line, flush=True)
