@@ -27,9 +27,11 @@ for label, payload in samples:
     msg = Message(0, payload)
     show(label, msg, null_segmenter(msg))
 
-# refinement never adds or removes cuts, it only relocates one per run
+# refinement never adds or removes cuts, it only relocates one per run;
+# like every static pass it maps a whole trace, here of one message
 print("\nnull-byte refinement of a coarse segmentation:")
 msg = Message(0, bytes.fromhex("9911000000310a"))
 coarse = Segmentation(0, (4,))
+(refined,) = null_refine([coarse], [msg])
 show("before (cut inside run)", msg, coarse)
-show("after  (cut at run start)", msg, null_refine(coarse, msg))
+show("after  (cut at run start)", msg, refined)

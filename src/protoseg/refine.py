@@ -11,15 +11,20 @@ rules.  Two presets wire the chains:
     nemepca   bit_congruence (or external) base; entropy_merge,
               null_bytes_refine, crop_chars, pca, crop_distinct, split_fixed
 
-The per-message passes keep their signatures, but `run_pipeline` hands
-two of them a table of what a whole run shares: the bit-congruence
-segmenter reads its Gaussian kernel from a table keyed by sigma, and
-`entropy_merge` reads segment entropies from a table keyed by the byte
-counts in byte-value order.  Each table is keyed by all its values
-depend on, so an entry always fits the call that reads it, and
-`run_pipeline` creates both empty for each run, so nothing outlives the
-call.  Null runs and printable runs are found by regular expressions on
-the payload bytes.
+The base segmenters map one message.  Every static pass maps a whole
+trace, `(segmentations, messages, knobs...) -> segmentations`, where
+segmentations[i] is the cut set of messages[i], and returns a message's
+`Segmentation` object itself when it leaves its cuts as they are.
+`run_pipeline` calls each pass once per trace; when a pass raises, it
+calls the same pass again on one message at a time, and a message that
+still fails keeps its cuts.  `entropy_merge` finds the entropies of all
+segments, and of the spans each greedy step merges, with one sort per
+step (`_span_entropies`).  Each entropy still comes from its key, the
+byte counts in byte-value order, through one formula, so it has the
+bits a per-span computation gives.  The bit-congruence segmenter reads
+its Gaussian kernel from a table keyed by sigma that `run_pipeline`
+creates empty for each run.  Null runs and printable runs are found by
+regular expressions on the payload bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ from __future__ import annotations
 import logging
 import math
 import re
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -41,8 +49,9 @@ from .rules import (ADD, MOVE, REMOVE, BoundaryEdit, apply_edits, cluster_edits,
 logger = logging.getLogger(__name__)
 
 CHAR_BYTES = frozenset({0x09, 0x0A, 0x0D} | set(range(0x20, 0x7F)))
+_CHARS = bytes(sorted(CHAR_BYTES))
 # the same bytes as a regular-expression class
-_CHAR_CLASS = b"[" + re.escape(bytes(sorted(CHAR_BYTES))) + b"]"
+_CHAR_CLASS = b"[" + re.escape(_CHARS) + b"]"
 
 BASE_NULL_BYTES = "null_bytes"
 BASE_BIT_CONGRUENCE = "bit_congruence"
@@ -67,7 +76,7 @@ def char_heuristic(data: bytes) -> bool:
     """
     if len(data) == 0:
         raise UsageError("char heuristic needs a non-empty byte sequence")
-    return len(data) >= 3 and all(b in CHAR_BYTES for b in data)
+    return len(data) >= 3 and not data.translate(None, _CHARS)
 
 
 _NULL_RUN = re.compile(rb"\x00+")
@@ -112,27 +121,32 @@ def null_segmenter(msg: Message) -> Segmentation:
     return Segmentation(msg.id, tuple(cuts))
 
 
-def null_refine(seg: Segmentation, msg: Message) -> Segmentation:
+def null_refine(segmentations: list, messages: list) -> list:
     """Relocate cuts near null runs to the run edge the nulls belong to.
 
     Only moves existing cuts (the nearest one within one byte of the
-    run); never adds or removes any.
+    run); never adds or removes any.  A message without cuts or without
+    a null byte is left as it is.
     """
-    cuts = set(seg.cuts)
-    moved = False
-    for (a, b), target in _null_run_targets(msg.payload):
-        if target is None or target in cuts:
+    out = list(segmentations)
+    for k, (seg, msg) in enumerate(zip(segmentations, messages)):
+        if not seg.cuts or 0 not in msg.payload:
             continue
-        candidates = [c for c in cuts if a - 1 <= c <= b + 1]
-        if not candidates:
-            continue
-        nearest = min(candidates, key=lambda c: (abs(c - target), c))
-        cuts.discard(nearest)
-        cuts.add(target)
-        moved = True
-    if not moved:
-        return seg
-    return Segmentation(msg.id, tuple(sorted(cuts)))
+        cuts = set(seg.cuts)
+        moved = False
+        for (a, b), target in _null_run_targets(msg.payload):
+            if target is None or target in cuts:
+                continue
+            candidates = [c for c in cuts if a - 1 <= c <= b + 1]
+            if not candidates:
+                continue
+            nearest = min(candidates, key=lambda c: (abs(c - target), c))
+            cuts.discard(nearest)
+            cuts.add(target)
+            moved = True
+        if moved:
+            out[k] = Segmentation(msg.id, tuple(sorted(cuts)))
+    return out
 
 
 # set bits of every byte value
@@ -195,70 +209,133 @@ def _byte_counts(data: bytes) -> tuple:
     return tuple(map(data.count, sorted(set(data))))
 
 
-def _entropy(data: bytes, table: dict) -> float:
-    """Shannon entropy of the byte values, normalized to [0, 1].
+class _Entropies(dict):
+    """Normalized byte entropy by `_byte_counts` key, each computed on first use.
 
-    It depends only on the data's `_byte_counts`, so it is read from
-    `table`, which maps those counts to the entropy; a missing entry is
-    computed and added.
+    The entropy depends only on the counts, and their byte-value order
+    fixes the order of the sum, so one key always gives the same bits.
     """
-    if len(data) <= 1:
-        return 0.0
-    key = _byte_counts(data)
-    h = table.get(key)
-    if h is None:
+
+    def __missing__(self, key: tuple) -> float:
         counts = np.array(key, dtype=np.intp)
         n = int(counts.sum())
-        p = counts / n
-        h = table[key] = float(-(p * np.log2(p)).sum()) / math.log2(min(n, 256))
+        h = 0.0
+        if n > 1:
+            p = counts / n
+            h = float(-(p * np.log2(p)).sum()) / math.log2(min(n, 256))
+        self[key] = h
+        return h
+
+
+def _entropy(data: bytes) -> float:
+    """Shannon entropy of the byte values, normalized to [0, 1]; 0 for one byte or none."""
+    return _Entropies()[_byte_counts(data)]
+
+
+def _span_entropies(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                    entropies: _Entropies) -> np.ndarray:
+    """The entropy of each span data[starts[k]:ends[k]], read from `entropies`.
+
+    One sort of span index * 256 + byte groups each span's bytes by
+    value, so the run lengths of the sorted keys are every span's
+    `_byte_counts`.  The key of a span of distinct bytes is (1,) * its
+    length, so only spans with a repeated byte build theirs one by one.
+    Spans may overlap.
+    """
+    lengths = ends - starts
+    span = np.repeat(np.arange(starts.size), lengths)
+    offset = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
+    keys = np.sort(span * 256 + data[offset])
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    distinct = np.bincount(keys[first] >> 8, minlength=starts.size)
+    h = np.empty(starts.size)
+    plain = distinct == lengths
+    sizes, size_of = np.unique(lengths[plain], return_inverse=True)
+    h[plain] = np.array([entropies[(1,) * n] for n in sizes.tolist()])[size_of]
+    counts = np.diff(np.r_[first, keys.size]).tolist()
+    rest = np.flatnonzero(~plain)
+    h[rest] = [entropies[tuple(counts[a:a + d])] for a, d in
+               zip((np.cumsum(distinct) - distinct)[rest].tolist(), distinct[rest].tolist())]
     return h
 
 
-def entropy_merge(seg: Segmentation, msg: Message,
-                  floor: float = 0.6, diff: float = 0.1,
-                  table: Optional[dict] = None) -> Segmentation:
+def entropy_merge(segmentations: list, messages: list,
+                  floor: float = 0.6, diff: float = 0.1) -> list:
     """Merge adjacent segments of similar, high local entropy.
 
-    Left-to-right greedy; the merged segment is re-evaluated.  The floor
-    keeps distinct constant fields (both entropy 0) apart.
+    Left-to-right greedy within each message; the merged segment is
+    re-evaluated.  The floor keeps distinct constant fields (both
+    entropy 0) apart.
 
-    Entropies are read from and added to `table` (see `_entropy`), so
-    one table can serve every message of a trace.  Without one, a table
-    of this message's segments is used.
+    A merge needs both sides at or above the floor, so the greedy splits
+    into independent chains: maximal runs of adjacent segments of one
+    message whose entropies reach the floor.  All chains of the trace
+    take their greedy steps together, and each step finds the entropies
+    of its merged spans with one `_span_entropies` call.
     """
-    if not seg.cuts:
-        return seg
-    payload = msg.payload
-    if table is None:
-        table = {}
+    out = list(segmentations)
+    if not any(seg.cuts for seg in segmentations):
+        return out
+    ncuts = np.array([len(seg.cuts) for seg in segmentations])
+    cuts = np.fromiter(chain.from_iterable(seg.cuts for seg in segmentations),
+                       dtype=np.intp, count=int(ncuts.sum()))
+    lengths = np.array([len(msg.payload) for msg in messages])
+    data = np.frombuffer(b"".join(msg.payload for msg in messages), dtype=np.uint8)
 
-    bounds = [0, *seg.cuts, len(payload)]
-    i = 0
-    h_a = _entropy(payload[:bounds[1]], table)
-    while i + 2 < len(bounds):
-        h_b = _entropy(payload[bounds[i + 1]:bounds[i + 2]], table)
-        if h_a >= floor and h_b >= floor and abs(h_a - h_b) <= diff:
-            del bounds[i + 1]
-            h_a = _entropy(payload[bounds[i]:bounds[i + 1]], table)
-        else:
-            i += 1
-            h_a = h_b
-    if len(bounds) == len(seg.cuts) + 2:  # nothing merged
-        return seg
-    return Segmentation(msg.id, tuple(bounds[1:-1]))
+    # every segment of the trace in order, as offsets into data;
+    # a segment other than its message's first starts at a cut
+    starts = np.repeat(np.cumsum(lengths) - lengths, ncuts + 1)
+    at_cut = np.ones(starts.size, dtype=bool)
+    at_cut[np.cumsum(ncuts + 1) - (ncuts + 1)] = False
+    starts[at_cut] += cuts
+    ends = np.r_[starts[1:], data.size]
+    entropies = _Entropies()
+    h = _span_entropies(data, starts, ends, entropies)
+
+    # chain j runs over segments lo[j]..hi[j] of one message
+    pair = (h[:-1] >= floor) & (h[1:] >= floor) & at_cut[1:]
+    edge = np.diff(np.r_[0, pair.view(np.int8), 0])
+    lo, hi = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    merged = np.zeros(starts.size, dtype=bool)  # the segment joined the one before it
+    h_a, span_start, nxt = h[lo], starts[lo], lo + 1
+    while nxt.size:
+        h_b = h[nxt]  # every segment of a chain is at the floor or above
+        merge = (h_a >= floor) & (np.abs(h_a - h_b) <= diff)
+        if merge.any():
+            joined = nxt[merge]
+            merged[joined] = True
+            h_b[merge] = _span_entropies(data, span_start[merge], ends[joined], entropies)
+        h_a = h_b  # the merged span's entropy, or the next segment's
+        span_start = np.where(merge, span_start, starts[nxt])
+        nxt += 1
+        live = nxt <= hi
+        h_a, span_start, nxt, hi = h_a[live], span_start[live], nxt[live], hi[live]
+
+    gone = merged[at_cut]  # one flag per cut, in the order of `cuts`
+    owner = np.repeat(np.arange(ncuts.size), ncuts)
+    kept = cuts[~gone].tolist()
+    kept_end = np.cumsum(ncuts - np.bincount(owner[gone], minlength=ncuts.size)).tolist()
+    for k in np.unique(owner[gone]).tolist():
+        start = kept_end[k - 1] if k else 0
+        out[k] = Segmentation(out[k].message_id, tuple(kept[start:kept_end[k]]))
+    return out
 
 
-def merge_chars(seg: Segmentation, msg: Message) -> Segmentation:
+def merge_chars(segmentations: list, messages: list) -> list:
     """Merge adjacent segments whose concatenation still looks like text."""
-    payload = msg.payload
-    bounds = [0] + list(seg.cuts) + [len(payload)]
-    i = 0
-    while i + 1 < len(bounds) - 1:
-        if char_heuristic(payload[bounds[i]:bounds[i + 2]]):
-            del bounds[i + 1]
-        else:
-            i += 1
-    return Segmentation(msg.id, tuple(bounds[1:-1]))
+    out = []
+    for seg, msg in zip(segmentations, messages):
+        payload = msg.payload
+        bounds = [0, *seg.cuts, len(payload)]
+        i = 0
+        while i + 1 < len(bounds) - 1:
+            if char_heuristic(payload[bounds[i]:bounds[i + 2]]):
+                del bounds[i + 1]
+            else:
+                i += 1
+        out.append(seg if len(bounds) == len(seg.cuts) + 2
+                   else Segmentation(msg.id, tuple(bounds[1:-1])))
+    return out
 
 
 def _with_added(seg: Segmentation, cuts: set) -> Segmentation:
@@ -268,28 +345,46 @@ def _with_added(seg: Segmentation, cuts: set) -> Segmentation:
     return Segmentation(seg.message_id, tuple(sorted(cuts)))
 
 
-def crop_chars(seg: Segmentation, msg: Message, min_run: int = 6) -> Segmentation:
+def crop_chars(segmentations: list, messages: list, min_run: int = 6) -> list:
     """Cut embedded text runs out of larger segments.
 
     Within each segment of at least min_run bytes, maximal runs of
     printable bytes of at least min_run length are carved out; a single
     terminating null stays with the run.
+
+    One scan of the joined payloads finds each message's maximal runs;
+    a segment's runs are those runs clipped to it.
     """
-    payload = msg.payload
-    cuts = set(seg.cuts)
-    bounds = [0, *seg.cuts, len(payload)]
-    runs = re.compile(_CHAR_CLASS + b"{%d,}" % min_run)
-    for s, e in zip(bounds, bounds[1:]):
-        if e - s < min_run:
-            continue
-        for run in runs.finditer(payload, s, e):
-            run_start, run_end = run.span()
-            if run_end < e and payload[run_end] == 0:
-                run_end += 1  # keep the terminator with the text
-            for cut in (run_start, run_end):
-                if s < cut < e:
-                    cuts.add(cut)
-    return _with_added(seg, cuts)
+    out = list(segmentations)
+    bases = [0]  # where each payload starts in the joined scan, after a null separator
+    for msg in messages:
+        bases.append(bases[-1] + len(msg.payload) + 1)
+    runs = defaultdict(list)
+    pattern = re.compile(_CHAR_CLASS + b"{%d,}" % min_run)
+    for run in pattern.finditer(b"\x00".join(m.payload for m in messages)):
+        a, b = run.span()
+        k = bisect_right(bases, a) - 1
+        runs[k].append((a - bases[k], b - bases[k]))
+    for k, spans in runs.items():
+        seg, payload = segmentations[k], messages[k].payload
+        cuts = set(seg.cuts)
+        bounds = (0, *seg.cuts, len(payload))
+        for run_start, run_end in spans:
+            i = bisect_right(bounds, run_start)  # the run starts in bounds[i - 1]:bounds[i]
+            while bounds[i - 1] < run_end:
+                s, e = bounds[i - 1], bounds[i]
+                i += 1
+                start, end = max(run_start, s), min(run_end, e)
+                if end - start < min_run:
+                    continue
+                if start > s:
+                    cuts.add(start)
+                if end < e and payload[end] == 0:
+                    end += 1  # keep the terminator with the text
+                if end < e:
+                    cuts.add(end)
+        out[k] = _with_added(seg, cuts)
+    return out
 
 
 def crop_distinct(segmentations: list, messages: list,
@@ -346,7 +441,7 @@ def crop_distinct(segmentations: list, messages: list,
     return out
 
 
-def split_fixed(seg: Segmentation, msg: Message, chunk: int = 2) -> Segmentation:
+def split_fixed(segmentations: list, messages: list, chunk: int = 2) -> list:
     """Split a non-text first segment into fixed-size chunks.
 
     A trailing piece shorter than the chunk size stays attached to the
@@ -354,15 +449,14 @@ def split_fixed(seg: Segmentation, msg: Message, chunk: int = 2) -> Segmentation
     """
     if chunk < 1:
         raise UsageError("chunk size must be at least 1")
-    payload = msg.payload
-    first_end = seg.cuts[0] if seg.cuts else len(payload)
-    if char_heuristic(payload[:first_end]):
-        return seg
-    cuts = set(seg.cuts)
-    for pos in range(chunk, first_end, chunk):
-        if first_end - pos >= chunk:
-            cuts.add(pos)
-    return _with_added(seg, cuts)
+    out = []
+    for seg, msg in zip(segmentations, messages):
+        first_end = seg.cuts[0] if seg.cuts else len(msg.payload)
+        new = range(chunk, first_end - chunk + 1, chunk)
+        if new and not char_heuristic(msg.payload[:first_end]):
+            seg = Segmentation(seg.message_id, (*new, *seg.cuts))
+        out.append(seg)
+    return out
 
 
 @dataclass(frozen=True)
@@ -434,23 +528,27 @@ class PipelineResult:
     tree: Optional[list] = None
 
 
-def _diff_edits(old: Segmentation, new: Segmentation, provenance: str) -> list:
-    if old.cuts == new.cuts:
-        return []
-    added = sorted(set(new.cuts) - set(old.cuts))
-    removed = sorted(set(old.cuts) - set(new.cuts))
+def _diff_edits(old_segs: list, new_segs: list, provenance: str) -> list:
+    """The edits of one static pass, per message in trace order.
+
+    A message the pass left as it was keeps its `Segmentation` object
+    and gets none.
+    """
     edits = []
-    # a static pass only adds, only removes or only moves cuts (null_refine),
-    # so equal counts of added and removed cuts are moves, paired in order
-    if len(added) == len(removed):
-        for src, dst in zip(removed, added):
-            edits.append(BoundaryEdit(new.message_id, dst, MOVE,
-                                      old_offset=src, provenance=provenance))
-        return edits
-    for c in added:
-        edits.append(BoundaryEdit(new.message_id, c, ADD, provenance=provenance))
-    for c in removed:
-        edits.append(BoundaryEdit(new.message_id, c, REMOVE, provenance=provenance))
+    for old, new in zip(old_segs, new_segs):
+        if new is old:
+            continue
+        added = sorted(set(new.cuts).difference(old.cuts))
+        removed = sorted(set(old.cuts).difference(new.cuts))
+        mid = new.message_id
+        # a static pass only adds, only removes or only moves cuts (null_refine),
+        # so equal counts of added and removed cuts are moves, paired in order
+        if len(added) == len(removed):
+            edits += [BoundaryEdit(mid, dst, MOVE, src, provenance)
+                      for src, dst in zip(removed, added)]
+        else:
+            edits += [BoundaryEdit(mid, c, ADD, None, provenance) for c in added]
+            edits += [BoundaryEdit(mid, c, REMOVE, None, provenance) for c in removed]
     return edits
 
 
@@ -492,6 +590,26 @@ def _pca_pass(messages: list, segmentations: list, config: PipelineConfig):
     return new_segs, applied, roots
 
 
+def _isolated(pass_name: str, op, args: list, segs: list, messages: list) -> list:
+    """op(segs, messages, *args), or, when that raises, op on one message at a time.
+
+    A message the pass fails on keeps its segmentation, and the failure
+    is logged.
+    """
+    try:
+        return op(segs, messages, *args)
+    except ProtosegError:
+        pass
+    out = []
+    for seg, msg in zip(segs, messages):
+        try:
+            out.extend(op([seg], [msg], *args))
+        except ProtosegError as exc:
+            logger.warning("pass %s failed on message %d: %s", pass_name, msg.id, exc)
+            out.append(seg)
+    return out
+
+
 def run_pipeline(messages: list, pipeline: Pipeline,
                  external: Optional[list] = None) -> PipelineResult:
     """Run a base segmenter and refinement chain over a trace.
@@ -518,14 +636,12 @@ def run_pipeline(messages: list, pipeline: Pipeline,
             seg.validate_against(m)
             segs.append(seg)
 
-    entropies = {}  # this run's entropy table; see entropy_merge
-    per_message = {
-        PASS_ENTROPY_MERGE: lambda seg, msg: entropy_merge(
-            seg, msg, cfg.entropy_floor, cfg.entropy_diff, entropies),
-        PASS_NULL_REFINE: null_refine,
-        PASS_MERGE_CHARS: merge_chars,
-        PASS_CROP_CHARS: lambda seg, msg: crop_chars(seg, msg, cfg.char_min_run),
-        PASS_SPLIT_FIXED: lambda seg, msg: split_fixed(seg, msg, cfg.chunk),
+    knobs = {  # built per call, so a pass replaced on the module is the one called
+        PASS_ENTROPY_MERGE: (entropy_merge, cfg.entropy_floor, cfg.entropy_diff),
+        PASS_NULL_REFINE: (null_refine,),
+        PASS_MERGE_CHARS: (merge_chars,),
+        PASS_CROP_CHARS: (crop_chars, cfg.char_min_run),
+        PASS_SPLIT_FIXED: (split_fixed, cfg.chunk),
     }
     provenance_of = {PASS_NULL_REFINE: "nullbytes"}
 
@@ -535,23 +651,13 @@ def run_pipeline(messages: list, pipeline: Pipeline,
         if pass_name == PASS_PCA:
             segs, applied, tree = _pca_pass(messages, segs, cfg)
             edits.extend(applied)
-        elif pass_name == PASS_CROP_DISTINCT:
+            continue
+        if pass_name == PASS_CROP_DISTINCT:
             new = crop_distinct(segs, messages,
                                 cfg.distinct_min_fraction, cfg.distinct_min_messages)
-            for old, cur in zip(segs, new):
-                edits.extend(_diff_edits(old, cur, "crop_distinct"))
-            segs = new
         else:
-            op = per_message[pass_name]
-            provenance = provenance_of.get(pass_name, pass_name)
-            new = []
-            for msg, seg in zip(messages, segs):
-                try:
-                    cur = op(seg, msg)
-                except ProtosegError as exc:
-                    logger.warning("pass %s failed on message %d: %s", pass_name, msg.id, exc)
-                    cur = seg
-                edits.extend(_diff_edits(seg, cur, provenance))
-                new.append(cur)
-            segs = new
+            op, *args = knobs[pass_name]
+            new = _isolated(pass_name, op, args, segs, messages)
+        edits.extend(_diff_edits(segs, new, provenance_of.get(pass_name, pass_name)))
+        segs = new
     return PipelineResult(segmentations=segs, edits=edits, tree=tree)

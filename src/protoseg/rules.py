@@ -29,7 +29,7 @@ one byte), otherwise a cut is added.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,9 +53,12 @@ class ContributionVector:
     n_sig: int
 
 
-@dataclass(frozen=True)
-class BoundaryEdit:
-    """One proposed cut-set change with its provenance."""
+class BoundaryEdit(NamedTuple):
+    """One proposed cut-set change with its provenance.
+
+    A named tuple, so it is immutable and cheap to build: a trace's
+    edit log holds one per changed cut.
+    """
 
     message_id: int
     offset: int

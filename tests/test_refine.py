@@ -1,18 +1,38 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import (extreme_payload, reference_bit_congruence, reference_crop_chars,
                       reference_entropy, reference_entropy_merge, reference_null_runs)
+from protoseg import synth
 from protoseg.model import Message, Segmentation, UsageError, segments_of
 from protoseg.refine import (BASE_EXTERNAL, PASS_PCA, PRESETS, Pipeline,
                              bit_congruence_segmenter, char_heuristic,
                              crop_chars, crop_distinct, entropy_merge, gaussian_kernel,
                              merge_chars, null_refine, null_segmenter, preset,
-                             run_pipeline, split_fixed, _entropy, _null_runs)
+                             run_pipeline, split_fixed, _entropy, _Entropies, _null_runs,
+                             _span_entropies)
 
 
 def msg(data, mid=0):
     return Message(mid, bytes(data))
+
+
+def one(op, seg, m, *knobs):
+    """A whole-trace pass run on a trace of one message."""
+    (out,) = op([seg], [m], *knobs)
+    return out
+
+
+def random_traces(rng, payloads, largest=40):
+    """payloads split, in order, into traces of 1..largest messages with ids 0, 1, ..."""
+    traces = []
+    while payloads:
+        size = int(rng.integers(1, largest + 1))
+        traces.append([msg(p, i) for i, p in enumerate(payloads[:size])])
+        payloads = payloads[size:]
+    return traces
 
 
 def seg_values(seg, m):
@@ -67,17 +87,17 @@ class TestNullRefine:
         # binary prefix, then nulls, then a number: rule 2 allocation
         m = msg(bytes.fromhex("9911000000310a"))
         seg = Segmentation(0, (4,))
-        assert null_refine(seg, m).cuts == (2,)
+        assert one(null_refine, seg, m).cuts == (2,)
 
     def test_cut_at_terminator_end_unchanged(self):
         m = msg(b"ABC\x00\x31\x32")
         seg = Segmentation(0, (4,))
-        assert null_refine(seg, m).cuts == (4,)
+        assert one(null_refine, seg, m).cuts == (4,)
 
     def test_cuts_far_from_nulls_unchanged(self):
         m = msg(bytes.fromhex("112233445566"))
         seg = Segmentation(0, (3,))
-        assert null_refine(seg, m).cuts == (3,)
+        assert one(null_refine, seg, m).cuts == (3,)
 
     def test_never_changes_cut_count(self):
         rng = np.random.default_rng(3)
@@ -88,7 +108,7 @@ class TestNullRefine:
             cuts = tuple(sorted(rng.choice(np.arange(1, len(data)),
                                            size=min(k, len(data) - 1),
                                            replace=False).tolist()))
-            refined = null_refine(Segmentation(0, cuts), m)
+            refined = one(null_refine, Segmentation(0, cuts), m)
             assert len(refined.cuts) == len(cuts)
 
     def test_segmenter_output_is_fixpoint(self):
@@ -97,7 +117,7 @@ class TestNullRefine:
             data = bytes(rng.integers(0, 6, size=int(rng.integers(1, 24))).tolist())
             m = msg(data, 0)
             base = null_segmenter(m)
-            assert null_refine(base, m) == base
+            assert one(null_refine, base, m) == base
 
 
 class TestBitCongruence:
@@ -137,21 +157,43 @@ class TestAgainstPerByteReferences:
         for sigma, kernel in kernels.items():
             assert np.array_equal(kernel, gaussian_kernel(sigma))
 
-    def test_entropy_merge_with_a_shared_table(self):
+    def test_entropy_merge_on_multi_message_traces(self):
+        # one call merges a whole trace, each message as the per-byte greedy
+        # merges it alone; a message whose cuts stay keeps its segmentation
         rng = np.random.default_rng(62)
-        table = {}
-        for _ in range(2000):
-            payload = extreme_payload(rng)
-            cuts = tuple(c for c in range(1, len(payload)) if rng.random() < 0.35)
+        payloads = [extreme_payload(rng) for _ in range(2000)]
+        changed = 0
+        for trace in random_traces(rng, payloads):
+            segs = [Segmentation(m.id, tuple(c for c in range(1, len(m.payload))
+                                             if rng.random() < 0.35)) for m in trace]
             floor, diff = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.3))
-            expected = reference_entropy_merge(cuts, payload, floor, diff)
-            seg = Segmentation(0, cuts)
-            assert entropy_merge(seg, msg(payload), floor, diff, table).cuts == expected
-            assert entropy_merge(seg, msg(payload), floor, diff).cuts == expected
-        assert len(table) > 100
-        # each entry is the entropy of any data with those counts in byte-value order
-        for key, h in table.items():
-            assert reference_entropy(bytes(v for v, c in enumerate(key) for _ in range(c))) == h
+            for m, seg, out in zip(trace, segs, entropy_merge(segs, trace, floor, diff)):
+                assert out.cuts == reference_entropy_merge(seg.cuts, m.payload, floor, diff)
+                assert (out is seg) == (out.cuts == seg.cuts)
+                changed += out is not seg
+        assert 200 < changed < 1800
+
+    def test_span_entropies_equal_entropy_on_the_specs(self):
+        # every segment of the bit-congruence base of the six specs and every
+        # span of 2-4 adjacent segments, one `_span_entropies` call per spec
+        spans = 0
+        for name, spec in sorted(synth.reference_specs().items()):
+            messages, _ = synth.generate(dataclasses.replace(spec, message_count=100, rng_seed=11))
+            data = np.frombuffer(b"".join(m.payload for m in messages), dtype=np.uint8)
+            starts, ends, expected = [], [], []
+            offset = 0
+            for m in messages:
+                bounds = [0, *bit_congruence_segmenter(m).cuts, len(m.payload)]
+                for width in range(1, 5):
+                    for a, b in zip(bounds, bounds[width:]):
+                        starts.append(offset + a)
+                        ends.append(offset + b)
+                        expected.append(_entropy(m.payload[a:b]))
+                offset += len(m.payload)
+            h = _span_entropies(data, np.array(starts), np.array(ends), _Entropies())
+            assert np.array_equal(h.view(np.int64), np.array(expected).view(np.int64)), name
+            spans += len(expected)
+        assert spans > 7000
 
     def test_entropy_depends_only_on_the_ordered_counts(self):
         # an increasing relabelling of the byte values keeps the counts in
@@ -160,21 +202,25 @@ class TestAgainstPerByteReferences:
         for _ in range(500):
             data = extreme_payload(rng)
             relabel = np.sort(rng.choice(256, size=256, replace=False))
-            assert _entropy(data, {}) == reference_entropy(data)
-            assert _entropy(data, {}) == _entropy(bytes(relabel[list(data)].tolist()), {})
+            assert _entropy(data) == reference_entropy(data)
+            assert _entropy(data) == _entropy(bytes(relabel[list(data)].tolist()))
 
     def test_null_runs_and_crop_chars(self):
         rng = np.random.default_rng(64)
         alphabet = [0x00, 0x00, 0x09, 0x0a, 0x0d, 0x1f, 0x20, 0x41, 0x7e, 0x7f, 0xff]
+        payloads = []
         for _ in range(2000):
             size = int(rng.integers(1, 41))
             payload = (bytes(rng.choice(alphabet, size=size).tolist()) if rng.random() < 0.5
                        else extreme_payload(rng))
             assert _null_runs(payload) == reference_null_runs(payload)
-            cuts = tuple(c for c in range(1, len(payload)) if rng.random() < 0.1)
+            payloads.append(payload)
+        for trace in random_traces(rng, payloads):
+            segs = [Segmentation(m.id, tuple(c for c in range(1, len(m.payload))
+                                             if rng.random() < 0.1)) for m in trace]
             min_run = int(rng.integers(1, 9))
-            assert crop_chars(Segmentation(0, cuts), msg(payload), min_run).cuts == (
-                reference_crop_chars(cuts, payload, min_run))
+            for m, seg, out in zip(trace, segs, crop_chars(segs, trace, min_run)):
+                assert out.cuts == reference_crop_chars(seg.cuts, m.payload, min_run)
 
 
 class TestPassKinds:
@@ -187,15 +233,16 @@ class TestPassKinds:
     def test_per_message_passes(self):
         rng = np.random.default_rng(66)
         passes = {  # pass: how its new cuts relate to the old
-            "crop_chars": (lambda seg, m: crop_chars(seg, m, int(rng.integers(1, 9))),
+            "crop_chars": (lambda seg, m: one(crop_chars, seg, m, int(rng.integers(1, 9))),
                            set.issuperset),
-            "split_fixed": (lambda seg, m: split_fixed(seg, m, int(rng.integers(1, 5))),
+            "split_fixed": (lambda seg, m: one(split_fixed, seg, m, int(rng.integers(1, 5))),
                             set.issuperset),
-            "entropy_merge": (lambda seg, m: entropy_merge(
-                seg, m, float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.3))),
+            "entropy_merge": (lambda seg, m: one(
+                entropy_merge, seg, m, float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.3))),
                 set.issubset),
-            "merge_chars": (merge_chars, set.issubset),
-            "null_refine": (null_refine, lambda new, old: len(new) == len(old)),
+            "merge_chars": (lambda seg, m: one(merge_chars, seg, m), set.issubset),
+            "null_refine": (lambda seg, m: one(null_refine, seg, m),
+                            lambda new, old: len(new) == len(old)),
         }
         changed = dict.fromkeys(passes, 0)
         for _ in range(2000):
@@ -235,7 +282,7 @@ class TestUnchangedCuts:
             payload = extreme_payload(rng)
             seg = Segmentation(0, tuple(c for c in range(1, len(payload)) if rng.random() < 0.3))
             for op in passes:
-                out = op(seg, msg(payload))
+                out = one(op, seg, msg(payload))
                 assert (out is seg) == (out.cuts == seg.cuts)
                 kept[op] += out is seg
         assert min(kept.values()) > 100  # every pass met unchanged and changed cuts
@@ -250,55 +297,55 @@ class TestUnchangedCuts:
 
 class TestEntropyMerge:
     def test_entropy_values(self):
-        assert _entropy(b"\x00" * 4, {}) == 0.0
-        assert _entropy(bytes([0, 1, 2, 3]), {}) == pytest.approx(1.0)
-        assert _entropy(b"\x07", {}) == 0.0
+        assert _entropy(b"\x00" * 4) == 0.0
+        assert _entropy(bytes([0, 1, 2, 3])) == pytest.approx(1.0)
+        assert _entropy(b"\x07") == 0.0
 
     def test_similar_high_entropy_neighbors_merge(self):
         # both segments near-uniform: entropies close and above the floor
         a = bytes([1, 2, 3, 4, 5, 6, 7, 8])
         b = bytes([9, 10, 11, 12, 13, 14, 15, 16])
         m = msg(a + b)
-        assert entropy_merge(Segmentation(0, (8,)), m).cuts == ()
+        assert one(entropy_merge, Segmentation(0, (8,)), m).cuts == ()
 
     def test_dissimilar_entropy_does_not_merge(self):
         a = bytes([1, 2, 3, 4, 5, 6, 7, 8])
         b = bytes([7] * 8)
         m = msg(a + b)
-        assert entropy_merge(Segmentation(0, (8,)), m).cuts == (8,)
+        assert one(entropy_merge, Segmentation(0, (8,)), m).cuts == (8,)
 
     def test_constant_fields_stay_apart(self):
         m = msg(bytes([1] * 4 + [2] * 4))
-        assert entropy_merge(Segmentation(0, (4,)), m).cuts == (4,)
+        assert one(entropy_merge, Segmentation(0, (4,)), m).cuts == (4,)
 
 
 class TestMergeChars:
     def test_adjacent_text_segments_merge(self):
         m = msg(b"HelloWorld")
-        assert merge_chars(Segmentation(0, (5,)), m).cuts == ()
+        assert one(merge_chars, Segmentation(0, (5,)), m).cuts == ()
 
     def test_binary_neighbor_stays(self):
         m = msg(b"Hello" + bytes([1, 2, 3]))
-        assert merge_chars(Segmentation(0, (5,)), m).cuts == (5,)
+        assert one(merge_chars, Segmentation(0, (5,)), m).cuts == (5,)
 
 
 class TestCropChars:
     def test_embedded_run_cropped(self):
         m = msg(bytes.fromhex("0102") + b"Hello!\t" + bytes.fromhex("fe"))
-        seg = crop_chars(Segmentation(0, ()), m)
+        seg = one(crop_chars, Segmentation(0, ()), m)
         assert seg.cuts == (2, 9)
 
     def test_pure_char_segment_unchanged(self):
         m = msg(b"Hello, world")
-        assert crop_chars(Segmentation(0, ()), m).cuts == ()
+        assert one(crop_chars, Segmentation(0, ()), m).cuts == ()
 
     def test_short_run_ignored(self):
         m = msg(bytes.fromhex("01") + b"abc" + bytes.fromhex("02030405"))
-        assert crop_chars(Segmentation(0, ()), m).cuts == ()
+        assert one(crop_chars, Segmentation(0, ()), m).cuts == ()
 
     def test_terminator_stays_with_run(self):
         m = msg(bytes.fromhex("0102") + b"stream" + b"\x00" + bytes.fromhex("beef"))
-        assert crop_chars(Segmentation(0, ()), m).cuts == (2, 9)
+        assert one(crop_chars, Segmentation(0, ()), m).cuts == (2, 9)
 
 
 class TestCropDistinct:
@@ -345,24 +392,24 @@ class TestCropDistinct:
 class TestSplitFixed:
     def test_even_first_segment(self):
         m = msg(bytes.fromhex("01020304"))
-        assert split_fixed(Segmentation(0, ()), m).cuts == (2,)
+        assert one(split_fixed, Segmentation(0, ()), m).cuts == (2,)
 
     def test_odd_tail_attaches(self):
         m = msg(bytes.fromhex("0102030405"))
-        assert split_fixed(Segmentation(0, ()), m).cuts == (2,)
+        assert one(split_fixed, Segmentation(0, ()), m).cuts == (2,)
 
     def test_char_first_segment_exempt(self):
         m = msg(b"ABCD" + bytes.fromhex("0102"))
-        assert split_fixed(Segmentation(0, (4,)), m).cuts == (4,)
+        assert one(split_fixed, Segmentation(0, (4,)), m).cuts == (4,)
 
     def test_only_first_segment_is_split(self):
         m = msg(bytes.fromhex("01020304aabbccdd"))
-        assert split_fixed(Segmentation(0, (4,)), m).cuts == (2, 4)
+        assert one(split_fixed, Segmentation(0, (4,)), m).cuts == (2, 4)
 
     def test_no_chunk_shorter_than_the_chunk_size(self):
         for first_len in range(1, 10):
             m = msg(bytes(range(1, first_len + 1)))
-            seg = split_fixed(Segmentation(0, ()), m)
+            seg = one(split_fixed, Segmentation(0, ()), m)
             bounds = [0] + list(seg.cuts) + [first_len]
             sizes = [b - a for a, b in zip(bounds, bounds[1:])]
             assert all(s >= min(2, first_len) for s in sizes)

@@ -5,19 +5,23 @@
 run fails when a site is gone or records no span.  So every site stays a
 callable module attribute, and `run_pipeline` looks its passes up in the
 `refine` namespace when it calls them: a pass table bound at import
-would call around the wrapper.  The tracing module is loaded from its
-file; nothing in it is changed.
+would call around the wrapper.  Each static pass is one call per
+trace, and a pass that fails on a message logs the warning the tracer
+counts as `refine.pass_failures`.  The tracing module is loaded from
+its file; nothing in it is changed.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import logging
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from protoseg import refine, synth
+from protoseg.model import UsageError
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,10 +44,13 @@ def test_every_site_is_a_callable_module_attribute():
         assert callable(fn), f"protoseg.{module}.{attr}"
 
 
-@pytest.mark.parametrize("name", sorted(refine.PRESETS))
-def test_run_pipeline_calls_the_wrapped_refine_sites(monkeypatch, name):
+def _trace():
     spec = dataclasses.replace(synth.reference_specs()["mixed"], message_count=150, rng_seed=1)
-    messages, _ = synth.generate(spec)
+    return synth.generate(spec)[0]
+
+
+def _count_calls(monkeypatch, attrs) -> Counter:
+    """Replace each refine attribute by a wrapper that counts its calls."""
     calls = Counter()
 
     def counting(attr, fn):
@@ -52,13 +59,70 @@ def test_run_pipeline_calls_the_wrapped_refine_sites(monkeypatch, name):
             return fn(*args, **kwargs)
         return wrapper
 
+    for attr in attrs:
+        monkeypatch.setattr(refine, attr, counting(attr, getattr(refine, attr)))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(refine.PRESETS))
+def test_run_pipeline_calls_the_wrapped_refine_sites(monkeypatch, name):
+    messages = _trace()
     # the per-leaf sites are expected too: this trace has interpretable leaves
     expected = {attr for module, attr in SITES
                 if module == "refine" and attr != "run_pipeline"
                 and f"refine.{attr}" not in tracing.UNREACHED[name]}
     assert {"crop_chars", "crop_distinct", "split_fixed", "recursive_cluster",
             "cluster_edits", "apply_edits"} <= expected
-    for attr in expected:
-        monkeypatch.setattr(refine, attr, counting(attr, getattr(refine, attr)))
+    calls = _count_calls(monkeypatch, expected)
     refine.run_pipeline(messages, refine.preset(name))
     assert {attr for attr in expected if calls[attr]} == expected
+
+
+@pytest.mark.parametrize("name", sorted(refine.PRESETS))
+def test_run_pipeline_calls_each_static_pass_once(monkeypatch, name):
+    # each static pass maps the whole trace in one call, not one call per message
+    static = [attr for _, attr in tracing.SITES["refine.static_s"][0]]
+    calls = _count_calls(monkeypatch, static)
+    refine.run_pipeline(_trace(), refine.preset(name))
+    assert dict(calls) == {attr: 1 for attr in static
+                           if f"refine.{attr}" not in tracing.UNREACHED[name]}
+
+
+def test_a_pass_failing_on_one_message_leaves_the_others(monkeypatch, caplog):
+    messages = _trace()
+    passes = (refine.PASS_ENTROPY_MERGE, refine.PASS_NULL_REFINE)
+    before = refine.run_pipeline(messages, refine.Pipeline("bit_congruence", passes))
+    pipeline = refine.Pipeline("bit_congruence", passes + (refine.PASS_CROP_CHARS,))
+    clean = refine.run_pipeline(messages, pipeline)
+    # a message that crop_chars changes
+    victim = next(m.id for m, old, new in zip(messages, before.segmentations,
+                                              clean.segmentations) if old.cuts != new.cuts)
+
+    crop_chars, sizes = refine.crop_chars, []
+
+    def failing(segs, msgs, *knobs):
+        sizes.append(len(msgs))
+        if any(m.id == victim for m in msgs):
+            raise UsageError(f"refused message {victim}")
+        return crop_chars(segs, msgs, *knobs)
+
+    monkeypatch.setattr(refine, "crop_chars", failing)
+    tracer = tracing.Tracer()
+    logger = logging.getLogger(tracing.PACKAGE)
+    logger.addHandler(tracer._log_handler)
+    try:
+        with caplog.at_level(logging.WARNING, logger=tracing.PACKAGE):
+            result = refine.run_pipeline(messages, pipeline)
+    finally:
+        logger.removeHandler(tracer._log_handler)
+
+    # the whole trace once, then the same function on one message at a time
+    assert sizes == [len(messages)] + [1] * len(messages)
+    for m, seg, old, new in zip(messages, result.segmentations,
+                                before.segmentations, clean.segmentations):
+        assert seg.cuts == (old.cuts if m.id == victim else new.cuts)
+    assert result.edits == [e for e in clean.edits
+                            if (e.message_id, e.provenance) != (victim, refine.PASS_CROP_CHARS)]
+    failures = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pass ")]
+    assert failures == [f"pass crop_chars failed on message {victim}: refused message {victim}"]
+    assert tracer.counts[tracer.pass_id]["refine.pass_failures"] == 1
