@@ -253,8 +253,10 @@ def _subset(members: tuple, inverse: np.ndarray, dist: np.ndarray, idx: np.ndarr
     # range [lo*k, hi*k) after `take` has copied its own rows out, and
     # every row a later block reads starts at rows[hi]*u >= hi*k
     step = max(1, _PARTITION_BUDGET // u)
-    for lo in range(0, k, step):
-        out[lo:lo + step] = dist.take(rows[lo:lo + step], axis=0).take(rows, axis=1)
+    for lo in range(0, k, step):  # rows are valid ids, so "clip" changes none; it lets
+        # take write straight into out, where the default mode writes a copy first
+        dist.take(rows[lo:lo + step], axis=0).take(rows, axis=1, out=out[lo:lo + step],
+                                                   mode="clip")
     return tuple(map(members.__getitem__, idx.tolist())), rows.searchsorted(inverse[idx]), out
 
 

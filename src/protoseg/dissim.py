@@ -44,7 +44,9 @@ distinct values are a subset of its parent's, so when its medoid holds
 the medoid value of an overlay it was split from, `overlay_cluster`
 takes the offsets from that overlay (`known`) instead of calling
 `dissimilarity` for each value again; only roots and sub-clusters with
-a new medoid make the calls.
+a new medoid make the calls.  The overlay reads each distinct value off
+the members' ids (its first holder) and turns the offsets into shifts
+and a width with array arithmetic, one element per distinct value.
 """
 
 from __future__ import annotations
@@ -240,10 +242,11 @@ def overlay_cluster(members, dist: np.ndarray, inverse, known=None) -> Overlay:
     members = tuple(members)
     if len(members) < 2:
         raise UsageError("overlay needs at least 2 members")
-    values = [m.values for m in members]
-    # ids count up in order of first occurrence, as values do
     inverse = np.asarray(inverse)
-    distinct = list(dict.fromkeys(values))
+    # ids count up in order of first occurrence, so value d first occurs
+    # where the running maximum of the ids reaches d
+    firsts = np.maximum.accumulate(inverse).searchsorted(np.arange(dist.shape[0]))
+    distinct = [members[i].values for i in firsts.tolist()]
     # A member's total is the sum of its row of the members x members
     # matrix; a distinct row expanded per member holds those values in
     # that order, so its sum has their bits (with every member distinct,
@@ -252,29 +255,25 @@ def overlay_cluster(members, dist: np.ndarray, inverse, known=None) -> Overlay:
     # whose sums can be smallest: two float sums of the same n
     # nonnegative terms differ by well under 8 (n + 1) eps of the total.
     approx = np.einsum("ij,j->i", dist, np.bincount(inverse))
-    near = np.flatnonzero(approx <= approx.min() + 8 * (len(values) + 1)
-                          * np.finfo(float).eps * approx.max())
+    near = (approx <= np.minimum.reduce(approx) + 8 * (len(members) + 1)
+            * np.finfo(float).eps * np.maximum.reduce(approx)).nonzero()[0]
     totals = np.full(len(distinct), np.inf)
-    totals[near] = dist[near].take(inverse, axis=1).sum(axis=1)
+    totals[near] = np.add.reduce(dist[near].take(inverse, axis=1), axis=1)  # as .sum(axis=1)
     reference = int(totals[inverse].argmin())  # argmin returns the first = lowest index
-    ref = values[reference]
+    ref = members[reference].values
 
     # identical members share their shift, so it is found per distinct value
+    lengths = np.fromiter(map(len, distinct), np.intp, len(distinct))
     if known and ref in known:
-        offsets = np.asarray(known[ref]).tolist()
+        offsets = np.asarray(known[ref])
     else:
-        offsets = []
-        for v in distinct:
-            if v == ref:
-                offsets.append(0)
-            else:
-                _, o = dissimilarity(v, ref)
-                offsets.append(o if len(v) <= len(ref) else -o)
-    low = min(offsets)
-    shift_of = [o - low for o in offsets]
-    width = max(map(add, shift_of, map(len, distinct)))
-    shifts = tuple(map(shift_of.__getitem__, inverse.tolist()))
-    return Overlay(members=members, shifts=shifts, width=width, reference=reference)
+        found = np.array([0 if v == ref else dissimilarity(v, ref)[1] for v in distinct],
+                         dtype=np.intp)
+        offsets = np.where(lengths <= len(ref), found, -found)
+    shift_of = offsets - np.minimum.reduce(offsets)
+    width = int(np.maximum.reduce(shift_of + lengths))
+    return Overlay(members=members, shifts=tuple(shift_of[inverse].tolist()), width=width,
+                   reference=reference)
 
 
 @dataclass(frozen=True)

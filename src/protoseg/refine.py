@@ -19,12 +19,25 @@ segmentations[i] is the cut set of messages[i], and returns a message's
 calls the same pass again on one message at a time, and a message that
 still fails keeps its cuts.  `entropy_merge` finds the entropies of all
 segments, and of the spans each greedy step merges, with one sort per
-step (`_span_entropies`).  Each entropy still comes from its key, the
-byte counts in byte-value order, through one formula, so it has the
-bits a per-span computation gives.  The bit-congruence segmenter reads
-its Gaussian kernel from a table keyed by sigma that `run_pipeline`
-creates empty for each run.  Null runs and printable runs are found by
-regular expressions on the payload bytes.
+step (`_span_entropies`; one `bincount` when a step merges one span).
+Each entropy still comes from its key, the byte counts in byte-value
+order, through one formula, so it has the bits a per-span computation
+gives.
+
+Trace-wide passes start from one flattening of the cut sets
+(`_flatten`): the payloads joined in trace order and every segment's
+start in them.  `entropy_merge`, `crop_distinct` and the PCA pass read
+it; the PCA pass builds from it every segment to cluster and the
+`TraceCuts` its rules read each message's boundaries from.
+`crop_distinct` counts segment values once over the trace and finds
+each frequent value's occurrences in the joined payloads.  The edits
+of a static pass (`_diff_edits`) come from one comparison of the
+changed messages' old and new cuts as sorted (message, cut) keys.
+
+The bit-congruence segmenter reads its Gaussian kernel from a table
+keyed by sigma that `run_pipeline` creates empty for each run.  Null
+runs and printable runs are found by regular expressions on the
+payload bytes.
 """
 
 from __future__ import annotations
@@ -35,15 +48,17 @@ import re
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Optional
+from itertools import chain, groupby, repeat
+from operator import attrgetter, is_not, itemgetter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .cluster import DEFAULT_MAX_DEPTH, PCA_SUITABLE, recursive_cluster
-from .model import (AnalysisParams, Message, ProtosegError, Segmentation,
-                    UsageError, segments_of)
-from .rules import (ADD, MOVE, REMOVE, BoundaryEdit, apply_edits, cluster_edits,
+from .dissim import distinct_values
+from .model import (AnalysisParams, Message, ProtosegError, SegmentRef, Segmentation,
+                    UsageError)
+from .rules import (ADD, MOVE, REMOVE, BoundaryEdit, TraceCuts, apply_edits, cluster_edits,
                     common_aligned_cuts, contribution, rule_a, rule_b)
 
 logger = logging.getLogger(__name__)
@@ -217,14 +232,23 @@ class _Entropies(dict):
     """
 
     def __missing__(self, key: tuple) -> float:
-        counts = np.array(key, dtype=np.intp)
-        n = int(counts.sum())
-        h = 0.0
-        if n > 1:
-            p = counts / n
-            h = float(-(p * np.log2(p)).sum()) / math.log2(min(n, 256))
-        self[key] = h
+        h = self[key] = self.formula(np.array(key, dtype=np.intp), sum(key))
         return h
+
+    def of(self, counts: np.ndarray, n: int) -> float:
+        """The entropy of a key held as an array, the counts of n bytes."""
+        key = tuple(counts.tolist())
+        h = self.get(key)
+        if h is None:
+            h = self[key] = self.formula(counts, n)
+        return h
+
+    @staticmethod
+    def formula(counts: np.ndarray, n: int) -> float:
+        if n < 2:
+            return 0.0
+        p = counts / n
+        return float(-np.add.reduce(p * np.log2(p))) / math.log2(min(n, 256))
 
 
 def _entropy(data: bytes) -> float:
@@ -233,30 +257,72 @@ def _entropy(data: bytes) -> float:
 
 
 def _span_entropies(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                    entropies: _Entropies) -> np.ndarray:
+                    entropies: _Entropies):
     """The entropy of each span data[starts[k]:ends[k]], read from `entropies`.
 
     One sort of span index * 256 + byte groups each span's bytes by
     value, so the run lengths of the sorted keys are every span's
     `_byte_counts`.  The key of a span of distinct bytes is (1,) * its
     length, so only spans with a repeated byte build theirs one by one.
-    Spans may overlap.
+    Spans may overlap.  A single span, as most greedy steps of a short
+    trace merge, takes its counts from one `bincount` of its bytes and
+    comes back as a one-element list.
     """
+    if starts.size == 1:
+        counts = np.bincount(data[starts[0]:ends[0]])
+        return [entropies.of(counts[counts > 0], int(ends[0] - starts[0]))]
     lengths = ends - starts
-    span = np.repeat(np.arange(starts.size), lengths)
-    offset = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
-    keys = np.sort(span * 256 + data[offset])
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    bounds = np.cumsum(lengths)  # where each span's bytes end once gathered
+    gather = np.arange(bounds[-1]) + np.repeat(starts - bounds + lengths, lengths)
+    keys = np.repeat(np.arange(0, 256 * starts.size, 256), lengths) + data[gather]
+    keys.sort()
+    change = np.empty(keys.size, dtype=bool)
+    change[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    first = change.nonzero()[0]  # the first byte of each (span, value) run
     distinct = np.bincount(keys[first] >> 8, minlength=starts.size)
+    runs = np.empty(first.size, dtype=np.intp)
+    np.subtract(first[1:], first[:-1], out=runs[:-1])
+    runs[-1] = keys.size - first[-1]
     h = np.empty(starts.size)
     plain = distinct == lengths
-    sizes, size_of = np.unique(lengths[plain], return_inverse=True)
-    h[plain] = np.array([entropies[(1,) * n] for n in sizes.tolist()])[size_of]
-    counts = np.diff(np.r_[first, keys.size]).tolist()
-    rest = np.flatnonzero(~plain)
-    h[rest] = [entropies[tuple(counts[a:a + d])] for a, d in
-               zip((np.cumsum(distinct) - distinct)[rest].tolist(), distinct[rest].tolist())]
+    sizes = lengths[plain].tolist()
+    by_size = {n: entropies[(1,) * n] for n in set(sizes)}
+    h[plain] = list(map(by_size.__getitem__, sizes))
+    rest = (~plain).nonzero()[0]
+    if rest.size:
+        counts = runs.tolist()
+        h[rest] = [entropies[tuple(counts[a:a + d])] for a, d in
+                   zip((np.cumsum(distinct) - distinct)[rest].tolist(), distinct[rest].tolist())]
     return h
+
+
+class _Flat(NamedTuple):
+    """A trace's segments as offsets into its payloads joined in trace order."""
+
+    joined: bytes
+    ncuts: np.ndarray   # cuts of each message
+    cuts: np.ndarray    # every message's cuts, in trace order
+    first: np.ndarray   # each message's first segment
+    starts: np.ndarray  # every segment's start in `joined`, in trace order
+    at_cut: np.ndarray  # the segment starts at a cut, not at its message's first byte
+
+
+def _flatten(segmentations: list, messages: list) -> _Flat:
+    """The segments of segmentations[i] over messages[i], for every i, as one `_Flat`."""
+    ncuts = np.fromiter(map(len, map(attrgetter("cuts"), segmentations)), np.intp,
+                        len(segmentations))
+    cuts = np.fromiter(chain.from_iterable(seg.cuts for seg in segmentations),
+                       dtype=np.intp, count=int(ncuts.sum()))
+    payloads = [msg.payload for msg in messages]
+    lengths = np.fromiter(map(len, payloads), np.intp, len(payloads))
+    first = np.cumsum(ncuts + 1) - (ncuts + 1)
+    # a segment other than its message's first starts at a cut
+    starts = np.repeat(np.cumsum(lengths) - lengths, ncuts + 1)
+    at_cut = np.ones(starts.size, dtype=bool)
+    at_cut[first] = False
+    starts[at_cut] += cuts
+    return _Flat(b"".join(payloads), ncuts, cuts, first, starts, at_cut)
 
 
 def entropy_merge(segmentations: list, messages: list,
@@ -276,46 +342,52 @@ def entropy_merge(segmentations: list, messages: list,
     out = list(segmentations)
     if not any(seg.cuts for seg in segmentations):
         return out
-    ncuts = np.array([len(seg.cuts) for seg in segmentations])
-    cuts = np.fromiter(chain.from_iterable(seg.cuts for seg in segmentations),
-                       dtype=np.intp, count=int(ncuts.sum()))
-    lengths = np.array([len(msg.payload) for msg in messages])
-    data = np.frombuffer(b"".join(msg.payload for msg in messages), dtype=np.uint8)
-
-    # every segment of the trace in order, as offsets into data;
-    # a segment other than its message's first starts at a cut
-    starts = np.repeat(np.cumsum(lengths) - lengths, ncuts + 1)
-    at_cut = np.ones(starts.size, dtype=bool)
-    at_cut[np.cumsum(ncuts + 1) - (ncuts + 1)] = False
-    starts[at_cut] += cuts
-    ends = np.r_[starts[1:], data.size]
+    flat = _flatten(segmentations, messages)
+    ncuts, cuts, starts, at_cut = flat.ncuts, flat.cuts, flat.starts, flat.at_cut
+    data = np.frombuffer(flat.joined, dtype=np.uint8)
+    ends = np.append(starts[1:], data.size)
     entropies = _Entropies()
     h = _span_entropies(data, starts, ends, entropies)
 
-    # chain j runs over segments lo[j]..hi[j] of one message
+    # chain j runs over segments lo[j]..hi[j] of one message and takes
+    # hi[j] - lo[j] steps; longest first, so the chains still stepping
+    # are always the first `live` ones
     pair = (h[:-1] >= floor) & (h[1:] >= floor) & at_cut[1:]
-    edge = np.diff(np.r_[0, pair.view(np.int8), 0])
+    edge = np.diff(pair.view(np.int8), prepend=0, append=0)
     lo, hi = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
-    merged = np.zeros(starts.size, dtype=bool)  # the segment joined the one before it
+    order = np.argsort(lo - hi, kind="stable")
+    lo, steps = lo[order], (hi - lo)[order].tolist()
     h_a, span_start, nxt = h[lo], starts[lo], lo + 1
-    while nxt.size:
-        h_b = h[nxt]  # every segment of a chain is at the floor or above
-        merge = (h_a >= floor) & (np.abs(h_a - h_b) <= diff)
-        if merge.any():
-            joined = nxt[merge]
-            merged[joined] = True
-            h_b[merge] = _span_entropies(data, span_start[merge], ends[joined], entropies)
+    joins = []  # the segments that joined the span before them
+    live = len(steps)
+    for step in range(1, steps[0] + 1 if steps else 1):
+        if steps[live - 1] < step:
+            while steps[live - 1] < step:
+                live -= 1
+            h_a, span_start, nxt = h_a[:live], span_start[:live], nxt[:live]
+        # h_a is -inf for a merged span below the floor, which then merges
+        # with nothing; every segment of a chain is at the floor or above
+        h_b = h[nxt]
+        merge = np.abs(h_a - h_b) <= diff
+        joined = nxt[merge]
+        if joined.size:
+            joins.append(joined)
+            h_b[merge] = [x if x >= floor else -np.inf for x in
+                          _span_entropies(data, span_start[merge], ends[joined], entropies)]
+        if joined.size < live:  # a chain that did not merge starts a span at nxt
+            span_start = np.where(merge, span_start, starts[nxt])
         h_a = h_b  # the merged span's entropy, or the next segment's
-        span_start = np.where(merge, span_start, starts[nxt])
         nxt += 1
-        live = nxt <= hi
-        h_a, span_start, nxt, hi = h_a[live], span_start[live], nxt[live], hi[live]
 
+    merged = np.zeros(starts.size, dtype=bool)
+    if joins:
+        merged[np.concatenate(joins)] = True
     gone = merged[at_cut]  # one flag per cut, in the order of `cuts`
     owner = np.repeat(np.arange(ncuts.size), ncuts)
     kept = cuts[~gone].tolist()
     kept_end = np.cumsum(ncuts - np.bincount(owner[gone], minlength=ncuts.size)).tolist()
-    for k in np.unique(owner[gone]).tolist():
+    changed = owner[gone]  # ascending, once per merged cut
+    for k in changed[np.diff(changed, prepend=-1) > 0].tolist():
         start = kept_end[k - 1] if k else 0
         out[k] = Segmentation(out[k].message_id, tuple(kept[start:kept_end[k]]))
     return out
@@ -395,49 +467,78 @@ def crop_distinct(segmentations: list, messages: list,
     segment in at least max(min_fraction of the messages, min_messages)
     messages.  Longest values first, leftmost non-overlapping
     occurrences.
+
+    segmentations[i] is matched to its message by id.  The values are
+    counted over one `_flatten` of the trace.  Each frequent value's
+    occurrences are then found in the joined payloads at once, and only
+    the messages whose segments hold one, with bytes to spare, get a new
+    `Segmentation`.
     """
     by_id = {m.id: m for m in messages}
-    occurs = {}
-    for seg in segmentations:
-        msg = by_id[seg.message_id]
-        seg.validate_against(msg)
-        payload = msg.payload
-        bounds = (0,) + seg.cuts + (len(payload),)
-        for a, b in zip(bounds, bounds[1:]):
-            if b - a >= 2:
-                occurs.setdefault(payload[a:b], set()).add(msg.id)
+    flat = _flatten(segmentations, [by_id[seg.message_id] for seg in segmentations])
+    edges = np.append(flat.starts, len(flat.joined))
+    sizes = np.diff(edges)
+    if sizes.size and sizes.min() <= 0:  # a cut at or beyond its payload's end
+        k = int(np.searchsorted(flat.first, np.argmax(sizes <= 0), "right")) - 1
+        segmentations[k].validate_against(by_id[segmentations[k].message_id])
+    pieces = np.flatnonzero(sizes >= 2)
+    values = list(map(flat.joined.__getitem__, map(slice, flat.starts[pieces].tolist(),
+                                                    edges[pieces + 1].tolist())))
+    distinct, inverse = distinct_values(values)
+    owner = np.array([seg.message_id for seg in segmentations], dtype=np.int64)
+    owner = np.repeat(owner, flat.ncuts + 1)[pieces]
+    order = np.lexsort((owner, inverse))  # each value's owners, ascending
+    held, owner = inverse[order], owner[order]
+    new = np.ones(order.size, dtype=bool)  # the first time a message holds the value
+    new[1:] = (held[1:] != held[:-1]) | (owner[1:] != owner[:-1])
+    holders = np.bincount(held[new], minlength=len(distinct))
     threshold = max(min_fraction * len(messages), min_messages)
-    frequent = sorted((v for v, ids in occurs.items() if len(ids) >= threshold),
+    frequent = sorted(map(distinct.__getitem__, np.flatnonzero(holders >= threshold).tolist()),
                       key=lambda v: (-len(v), v))
     if not frequent:
         return list(segmentations)
 
-    out = []
-    for seg in segmentations:
-        payload = by_id[seg.message_id].payload
-        cuts = set(seg.cuts)
-        bounds = [0] + list(seg.cuts) + [len(payload)]
-        for s, e in zip(bounds, bounds[1:]):
-            data = payload[s:e]
-            claimed = []
-            for value in frequent:
-                if len(value) >= e - s:
-                    continue
-                pos = 0
-                while True:
-                    o = data.find(value, pos)
-                    if o < 0:
-                        break
-                    span = (o, o + len(value))
-                    if any(span[0] < c[1] and c[0] < span[1] for c in claimed):
-                        pos = o + 1
-                        continue
-                    claimed.append(span)
-                    for cut in (s + span[0], s + span[1]):
-                        if s < cut < e:
-                            cuts.add(cut)
-                    pos = span[1]
-        out.append(_with_added(seg, cuts))
+    # Each value, longest first, claims its occurrences left to right that
+    # lie inside a longer segment and overlap no claim made before; claims
+    # are positions in the joined payloads, so they never meet across
+    # segments, and the ones made so far are disjoint and kept in order.
+    data = np.frombuffer(flat.joined, dtype=np.uint8)
+    claim_start = claim_end = np.zeros(0, dtype=np.intp)
+    added = []
+    for value in frequent:
+        size = len(value)
+        at = np.flatnonzero(data[:data.size - size + 1] == value[0])
+        for j in range(1, size):
+            at = at[data[at + j] == value[j]]
+        segment = edges.searchsorted(at, "right") - 1
+        inside = (at + size <= edges[segment + 1]) & (sizes[segment] > size)
+        at, segment = at[inside], segment[inside]
+        if claim_start.size:  # the first claim ending after `at` starts at its end or later
+            later = claim_end.searchsorted(at, "right")
+            free = (later == claim_start.size) | (claim_start.take(later, mode="clip")
+                                                  >= at + size)
+            at, segment = at[free], segment[free]
+        if at.size > 1 and np.diff(at).min() < size:  # occurrences of this value overlap
+            last, keep = -size, []
+            for p in at.tolist():
+                keep.append(p >= last + size)
+                if keep[-1]:
+                    last = p
+            at, segment = at[keep], segment[keep]
+        claim_start = np.concatenate((claim_start, at))
+        order = np.argsort(claim_start, kind="stable")
+        claim_start, claim_end = claim_start[order], np.concatenate((claim_end, at + size))[order]
+        added += [at[at > edges[segment]], (at + size)[at + size < edges[segment + 1]]]
+
+    out = list(segmentations)
+    cut = np.sort(np.concatenate(added))
+    cut = cut[np.diff(cut, prepend=-1) > 0]  # two claims may meet at one cut
+    bases = flat.starts[flat.first]
+    row = bases.searchsorted(cut, "right") - 1
+    for k, cuts in groupby(zip(row.tolist(), (cut - bases[row]).tolist()), itemgetter(0)):
+        seg = segmentations[k]
+        out[k] = Segmentation(seg.message_id,
+                              tuple(sorted(chain(seg.cuts, map(itemgetter(1), cuts)))))
     return out
 
 
@@ -532,39 +633,76 @@ def _diff_edits(old_segs: list, new_segs: list, provenance: str) -> list:
     """The edits of one static pass, per message in trace order.
 
     A message the pass left as it was keeps its `Segmentation` object
-    and gets none.
+    and gets none.  The cuts of the changed messages, old and new, are
+    keyed by message and compared as two sorted arrays: a new key absent
+    from the old ones is an added cut, and the other way round a removed
+    one.
     """
-    edits = []
-    for old, new in zip(old_segs, new_segs):
-        if new is old:
-            continue
-        added = sorted(set(new.cuts).difference(old.cuts))
-        removed = sorted(set(old.cuts).difference(new.cuts))
-        mid = new.message_id
-        # a static pass only adds, only removes or only moves cuts (null_refine),
-        # so equal counts of added and removed cuts are moves, paired in order
-        if len(added) == len(removed):
-            edits += [BoundaryEdit(mid, dst, MOVE, src, provenance)
-                      for src, dst in zip(removed, added)]
-        else:
-            edits += [BoundaryEdit(mid, c, ADD, None, provenance) for c in added]
-            edits += [BoundaryEdit(mid, c, REMOVE, None, provenance) for c in removed]
-    return edits
+    changed = np.flatnonzero(np.fromiter(map(is_not, old_segs, new_segs), bool, len(new_segs)))
+    if not changed.size:
+        return []
+    rows = changed.tolist()
+    old_row, old_cut = _keyed([old_segs[k].cuts for k in rows])
+    new_row, new_cut = _keyed([new_segs[k].cuts for k in rows])
+    stride = 1 + max(old_cut.max(initial=0), new_cut.max(initial=0))
+    old_keys, new_keys = old_row * stride + old_cut, new_row * stride + new_cut
+    is_added, is_removed = ~_among(new_keys, old_keys), ~_among(old_keys, new_keys)
+    add_row, add_cut = new_row[is_added], new_cut[is_added]
+    rm_row, rm_cut = old_row[is_removed], old_cut[is_removed]
+    # a static pass only adds, only removes or only moves cuts (null_refine),
+    # so equal counts of added and removed cuts are moves, paired in order
+    move = np.bincount(add_row, minlength=len(rows)) == np.bincount(rm_row, minlength=len(rows))
+    moved, kept = move[add_row], ~move[rm_row]
+    src = np.zeros(add_cut.size, np.intp)  # 0 for an add: a cut is never at offset 0
+    src[moved] = rm_cut[~kept]
+    # per message: its moves or adds, in cut order, then its removes
+    row = np.concatenate((add_row, rm_row[kept]))
+    order = np.argsort(row * 2 + (np.arange(row.size) >= add_row.size), kind="stable")
+    mids = np.array([new_segs[k].message_id for k in rows])[row[order]]
+    srcs = np.concatenate((src, np.full(int(kept.sum()), -1)))[order].tolist()
+    return list(map(BoundaryEdit, mids.tolist(),
+                    np.concatenate((add_cut, rm_cut[kept]))[order].tolist(),
+                    [MOVE if o > 0 else ADD if o == 0 else REMOVE for o in srcs],
+                    [o if o > 0 else None for o in srcs], repeat(provenance)))
+
+
+def _keyed(cut_tuples: list) -> tuple:
+    """(index i, cut) of every cut of every cut_tuples[i], in order, as two arrays."""
+    counts = np.fromiter(map(len, cut_tuples), np.intp, len(cut_tuples))
+    return (np.repeat(np.arange(len(cut_tuples)), counts),
+            np.fromiter(chain.from_iterable(cut_tuples), np.intp, int(counts.sum())))
+
+
+def _among(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether the ascending array y holds each element of x."""
+    if not y.size:
+        return np.zeros(x.size, dtype=bool)
+    return y.take(y.searchsorted(x), mode="clip") == x
+
+
+def _refs_and_cuts(segmentations: list, messages: list) -> tuple:
+    """(every segment of the trace as a `SegmentRef`, its `TraceCuts`), from one `_flatten`."""
+    flat = _flatten(segmentations, messages)
+    ids = [msg.id for msg in messages]
+    edges = np.append(flat.starts, len(flat.joined))
+    # a ref holds the id and offset ints of its message and cut tuple, not
+    # copies: every segment of the trace has a ref
+    refs = list(map(SegmentRef, np.repeat(np.array(ids, dtype=object), flat.ncuts + 1).tolist(),
+                    chain.from_iterable((0, *seg.cuts) for seg in segmentations),
+                    chain.from_iterable((*seg.cuts, len(msg.payload))
+                                        for seg, msg in zip(segmentations, messages)),
+                    map(flat.joined.__getitem__, map(slice, flat.starts.tolist(),
+                                                     edges[1:].tolist()))))
+    is_cut = np.zeros(edges[-1] + 1, dtype=bool)
+    is_cut[flat.starts[flat.at_cut]] = True
+    first = np.append(flat.first, flat.starts.size)
+    return refs, TraceCuts(dict(zip(ids, range(len(ids)))), edges[first], edges, first, is_cut)
 
 
 def _pca_pass(messages: list, segmentations: list, config: PipelineConfig):
-    refs = []
-    for msg, seg in zip(messages, segmentations):
-        refs.extend(segments_of(seg, msg))
+    refs, trace = _refs_and_cuts(segmentations, messages)
     params = config.analysis
     roots = recursive_cluster(refs, params, config.max_depth)
-
-    segs_by_id = {seg.message_id: seg for seg in segmentations}
-    len_by_id = {msg.id: len(msg.payload) for msg in messages}
-    boundaries = {
-        seg.message_id: {0, len_by_id[seg.message_id]} | set(seg.cuts)
-        for seg in segmentations
-    }
 
     proposals = []
     for root in roots:
@@ -581,9 +719,9 @@ def _pca_pass(messages: list, segmentations: list, config: PipelineConfig):
                     positions.append((int(column_map[k]), "rule_a"))
                 for k in rule_b(contrib, params):
                     positions.append((int(column_map[k]), "rule_b"))
-                for k in common_aligned_cuts(leaf.overlay, boundaries):
+                for k in common_aligned_cuts(leaf.overlay, trace):
                     positions.append((k, "common_aligned"))
-                proposals.extend(cluster_edits(leaf, positions, segs_by_id, len_by_id))
+                proposals.extend(cluster_edits(leaf, positions, trace))
             except ProtosegError as exc:
                 logger.warning("skipping cluster of %d segments: %s", len(leaf.members), exc)
     new_segs, applied = apply_edits(proposals, segmentations)

@@ -24,11 +24,20 @@ at the direct neighbors.  All relative positions are finally translated
 back to absolute per-message offsets; an existing cut one byte away is
 moved (the dominant near-match error of coarse segmenters is exactly
 one byte), otherwise a cut is added.
+
+The bookkeeping around a cluster works on trace-wide arrays, not member
+by member: `TraceCuts` holds every message's boundaries as positions in
+the trace's payloads joined end to end, with a flag per position that
+marks the cuts.  `common_aligned_cuts` counts the boundaries of all
+members with one `bincount`, `cluster_edits` decides every (member,
+position) pair of a members x positions grid at once, and
+`apply_edits` builds a new `Segmentation` only for a message it changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -104,64 +113,95 @@ def rule_b(contrib: ContributionVector, params: AnalysisParams = AnalysisParams(
     return out
 
 
-def common_aligned_cuts(overlay: Overlay, boundaries_by_message: dict) -> list:
+class TraceCuts(NamedTuple):
+    """A trace's boundaries as positions in its payloads joined end to end.
+
+    Message r (its index in the trace) covers offsets[r] up to
+    offsets[r + 1], and edges[first[r]:first[r + 1] + 1] are its
+    boundaries, 0 and the payload length included, in that joined
+    coordinate; consecutive messages share the edge between them.
+    is_cut marks the cuts, never a message's first byte or its end, so a
+    position inside one message never reads another's cut.  row_of maps
+    a message id to r.
+    """
+
+    row_of: dict
+    offsets: np.ndarray
+    edges: np.ndarray
+    first: np.ndarray
+    is_cut: np.ndarray
+
+
+def _members(overlay: Overlay, trace: TraceCuts) -> tuple:
+    """(message rows, joined position of each member's relative 0, member starts there)."""
+    members, n = overlay.members, len(overlay.members)
+    rows = np.fromiter(map(trace.row_of.__getitem__, map(attrgetter("message_id"), members)),
+                       np.intp, n)
+    start = trace.offsets[rows] + np.fromiter(map(attrgetter("start"), members), np.intp, n)
+    return rows, start - np.array(overlay.shifts, dtype=np.intp), start
+
+
+def common_aligned_cuts(overlay: Overlay, trace: TraceCuts) -> list:
     """Relative offsets where member boundaries pile up above both neighbors.
 
-    boundaries_by_message maps message id to every boundary offset of
-    that message including 0 and the payload length.  A position is
-    reported when it is a strict local maximum of the boundary count and
-    at least half the members share it.
+    A member's boundaries are those of its message, 0 and the payload
+    length included.  A position is reported when it is a strict local
+    maximum of the boundary count and at least half the members share
+    it.  Each member's boundaries within relative 0..width are one run
+    of `trace.edges`, clipped to its message, so one `bincount` of all
+    these runs counts them.
     """
-    n = len(overlay.members)
-    width = overlay.width
-    counts = np.zeros(width + 1, dtype=int)
-    for member, shift in zip(overlay.members, overlay.shifts):
-        relative = {b - member.start + shift for b in boundaries_by_message[member.message_id]}
-        for k in relative:
-            if 0 <= k <= width:
-                counts[k] += 1
-    quorum = (n + 1) // 2
-    out = []
-    for k in range(width + 1):
-        left = counts[k - 1] if k > 0 else 0
-        right = counts[k + 1] if k < width else 0
-        if counts[k] > left and counts[k] > right and counts[k] >= quorum:
-            out.append(k)
-    return out
+    n, width = len(overlay.members), overlay.width
+    rows, origin, _ = _members(overlay, trace)
+    edges, first = trace.edges, trace.first
+    lo = np.maximum(edges.searchsorted(origin), first[rows])
+    # the member's own start and end lie in its run, so none is empty
+    count = np.minimum(edges.searchsorted(origin + width, "right"), first[rows + 1] + 1) - lo
+    ends = np.cumsum(count)
+    rel = edges[np.arange(ends[-1]) + np.repeat(lo - ends + count, count)]
+    rel -= np.repeat(origin, count)
+    padded = np.bincount(rel + 1, minlength=width + 3)  # counts[k] at k + 1, a zero either side
+    counts = padded[1:-1]
+    peak = (counts > np.maximum(padded[:-2], padded[2:])) & (counts >= (n + 1) // 2)
+    return peak.nonzero()[0].tolist()
 
 
-def cluster_edits(node: ClusterNode, positions, segmentations_by_id: dict,
-                  payload_len_by_id: dict) -> list:
+def cluster_edits(node: ClusterNode, positions, trace: TraceCuts) -> list:
     """Translate relative boundary positions into per-message edits.
 
     positions is a list of (relative position, provenance).  For a
     member with shift d and start s, position k maps to offset
     a = s - d + k.  An existing cut exactly one byte away is moved to a;
     an absent cut is added; edits outside (0, len) or at positions the
-    member does not observe are dropped.
+    member does not observe are dropped.  One members x positions grid
+    decides every pair at once, and the edits come out member by member,
+    each member's in the order of `positions`.
     """
-    overlay = node.overlay
-    edits = []
-    for member, shift in zip(overlay.members, overlay.shifts):
-        cuts = set(segmentations_by_id[member.message_id].cuts)
-        length = payload_len_by_id[member.message_id]
-        for k, provenance in positions:
-            if not (shift <= k <= shift + len(member)):
-                continue  # member contributed no data at this position
-            a = member.start - shift + k
-            if not (0 < a < length):
-                continue
-            if a in cuts:
-                continue
-            # a+1 first: rule positions sit just before the member's end
-            # boundary, which is the cut that drifted one byte late
-            nearby = [c for c in (a + 1, a - 1) if c in cuts]
-            if nearby:
-                edits.append(BoundaryEdit(member.message_id, a, MOVE,
-                                          old_offset=nearby[0], provenance=provenance))
-            else:
-                edits.append(BoundaryEdit(member.message_id, a, ADD, provenance=provenance))
-    return edits
+    if not positions:
+        return []
+    members = node.overlay.members
+    ks, provenances = zip(*positions)
+    rows, origin, start = _members(node.overlay, trace)
+    offsets, is_cut = trace.offsets, trace.is_cut
+    base = offsets[rows]
+    # the member observes a = start..end, and a must be interior to its message
+    lo = np.maximum(start, base + 1)
+    hi = np.minimum(base + np.fromiter(map(attrgetter("end"), members), np.intp, len(members)),
+                    offsets[rows + 1] - 1)
+    target = origin[:, None] + np.array(ks, dtype=np.intp)
+    # a target outside its message is clipped for the read, then dropped
+    keep = (target >= lo[:, None]) & (target <= hi[:, None]) & ~is_cut.take(target, mode="clip")
+    member, column = keep.nonzero()  # row-major: member by member, positions in order
+    target = target[member, column]
+    # a+1 first: rule positions sit just before the member's end
+    # boundary, which is the cut that drifted one byte late
+    after, before = is_cut[target + 1], is_cut[target - 1]
+    target -= base[member]
+    # the cut that moves, or 0 for an add (a cut is never at offset 0)
+    olds = np.where(after, target + 1, np.where(before, target - 1, 0)).tolist()
+    return list(map(BoundaryEdit, [members[i].message_id for i in member.tolist()],
+                    target.tolist(), [MOVE if o else ADD for o in olds], [o or None for o in olds],
+                    map(provenances.__getitem__, column.tolist())))
 
 
 def apply_edits(edits, segmentations: list) -> tuple:
@@ -169,14 +209,18 @@ def apply_edits(edits, segmentations: list) -> tuple:
 
     Conflicting edits resolve to the first in that order: a move whose
     source cut is gone or whose target is taken is dropped, as is an add
-    on an existing cut.  Returns (new segmentations, applied edits).
+    on an existing cut.  Returns (new segmentations, applied edits); a
+    message no edit changed keeps its `Segmentation` object.
     """
-    cut_sets = {seg.message_id: set(seg.cuts) for seg in segmentations}
+    row_of = {seg.message_id: k for k, seg in enumerate(segmentations)}
+    cut_sets = {}
     applied = []
     for edit in sorted(edits, key=BoundaryEdit.sort_key):
         cuts = cut_sets.get(edit.message_id)
         if cuts is None:
-            continue
+            if edit.message_id not in row_of:
+                continue
+            cuts = cut_sets[edit.message_id] = set(segmentations[row_of[edit.message_id]].cuts)
         if edit.kind == ADD:
             if edit.offset not in cuts:
                 cuts.add(edit.offset)
@@ -190,6 +234,7 @@ def apply_edits(edits, segmentations: list) -> tuple:
             if edit.offset in cuts:
                 cuts.discard(edit.offset)
                 applied.append(edit)
-    new_segs = [Segmentation(seg.message_id, tuple(sorted(cut_sets[seg.message_id])))
-                for seg in segmentations]
+    new_segs = list(segmentations)
+    for mid in {edit.message_id for edit in applied}:
+        new_segs[row_of[mid]] = Segmentation(mid, tuple(sorted(cut_sets[mid])))
     return new_segs, applied

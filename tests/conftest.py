@@ -336,3 +336,149 @@ def extreme_payload(rng, low=1, high=41):
         return bytes(rng.choice([0x00, 0x00, 0xff, 0xff, 0x01, 0x7f, 0x80, 0xfe],
                                 size=size).tolist())
     return bytes(rng.integers(0, 256, size=size).tolist())
+
+
+def reference_overlay(members, dist, inverse, known=None):
+    """`dissim.overlay_cluster` member by member: the medoid, then one offset per distinct value.
+
+    The distinct values are read from the members in order of first
+    occurrence, and each one's offset against the medoid comes from
+    `dissimilarity` unless `known` holds the medoid's offsets.
+    """
+    members = tuple(members)
+    values = [m.values for m in members]
+    inverse = np.asarray(inverse)
+    distinct = list(dict.fromkeys(values))
+    approx = np.einsum("ij,j->i", dist, np.bincount(inverse))
+    near = np.flatnonzero(approx <= approx.min() + 8 * (len(values) + 1)
+                          * np.finfo(float).eps * approx.max())
+    totals = np.full(len(distinct), np.inf)
+    totals[near] = dist[near].take(inverse, axis=1).sum(axis=1)
+    reference = int(totals[inverse].argmin())
+    ref = values[reference]
+    if known and ref in known:
+        offsets = np.asarray(known[ref]).tolist()
+    else:
+        offsets = []
+        for v in distinct:
+            if v == ref:
+                offsets.append(0)
+            else:
+                _, o = dissim.dissimilarity(v, ref)
+                offsets.append(o if len(v) <= len(ref) else -o)
+    low = min(offsets)
+    shift_of = [o - low for o in offsets]
+    width = max(s + len(v) for s, v in zip(shift_of, distinct))
+    shifts = tuple(shift_of[i] for i in inverse.tolist())
+    return dissim.Overlay(members=members, shifts=shifts, width=width, reference=reference)
+
+
+def reference_boundaries(segmentations, messages):
+    """(boundaries, segmentations, lengths) by message id, as the member loops read them.
+
+    boundaries[id] holds 0, the cuts and the payload length.
+    """
+    lengths = {m.id: len(m.payload) for m in messages}
+    return ({s.message_id: {0, lengths[s.message_id], *s.cuts} for s in segmentations},
+            {s.message_id: s for s in segmentations}, lengths)
+
+
+def reference_common_aligned_cuts(overlay, boundaries_by_message):
+    """`rules.common_aligned_cuts` with one set of relative boundaries per member."""
+    n = len(overlay.members)
+    width = overlay.width
+    counts = [0] * (width + 1)
+    for member, shift in zip(overlay.members, overlay.shifts):
+        relative = {b - member.start + shift for b in boundaries_by_message[member.message_id]}
+        for k in relative:
+            if 0 <= k <= width:
+                counts[k] += 1
+    quorum = (n + 1) // 2
+    out = []
+    for k in range(width + 1):
+        left = counts[k - 1] if k > 0 else 0
+        right = counts[k + 1] if k < width else 0
+        if counts[k] > left and counts[k] > right and counts[k] >= quorum:
+            out.append(k)
+    return out
+
+
+def reference_cluster_edits(overlay, positions, segmentations_by_id, payload_len_by_id):
+    """`rules.cluster_edits` member by member, position by position."""
+    from protoseg.rules import ADD, MOVE, BoundaryEdit
+    edits = []
+    for member, shift in zip(overlay.members, overlay.shifts):
+        cuts = set(segmentations_by_id[member.message_id].cuts)
+        length = payload_len_by_id[member.message_id]
+        for k, provenance in positions:
+            if not (shift <= k <= shift + len(member)):
+                continue
+            a = member.start - shift + k
+            if not (0 < a < length) or a in cuts:
+                continue
+            nearby = [c for c in (a + 1, a - 1) if c in cuts]
+            if nearby:
+                edits.append(BoundaryEdit(member.message_id, a, MOVE,
+                                          old_offset=nearby[0], provenance=provenance))
+            else:
+                edits.append(BoundaryEdit(member.message_id, a, ADD, provenance=provenance))
+    return edits
+
+
+def reference_diff_edits(old_segs, new_segs, provenance):
+    """`refine._diff_edits` message by message: adds, then removes; equal counts pair as moves."""
+    from protoseg.rules import ADD, MOVE, REMOVE, BoundaryEdit
+    edits = []
+    for old, new in zip(old_segs, new_segs):
+        if new is old:
+            continue
+        added = sorted(set(new.cuts).difference(old.cuts))
+        removed = sorted(set(old.cuts).difference(new.cuts))
+        mid = new.message_id
+        if len(added) == len(removed):
+            edits += [BoundaryEdit(mid, dst, MOVE, src, provenance)
+                      for src, dst in zip(removed, added)]
+        else:
+            edits += [BoundaryEdit(mid, c, ADD, None, provenance) for c in added]
+            edits += [BoundaryEdit(mid, c, REMOVE, None, provenance) for c in removed]
+    return edits
+
+
+def reference_crop_distinct(segmentations, messages, min_fraction=0.10, min_messages=3):
+    """Cut tuples of `refine.crop_distinct`, every segment tried against every frequent value."""
+    by_id = {m.id: m for m in messages}
+    occurs = {}
+    for seg in segmentations:
+        payload = by_id[seg.message_id].payload
+        bounds = (0,) + seg.cuts + (len(payload),)
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a >= 2:
+                occurs.setdefault(payload[a:b], set()).add(seg.message_id)
+    threshold = max(min_fraction * len(messages), min_messages)
+    frequent = sorted((v for v, ids in occurs.items() if len(ids) >= threshold),
+                      key=lambda v: (-len(v), v))
+    out = []
+    for seg in segmentations:
+        payload = by_id[seg.message_id].payload
+        cuts = set(seg.cuts)
+        bounds = [0] + list(seg.cuts) + [len(payload)]
+        for s, e in zip(bounds, bounds[1:]):
+            data = payload[s:e]
+            claimed = []
+            for value in frequent:
+                if len(value) >= e - s:
+                    continue
+                pos = 0
+                while True:
+                    o = data.find(value, pos)
+                    if o < 0:
+                        break
+                    span = (o, o + len(value))
+                    if any(span[0] < c[1] and c[0] < span[1] for c in claimed):
+                        pos = o + 1
+                        continue
+                    claimed.append(span)
+                    cuts.update(cut for cut in (s + span[0], s + span[1]) if s < cut < e)
+                    pos = span[1]
+        out.append(tuple(sorted(cuts)))
+    return out

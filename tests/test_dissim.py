@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import duplicate_heavy_values, reference_distinct, reference_pairwise
+from conftest import (duplicate_heavy_values, reference_distinct, reference_overlay,
+                      reference_pairwise)
 
 from protoseg import dissim
 from protoseg.dissim import (UNMATCHED_PENALTY, Overlay, build_matrix, canberra,
@@ -323,6 +324,45 @@ class TestOverlay:
             want = (reference, tuple(r - min(rel) for r in rel))
             ov = overlay_cluster(members, pairwise(distinct), inverse)
             assert (ov.reference, ov.shifts) == want
+
+
+class TestOverlayAgainstMemberLoop:
+    def test_medoid_shifts_width_and_calls(self, monkeypatch):
+        # lengths 1..4 in one overlay, repeats and all-distinct members; with
+        # no offsets known, with the medoid's offsets known (taken from a
+        # first overlay, as a sub-cluster is given them) and with other
+        # values' only; every distinct value but the medoid's calls
+        # `dissimilarity` once when its offset is not known
+        rng = np.random.default_rng(194)
+        calls = []
+        scalar = dissim.dissimilarity
+        monkeypatch.setattr(dissim, "dissimilarity",
+                            lambda s, t: calls.append((s, t)) or scalar(s, t))
+        for trial in range(600):
+            pool = [bytes(rng.integers(0, 4, size=int(rng.integers(1, 5))).tolist())
+                    for _ in range(int(rng.integers(1, 9)))]
+            picks = rng.integers(0, len(pool), size=int(rng.integers(2, 30)))
+            values = [pool[int(k)] for k in picks]
+            members = [ref(v, message_id=i, start=int(rng.integers(0, 5)))
+                       for i, v in enumerate(values)]
+            dist, inverse = reference_distinct(members)
+            first = reference_overlay(members, dist, inverse)
+            offsets = np.empty(dist.shape[0], np.intp)
+            offsets[inverse] = first.shifts
+            medoid = members[first.reference].values
+            for known in (None, {medoid: offsets - offsets[inverse[first.reference]]},
+                          {b"\xff\xff\xff\xff\xff": offsets}):
+                calls.clear()
+                want = reference_overlay(members, dist, inverse, known)
+                expected_calls = list(calls)
+                calls.clear()
+                got = overlay_cluster(members, dist, inverse, known)
+                assert (got.members, got.shifts, got.width, got.reference) == \
+                    (want.members, want.shifts, want.width, want.reference)
+                assert all(type(s) is int for s in got.shifts) and type(got.width) is int
+                assert calls == expected_calls
+                assert (len(calls) == 0) == (known is not None and medoid in known
+                                             or len(set(values)) == 1)
 
 
 class TestBuildMatrix:

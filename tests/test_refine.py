@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import (extreme_payload, reference_bit_congruence, reference_crop_chars,
-                      reference_entropy, reference_entropy_merge, reference_null_runs)
+                      reference_crop_distinct, reference_diff_edits, reference_entropy,
+                      reference_entropy_merge, reference_null_runs)
 from protoseg import synth
 from protoseg.model import Message, Segmentation, UsageError, segments_of
 from protoseg.refine import (BASE_EXTERNAL, PASS_PCA, PRESETS, Pipeline,
                              bit_congruence_segmenter, char_heuristic,
                              crop_chars, crop_distinct, entropy_merge, gaussian_kernel,
                              merge_chars, null_refine, null_segmenter, preset,
-                             run_pipeline, split_fixed, _entropy, _Entropies, _null_runs,
-                             _span_entropies)
+                             run_pipeline, split_fixed, _diff_edits, _entropy, _Entropies,
+                             _null_runs, _span_entropies)
 
 
 def msg(data, mid=0):
@@ -173,6 +174,23 @@ class TestAgainstPerByteReferences:
                 changed += out is not seg
         assert 200 < changed < 1800
 
+    def test_entropy_merge_on_long_messages(self):
+        # one long message makes long chains, whose steps merge one span
+        # at a time; several make steps that merge several
+        rng = np.random.default_rng(65)
+        for size in (200, 400, 800, 1400):
+            for _ in range(6):
+                trace = []
+                for i in range(int(rng.integers(1, 4))):
+                    payload = rng.integers(0, 256, size=size)
+                    if rng.random() < 0.5:  # runs of low-entropy bytes break the chains
+                        payload[rng.random(size) < 0.3] = 0
+                    trace.append(msg(payload.tolist(), i))
+                segs = [bit_congruence_segmenter(m) for m in trace]
+                floor, diff = float(rng.uniform(0.3, 0.8)), float(rng.uniform(0.05, 0.3))
+                for m, seg, out in zip(trace, segs, entropy_merge(segs, trace, floor, diff)):
+                    assert out.cuts == reference_entropy_merge(seg.cuts, m.payload, floor, diff)
+
     def test_span_entropies_equal_entropy_on_the_specs(self):
         # every segment of the bit-congruence base of the six specs and every
         # span of 2-4 adjacent segments, one `_span_entropies` call per spec
@@ -221,6 +239,70 @@ class TestAgainstPerByteReferences:
             min_run = int(rng.integers(1, 9))
             for m, seg, out in zip(trace, segs, crop_chars(segs, trace, min_run)):
                 assert out.cuts == reference_crop_chars(seg.cuts, m.payload, min_run)
+
+
+class TestAgainstMessageLoops:
+    """The trace-wide passes and edit diffs equal the message-by-message loops of conftest."""
+
+    def test_crop_distinct(self):
+        # segmentations in trace order or shuffled (they are matched by id),
+        # with runs of one byte value whose frequent values overlap themselves
+        rng = np.random.default_rng(66)
+        changed = 0
+        for _ in range(1500):
+            trace, segs = [], []
+            for i in range(int(rng.integers(1, 30))):
+                size = int(rng.integers(1, 30))
+                payload = (bytes(rng.choice([0, 0, 1, 0x41], size=size).tolist())
+                           if rng.random() < 0.3 else extreme_payload(rng, 1, 30))
+                trace.append(msg(payload, 2 * i))
+                cuts = rng.integers(1, len(payload), size=int(rng.integers(0, len(payload))))
+                segs.append(Segmentation(2 * i, tuple(sorted(set(cuts.tolist())))))
+            if rng.random() < 0.3:
+                segs = [segs[k] for k in rng.permutation(len(segs)).tolist()]
+            fraction, least = float(rng.choice([0.0, 0.05, 0.1, 0.3])), int(rng.integers(1, 4))
+            out = crop_distinct(segs, trace, fraction, least)
+            assert [s.cuts for s in out] == reference_crop_distinct(segs, trace, fraction, least)
+            assert all((new is old) == (new.cuts == old.cuts) for new, old in zip(out, segs))
+            changed += sum(new is not old for new, old in zip(out, segs))
+        assert changed > 3000
+
+    def test_diff_edits(self):
+        # per message: unchanged (same object), the same cuts in a new
+        # object, only added, only removed, as many added as removed (moves)
+        # or any other change; and passes that change nothing at all
+        rng = np.random.default_rng(67)
+        kinds = set()
+        for _ in range(1500):
+            old, new = [], []
+            for i in range(int(rng.integers(0, 20))):
+                length = int(rng.integers(1, 40))
+                cuts = sorted(set(rng.integers(1, length, size=int(rng.integers(0, length)))
+                                  .tolist()) if length > 1 else [])
+                seg = Segmentation(5 * i + 2, tuple(cuts))
+                free = sorted(set(range(1, length)) - set(cuts))
+                change = int(rng.integers(0, 6)) if rng.random() < 0.8 else 0
+                picked = set(rng.permutation(free)[:int(rng.integers(0, len(free) + 1))].tolist())
+                dropped = set(rng.permutation(cuts)[:int(rng.integers(0, len(cuts) + 1))].tolist())
+                if change == 2:
+                    dropped = set()
+                elif change == 3:
+                    picked = set()
+                elif change == 4:
+                    picked = set(sorted(picked)[:len(dropped)])
+                    dropped = set(sorted(dropped)[:len(picked)])
+                out = seg if change == 0 else Segmentation(
+                    seg.message_id, tuple(sorted((set(cuts) - dropped) | picked))
+                    if change != 1 else seg.cuts)
+                old.append(seg)
+                new.append(out)
+            for changes in (new, list(old)):
+                got = _diff_edits(old, changes, "crop_chars")
+                assert got == reference_diff_edits(old, changes, "crop_chars")
+                assert all(type(e.message_id) is int and type(e.offset) is int
+                           and type(e.old_offset) in (int, type(None)) for e in got)
+                kinds.update(e.kind for e in got)
+        assert kinds == {"add", "move", "remove"}
 
 
 class TestPassKinds:

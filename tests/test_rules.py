@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 
-from protoseg.cluster import recursive_cluster
+from conftest import (extreme_payload, reference_boundaries, reference_cluster_edits,
+                      reference_common_aligned_cuts)
+from protoseg.cluster import PCA_SUITABLE, ClusterNode, recursive_cluster
 from protoseg.dissim import Overlay
-from protoseg.model import (AnalysisParams, NoSignalError, SegmentRef,
+from protoseg.model import (AnalysisParams, Message, NoSignalError, SegmentRef,
                             Segmentation)
 from protoseg.pca import analyze_spectrum
+from protoseg.refine import _refs_and_cuts
 from protoseg.rules import (BoundaryEdit, ContributionVector, apply_edits,
                             cluster_edits, common_aligned_cuts, contribution,
                             rule_a, rule_b)
+
+
+def trace_cuts(cuts_by_message: dict, length: int):
+    """The `TraceCuts` of messages of `length` bytes with these cuts, by message id."""
+    segs = [Segmentation(mid, tuple(sorted(cuts))) for mid, cuts in cuts_by_message.items()]
+    return _refs_and_cuts(segs, [Message(s.message_id, bytes(length)) for s in segs])[1]
 
 
 def contrib(m):
@@ -109,7 +118,7 @@ class TestCommonAligned:
         ov = self._overlay([(3, 1)] * 6 + [(4, 0)] * 2)
         boundaries = {i: {10, 13} for i in range(6)}
         boundaries.update({i: {10, 14} for i in range(6, 8)})
-        assert common_aligned_cuts(ov, boundaries) == [1, 4]
+        assert common_aligned_cuts(ov, trace_cuts(boundaries, 40)) == [1, 4]
 
     def test_sub_quorum_plateau_not_reported(self):
         # counts [2, 3, 3, 0, 8]: positions 1 and 2 are neither strict
@@ -118,12 +127,12 @@ class TestCommonAligned:
         boundaries = {i: {10, 13} for i in range(3)}
         boundaries.update({i: {10, 12} for i in range(3, 6)})
         boundaries.update({i: {10, 14} for i in range(6, 8)})
-        assert common_aligned_cuts(ov, boundaries) == [4]
+        assert common_aligned_cuts(ov, trace_cuts(boundaries, 40)) == [4]
 
     def test_unanimous_boundary_reported(self):
         ov = self._overlay([(4, 0)] * 4, start=2)
         boundaries = {i: {2, 4, 6} for i in range(4)}
-        assert 2 in common_aligned_cuts(ov, boundaries)
+        assert 2 in common_aligned_cuts(ov, trace_cuts(boundaries, 40))
 
 
 def make_suitable_node(values_by_message, start, params=AnalysisParams()):
@@ -142,29 +151,25 @@ class TestClusterEdits:
 
     def test_off_by_one_move(self):
         node = self._node_with_shift_zero(start=10)
-        segs = {i: Segmentation(i, (13,)) for i in range(6)}
-        lens = {i: 20 for i in range(6)}
-        edits = cluster_edits(node, [(2, "rule_a")], segs, lens)
+        trace = trace_cuts({i: (13,) for i in range(6)}, 20)
+        edits = cluster_edits(node, [(2, "rule_a")], trace)
         assert all(e.kind == "move" and e.offset == 12 and e.old_offset == 13
                    for e in edits)
 
     def test_existing_cut_is_noop(self):
         node = self._node_with_shift_zero(start=10)
-        segs = {i: Segmentation(i, (12,)) for i in range(6)}
-        lens = {i: 20 for i in range(6)}
-        assert cluster_edits(node, [(2, "rule_a")], segs, lens) == []
+        trace = trace_cuts({i: (12,) for i in range(6)}, 20)
+        assert cluster_edits(node, [(2, "rule_a")], trace) == []
 
     def test_out_of_range_target_dropped(self):
         node = self._node_with_shift_zero(start=0)
-        segs = {i: Segmentation(i, ()) for i in range(6)}
-        lens = {i: 20 for i in range(6)}
-        assert cluster_edits(node, [(0, "rule_b")], segs, lens) == []
+        trace = trace_cuts({i: () for i in range(6)}, 20)
+        assert cluster_edits(node, [(0, "rule_b")], trace) == []
 
     def test_add_when_nothing_nearby(self):
         node = self._node_with_shift_zero(start=10)
-        segs = {i: Segmentation(i, ()) for i in range(6)}
-        lens = {i: 20 for i in range(6)}
-        edits = cluster_edits(node, [(2, "rule_a")], segs, lens)
+        trace = trace_cuts({i: () for i in range(6)}, 20)
+        edits = cluster_edits(node, [(2, "rule_a")], trace)
         assert all(e.kind == "add" and e.offset == 12 for e in edits)
 
 
@@ -180,6 +185,16 @@ class TestApplyEdits:
         # first move wins the target; the second is dropped; add is a no-op
         assert new[0].cuts == (6, 9)
         assert len(applied) == 1
+
+    def test_untouched_message_keeps_its_object(self):
+        segs = [Segmentation(0, (5,)), Segmentation(4, (3,)), Segmentation(9, (4,))]
+        edits = [BoundaryEdit(4, 6, "add", provenance="rule_b"),
+                 BoundaryEdit(9, 4, "add", provenance="rule_b"),  # its cut is there already
+                 BoundaryEdit(9, 2, "move", old_offset=1, provenance="rule_a")]  # no cut at 1
+        new, applied = apply_edits(edits, segs)
+        assert applied == edits[:1]
+        assert new[0] is segs[0] and new[2] is segs[2]
+        assert new[1] == Segmentation(4, (3, 6))
 
     def test_idempotent_on_reapplication(self):
         segs = [Segmentation(0, (5,))]
@@ -239,3 +254,74 @@ class TestApplyEdits:
                                               provenance="rule_a"))
             repeats = [edits[int(k)] for k in rng.integers(0, len(edits), size=3)]
             assert apply_edits(edits + repeats, segs) == apply_edits(edits, segs)
+
+
+def random_overlays(rng, count):
+    """count random (overlay, positions, segmentations, messages) cases.
+
+    A trace of 1..12 messages of 1..40 bytes with random cut sets, none
+    in about a fifth of the traces; an overlay of 2..12 of its segments,
+    several often from one message and some ending at their payload's
+    end, at shifts 0..3 and a width up to 2 beyond the widest member;
+    and 0..6 (position, provenance) pairs over 0..width + 1, repeats
+    included, with no positions at all in about a fifth of the cases.
+    """
+    for _ in range(count):
+        count = int(rng.integers(1, 13))
+        messages = [Message(3 * i + 1, extreme_payload(rng)) for i in range(count)]
+        bare = rng.random() < 0.2
+        segs = []
+        for m in messages:
+            n = len(m.payload)
+            cuts = set() if bare or n < 2 else set(
+                rng.integers(1, n, size=int(rng.integers(0, n))).tolist())
+            segs.append(Segmentation(m.id, tuple(sorted(cuts))))
+        refs, _ = _refs_and_cuts(segs, messages)
+        picked = rng.integers(0, len(refs), size=int(rng.integers(2, 13)))
+        members = tuple(refs[k] for k in picked.tolist())
+        shifts = tuple(rng.integers(0, 4, size=len(members)).tolist())
+        width = max(sh + len(m) for sh, m in zip(shifts, members)) + int(rng.integers(0, 3))
+        overlay = Overlay(members=members, shifts=shifts, width=width, reference=0)
+        positions = [] if rng.random() < 0.2 else [
+            (int(k), str(rng.choice(["rule_a", "rule_b", "common_aligned"])))
+            for k in rng.integers(0, width + 2, size=int(rng.integers(1, 7)))]
+        yield overlay, positions, segs, messages
+
+
+class TestAgainstMemberLoops:
+    """The trace-wide array bookkeeping equals the member-by-member loops of conftest."""
+
+    def test_common_aligned_cuts(self):
+        rng = np.random.default_rng(191)
+        for overlay, _, segs, messages in random_overlays(rng, 1500):
+            trace = _refs_and_cuts(segs, messages)[1]
+            boundaries, _, _ = reference_boundaries(segs, messages)
+            assert common_aligned_cuts(overlay, trace) == \
+                reference_common_aligned_cuts(overlay, boundaries)
+
+    def test_cluster_edits(self):
+        rng = np.random.default_rng(192)
+        kinds = set()
+        for overlay, positions, segs, messages in random_overlays(rng, 1500):
+            node = ClusterNode(overlay.members, PCA_SUITABLE, 0, overlay=overlay)
+            _, segs_by_id, lengths = reference_boundaries(segs, messages)
+            got = cluster_edits(node, positions, _refs_and_cuts(segs, messages)[1])
+            assert got == reference_cluster_edits(overlay, positions, segs_by_id, lengths)
+            # every field is a plain Python value, as the JSON writer needs
+            assert all(type(e.message_id) is int and type(e.offset) is int
+                       and type(e.old_offset) in (int, type(None)) for e in got)
+            kinds.update(e.kind for e in got)
+        assert kinds == {"add", "move"}
+
+    def test_apply_edits_keeps_untouched_messages(self):
+        rng = np.random.default_rng(193)
+        for overlay, positions, segs, messages in random_overlays(rng, 300):
+            node = ClusterNode(overlay.members, PCA_SUITABLE, 0, overlay=overlay)
+            edits = cluster_edits(node, positions, _refs_and_cuts(segs, messages)[1])
+            new, applied = apply_edits(edits, segs)
+            touched = {e.message_id for e in applied}
+            for old, seg in zip(segs, new):
+                if old.message_id in touched:
+                    assert seg.cuts != old.cuts
+                else:
+                    assert seg is old
