@@ -269,8 +269,9 @@ def _span_entropies(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     comes back as a one-element list.
     """
     if starts.size == 1:
-        counts = np.bincount(data[starts[0]:ends[0]])
-        return [entropies.of(counts[counts > 0], int(ends[0] - starts[0]))]
+        (a,), (b,) = starts.tolist(), ends.tolist()
+        counts = np.bincount(data[a:b])
+        return [entropies.of(counts[counts > 0], b - a)]
     lengths = ends - starts
     bounds = np.cumsum(lengths)  # where each span's bytes end once gathered
     gather = np.arange(bounds[-1]) + np.repeat(starts - bounds + lengths, lengths)
