@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -165,9 +166,10 @@ def estimate_eps(dist: np.ndarray, min_pts: int = MIN_PTS, weights=None) -> floa
     Row i stands for weights[i] identical items (1 each by default);
     the curve has one point per item and is the curve of the matrix
     with every row and column repeated per item.  `dist` must have a
-    zero diagonal and no negative entries, as `dissim.pairwise` gives:
-    each item's own zero is then its smallest entry, so the min_pts-th
-    order statistic (0-based) of its row is the k-th nearest other item.
+    zero diagonal and no negative entries, -0.0 and NaN included, as
+    `dissim.pairwise` gives: each item's own zero is then its smallest
+    entry, so the min_pts-th order statistic (0-based) of its row is the
+    k-th nearest other item.
     """
     if min_pts < 1:
         raise UsageError("min_pts must be at least 1")
@@ -180,19 +182,22 @@ def estimate_eps(dist: np.ndarray, min_pts: int = MIN_PTS, weights=None) -> floa
     # the row's min_pts + 1 smallest and the extra copies (at most
     # min_pts per column) of its columns of weight above 1; rows go in
     # blocks, so the scratch copies stay small and each block is read
-    # while it is in cache
+    # while it is in cache.  The selection runs on the entries' bit
+    # patterns as int64, which order nonnegative float64 values as the
+    # values order and partition faster
     u = D.shape[0]
     extra = np.arange(u).repeat(np.minimum(w, min_pts + 1) - 1) if n > u else None
     step = max(1, _PARTITION_BUDGET // u)
-    kdist = np.empty(u)
+    keys = D.view(np.int64)
+    kdist = np.empty(u, np.int64)
     for lo in range(0, u, step):
-        rows = D[lo:lo + step]
+        rows = keys[lo:lo + step]
         near = np.partition(rows, min(min_pts, u - 1), axis=1)[:, :min_pts + 1]
         if extra is not None:
             near = np.concatenate((near, rows.take(extra, axis=1)), axis=1)
             near.partition(min_pts, axis=1)
         kdist[lo:lo + step] = near[:, min_pts]
-    curve = kdist.repeat(w)
+    curve = kdist.view(np.float64).repeat(w)
     curve.sort()
     curve = curve[curve > 0]
     if curve.size == 0:
@@ -359,21 +364,30 @@ def tree_to_json(roots) -> dict:
     """The value of `clusters.json`: {"format": 2, "roots": [...]}.
 
     One object per node with its preorder "id", "verdict", "depth" and
-    "member_count".  A leaf adds "members", one [message, start, end]
-    array per member; an inner node adds "children" instead.  The
-    children of a node, its noise child included, partition its
-    members, so an inner node's members are those of its leaves and
-    each member is written once.
+    "member_count".  A leaf adds "members", one (message, start, end)
+    tuple per member, which `json.dumps` writes as an array; an inner
+    node adds "children" instead.  The children of a node, its noise
+    child included, partition its members, so an inner node's members
+    are those of its leaves and each member is written once.
     """
-    next_id = itertools.count()
+    ids = itertools.count()
+    return {"format": 2, "roots": [_node_json(root, ids) for root in roots]}
 
-    def visit(node):
-        entry = {"id": next(next_id), "verdict": node.verdict, "depth": node.depth,
-                 "member_count": len(node.members)}
-        if node.children:
-            entry["children"] = [visit(child) for child in node.children]
-        else:
-            entry["members"] = [[m.message_id, m.start, m.end] for m in node.members]
-        return entry
 
-    return {"format": 2, "roots": [visit(root) for root in roots]}
+_MEMBER_FIELDS = operator.attrgetter("message_id", "start", "end")
+
+
+def _node_json(node: ClusterNode, ids) -> dict:
+    """The `clusters.json` object of node and its subtree, numbered from the counter ids.
+
+    A module-level function, not a closure over the counter: a closure
+    that calls itself holds a reference cycle, which would leave garbage
+    for the cyclic collector that `cli.main` turns off.
+    """
+    entry = {"id": next(ids), "verdict": node.verdict, "depth": node.depth,
+             "member_count": len(node.members)}
+    if node.children:
+        entry["children"] = [_node_json(child, ids) for child in node.children]
+    else:
+        entry["members"] = list(map(_MEMBER_FIELDS, node.members))
+    return entry

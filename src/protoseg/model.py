@@ -75,10 +75,9 @@ class Segmentation:
             raise UsageError(
                 f"cuts of message {self.message_id} must be integers: {self.cuts!r}") from None
         object.__setattr__(self, "cuts", cuts)
-        for prev, cur in zip((0,) + cuts, cuts):
-            if cur <= prev:
-                raise UsageError(
-                    f"cuts of message {self.message_id} not strictly increasing interior offsets: {cuts}")
+        if not all(map(operator.lt, (0,) + cuts, cuts)):  # 0 < c1 < c2 < ..., at C speed
+            raise UsageError(
+                f"cuts of message {self.message_id} not strictly increasing interior offsets: {cuts}")
 
     def validate_against(self, msg: Message) -> None:
         if msg.id != self.message_id:

@@ -332,9 +332,11 @@ def write_json_atomic(path: str, obj) -> None:
     """Write `json.dumps(obj, separators=(",", ":"))` and a newline atomically.
 
     This is the one encoder of every JSON artifact: compact, keys in the
-    order the value holds them.
+    order the value holds them.  obj must hold no reference cycle: every
+    artifact value is a tree the program builds afresh, so the encoder's
+    circular-reference check, which gives the same bytes, is skipped.
     """
-    write_text_atomic(path, json.dumps(obj, separators=(",", ":")), "\n")
+    write_text_atomic(path, json.dumps(obj, separators=(",", ":"), check_circular=False), "\n")
 
 
 def save_segmentation(path: str, segmentations) -> None:

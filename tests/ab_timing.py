@@ -20,6 +20,10 @@ won.  `--against HEAD` on a clean tree is the A/A control.
 A host's speed can drift by tens of percent between processes, so two
 benchmark runs resolve only large effects; pairs taken in one process
 see the same drift on both sides and resolve effects of a few percent.
+A pass starts from whatever state the one before left, as in the
+benchmark, which forces no garbage collection between its passes
+either: a forced `gc.collect()` before each pass would clear the
+collector's counts and so hide the collections a pass pays for.
 pytest does not collect this file (no test_ prefix).
 """
 
@@ -28,7 +32,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import gc
 import importlib
 import io
 import os
@@ -67,7 +70,6 @@ def segment_pass(package, traces: list, force: bool, out_root: str) -> tuple:
     main = package.cli.main
     runs = [dataclasses.replace(t, out_dir=os.path.join(out_root, t.name)) for t in traces]
     argvs = [bench._segment_argv(t, force) for t in runs]
-    gc.collect()
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink):
         start = time.perf_counter()

@@ -312,7 +312,11 @@ def reference_recursive_cluster(segments, params, max_depth):
 
 
 def reference_tree_dicts(roots) -> dict:
-    """`clusters.json` as JSON-ready dicts: node ids, verdicts, member counts, leaf members."""
+    """`clusters.json` as JSON-ready dicts: node ids, verdicts, member counts, leaf members.
+
+    A member is a (message, start, end) tuple, which `json.dumps` writes
+    as an array.
+    """
     counter = [0]
 
     def visit(node):
@@ -323,7 +327,7 @@ def reference_tree_dicts(roots) -> dict:
         if children:
             entry["children"] = children
         else:
-            entry["members"] = [[m.message_id, m.start, m.end] for m in node.members]
+            entry["members"] = [(m.message_id, m.start, m.end) for m in node.members]
         return entry
 
     return {"format": 2, "roots": [visit(root) for root in roots]}

@@ -267,6 +267,70 @@ class TestWeightedEquivalence:
         assert dbscan(D, 0.5, 3) == ([], [0, 1])
 
 
+class TestIntegerKeySelection:
+    """`estimate_eps` selects k-distances on int64 bit patterns, as float64 selection would."""
+
+    # nonnegative values across exponents: zero, subnormals, ties just an ulp apart
+    POOL = np.array([0.0, 5e-324, 3e-320, 1e-300, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0,
+                     2.0, 1e300])
+
+    @staticmethod
+    def float_partition_eps(D, min_pts, weights):
+        # the curve from float64 np.partition of the matrix with every row
+        # and column repeated per item, then estimate_eps' knee and clamp
+        E = D.repeat(weights, axis=0).repeat(weights, axis=1)
+        curve = np.sort(np.partition(E, min_pts, axis=1)[:, min_pts])
+        curve = curve[curve > 0]
+        if curve.size == 0:
+            return 1e-9
+        knee = kneedle(curve[::-1])
+        eps = float(curve[::-1][knee]) if knee is not None else float(np.percentile(curve, 90))
+        return min(max(eps, 1e-9), 1.0)
+
+    @classmethod
+    def cases(cls):
+        rng = np.random.default_rng(91)
+        for i in range(240):
+            n = int(rng.integers(1, 25))
+            kind = i % 4
+            if kind == 0:  # ties: a few distinct values, many exact zeros
+                D = rng.integers(0, 4, size=(n, n)) / 4.0
+            elif kind == 1:  # values across exponents and ulp-close ties
+                D = rng.choice(cls.POOL, size=(n, n))
+            elif kind == 2:  # duplicate rows: items copied at distance 0
+                base = rng.uniform(0, 1, size=(n, n))
+                copy = rng.integers(0, n, size=n)
+                D = base[copy][:, copy]
+            else:
+                D = rng.uniform(0, 1, size=(n, n))
+            D = np.triu(D, 1)
+            D = D + D.T
+            weights = (rng.integers(1, 5, size=n) if rng.random() < 0.6
+                       else np.ones(n, dtype=int))
+            yield D, int(rng.integers(1, 6)), weights
+        for n in (4, 9):  # all-duplicate rows, weighted and not
+            yield np.zeros((n, n)), 3, np.ones(n, dtype=int)
+            yield np.zeros((n, n)), 2, np.arange(1, n + 1)
+
+    def test_nonnegative_floats_order_as_their_int64_bits(self):
+        rng = np.random.default_rng(3)
+        values = np.concatenate((self.POOL, rng.uniform(0, 2, 500), rng.random(50) * 1e-310))
+        keys = values.view(np.int64)
+        assert np.array_equal(np.argsort(values, kind="stable"), np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("budget", [cluster._PARTITION_BUDGET, 7])
+    def test_matches_float64_partition(self, monkeypatch, budget):
+        monkeypatch.setattr(cluster, "_PARTITION_BUDGET", budget)
+        checked = 0
+        for D, min_pts, weights in self.cases():
+            if weights.sum() < min_pts + 1:
+                continue
+            got = estimate_eps(D, min_pts, weights)
+            assert got == self.float_partition_eps(D, min_pts, weights)
+            checked += 1
+        assert checked > 150
+
+
 class TestRecursiveCluster:
     def test_published_matrix_is_single_suitable_root(self, example_x):
         members = [ref(row.astype(np.uint8).tobytes(), message_id=i)
@@ -597,9 +661,9 @@ class TestTreeToJson:
         assert tree_to_json([root]) == {"format": 2, "roots": [{
             "id": 0, "verdict": RECURSED, "depth": 0, "member_count": 2, "children": [
                 {"id": 1, "verdict": PCA_SUITABLE, "depth": 1, "member_count": 1,
-                 "members": [[8, 0, 3]]},
+                 "members": [(8, 0, 3)]},
                 {"id": 2, "verdict": NOISE, "depth": 1, "member_count": 1,
-                 "members": [[3, 4, 6]]},
+                 "members": [(3, 4, 6)]},
             ]}]}
 
     def test_noise_children_and_deep_nesting(self):
@@ -634,7 +698,8 @@ class TestTreeToJson:
                  ClusterNode((ref([1, 2], message_id=12345, start=678),), NOISE, 0)]
         path = tmp_path / "clusters.json"
         write_json_atomic(str(path), tree_to_json(roots))
-        assert json.loads(path.read_text(encoding="utf-8")) == reference_tree_dicts(roots)
+        want = json.dumps(reference_tree_dicts(roots), separators=(",", ":")) + "\n"
+        assert path.read_text(encoding="utf-8") == want
         assert_round_trips(roots)
 
     def test_duplicate_heavy_sets(self):

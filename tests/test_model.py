@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from protoseg.model import (AnalysisParams, GroundTruth, Message, Segmentation,
                             SegmentRef, UsageError, segments_of)
@@ -49,6 +51,19 @@ def test_message_rejects_empty_payload():
 def test_segmentation_rejects_bad_cuts(cuts):
     with pytest.raises(UsageError):
         Segmentation(0, cuts)
+
+
+@given(st.lists(st.integers(-3, 12), max_size=8).map(tuple))
+def test_segmentation_accepts_exactly_strictly_increasing_interior_cuts(cuts):
+    # the reference: each cut above the one before it, the first above 0
+    valid = all(cur > prev for prev, cur in zip((0,) + cuts, cuts))
+    if valid:
+        assert Segmentation(5, cuts).cuts == cuts
+    else:
+        message = f"cuts of message 5 not strictly increasing interior offsets: {cuts}"
+        with pytest.raises(UsageError) as info:
+            Segmentation(5, cuts)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("cuts", [(2.7, 5), ("3",), (2.0,), (1, None), (np.float64(2),)])

@@ -328,6 +328,15 @@ class TestJsonWriter:
             write_json_atomic(str(tmp_path / "bad.json"), obj)
         assert list(tmp_path.iterdir()) == []
 
+    def test_cyclic_value_raises_and_leaves_no_file(self, tmp_path):
+        # the encoder skips its circular-reference check, so a cycle, which
+        # no artifact value holds, ends in the recursion limit, not a file
+        loop = []
+        loop.append({"a": loop})
+        with pytest.raises(RecursionError):
+            write_json_atomic(str(tmp_path / "cyclic.json"), loop)
+        assert list(tmp_path.iterdir()) == []
+
 
 def random_cut_maps():
     """Cut maps by message id: empty, all-empty, single, unordered and multi-digit ids."""
