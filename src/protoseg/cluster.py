@@ -166,7 +166,7 @@ def estimate_eps(dist: np.ndarray, min_pts: int = MIN_PTS, weights=None) -> floa
     Row i stands for weights[i] identical items (1 each by default);
     the curve has one point per item and is the curve of the matrix
     with every row and column repeated per item.  `dist` must have a
-    zero diagonal and no negative entries, -0.0 and NaN included, as
+    zero diagonal and no negative, -0.0 or NaN entries, as
     `dissim.pairwise` gives: each item's own zero is then its smallest
     entry, so the min_pts-th order statistic (0-based) of its row is the
     k-th nearest other item.
