@@ -32,7 +32,9 @@ matrices are gathered from it in blocks of rows, every child but the
 one with the most distinct values into a fresh array, and that one
 into the front of the node's own buffer, before any child recurses.
 The peak is therefore about 8u^2 bytes for the u distinct values of the
-largest length group, plus the copies of that node's other children.
+largest length group, plus DBSCAN's u^2-byte bool `within` matrix, the
+copies of that node's other children, and scratch blocks of about
+`_PARTITION_BUDGET` elements.
 """
 
 from __future__ import annotations
@@ -181,19 +183,20 @@ def estimate_eps(dist: np.ndarray, min_pts: int = MIN_PTS, weights=None) -> floa
     # the min_pts + 1 smallest entries of a fully repeated row are among
     # the row's min_pts + 1 smallest and the extra copies (at most
     # min_pts per column) of its columns of weight above 1; rows go in
-    # blocks, so the scratch copies stay small and each block is read
-    # while it is in cache.  The selection runs on the entries' bit
-    # patterns as int64, which order nonnegative float64 values as the
-    # values order and partition faster
+    # blocks of about _PARTITION_BUDGET entries, extra copies included,
+    # so the scratch copies stay small and each block is read while it
+    # is in cache.  The selection runs on the entries' bit patterns as
+    # int64, which order nonnegative float64 values as the values order
+    # and partition faster
     u = D.shape[0]
-    extra = np.arange(u).repeat(np.minimum(w, min_pts + 1) - 1) if n > u else None
-    step = max(1, _PARTITION_BUDGET // u)
+    extra = np.arange(u).repeat(np.minimum(w, min_pts + 1) - 1)
+    step = max(1, _PARTITION_BUDGET // (u + extra.size))
     keys = D.view(np.int64)
     kdist = np.empty(u, np.int64)
     for lo in range(0, u, step):
         rows = keys[lo:lo + step]
         near = np.partition(rows, min(min_pts, u - 1), axis=1)[:, :min_pts + 1]
-        if extra is not None:
+        if extra.size:
             near = np.concatenate((near, rows.take(extra, axis=1)), axis=1)
             near.partition(min_pts, axis=1)
         kdist[lo:lo + step] = near[:, min_pts]

@@ -24,11 +24,12 @@ Each entropy still comes from its key, the byte counts in byte-value
 order, through one formula, so it has the bits a per-span computation
 gives.
 
-Trace-wide passes start from one flattening of the cut sets
-(`_flatten`): the payloads joined in trace order and every segment's
-start in them.  `entropy_merge`, `crop_distinct` and the PCA pass read
-it; the PCA pass builds from it every segment to cluster and the
-`TraceCuts` its rules read each message's boundaries from.
+Trace-wide passes start from one layout of the cut sets, a
+`JoinedTrace` (`join_trace`): the payloads joined in trace order, each
+message's offset and every segment's edges in them, and a flag per
+position that marks the cuts.  `entropy_merge`, `crop_distinct` and the
+PCA pass read it; the PCA pass builds from it every segment to cluster,
+and its rules read each message's boundaries from it.
 `crop_distinct` counts segment values once over the trace and finds
 each frequent value's occurrences in the joined payloads.  The edits
 of a static pass (`_diff_edits`) come from one comparison of the
@@ -58,7 +59,7 @@ from .cluster import DEFAULT_MAX_DEPTH, PCA_SUITABLE, recursive_cluster
 from .dissim import distinct_values
 from .model import (AnalysisParams, Message, ProtosegError, SegmentRef, Segmentation,
                     UsageError)
-from .rules import (ADD, MOVE, REMOVE, BoundaryEdit, TraceCuts, apply_edits, cluster_edits,
+from .rules import (ADD, MOVE, REMOVE, BoundaryEdit, apply_edits, cluster_edits,
                     common_aligned_cuts, contribution, rule_a, rule_b)
 
 logger = logging.getLogger(__name__)
@@ -219,15 +220,11 @@ def bit_congruence_segmenter(msg: Message, sigma: float = 0.9,
     return Segmentation(msg.id, tuple((np.flatnonzero(turn) + 2).tolist()))
 
 
-def _byte_counts(data: bytes) -> tuple:
-    """Nonzero counts of the byte values of data, in byte-value order."""
-    return tuple(map(data.count, sorted(set(data))))
-
-
 class _Entropies(dict):
-    """Normalized byte entropy by `_byte_counts` key, each computed on first use.
+    """Normalized byte entropy by key, each computed on first use.
 
-    The entropy depends only on the counts, and their byte-value order
+    A key is the nonzero counts of a span's byte values, in byte-value
+    order.  The entropy depends only on the counts, and their order
     fixes the order of the sum, so one key always gives the same bits.
     """
 
@@ -251,19 +248,14 @@ class _Entropies(dict):
         return float(-np.add.reduce(p * np.log2(p))) / math.log2(min(n, 256))
 
 
-def _entropy(data: bytes) -> float:
-    """Shannon entropy of the byte values, normalized to [0, 1]; 0 for one byte or none."""
-    return _Entropies()[_byte_counts(data)]
-
-
 def _span_entropies(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                     entropies: _Entropies):
     """The entropy of each span data[starts[k]:ends[k]], read from `entropies`.
 
     One sort of span index * 256 + byte groups each span's bytes by
-    value, so the run lengths of the sorted keys are every span's
-    `_byte_counts`.  The key of a span of distinct bytes is (1,) * its
-    length, so only spans with a repeated byte build theirs one by one.
+    value, so the run lengths of the sorted keys are every span's key.
+    The key of a span of distinct bytes is (1,) * its length, so only
+    spans with a repeated byte build theirs one by one.
     Spans may overlap.  A single span, as most greedy steps of a short
     trace merge, takes its counts from one `bincount` of its bytes and
     comes back as a one-element list.
@@ -298,32 +290,58 @@ def _span_entropies(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return h
 
 
-class _Flat(NamedTuple):
-    """A trace's segments as offsets into its payloads joined in trace order."""
+class JoinedTrace(NamedTuple):
+    """A trace's segments as positions in its payloads joined in trace order.
+
+    Message r (its index in the trace) covers offsets[r] up to
+    offsets[r + 1] of `joined`, and its segments are first[r] up to
+    first[r + 1]; segment k covers edges[k] up to edges[k + 1].  Both
+    offsets and first end with a sentinel, so consecutive messages share
+    the edge between them.  at_cut[k] tells whether segment k starts at
+    a cut rather than at its message's first byte, and is_cut flags the
+    same positions of `joined` (with one more position, its end), so a
+    position inside one message never reads another's cut.  row_of maps
+    a message id to r.
+    """
 
     joined: bytes
-    ncuts: np.ndarray   # cuts of each message
-    cuts: np.ndarray    # every message's cuts, in trace order
-    first: np.ndarray   # each message's first segment
-    starts: np.ndarray  # every segment's start in `joined`, in trace order
-    at_cut: np.ndarray  # the segment starts at a cut, not at its message's first byte
+    offsets: np.ndarray
+    edges: np.ndarray
+    first: np.ndarray
+    at_cut: np.ndarray
+    is_cut: np.ndarray
+    row_of: dict
 
 
-def _flatten(segmentations: list, messages: list) -> _Flat:
-    """The segments of segmentations[i] over messages[i], for every i, as one `_Flat`."""
-    ncuts = np.fromiter(map(len, map(attrgetter("cuts"), segmentations)), np.intp,
-                        len(segmentations))
+def join_trace(segmentations: list, messages: list) -> JoinedTrace:
+    """The segments of segmentations[i] over messages[i], for every i, as one `JoinedTrace`.
+
+    A cut at or beyond its payload's end raises the `UsageError` of
+    `Segmentation.validate_against`.
+    """
+    n = len(segmentations)
+    ncuts = np.fromiter(map(len, map(attrgetter("cuts"), segmentations)), np.intp, n)
     cuts = np.fromiter(chain.from_iterable(seg.cuts for seg in segmentations),
                        dtype=np.intp, count=int(ncuts.sum()))
     payloads = [msg.payload for msg in messages]
-    lengths = np.fromiter(map(len, payloads), np.intp, len(payloads))
-    first = np.cumsum(ncuts + 1) - (ncuts + 1)
-    # a segment other than its message's first starts at a cut
-    starts = np.repeat(np.cumsum(lengths) - lengths, ncuts + 1)
-    at_cut = np.ones(starts.size, dtype=bool)
-    at_cut[first] = False
-    starts[at_cut] += cuts
-    return _Flat(b"".join(payloads), ncuts, cuts, first, starts, at_cut)
+    offsets = np.zeros(n + 1, np.intp)
+    np.cumsum(np.fromiter(map(len, payloads), np.intp, n), out=offsets[1:])
+    first = np.zeros(n + 1, np.intp)
+    np.cumsum(ncuts + 1, out=first[1:])
+    # each message's offset once per segment, then the end sentinel; a
+    # segment other than its message's first starts at a cut
+    edges = np.repeat(offsets, np.append(ncuts + 1, 1))
+    at_cut = np.ones(first[-1], dtype=bool)
+    at_cut[first[:-1]] = False
+    edges[:-1][at_cut] += cuts
+    sizes = np.diff(edges)
+    if sizes.size and sizes.min() <= 0:  # a cut at or beyond its payload's end
+        k = int(first.searchsorted(np.argmax(sizes <= 0), "right")) - 1
+        segmentations[k].validate_against(messages[k])
+    is_cut = np.zeros(offsets[-1] + 1, dtype=bool)
+    is_cut[edges[:-1][at_cut]] = True
+    return JoinedTrace(b"".join(payloads), offsets, edges, first, at_cut, is_cut,
+                       dict(zip(map(attrgetter("id"), messages), range(n))))
 
 
 def entropy_merge(segmentations: list, messages: list,
@@ -343,10 +361,9 @@ def entropy_merge(segmentations: list, messages: list,
     out = list(segmentations)
     if not any(seg.cuts for seg in segmentations):
         return out
-    flat = _flatten(segmentations, messages)
-    ncuts, cuts, starts, at_cut = flat.ncuts, flat.cuts, flat.starts, flat.at_cut
-    data = np.frombuffer(flat.joined, dtype=np.uint8)
-    ends = np.append(starts[1:], data.size)
+    trace = join_trace(segmentations, messages)
+    starts, ends, at_cut = trace.edges[:-1], trace.edges[1:], trace.at_cut
+    data = np.frombuffer(trace.joined, dtype=np.uint8)
     entropies = _Entropies()
     h = _span_entropies(data, starts, ends, entropies)
 
@@ -383,14 +400,15 @@ def entropy_merge(segmentations: list, messages: list,
     merged = np.zeros(starts.size, dtype=bool)
     if joins:
         merged[np.concatenate(joins)] = True
-    gone = merged[at_cut]  # one flag per cut, in the order of `cuts`
-    owner = np.repeat(np.arange(ncuts.size), ncuts)
-    kept = cuts[~gone].tolist()
-    kept_end = np.cumsum(ncuts - np.bincount(owner[gone], minlength=ncuts.size)).tolist()
-    changed = owner[gone]  # ascending, once per merged cut
+    # a merged segment starts at a cut, which goes; the other cuts stay
+    row = np.repeat(np.arange(len(segmentations)), np.diff(trace.first))
+    kept = at_cut & ~merged
+    cuts = (starts - trace.offsets[row])[kept].tolist()
+    kept_end = np.cumsum(np.bincount(row[kept], minlength=len(segmentations))).tolist()
+    changed = row[merged]  # ascending, once per merged cut
     for k in changed[np.diff(changed, prepend=-1) > 0].tolist():
         start = kept_end[k - 1] if k else 0
-        out[k] = Segmentation(out[k].message_id, tuple(kept[start:kept_end[k]]))
+        out[k] = Segmentation(out[k].message_id, tuple(cuts[start:kept_end[k]]))
     return out
 
 
@@ -470,24 +488,21 @@ def crop_distinct(segmentations: list, messages: list,
     occurrences.
 
     segmentations[i] is matched to its message by id.  The values are
-    counted over one `_flatten` of the trace.  Each frequent value's
+    counted over one `join_trace` of the trace.  Each frequent value's
     occurrences are then found in the joined payloads at once, and only
     the messages whose segments hold one, with bytes to spare, get a new
     `Segmentation`.
     """
     by_id = {m.id: m for m in messages}
-    flat = _flatten(segmentations, [by_id[seg.message_id] for seg in segmentations])
-    edges = np.append(flat.starts, len(flat.joined))
+    trace = join_trace(segmentations, [by_id[seg.message_id] for seg in segmentations])
+    edges = trace.edges
     sizes = np.diff(edges)
-    if sizes.size and sizes.min() <= 0:  # a cut at or beyond its payload's end
-        k = int(np.searchsorted(flat.first, np.argmax(sizes <= 0), "right")) - 1
-        segmentations[k].validate_against(by_id[segmentations[k].message_id])
     pieces = np.flatnonzero(sizes >= 2)
-    values = list(map(flat.joined.__getitem__, map(slice, flat.starts[pieces].tolist(),
-                                                    edges[pieces + 1].tolist())))
+    values = list(map(trace.joined.__getitem__, map(slice, edges[pieces].tolist(),
+                                                     edges[pieces + 1].tolist())))
     distinct, inverse = distinct_values(values)
     owner = np.array([seg.message_id for seg in segmentations], dtype=np.int64)
-    owner = np.repeat(owner, flat.ncuts + 1)[pieces]
+    owner = np.repeat(owner, np.diff(trace.first))[pieces]
     order = np.lexsort((owner, inverse))  # each value's owners, ascending
     held, owner = inverse[order], owner[order]
     new = np.ones(order.size, dtype=bool)  # the first time a message holds the value
@@ -503,7 +518,7 @@ def crop_distinct(segmentations: list, messages: list,
     # lie inside a longer segment and overlap no claim made before; claims
     # are positions in the joined payloads, so they never meet across
     # segments, and the ones made so far are disjoint and kept in order.
-    data = np.frombuffer(flat.joined, dtype=np.uint8)
+    data = np.frombuffer(trace.joined, dtype=np.uint8)
     claim_start = claim_end = np.zeros(0, dtype=np.intp)
     added = []
     for value in frequent:
@@ -534,9 +549,9 @@ def crop_distinct(segmentations: list, messages: list,
     out = list(segmentations)
     cut = np.sort(np.concatenate(added))
     cut = cut[np.diff(cut, prepend=-1) > 0]  # two claims may meet at one cut
-    bases = flat.starts[flat.first]
-    row = bases.searchsorted(cut, "right") - 1
-    for k, cuts in groupby(zip(row.tolist(), (cut - bases[row]).tolist()), itemgetter(0)):
+    row = trace.offsets.searchsorted(cut, "right") - 1
+    for k, cuts in groupby(zip(row.tolist(), (cut - trace.offsets[row]).tolist()),
+                           itemgetter(0)):
         seg = segmentations[k]
         out[k] = Segmentation(seg.message_id,
                               tuple(sorted(chain(seg.cuts, map(itemgetter(1), cuts)))))
@@ -681,27 +696,22 @@ def _among(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y.take(y.searchsorted(x), mode="clip") == x
 
 
-def _refs_and_cuts(segmentations: list, messages: list) -> tuple:
-    """(every segment of the trace as a `SegmentRef`, its `TraceCuts`), from one `_flatten`."""
-    flat = _flatten(segmentations, messages)
-    ids = [msg.id for msg in messages]
-    edges = np.append(flat.starts, len(flat.joined))
+def _segment_refs(segmentations: list, messages: list, trace: JoinedTrace) -> list:
+    """Every segment of the trace, in trace order, as a `SegmentRef`."""
+    edges = trace.edges.tolist()
     # a ref holds the id and offset ints of its message and cut tuple, not
     # copies: every segment of the trace has a ref
-    refs = list(map(SegmentRef, np.repeat(np.array(ids, dtype=object), flat.ncuts + 1).tolist(),
+    return list(map(SegmentRef, np.repeat(np.array([msg.id for msg in messages], dtype=object),
+                                          np.diff(trace.first)).tolist(),
                     chain.from_iterable((0, *seg.cuts) for seg in segmentations),
                     chain.from_iterable((*seg.cuts, len(msg.payload))
                                         for seg, msg in zip(segmentations, messages)),
-                    map(flat.joined.__getitem__, map(slice, flat.starts.tolist(),
-                                                     edges[1:].tolist()))))
-    is_cut = np.zeros(edges[-1] + 1, dtype=bool)
-    is_cut[flat.starts[flat.at_cut]] = True
-    first = np.append(flat.first, flat.starts.size)
-    return refs, TraceCuts(dict(zip(ids, range(len(ids)))), edges[first], edges, first, is_cut)
+                    map(trace.joined.__getitem__, map(slice, edges[:-1], edges[1:]))))
 
 
 def _pca_pass(messages: list, segmentations: list, config: PipelineConfig):
-    refs, trace = _refs_and_cuts(segmentations, messages)
+    trace = join_trace(segmentations, messages)
+    refs = _segment_refs(segmentations, messages, trace)
     params = config.analysis
     roots = recursive_cluster(refs, params, config.max_depth)
 

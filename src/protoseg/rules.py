@@ -26,10 +26,11 @@ moved (the dominant near-match error of coarse segmenters is exactly
 one byte), otherwise a cut is added.
 
 The bookkeeping around a cluster works on trace-wide arrays, not member
-by member: `TraceCuts` holds every message's boundaries as positions in
-the trace's payloads joined end to end, with a flag per position that
-marks the cuts.  `common_aligned_cuts` counts the boundaries of all
-members with one `bincount`, `cluster_edits` decides every (member,
+by member.  It reads the trace's `refine.JoinedTrace`, the layout the
+PCA pass builds its segments from: every message's boundaries as
+positions in the payloads joined end to end, with a flag per position
+that marks the cuts.  `common_aligned_cuts` counts the boundaries of
+all members with one `bincount`, `cluster_edits` decides every (member,
 position) pair of a members x positions grid at once, and
 `apply_edits` builds a new `Segmentation` only for a message it changes.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,6 +47,9 @@ from .cluster import ClusterNode
 from .dissim import Overlay
 from .model import AnalysisParams, NoSignalError, Segmentation
 from .pca import PcaResult
+
+if TYPE_CHECKING:  # refine imports this module
+    from .refine import JoinedTrace
 
 ADD = "add"
 MOVE = "move"
@@ -113,26 +117,7 @@ def rule_b(contrib: ContributionVector, params: AnalysisParams = AnalysisParams(
     return out
 
 
-class TraceCuts(NamedTuple):
-    """A trace's boundaries as positions in its payloads joined end to end.
-
-    Message r (its index in the trace) covers offsets[r] up to
-    offsets[r + 1], and edges[first[r]:first[r + 1] + 1] are its
-    boundaries, 0 and the payload length included, in that joined
-    coordinate; consecutive messages share the edge between them.
-    is_cut marks the cuts, never a message's first byte or its end, so a
-    position inside one message never reads another's cut.  row_of maps
-    a message id to r.
-    """
-
-    row_of: dict
-    offsets: np.ndarray
-    edges: np.ndarray
-    first: np.ndarray
-    is_cut: np.ndarray
-
-
-def _members(overlay: Overlay, trace: TraceCuts) -> tuple:
+def _members(overlay: Overlay, trace: JoinedTrace) -> tuple:
     """(message rows, joined position of each member's relative 0, member starts there)."""
     members, n = overlay.members, len(overlay.members)
     rows = np.fromiter(map(trace.row_of.__getitem__, map(attrgetter("message_id"), members)),
@@ -141,7 +126,7 @@ def _members(overlay: Overlay, trace: TraceCuts) -> tuple:
     return rows, start - np.array(overlay.shifts, dtype=np.intp), start
 
 
-def common_aligned_cuts(overlay: Overlay, trace: TraceCuts) -> list:
+def common_aligned_cuts(overlay: Overlay, trace: JoinedTrace) -> list:
     """Relative offsets where member boundaries pile up above both neighbors.
 
     A member's boundaries are those of its message, 0 and the payload
@@ -166,7 +151,7 @@ def common_aligned_cuts(overlay: Overlay, trace: TraceCuts) -> list:
     return peak.nonzero()[0].tolist()
 
 
-def cluster_edits(node: ClusterNode, positions, trace: TraceCuts) -> list:
+def cluster_edits(node: ClusterNode, positions, trace: JoinedTrace) -> list:
     """Translate relative boundary positions into per-message edits.
 
     positions is a list of (relative position, provenance).  For a

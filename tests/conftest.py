@@ -13,7 +13,10 @@ the uncached entropy merge check their vectorised, table-driven
 replacements in `refine`.  The dict tree of the cluster nodes checks
 the value `cluster.tree_to_json` gives for `clusters.json`; every
 artifact's text is the compact `json.dumps` of its value, which
-`tests/test_traceio.py` and `tests/test_cli.py` check directly.
+`tests/test_traceio.py` and `tests/test_cli.py` check directly.  The
+message-by-message layout checks `refine.join_trace`, and
+`reference_run_pipeline` composes the stage oracles into the whole
+pipeline, which `tests/test_pipeline.py` checks `run_pipeline` against.
 """
 
 import math
@@ -22,9 +25,9 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from protoseg import cluster, dissim, pca
+from protoseg import cluster, dissim, pca, refine, rules
 from protoseg.dissim import UNMATCHED_PENALTY
-from protoseg.model import DegenerateClusterError, EstimationError
+from protoseg.model import DegenerateClusterError, EstimationError, SegmentRef, Segmentation
 from protoseg.refine import CHAR_BYTES
 
 # the published 8x5 example: eight aligned 5-byte segments
@@ -274,9 +277,11 @@ def reference_recursive_cluster(segments, params, max_depth):
     """Cluster tree of `cluster.recursive_cluster`, every node analysed afresh.
 
     Each node computes the full segments x segments matrix with
-    `reference_pairwise` and runs its own overlay, PCA, eps estimate and
-    DBSCAN (`reference_dbscan`), also where DBSCAN returned the node's
-    members unchanged one level up.
+    `reference_pairwise` and runs its own overlay, without an ancestor's
+    offsets, PCA, eps estimate and DBSCAN (`reference_dbscan`), also
+    where DBSCAN returned the node's members unchanged one level up.  A
+    suitable leaf keeps its overlay, data matrix and spectrum, as the
+    library's do.
     """
     def analyze(members, depth):
         if len(members) < params.min_cluster:
@@ -286,17 +291,19 @@ def reference_recursive_cluster(segments, params, max_depth):
             children = [analyze(tuple(m for m in members if len(m.values) == L), depth)
                         for L in sorted(set(lengths))]
             return cluster.ClusterNode(members, cluster.RECURSED, depth, children=tuple(children))
-        dist = reference_pairwise([m.values for m in members])
+        overlay = dissim.overlay_cluster(members, *reference_distinct(members))
         try:
-            matrix = dissim.build_matrix(
-                dissim.overlay_cluster(members, *reference_distinct(members)))
+            matrix = dissim.build_matrix(overlay)
         except DegenerateClusterError:
             return cluster.ClusterNode(members, cluster.NOISE, depth)
         eig = pca.eig_sym(pca.covariance(matrix.X))
-        if pca.analyze_spectrum(eig.eigenvalues, eig.loadings, params).suitable(params):
-            return cluster.ClusterNode(members, cluster.PCA_SUITABLE, depth)
+        spectrum = pca.analyze_spectrum(eig.eigenvalues, eig.loadings, params)
+        if spectrum.suitable(params):
+            return cluster.ClusterNode(members, cluster.PCA_SUITABLE, depth,
+                                       overlay=overlay, matrix=matrix, spectrum=spectrum)
         if depth >= max_depth:
             return cluster.ClusterNode(members, cluster.ABANDONED_DEPTH, depth)
+        dist = reference_pairwise([m.values for m in members])
         try:
             eps = cluster.estimate_eps(dist, cluster.MIN_PTS)
         except EstimationError:
@@ -486,3 +493,114 @@ def reference_crop_distinct(segmentations, messages, min_fraction=0.10, min_mess
                     pos = span[1]
         out.append(tuple(sorted(cuts)))
     return out
+
+
+def reference_joined_trace(segmentations, messages) -> dict:
+    """The fields of `refine.join_trace`, built message by message and cut by cut, as lists."""
+    joined, offsets, edges, first, at_cut, row_of = b"", [], [], [], [], {}
+    for r, (seg, msg) in enumerate(zip(segmentations, messages)):
+        offsets.append(len(joined))
+        first.append(len(edges))
+        row_of[msg.id] = r
+        for k, start in enumerate((0, *seg.cuts)):
+            edges.append(len(joined) + start)
+            at_cut.append(k > 0)
+        joined += msg.payload
+    offsets.append(len(joined))
+    first.append(len(edges))
+    edges.append(len(joined))
+    is_cut = [False] * (len(joined) + 1)
+    for edge, cut in zip(edges, at_cut):
+        is_cut[edge] = is_cut[edge] or cut
+    return {"joined": joined, "offsets": offsets, "edges": edges, "first": first,
+            "at_cut": at_cut, "is_cut": is_cut, "row_of": row_of}
+
+
+# the preset chains as the README lists them: (base, passes)
+REFERENCE_PRESETS = {
+    "nullpca": ("null_bytes", ("crop_chars", "pca", "crop_distinct", "split_fixed")),
+    "nemepca": ("bit_congruence", ("entropy_merge", "null_bytes_refine", "crop_chars", "pca",
+                                   "crop_distinct", "split_fixed")),
+}
+
+
+def reference_pca_pass(segmentations, messages, config) -> tuple:
+    """(segmentations, applied edits, roots) of the pca pass, from the member-loop oracles.
+
+    Every segment becomes a `SegmentRef` read from its payload, the tree
+    is `reference_recursive_cluster`'s, and each suitable leaf with a
+    significant component proposes rule A, rule B and common-aligned
+    positions that `reference_cluster_edits` translates member by member.
+    """
+    params = config.analysis
+    refs = []
+    for seg, msg in zip(segmentations, messages):
+        bounds = (0, *seg.cuts, len(msg.payload))
+        refs += [SegmentRef(msg.id, a, b, msg.payload[a:b]) for a, b in zip(bounds, bounds[1:])]
+    roots = reference_recursive_cluster(refs, params, config.max_depth)
+    boundaries, segs_by_id, lengths = reference_boundaries(segmentations, messages)
+    proposals = []
+    for leaf in (leaf for root in roots for leaf in root.leaves()):
+        if leaf.verdict != cluster.PCA_SUITABLE or leaf.spectrum.n_sig < 1:
+            continue
+        contrib = rules.contribution(leaf.spectrum)
+        column = leaf.matrix.column_map
+        positions = [(int(column[k]), "rule_a") for k in rules.rule_a(contrib, params)]
+        positions += [(int(column[k]), "rule_b") for k in rules.rule_b(contrib, params)]
+        positions += [(k, "common_aligned")
+                      for k in reference_common_aligned_cuts(leaf.overlay, boundaries)]
+        proposals += reference_cluster_edits(leaf.overlay, positions, segs_by_id, lengths)
+    return (*rules.apply_edits(proposals, segmentations), roots)
+
+
+def reference_run_pipeline(messages, pipeline, external=None) -> tuple:
+    """(segmentations, edits, roots) of `refine.run_pipeline`, composed from the stage oracles.
+
+    The bit-congruence base, the entropy merge, the char crop and the
+    distinct-value crop are the oracles above; the null base, the null
+    refinement, merge_chars and split_fixed are the library's, called on
+    one message at a time.  Each static pass's edits come from
+    `reference_diff_edits` under the pass's provenance, and the pca pass
+    is `reference_pca_pass`.  roots is None without a pca pass.
+    """
+    cfg = pipeline.config
+    if not messages:
+        return [], [], None
+    if pipeline.base == refine.BASE_NULL_BYTES:
+        segs = [refine.null_segmenter(m) for m in messages]
+    elif pipeline.base == refine.BASE_BIT_CONGRUENCE:
+        segs = [Segmentation(m.id, reference_bit_congruence(m.payload, cfg.sigma))
+                for m in messages]
+    else:
+        by_id = {s.message_id: s for s in external}
+        segs = [by_id.get(m.id, Segmentation(m.id, ())) for m in messages]
+
+    def library(op, *knobs):
+        return lambda seg, msg: op([seg], [msg], *knobs)[0].cuts
+
+    cuts_of = {
+        refine.PASS_ENTROPY_MERGE: lambda seg, msg: reference_entropy_merge(
+            seg.cuts, msg.payload, cfg.entropy_floor, cfg.entropy_diff),
+        refine.PASS_NULL_REFINE: library(refine.null_refine),
+        refine.PASS_MERGE_CHARS: library(refine.merge_chars),
+        refine.PASS_CROP_CHARS: lambda seg, msg: reference_crop_chars(
+            seg.cuts, msg.payload, cfg.char_min_run),
+        refine.PASS_SPLIT_FIXED: library(refine.split_fixed, cfg.chunk),
+    }
+    edits, roots = [], None
+    for name in pipeline.passes:
+        if name == refine.PASS_PCA:
+            segs, applied, roots = reference_pca_pass(segs, messages, cfg)
+            edits += applied
+            continue
+        if name == refine.PASS_CROP_DISTINCT:
+            cuts = reference_crop_distinct(segs, messages, cfg.distinct_min_fraction,
+                                           cfg.distinct_min_messages)
+        else:
+            cuts = [cuts_of[name](seg, msg) for seg, msg in zip(segs, messages)]
+        new = [seg if c == seg.cuts else Segmentation(seg.message_id, c)
+               for seg, c in zip(segs, cuts)]
+        edits += reference_diff_edits(segs, new, "nullbytes" if name == refine.PASS_NULL_REFINE
+                                      else name)
+        segs = new
+    return segs, edits, roots

@@ -330,6 +330,47 @@ class TestIntegerKeySelection:
             checked += 1
         assert checked > 150
 
+    @pytest.mark.parametrize("budget", [cluster._PARTITION_BUDGET, 7, 40, 300])
+    def test_k_distances_match_the_unblocked_float64_selection(self, monkeypatch, budget):
+        # the curve estimate_eps hands to kneedle is, bit for bit, the
+        # sorted positive k-distances of the fully repeated matrix; the
+        # budgets between 7 and the default put several rows with their
+        # extra columns into one block
+        curves = []
+        monkeypatch.setattr(cluster.pca, "kneedle", lambda curve: curves.append(curve[::-1]))
+        monkeypatch.setattr(cluster, "_PARTITION_BUDGET", budget)
+        for D, min_pts, weights in self.cases():
+            if weights.sum() < min_pts + 1:
+                continue
+            E = D.repeat(weights, axis=0).repeat(weights, axis=1)
+            want = np.sort(np.partition(E, min_pts, axis=1)[:, min_pts])
+            curves.clear()
+            estimate_eps(D, min_pts, weights)
+            got = curves[0] if curves else np.zeros(0)
+            assert np.array_equal(got.view(np.int64), want[want > 0].view(np.int64))
+
+    def test_weighted_block_scratch_stays_near_the_budget(self):
+        # a node shaped like dup_heavy's first root: 552 distinct values,
+        # 255 of them held by 17 or 18 members each, so every row block
+        # also copies 765 extra columns; the blocks are sized with them
+        rng = np.random.default_rng(17)
+        u = 552
+        D = random_dist(rng, u)
+        weights = np.ones(u, dtype=np.intp)
+        weights[rng.choice(u, size=255, replace=False)] = rng.integers(17, 19, size=255)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            estimate_eps(D, cluster.MIN_PTS, weights)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 2 * 8 * cluster._PARTITION_BUDGET
+
 
 class TestRecursiveCluster:
     def test_published_matrix_is_single_suitable_root(self, example_x):

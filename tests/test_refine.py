@@ -5,14 +5,14 @@ import pytest
 
 from conftest import (extreme_payload, reference_bit_congruence, reference_crop_chars,
                       reference_crop_distinct, reference_diff_edits, reference_entropy,
-                      reference_entropy_merge, reference_null_runs)
+                      reference_entropy_merge, reference_joined_trace, reference_null_runs)
 from protoseg import synth
 from protoseg.model import Message, Segmentation, UsageError, segments_of
 from protoseg.refine import (BASE_EXTERNAL, PASS_PCA, PRESETS, Pipeline,
                              bit_congruence_segmenter, char_heuristic,
                              crop_chars, crop_distinct, entropy_merge, gaussian_kernel,
                              merge_chars, null_refine, null_segmenter, preset,
-                             run_pipeline, split_fixed, _diff_edits, _entropy, _Entropies,
+                             run_pipeline, split_fixed, join_trace, _diff_edits, _Entropies,
                              _null_runs, _span_entropies)
 
 
@@ -34,6 +34,13 @@ def random_traces(rng, payloads, largest=40):
         traces.append([msg(p, i) for i, p in enumerate(payloads[:size])])
         payloads = payloads[size:]
     return traces
+
+
+def span_entropy(data: bytes, entropies=None) -> float:
+    """The entropy of data as the one span of a `_span_entropies` call."""
+    (h,) = _span_entropies(np.frombuffer(data, dtype=np.uint8), np.array([0]),
+                           np.array([len(data)]), _Entropies() if entropies is None else entropies)
+    return h
 
 
 def seg_values(seg, m):
@@ -206,7 +213,7 @@ class TestAgainstPerByteReferences:
                     for a, b in zip(bounds, bounds[width:]):
                         starts.append(offset + a)
                         ends.append(offset + b)
-                        expected.append(_entropy(m.payload[a:b]))
+                        expected.append(reference_entropy(m.payload[a:b]))
                 offset += len(m.payload)
             h = _span_entropies(data, np.array(starts), np.array(ends), _Entropies())
             assert np.array_equal(h.view(np.int64), np.array(expected).view(np.int64)), name
@@ -215,13 +222,22 @@ class TestAgainstPerByteReferences:
 
     def test_entropy_depends_only_on_the_ordered_counts(self):
         # an increasing relabelling of the byte values keeps the counts in
-        # byte-value order, so the entropy keeps its bits
+        # byte-value order, so the entropy keeps its bits, whether a span
+        # comes alone (one bincount) or among others (one sort), and
+        # whether its key is cached or new
         rng = np.random.default_rng(63)
+        cached = _Entropies()
         for _ in range(500):
             data = extreme_payload(rng)
-            relabel = np.sort(rng.choice(256, size=256, replace=False))
-            assert _entropy(data) == reference_entropy(data)
-            assert _entropy(data) == _entropy(bytes(relabel[list(data)].tolist()))
+            relabelled = bytes(np.sort(rng.choice(256, size=256, replace=False))[list(data)]
+                               .tolist())
+            expected = reference_entropy(data)
+            assert span_entropy(data) == expected
+            assert span_entropy(relabelled, cached) == expected
+            both = np.frombuffer(data + relabelled, dtype=np.uint8)
+            h = _span_entropies(both, np.array([0, len(data)]),
+                                np.array([len(data), both.size]), _Entropies())
+            assert h.tolist() == [expected, expected]
 
     def test_null_runs_and_crop_chars(self):
         rng = np.random.default_rng(64)
@@ -305,6 +321,41 @@ class TestAgainstMessageLoops:
         assert kinds == {"add", "move", "remove"}
 
 
+class TestJoinTrace:
+    """`join_trace` against the message-by-message layout of `conftest.reference_joined_trace`."""
+
+    def test_fields_match_the_per_message_layout(self):
+        rng = np.random.default_rng(71)
+        seen = set()
+        for _ in range(400):
+            trace, segs = [], []
+            for i in range(int(rng.integers(1, 13))):
+                payload = extreme_payload(rng, 1, 2 if rng.random() < 0.2 else 41)
+                n = len(payload)
+                cuts = set() if rng.random() < 0.25 else set(
+                    rng.integers(1, max(n, 2), size=int(rng.integers(0, n))).tolist())
+                if n > 1 and rng.random() < 0.3:
+                    cuts.add(n - 1)
+                trace.append(Message(5 * i + 2, payload))
+                segs.append(Segmentation(5 * i + 2, tuple(sorted(cuts))))
+                seen.update(case for case, hit in (("one byte", n == 1), ("no cuts", not cuts),
+                                                   ("cut at len - 1", n - 1 in cuts)) if hit)
+            got, want = join_trace(segs, trace), reference_joined_trace(segs, trace)
+            assert got.joined == want["joined"]
+            for name in ("offsets", "edges", "first", "at_cut", "is_cut"):
+                assert getattr(got, name).tolist() == want[name], name
+            assert got.row_of == want["row_of"]
+        assert seen == {"one byte", "no cuts", "cut at len - 1"}
+
+    @pytest.mark.parametrize("cuts", [(2,), (3,), (1, 5)])
+    def test_cut_at_or_beyond_the_end_raises(self, cuts):
+        # the bad message is the first of three, so its cut lands in the next one
+        trace = [Message(7, b"ab"), Message(8, b"xyz"), Message(9, b"q")]
+        segs = [Segmentation(7, cuts), Segmentation(8, (1,)), Segmentation(9, ())]
+        with pytest.raises(UsageError, match="message 7"):
+            join_trace(segs, trace)
+
+
 class TestPassKinds:
     """Each static pass only adds cuts, only removes them, or keeps their count.
 
@@ -379,9 +430,10 @@ class TestUnchangedCuts:
 
 class TestEntropyMerge:
     def test_entropy_values(self):
-        assert _entropy(b"\x00" * 4) == 0.0
-        assert _entropy(bytes([0, 1, 2, 3])) == pytest.approx(1.0)
-        assert _entropy(b"\x07") == 0.0
+        assert span_entropy(b"\x00" * 4) == _Entropies()[(4,)] == 0.0
+        assert span_entropy(bytes([0, 1, 2, 3])) == pytest.approx(1.0)
+        assert _Entropies()[(1, 1, 1, 1)] == pytest.approx(1.0)
+        assert span_entropy(b"\x07") == _Entropies()[(1,)] == 0.0
 
     def test_similar_high_entropy_neighbors_merge(self):
         # both segments near-uniform: entropies close and above the floor

@@ -8,16 +8,16 @@ from protoseg.dissim import Overlay
 from protoseg.model import (AnalysisParams, Message, NoSignalError, SegmentRef,
                             Segmentation)
 from protoseg.pca import analyze_spectrum
-from protoseg.refine import _refs_and_cuts
+from protoseg.refine import _segment_refs, join_trace
 from protoseg.rules import (BoundaryEdit, ContributionVector, apply_edits,
                             cluster_edits, common_aligned_cuts, contribution,
                             rule_a, rule_b)
 
 
 def trace_cuts(cuts_by_message: dict, length: int):
-    """The `TraceCuts` of messages of `length` bytes with these cuts, by message id."""
+    """The `JoinedTrace` of messages of `length` bytes with these cuts, by message id."""
     segs = [Segmentation(mid, tuple(sorted(cuts))) for mid, cuts in cuts_by_message.items()]
-    return _refs_and_cuts(segs, [Message(s.message_id, bytes(length)) for s in segs])[1]
+    return join_trace(segs, [Message(s.message_id, bytes(length)) for s in segs])
 
 
 def contrib(m):
@@ -276,7 +276,7 @@ def random_overlays(rng, count):
             cuts = set() if bare or n < 2 else set(
                 rng.integers(1, n, size=int(rng.integers(0, n))).tolist())
             segs.append(Segmentation(m.id, tuple(sorted(cuts))))
-        refs, _ = _refs_and_cuts(segs, messages)
+        refs = _segment_refs(segs, messages, join_trace(segs, messages))
         picked = rng.integers(0, len(refs), size=int(rng.integers(2, 13)))
         members = tuple(refs[k] for k in picked.tolist())
         shifts = tuple(rng.integers(0, 4, size=len(members)).tolist())
@@ -294,7 +294,7 @@ class TestAgainstMemberLoops:
     def test_common_aligned_cuts(self):
         rng = np.random.default_rng(191)
         for overlay, _, segs, messages in random_overlays(rng, 1500):
-            trace = _refs_and_cuts(segs, messages)[1]
+            trace = join_trace(segs, messages)
             boundaries, _, _ = reference_boundaries(segs, messages)
             assert common_aligned_cuts(overlay, trace) == \
                 reference_common_aligned_cuts(overlay, boundaries)
@@ -305,7 +305,7 @@ class TestAgainstMemberLoops:
         for overlay, positions, segs, messages in random_overlays(rng, 1500):
             node = ClusterNode(overlay.members, PCA_SUITABLE, 0, overlay=overlay)
             _, segs_by_id, lengths = reference_boundaries(segs, messages)
-            got = cluster_edits(node, positions, _refs_and_cuts(segs, messages)[1])
+            got = cluster_edits(node, positions, join_trace(segs, messages))
             assert got == reference_cluster_edits(overlay, positions, segs_by_id, lengths)
             # every field is a plain Python value, as the JSON writer needs
             assert all(type(e.message_id) is int and type(e.offset) is int
@@ -317,7 +317,7 @@ class TestAgainstMemberLoops:
         rng = np.random.default_rng(193)
         for overlay, positions, segs, messages in random_overlays(rng, 300):
             node = ClusterNode(overlay.members, PCA_SUITABLE, 0, overlay=overlay)
-            edits = cluster_edits(node, positions, _refs_and_cuts(segs, messages)[1])
+            edits = cluster_edits(node, positions, join_trace(segs, messages))
             new, applied = apply_edits(edits, segs)
             touched = {e.message_id for e in applied}
             for old, seg in zip(segs, new):
