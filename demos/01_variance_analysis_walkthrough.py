@@ -10,7 +10,6 @@ boundaries sit.
 import numpy as np
 
 from protoseg.cluster import recursive_cluster
-from protoseg.model import SegmentRef
 from protoseg.pca import analyze_spectrum, covariance, eig_sym, kneedle
 from protoseg.rules import contribution, rule_a, rule_b
 
@@ -28,7 +27,6 @@ rows = [
     bytes.fromhex("0108800004"),
     bytes.fromhex("0108800004"),
 ]
-members = [SegmentRef(i, 10, 15, row) for i, row in enumerate(rows)]
 
 X = np.array([list(r) for r in rows], dtype=float)
 print("data matrix X (one row per segment):")
@@ -52,7 +50,8 @@ print(m.m)
 print("\nrule A (variance drop = field end) fires at:", rule_a(m))
 print("rule B (surge after quiet = field start) fires at:", rule_b(m))
 
-# the same conclusion through the full clustering front end
-roots = recursive_cluster(members)
+# the same conclusion through the full clustering front end, which takes
+# the segments' bytes and answers with their indices
+roots = recursive_cluster(rows)
 print("\nrecursive clustering verdict:", roots[0].verdict,
-      "with", roots[0].spectrum.n_sig, "significant PCs")
+      "with", roots[0].spectrum.n_sig, "significant PCs, members", roots[0].members)

@@ -205,7 +205,8 @@ def _cmd_segment(args) -> int:
          "old_offset": e.old_offset, "provenance": e.provenance}
         for e in result.edits
     ])
-    traceio.write_json_atomic(os.path.join(out, "clusters.json"), tree_to_json(result.tree or []))
+    traceio.write_json_atomic(os.path.join(out, "clusters.json"),
+                              tree_to_json(result.tree or [], result.trace))
     print(f"{len(messages)} messages -> {out}/segments.json "
           f"({sum(len(s.cuts) for s in result.segmentations)} cuts, {len(result.edits)} edits)")
     return 0

@@ -1,10 +1,11 @@
 """Density clustering of segments and the recursive suitability loop.
 
-Segments are grouped with DBSCAN on their pairwise Canberra
-dissimilarity.  Each cluster is checked against the variance-analysis
-prerequisites; clusters that fail are sub-clustered with a freshly
-estimated epsilon until they pass, fall below the minimum size, or
-exhaust the depth budget.
+Segments are given as their byte strings alone, and a node's members
+are their indices in that list.  They are grouped with DBSCAN on their
+pairwise Canberra dissimilarity.  Each cluster is checked against the
+variance-analysis prerequisites; clusters that fail are sub-clustered
+with a freshly estimated epsilon until they pass, fall below the
+minimum size, or exhaust the depth budget.
 
 Every node clusters its distinct values, not its segments: the
 dissimilarity matrix of a node is over the distinct byte values of its
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -71,8 +71,9 @@ NOISE = "noise"
 class ClusterNode:
     """One node of the recursive cluster tree.
 
-    Leaves carry a verdict; pca_suitable leaves additionally cache the
-    overlay, data matrix, and eigen spectrum they were judged on.
+    members are ascending segment indices.  Leaves carry a verdict;
+    pca_suitable leaves additionally cache the overlay, data matrix, and
+    eigen spectrum they were judged on.
     """
 
     members: tuple
@@ -226,26 +227,27 @@ def _percentile_90(curve: np.ndarray) -> float:
     return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
-def recursive_cluster(segments, params: AnalysisParams = AnalysisParams(),
+def recursive_cluster(values, params: AnalysisParams = AnalysisParams(),
                       max_depth: int = DEFAULT_MAX_DEPTH) -> list:
     """Cluster segments until each group is suitable for variance analysis.
 
-    Per node: too-small groups are abandoned; groups with length spread
-    above length_ratio are partitioned into equal-length groups (no
-    depth cost; the partition cannot repeat); otherwise the node is
-    overlaid and its eigen spectrum tested.  Unsuitable nodes are
-    DBSCAN-split with an epsilon estimated on the subset and recursed
-    one level deeper.
+    values holds one non-empty bytes value per segment, and members
+    index it.  Per node: too-small groups are abandoned; groups with
+    length spread above length_ratio are partitioned into equal-length
+    groups (no depth cost; the partition cannot repeat); otherwise the
+    node is overlaid and its eigen spectrum tested.  Unsuitable nodes
+    are DBSCAN-split with an epsilon estimated on the subset and
+    recursed one level deeper.
     """
-    segments = tuple(segments)
-    if not segments:
-        raise UsageError("recursive_cluster needs at least one segment")
-    return [_analyze(segments, None, None, 0, params, max_depth)]
+    values = list(values)
+    if not values or not all(values):
+        raise UsageError("recursive_cluster needs at least one segment, none of them empty")
+    return [_analyze(np.arange(len(values)), values, None, None, 0, params, max_depth)]
 
 
-def _subset(members: tuple, inverse: np.ndarray, dist: np.ndarray, idx: np.ndarray,
-            rows, in_place: bool = False) -> tuple:
-    """(members, inverse, dist) of the members at the ascending positions idx.
+def _subset(members: np.ndarray, values: list, inverse: np.ndarray, dist: np.ndarray,
+            idx: np.ndarray, rows, in_place: bool = False) -> tuple:
+    """(members, values, inverse, dist) of the members at the ascending positions idx.
 
     rows are the ascending distinct ids of those members.  Identical
     members are never separated, so these are the subset's distinct
@@ -265,70 +267,73 @@ def _subset(members: tuple, inverse: np.ndarray, dist: np.ndarray, idx: np.ndarr
         # take write straight into out, where the default mode writes a copy first
         dist.take(rows[lo:lo + step], axis=0).take(rows, axis=1, out=out[lo:lo + step],
                                                    mode="clip")
-    return tuple(map(members.__getitem__, idx.tolist())), rows.searchsorted(inverse[idx]), out
+    return (members[idx], list(map(values.__getitem__, rows.tolist())),
+            rows.searchsorted(inverse[idx]), out)
 
 
-def _analyze(members: tuple, inverse, dist, depth: int,
+def _analyze(members: np.ndarray, values: list, inverse, dist, depth: int,
              params: AnalysisParams, max_depth: int, known=None) -> ClusterNode:
     """Verdict and subtree of one node.
 
-    inverse[i] numbers the distinct value of members[i], in order of
-    first occurrence, and dist is the dissimilarity matrix of those
-    distinct values; both are None until the node or an ancestor
-    computes the matrix.  known maps the medoid value of each ancestor's
-    overlay to the offsets of this node's distinct values against it,
-    as `dissim.overlay_cluster` takes them; it is None at a root.
+    members are the node's segment indices, ascending.  values are its
+    distinct byte values in order of first occurrence, inverse[i]
+    numbers the value of members[i] among them, and dist is their
+    dissimilarity matrix.  Until the node or an ancestor computes the
+    matrix, inverse and dist are None and values[i] is the bytes of
+    members[i].  known maps the medoid value of each ancestor's overlay
+    to the offsets of this node's distinct values against it, as
+    `dissim.overlay_cluster` takes them; it is None at a root.
     """
-    if len(members) < params.min_cluster:
-        return ClusterNode(members, ABANDONED_SMALL, depth)
+    node = tuple(members.tolist())
+    if len(node) < params.min_cluster:
+        return ClusterNode(node, ABANDONED_SMALL, depth)
 
     if dist is None:
         # only a root splits by length, before any matrix exists: its
         # children have one length each, and a DBSCAN child's spread is
         # at most its parent's
-        values = [m.values for m in members]  # len(m) runs a Python-level __len__
         lengths = list(map(len, values))
         if 1.0 - min(lengths) / max(lengths) > params.length_ratio:
             groups = {}
             for idx, length in enumerate(lengths):
                 groups.setdefault(length, []).append(idx)
-            children = [_analyze(tuple(map(members.__getitem__, idx)), None, None, depth,
-                                 params, max_depth)
+            children = [_analyze(members[idx], list(map(values.__getitem__, idx)), None, None,
+                                 depth, params, max_depth)
                         for _, idx in sorted(groups.items())]
-            return ClusterNode(members, RECURSED, depth, children=tuple(children))
-        distinct, inverse = dissim.distinct_values(values)
-        dist = dissim.pairwise(distinct)
+            return ClusterNode(node, RECURSED, depth, children=tuple(children))
+        values, inverse = dissim.distinct_values(values)
+        dist = dissim.pairwise(values)
 
     try:
-        overlay = dissim.overlay_cluster(members, dist, inverse, known)
-        matrix = dissim.build_matrix(overlay)
+        overlay = dissim.overlay_cluster(node, values, dist, inverse, known)
+        matrix = dissim.build_matrix(overlay, values, inverse)
     except DegenerateClusterError:
-        return ClusterNode(members, NOISE, depth)
+        return ClusterNode(node, NOISE, depth)
 
     C = pca.covariance(matrix.X)
     eig = pca.eig_sym(C)
     spectrum = pca.analyze_spectrum(eig.eigenvalues, eig.loadings, params)
     if spectrum.suitable(params):
-        return ClusterNode(members, PCA_SUITABLE, depth,
+        return ClusterNode(node, PCA_SUITABLE, depth,
                            overlay=overlay, matrix=matrix, spectrum=spectrum)
 
     if depth >= max_depth:
-        return ClusterNode(members, ABANDONED_DEPTH, depth)
+        return ClusterNode(node, ABANDONED_DEPTH, depth)
 
     weights = np.bincount(inverse)
     try:
         eps = estimate_eps(dist, MIN_PTS, weights)
     except EstimationError:
-        return ClusterNode(members, ABANDONED_DEPTH, depth)
+        return ClusterNode(node, ABANDONED_DEPTH, depth)
     clusters, noise = dbscan(dist, eps, MIN_PTS, weights)
     if len(clusters) == 1 and not noise:
         # one cluster of every row: the child has this node's members,
         # matrix and eps, so every level down to max_depth repeats this
         # verdict and this split, and the chain ends abandoned there
-        node = ClusterNode(members, ABANDONED_DEPTH, max_depth)
+        chain = ClusterNode(node, ABANDONED_DEPTH, max_depth)
         for level in range(max_depth - 1, depth - 1, -1):
-            node = ClusterNode(members, RECURSED, level, children=(node,))
-        return node
+            chain = ClusterNode(node, RECURSED, level, children=(chain,))
+        return chain
 
     # each member takes its distinct value's cluster; noise is the last group
     label = np.full(len(weights), len(clusters))
@@ -341,16 +346,16 @@ def _analyze(members: tuple, inverse, dist, depth: int,
     # copied out first, then the child with the most rows takes its buffer
     spans = [(order[lo:hi], rows) for rows, lo, hi in zip(clusters, bounds, bounds[1:])]
     largest = max(range(len(clusters)), key=lambda c: len(clusters[c]))
-    subsets = [None if c == largest else _subset(members, inverse, dist, *span)
+    subsets = [None if c == largest else _subset(members, values, inverse, dist, *span)
                for c, span in enumerate(spans)]
-    subsets[largest] = _subset(members, inverse, dist, *spans[largest], in_place=True)
+    subsets[largest] = _subset(members, values, inverse, dist, *spans[largest], in_place=True)
     del dist
     # each distinct value's offset from the medoid, which every member
     # holding it shares; a child's distinct values are its rows of these
     offsets = np.empty(len(weights), np.intp)
     offsets[inverse] = overlay.shifts
     offsets -= overlay.shifts[overlay.reference]
-    known = {**(known or {}), members[overlay.reference].values: offsets}
+    known = {**(known or {}), values[inverse[overlay.reference]]: offsets}
     children = []
     for c in range(len(subsets)):
         args, subsets[c] = subsets[c], None  # a copy is freed once its subtree is done
@@ -358,29 +363,27 @@ def _analyze(members: tuple, inverse, dist, depth: int,
         children.append(_analyze(*args, depth + 1, params, max_depth,
                                  {value: o[rows] for value, o in known.items()}))
     if noise:
-        children.append(ClusterNode(tuple(map(members.__getitem__, order[bounds[-1]:].tolist())),
-                                    NOISE, depth + 1))
-    return ClusterNode(members, RECURSED, depth, children=tuple(children))
+        children.append(ClusterNode(tuple(members[order[bounds[-1]:]].tolist()), NOISE,
+                                    depth + 1))
+    return ClusterNode(node, RECURSED, depth, children=tuple(children))
 
 
-def tree_to_json(roots) -> dict:
+def tree_to_json(roots, trace) -> dict:
     """The value of `clusters.json`: {"format": 2, "roots": [...]}.
 
     One object per node with its preorder "id", "verdict", "depth" and
     "member_count".  A leaf adds "members", one (message, start, end)
-    tuple per member, which `json.dumps` writes as an array; an inner
+    tuple per member, read from trace, the `refine.JoinedTrace` the
+    members index; `json.dumps` writes a tuple as an array.  An inner
     node adds "children" instead.  The children of a node, its noise
     child included, partition its members, so an inner node's members
     are those of its leaves and each member is written once.
     """
     ids = itertools.count()
-    return {"format": 2, "roots": [_node_json(root, ids) for root in roots]}
+    return {"format": 2, "roots": [_node_json(root, ids, trace) for root in roots]}
 
 
-_MEMBER_FIELDS = operator.attrgetter("message_id", "start", "end")
-
-
-def _node_json(node: ClusterNode, ids) -> dict:
+def _node_json(node: ClusterNode, ids, trace) -> dict:
     """The `clusters.json` object of node and its subtree, numbered from the counter ids.
 
     A module-level function, not a closure over the counter: a closure
@@ -390,7 +393,10 @@ def _node_json(node: ClusterNode, ids) -> dict:
     entry = {"id": next(ids), "verdict": node.verdict, "depth": node.depth,
              "member_count": len(node.members)}
     if node.children:
-        entry["children"] = [_node_json(child, ids) for child in node.children]
+        entry["children"] = [_node_json(child, ids, trace) for child in node.children]
     else:
-        entry["members"] = list(map(_MEMBER_FIELDS, node.members))
+        rows, start, end = trace.segments(node.members)
+        base = trace.offsets[rows]
+        entry["members"] = list(zip(trace.ids[rows].tolist(), (start - base).tolist(),
+                                    (end - base).tolist()))
     return entry

@@ -33,10 +33,11 @@ which bounds the kernel's scratch memory at a few MB whatever the
 segment count; the returned n x n matrix itself takes 8 n^2 bytes.
 
 The clustering passes `pairwise` a node's distinct values only, in
-order of first occurrence, and hands that distinct-value matrix and
+order of first occurrence, and hands those values, their matrix and
 the members' distinct ids to `overlay_cluster`, which expands the
 matrix per member where a sum needs it; so n is the number of
-distinct values, not of segments.
+distinct values, not of segments.  A member is a segment index, which
+the overlay carries but never reads.
 
 A member's shift is its distinct value's offset against the medoid,
 which depends only on that (value, medoid) pair.  A sub-cluster's
@@ -44,9 +45,10 @@ distinct values are a subset of its parent's, so when its medoid holds
 the medoid value of an overlay it was split from, `overlay_cluster`
 takes the offsets from that overlay (`known`) instead of calling
 `dissimilarity` for each value again; only roots and sub-clusters with
-a new medoid make the calls.  The overlay reads each distinct value off
-the members' ids (its first holder) and turns the offsets into shifts
-and a width with array arithmetic, one element per distinct value.
+a new medoid make the calls.  The overlay turns the offsets into
+shifts and a width with array arithmetic, one element per distinct
+value, and `build_matrix` gathers every member's bytes from the
+distinct values joined once.
 """
 
 from __future__ import annotations
@@ -210,9 +212,9 @@ def pairwise(values) -> np.ndarray:
 class Overlay:
     """A cluster's members placed at their best-match relative offsets.
 
-    Member i occupies relative positions [shifts[i], shifts[i]+len);
-    the minimum shift is normalized to 0.  `reference` indexes the
-    medoid the others were aligned against.
+    members are segment indices; member i occupies relative positions
+    [shifts[i], shifts[i]+len); the minimum shift is normalized to 0.
+    `reference` indexes the medoid the others were aligned against.
     """
 
     members: tuple
@@ -221,16 +223,17 @@ class Overlay:
     reference: int
 
 
-def overlay_cluster(members, dist: np.ndarray, inverse, known=None) -> Overlay:
+def overlay_cluster(members, values, dist: np.ndarray, inverse, known=None) -> Overlay:
     """Align a cluster on its medoid.
 
     The medoid is the member with the smallest total dissimilarity to
     all others (lowest index on ties).  Each member is shifted to where
-    the shorter of (member, medoid) best matches the longer.  `dist` is
-    the dissimilarity matrix of the members' distinct values in order of
-    first occurrence, as `pairwise` gives it for that list, and
-    `inverse` numbers each member's distinct value in that order, as
-    `distinct_values` does.
+    the shorter of (member, medoid) best matches the longer.  values
+    are the members' distinct byte values in order of first occurrence,
+    `dist` is their dissimilarity matrix, as `pairwise` gives it for
+    that list, and `inverse` numbers each member's distinct value in
+    that order, as `distinct_values` does.  members are carried into
+    the overlay unread.
 
     `known`, when given, maps medoid values of overlays of supersets of
     these members (the clusters this one was split from) to offsets:
@@ -239,14 +242,9 @@ def overlay_cluster(members, dist: np.ndarray, inverse, known=None) -> Overlay:
     pair, so when this medoid's value is among them its offsets are
     taken from there and `dissimilarity` is not called again.
     """
-    members = tuple(members)
-    if len(members) < 2:
-        raise UsageError("overlay needs at least 2 members")
     inverse = np.asarray(inverse)
-    # ids count up in order of first occurrence, so value d first occurs
-    # where the running maximum of the ids reaches d
-    firsts = np.maximum.accumulate(inverse).searchsorted(np.arange(dist.shape[0]))
-    distinct = [members[i].values for i in firsts.tolist()]
+    if inverse.size < 2:
+        raise UsageError("overlay needs at least 2 members")
     # A member's total is the sum of its row of the members x members
     # matrix; a distinct row expanded per member holds those values in
     # that order, so its sum has their bits (with every member distinct,
@@ -255,25 +253,25 @@ def overlay_cluster(members, dist: np.ndarray, inverse, known=None) -> Overlay:
     # whose sums can be smallest: two float sums of the same n
     # nonnegative terms differ by well under 8 (n + 1) eps of the total.
     approx = np.einsum("ij,j->i", dist, np.bincount(inverse))
-    near = (approx <= np.minimum.reduce(approx) + 8 * (len(members) + 1)
+    near = (approx <= np.minimum.reduce(approx) + 8 * (inverse.size + 1)
             * np.finfo(float).eps * np.maximum.reduce(approx)).nonzero()[0]
-    totals = np.full(len(distinct), np.inf)
+    totals = np.full(len(values), np.inf)
     totals[near] = np.add.reduce(dist[near].take(inverse, axis=1), axis=1)  # as .sum(axis=1)
     reference = int(totals[inverse].argmin())  # argmin returns the first = lowest index
-    ref = members[reference].values
+    ref = values[inverse[reference]]
 
     # identical members share their shift, so it is found per distinct value
-    lengths = np.fromiter(map(len, distinct), np.intp, len(distinct))
+    lengths = np.fromiter(map(len, values), np.intp, len(values))
     if known and ref in known:
         offsets = np.asarray(known[ref])
     else:
-        found = np.array([0 if v == ref else dissimilarity(v, ref)[1] for v in distinct],
+        found = np.array([0 if v == ref else dissimilarity(v, ref)[1] for v in values],
                          dtype=np.intp)
         offsets = np.where(lengths <= len(ref), found, -found)
     shift_of = offsets - np.minimum.reduce(offsets)
     width = int(np.maximum.reduce(shift_of + lengths))
-    return Overlay(members=members, shifts=tuple(shift_of[inverse].tolist()), width=width,
-                   reference=reference)
+    return Overlay(members=tuple(members), shifts=tuple(shift_of[inverse].tolist()),
+                   width=width, reference=reference)
 
 
 @dataclass(frozen=True)
@@ -291,12 +289,12 @@ class DataMatrix:
     column_map: np.ndarray
 
 
-def build_matrix(ov: Overlay) -> DataMatrix:
-    """Data matrix of an overlay, keeping positions observed by a majority."""
+def build_matrix(ov: Overlay, values, inverse) -> DataMatrix:
+    """Data matrix of an overlay of members valued values[inverse[i]], majority positions kept."""
     n = len(ov.members)
-    values = [m.values for m in ov.members]
     starts = np.array(ov.shifts)
-    lengths = np.fromiter(map(len, values), np.intp, n)
+    distinct_lengths = np.fromiter(map(len, values), np.intp, len(values))
+    lengths = distinct_lengths[inverse]
 
     positions = np.arange(ov.width)
     observed = (positions >= starts[:, None]) & (positions < (starts + lengths)[:, None])
@@ -306,10 +304,10 @@ def build_matrix(ov: Overlay) -> DataMatrix:
 
     column_map = positions[keep]
     mask = observed[:, keep]
-    # member i's byte at position p sits at firsts[i] + p - starts[i] of all
-    # members' bytes joined; a cell it does not observe may index outside
+    # member i's byte at position p sits at firsts[i] + p - starts[i] of the
+    # distinct values joined; a cell it does not observe may index outside
     # its bytes, so take clips, and the cell is overwritten below
-    firsts = lengths.cumsum() - lengths
+    firsts = (distinct_lengths.cumsum() - distinct_lengths)[inverse]
     index = column_map + (firsts - starts)[:, None]
     X = np.frombuffer(b"".join(values), dtype=np.uint8).take(index, mode="clip").astype(float)
     if not mask.all():

@@ -89,7 +89,7 @@ class Segmentation:
 
 @dataclass(frozen=True)
 class SegmentRef:
-    """A (message, start, end) view of bytes; the unit of clustering."""
+    """A (message, start, end) view of bytes, as `segments_of` splits a message."""
 
     message_id: int
     start: int
@@ -101,9 +101,6 @@ class SegmentRef:
             raise UsageError(f"invalid segment range [{self.start},{self.end}) in message {self.message_id}")
         if len(self.values) != self.end - self.start:
             raise UsageError(f"segment values length {len(self.values)} != {self.end - self.start}")
-
-    def __len__(self) -> int:
-        return self.end - self.start
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,9 @@ Trace-wide passes start from one layout of the cut sets, a
 `JoinedTrace` (`join_trace`): the payloads joined in trace order, each
 message's offset and every segment's edges in them, and a flag per
 position that marks the cuts.  `entropy_merge`, `crop_distinct` and the
-PCA pass read it; the PCA pass builds from it every segment to cluster,
-and its rules read each message's boundaries from it.
+PCA pass read it.  The PCA pass clusters the bytes of every segment it
+slices from it; the rules and `clusters.json` read a member's message
+and bounds back from it by the member's segment index.
 `crop_distinct` counts segment values once over the trace and finds
 each frequent value's occurrences in the joined payloads.  The edits
 of a static pass (`_diff_edits`) come from one comparison of the
@@ -57,8 +58,7 @@ import numpy as np
 
 from .cluster import DEFAULT_MAX_DEPTH, PCA_SUITABLE, recursive_cluster
 from .dissim import distinct_values
-from .model import (AnalysisParams, Message, ProtosegError, SegmentRef, Segmentation,
-                    UsageError)
+from .model import AnalysisParams, Message, ProtosegError, Segmentation, UsageError
 from .rules import (ADD, MOVE, REMOVE, BoundaryEdit, apply_edits, cluster_edits,
                     common_aligned_cuts, contribution, rule_a, rule_b)
 
@@ -300,8 +300,8 @@ class JoinedTrace(NamedTuple):
     the edge between them.  at_cut[k] tells whether segment k starts at
     a cut rather than at its message's first byte, and is_cut flags the
     same positions of `joined` (with one more position, its end), so a
-    position inside one message never reads another's cut.  row_of maps
-    a message id to r.
+    position inside one message never reads another's cut.  ids[r] is
+    message r's id.
     """
 
     joined: bytes
@@ -310,7 +310,13 @@ class JoinedTrace(NamedTuple):
     first: np.ndarray
     at_cut: np.ndarray
     is_cut: np.ndarray
-    row_of: dict
+    ids: np.ndarray
+
+    def segments(self, index) -> tuple:
+        """(message rows, starts, ends) of the segments at index, the positions in `joined`."""
+        index = np.asarray(index, dtype=np.intp)
+        rows = self.first.searchsorted(index, "right") - 1
+        return rows, self.edges[index], self.edges[index + 1]
 
 
 def join_trace(segmentations: list, messages: list) -> JoinedTrace:
@@ -341,7 +347,7 @@ def join_trace(segmentations: list, messages: list) -> JoinedTrace:
     is_cut = np.zeros(offsets[-1] + 1, dtype=bool)
     is_cut[edges[:-1][at_cut]] = True
     return JoinedTrace(b"".join(payloads), offsets, edges, first, at_cut, is_cut,
-                       dict(zip(map(attrgetter("id"), messages), range(n))))
+                       np.fromiter(map(attrgetter("id"), messages), np.intp, n))
 
 
 def entropy_merge(segmentations: list, messages: list,
@@ -640,9 +646,12 @@ def preset(name: str, config: PipelineConfig = None, base: str = None) -> Pipeli
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """Refined segmentations and edit log; a pca pass's tree indexes the segments of trace."""
+
     segmentations: list
     edits: list
     tree: Optional[list] = None
+    trace: Optional[JoinedTrace] = None
 
 
 def _diff_edits(old_segs: list, new_segs: list, provenance: str) -> list:
@@ -696,24 +705,12 @@ def _among(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y.take(y.searchsorted(x), mode="clip") == x
 
 
-def _segment_refs(segmentations: list, messages: list, trace: JoinedTrace) -> list:
-    """Every segment of the trace, in trace order, as a `SegmentRef`."""
-    edges = trace.edges.tolist()
-    # a ref holds the id and offset ints of its message and cut tuple, not
-    # copies: every segment of the trace has a ref
-    return list(map(SegmentRef, np.repeat(np.array([msg.id for msg in messages], dtype=object),
-                                          np.diff(trace.first)).tolist(),
-                    chain.from_iterable((0, *seg.cuts) for seg in segmentations),
-                    chain.from_iterable((*seg.cuts, len(msg.payload))
-                                        for seg, msg in zip(segmentations, messages)),
-                    map(trace.joined.__getitem__, map(slice, edges[:-1], edges[1:]))))
-
-
 def _pca_pass(messages: list, segmentations: list, config: PipelineConfig):
     trace = join_trace(segmentations, messages)
-    refs = _segment_refs(segmentations, messages, trace)
+    edges = trace.edges.tolist()
+    values = list(map(trace.joined.__getitem__, map(slice, edges[:-1], edges[1:])))
     params = config.analysis
-    roots = recursive_cluster(refs, params, config.max_depth)
+    roots = recursive_cluster(values, params, config.max_depth)
 
     proposals = []
     for root in roots:
@@ -736,7 +733,7 @@ def _pca_pass(messages: list, segmentations: list, config: PipelineConfig):
             except ProtosegError as exc:
                 logger.warning("skipping cluster of %d segments: %s", len(leaf.members), exc)
     new_segs, applied = apply_edits(proposals, segmentations)
-    return new_segs, applied, roots
+    return new_segs, applied, roots, trace
 
 
 def _isolated(pass_name: str, op, args: list, segs: list, messages: list) -> list:
@@ -795,10 +792,10 @@ def run_pipeline(messages: list, pipeline: Pipeline,
     provenance_of = {PASS_NULL_REFINE: "nullbytes"}
 
     edits: list = []
-    tree = None
+    tree = trace = None
     for pass_name in pipeline.passes:
         if pass_name == PASS_PCA:
-            segs, applied, tree = _pca_pass(messages, segs, cfg)
+            segs, applied, tree, trace = _pca_pass(messages, segs, cfg)
             edits.extend(applied)
             continue
         if pass_name == PASS_CROP_DISTINCT:
@@ -809,4 +806,4 @@ def run_pipeline(messages: list, pipeline: Pipeline,
             new = _isolated(pass_name, op, args, segs, messages)
         edits.extend(_diff_edits(segs, new, provenance_of.get(pass_name, pass_name)))
         segs = new
-    return PipelineResult(segmentations=segs, edits=edits, tree=tree)
+    return PipelineResult(segmentations=segs, edits=edits, tree=tree, trace=trace)

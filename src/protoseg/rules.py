@@ -26,19 +26,20 @@ moved (the dominant near-match error of coarse segmenters is exactly
 one byte), otherwise a cut is added.
 
 The bookkeeping around a cluster works on trace-wide arrays, not member
-by member.  It reads the trace's `refine.JoinedTrace`, the layout the
-PCA pass builds its segments from: every message's boundaries as
-positions in the payloads joined end to end, with a flag per position
-that marks the cuts.  `common_aligned_cuts` counts the boundaries of
-all members with one `bincount`, `cluster_edits` decides every (member,
-position) pair of a members x positions grid at once, and
-`apply_edits` builds a new `Segmentation` only for a message it changes.
+by member.  A member is a segment index into the trace's
+`refine.JoinedTrace`, the layout the PCA pass slices its segments
+from: every message's boundaries as positions in the payloads joined
+end to end, with a flag per position that marks the cuts.  Each
+member's message row, start and end are read from it.
+`common_aligned_cuts` counts the boundaries of all members with one
+`bincount`, `cluster_edits` decides every (member, position) pair of a
+members x positions grid at once, and `apply_edits` builds a new
+`Segmentation` only for a message it changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
@@ -118,12 +119,9 @@ def rule_b(contrib: ContributionVector, params: AnalysisParams = AnalysisParams(
 
 
 def _members(overlay: Overlay, trace: JoinedTrace) -> tuple:
-    """(message rows, joined position of each member's relative 0, member starts there)."""
-    members, n = overlay.members, len(overlay.members)
-    rows = np.fromiter(map(trace.row_of.__getitem__, map(attrgetter("message_id"), members)),
-                       np.intp, n)
-    start = trace.offsets[rows] + np.fromiter(map(attrgetter("start"), members), np.intp, n)
-    return rows, start - np.array(overlay.shifts, dtype=np.intp), start
+    """(message rows, joined position of each member's relative 0, member starts, ends there)."""
+    rows, start, end = trace.segments(overlay.members)
+    return rows, start - np.array(overlay.shifts, dtype=np.intp), start, end
 
 
 def common_aligned_cuts(overlay: Overlay, trace: JoinedTrace) -> list:
@@ -137,7 +135,7 @@ def common_aligned_cuts(overlay: Overlay, trace: JoinedTrace) -> list:
     these runs counts them.
     """
     n, width = len(overlay.members), overlay.width
-    rows, origin, _ = _members(overlay, trace)
+    rows, origin, _, _ = _members(overlay, trace)
     edges, first = trace.edges, trace.first
     lo = np.maximum(edges.searchsorted(origin), first[rows])
     # the member's own start and end lie in its run, so none is empty
@@ -164,15 +162,13 @@ def cluster_edits(node: ClusterNode, positions, trace: JoinedTrace) -> list:
     """
     if not positions:
         return []
-    members = node.overlay.members
     ks, provenances = zip(*positions)
-    rows, origin, start = _members(node.overlay, trace)
+    rows, origin, start, end = _members(node.overlay, trace)
     offsets, is_cut = trace.offsets, trace.is_cut
     base = offsets[rows]
     # the member observes a = start..end, and a must be interior to its message
     lo = np.maximum(start, base + 1)
-    hi = np.minimum(base + np.fromiter(map(attrgetter("end"), members), np.intp, len(members)),
-                    offsets[rows + 1] - 1)
+    hi = np.minimum(end, offsets[rows + 1] - 1)
     target = origin[:, None] + np.array(ks, dtype=np.intp)
     # a target outside its message is clipped for the read, then dropped
     keep = (target >= lo[:, None]) & (target <= hi[:, None]) & ~is_cut.take(target, mode="clip")
@@ -184,8 +180,8 @@ def cluster_edits(node: ClusterNode, positions, trace: JoinedTrace) -> list:
     target -= base[member]
     # the cut that moves, or 0 for an add (a cut is never at offset 0)
     olds = np.where(after, target + 1, np.where(before, target - 1, 0)).tolist()
-    return list(map(BoundaryEdit, [members[i].message_id for i in member.tolist()],
-                    target.tolist(), [MOVE if o else ADD for o in olds], [o or None for o in olds],
+    return list(map(BoundaryEdit, trace.ids[rows[member]].tolist(), target.tolist(),
+                    [MOVE if o else ADD for o in olds], [o or None for o in olds],
                     map(provenances.__getitem__, column.tolist())))
 
 

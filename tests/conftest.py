@@ -7,7 +7,10 @@ broadcast Canberra formula checks the byte-pair table kernel.  Both
 work on every item, duplicates included, so they are also the expanded
 oracles of the clustering at distinct-value resolution.  The
 recomputing recursion checks the clustering tree against the full
-segments x segments analysis at every level.  The per-byte loops of
+segments x segments analysis at every level; it clusters `SegmentRef`s,
+and `ref_tree` maps the library's segment indices to them.  The
+member loops of the rules read each member's message and offsets off
+its ref.  The per-byte loops of
 the bit-congruence segmenter, the null-run and printable-run scans and
 the uncached entropy merge check their vectorised, table-driven
 replacements in `refine`.  The dict tree of the cluster nodes checks
@@ -163,15 +166,15 @@ def reference_pairwise(values):
     return D
 
 
-def reference_distinct(members):
-    """(matrix, ids) of the members' distinct values, as `dissim.overlay_cluster` takes them.
+def reference_distinct(values):
+    """(distinct values, matrix, ids) of byte values, as `dissim.overlay_cluster` takes them.
 
     The distinct values are numbered in order of first occurrence by a
     dict, and their matrix is `reference_pairwise`'s.
     """
     ids = {}
-    inverse = [ids.setdefault(m.values, len(ids)) for m in members]
-    return reference_pairwise(list(ids)), inverse
+    inverse = [ids.setdefault(v, len(ids)) for v in values]
+    return list(ids), reference_pairwise(list(ids)), inverse
 
 
 def duplicate_heavy_values(rng, n):
@@ -274,8 +277,10 @@ def reference_crop_chars(cuts, payload, min_run):
 
 
 def reference_recursive_cluster(segments, params, max_depth):
-    """Cluster tree of `cluster.recursive_cluster`, every node analysed afresh.
+    """Cluster tree of `cluster.recursive_cluster` over `SegmentRef`s, every node analysed afresh.
 
+    The members of every node are the refs themselves, in input order,
+    where the library's are their indices (`ref_tree` maps those back).
     Each node computes the full segments x segments matrix with
     `reference_pairwise` and runs its own overlay, without an ancestor's
     offsets, PCA, eps estimate and DBSCAN (`reference_dbscan`), also
@@ -291,9 +296,10 @@ def reference_recursive_cluster(segments, params, max_depth):
             children = [analyze(tuple(m for m in members if len(m.values) == L), depth)
                         for L in sorted(set(lengths))]
             return cluster.ClusterNode(members, cluster.RECURSED, depth, children=tuple(children))
-        overlay = dissim.overlay_cluster(members, *reference_distinct(members))
+        distinct, dist, inverse = reference_distinct([m.values for m in members])
+        overlay = dissim.overlay_cluster(members, distinct, dist, inverse)
         try:
-            matrix = dissim.build_matrix(overlay)
+            matrix = dissim.build_matrix(overlay, distinct, inverse)
         except DegenerateClusterError:
             return cluster.ClusterNode(members, cluster.NOISE, depth)
         eig = pca.eig_sym(pca.covariance(matrix.X))
@@ -316,6 +322,23 @@ def reference_recursive_cluster(segments, params, max_depth):
         return cluster.ClusterNode(members, cluster.RECURSED, depth, children=tuple(children))
 
     return [analyze(tuple(segments), 0)]
+
+
+def ref_tree(roots, refs) -> list:
+    """The tree of roots with member index i replaced by refs[i], as reference trees hold it."""
+    def mapped(node):
+        return cluster.ClusterNode(tuple(refs[i] for i in node.members), node.verdict, node.depth,
+                                   tuple(map(mapped, node.children)))
+    return [mapped(root) for root in roots]
+
+
+def trace_refs(segmentations, messages) -> list:
+    """Every segment of the trace as a `SegmentRef` read from its payload, in trace order."""
+    refs = []
+    for seg, msg in zip(segmentations, messages):
+        bounds = (0, *seg.cuts, len(msg.payload))
+        refs += [SegmentRef(msg.id, a, b, msg.payload[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return refs
 
 
 def reference_tree_dicts(roots) -> dict:
@@ -349,15 +372,15 @@ def extreme_payload(rng, low=1, high=41):
     return bytes(rng.integers(0, 256, size=size).tolist())
 
 
-def reference_overlay(members, dist, inverse, known=None):
+def reference_overlay(values, dist, inverse, known=None):
     """`dissim.overlay_cluster` member by member: the medoid, then one offset per distinct value.
 
-    The distinct values are read from the members in order of first
-    occurrence, and each one's offset against the medoid comes from
-    `dissimilarity` unless `known` holds the medoid's offsets.
+    values[i] is the bytes of member i, and the members are segments 0
+    to len(values) - 1.  The distinct values are read from them in
+    order of first occurrence, and each one's offset against the medoid
+    comes from `dissimilarity` unless `known` holds the medoid's offsets.
     """
-    members = tuple(members)
-    values = [m.values for m in members]
+    members = tuple(range(len(values)))
     inverse = np.asarray(inverse)
     distinct = list(dict.fromkeys(values))
     approx = np.einsum("ij,j->i", dist, np.bincount(inverse))
@@ -422,7 +445,7 @@ def reference_cluster_edits(overlay, positions, segmentations_by_id, payload_len
         cuts = set(segmentations_by_id[member.message_id].cuts)
         length = payload_len_by_id[member.message_id]
         for k, provenance in positions:
-            if not (shift <= k <= shift + len(member)):
+            if not (shift <= k <= shift + len(member.values)):
                 continue
             a = member.start - shift + k
             if not (0 < a < length) or a in cuts:
@@ -497,11 +520,11 @@ def reference_crop_distinct(segmentations, messages, min_fraction=0.10, min_mess
 
 def reference_joined_trace(segmentations, messages) -> dict:
     """The fields of `refine.join_trace`, built message by message and cut by cut, as lists."""
-    joined, offsets, edges, first, at_cut, row_of = b"", [], [], [], [], {}
-    for r, (seg, msg) in enumerate(zip(segmentations, messages)):
+    joined, offsets, edges, first, at_cut, ids = b"", [], [], [], [], []
+    for seg, msg in zip(segmentations, messages):
         offsets.append(len(joined))
         first.append(len(edges))
-        row_of[msg.id] = r
+        ids.append(msg.id)
         for k, start in enumerate((0, *seg.cuts)):
             edges.append(len(joined) + start)
             at_cut.append(k > 0)
@@ -513,7 +536,7 @@ def reference_joined_trace(segmentations, messages) -> dict:
     for edge, cut in zip(edges, at_cut):
         is_cut[edge] = is_cut[edge] or cut
     return {"joined": joined, "offsets": offsets, "edges": edges, "first": first,
-            "at_cut": at_cut, "is_cut": is_cut, "row_of": row_of}
+            "at_cut": at_cut, "is_cut": is_cut, "ids": ids}
 
 
 # the preset chains as the README lists them: (base, passes)
@@ -533,11 +556,8 @@ def reference_pca_pass(segmentations, messages, config) -> tuple:
     positions that `reference_cluster_edits` translates member by member.
     """
     params = config.analysis
-    refs = []
-    for seg, msg in zip(segmentations, messages):
-        bounds = (0, *seg.cuts, len(msg.payload))
-        refs += [SegmentRef(msg.id, a, b, msg.payload[a:b]) for a, b in zip(bounds, bounds[1:])]
-    roots = reference_recursive_cluster(refs, params, config.max_depth)
+    roots = reference_recursive_cluster(trace_refs(segmentations, messages), params,
+                                        config.max_depth)
     boundaries, segs_by_id, lengths = reference_boundaries(segmentations, messages)
     proposals = []
     for leaf in (leaf for root in roots for leaf in root.leaves()):

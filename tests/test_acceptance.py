@@ -76,7 +76,7 @@ def test_criterion_04_off_by_one_restoration():
     for root in result.tree:
         for leaf in root.leaves():
             if leaf.verdict == PCA_SUITABLE:
-                touched.update(m.message_id for m in leaf.members)
+                touched.update(result.trace.ids[result.trace.segments(leaf.members)[0]].tolist())
 
     moved = restored = outside = 0
     for msg, seg, pert in zip(messages, result.segmentations, base):

@@ -14,22 +14,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (duplicate_heavy_values, reference_dbscan, reference_distinct,
-                      reference_pairwise, reference_recursive_cluster, reference_tree_dicts)
+from conftest import (duplicate_heavy_values, ref_tree, reference_dbscan, reference_distinct,
+                      reference_pairwise, reference_recursive_cluster, reference_tree_dicts,
+                      trace_refs)
 from protoseg import cluster, dissim, synth
 from protoseg.cluster import (ABANDONED_DEPTH, ABANDONED_SMALL, NOISE, PCA_SUITABLE,
                               RECURSED, ClusterNode, dbscan, estimate_eps, recursive_cluster,
                               tree_to_json)
-from protoseg.model import (AnalysisParams, EstimationError, SegmentRef, UsageError,
+from protoseg.model import (AnalysisParams, EstimationError, Message, Segmentation, UsageError,
                             segments_of)
 from protoseg.pca import kneedle
-from protoseg.refine import PASS_PCA, null_segmenter, preset, run_pipeline
+from protoseg.refine import PASS_PCA, join_trace, null_segmenter, preset, run_pipeline
 from protoseg.traceio import write_json_atomic
 
 
-def ref(values, message_id=0, start=0):
-    values = bytes(values)
-    return SegmentRef(message_id, start, start + len(values), values)
+def layout(messages, segmentations) -> tuple:
+    """(JoinedTrace, refs, values): a trace's layout, and every segment as a ref and as bytes."""
+    refs = trace_refs(segmentations, messages)
+    return join_trace(segmentations, messages), refs, [r.values for r in refs]
+
+
+def spec_layout(name, count, seed) -> tuple:
+    """`layout` of a bundled spec's trace under the null-byte base segmenter."""
+    spec = dataclasses.replace(synth.reference_specs()[name], message_count=count, rng_seed=seed)
+    messages, _ = synth.generate(spec)
+    return layout(messages, [null_segmenter(m) for m in messages])
+
+
+def placed(values, starts=None) -> tuple:
+    """`layout` of one message per value, value i after starts[i] zero bytes of their own segment.
+
+    Each value is its message's last segment.
+    """
+    starts = starts or [0] * len(values)
+    messages = [Message(i, bytes(start) + bytes(v))
+                for i, (start, v) in enumerate(zip(starts, values))]
+    return layout(messages, [Segmentation(i, (start,) if start else ())
+                             for i, start in enumerate(starts)])
+
+
+def random_values(rng, count, length) -> list:
+    return [bytes(rng.integers(0, 256, size=length).tolist()) for _ in range(count)]
 
 
 def random_dist(rng, n):
@@ -374,50 +399,46 @@ class TestIntegerKeySelection:
 
 class TestRecursiveCluster:
     def test_published_matrix_is_single_suitable_root(self, example_x):
-        members = [ref(row.astype(np.uint8).tobytes(), message_id=i)
-                   for i, row in enumerate(example_x)]
-        roots = recursive_cluster(members)
+        roots = recursive_cluster([row.astype(np.uint8).tobytes() for row in example_x])
         assert len(roots) == 1
         assert roots[0].verdict == PCA_SUITABLE
         assert roots[0].spectrum.n_sig == 2
+        assert roots[0].members == tuple(range(8))
 
     def test_small_group_abandoned(self):
-        members = [ref([1, 2], message_id=i) for i in range(5)]
-        roots = recursive_cluster(members)
+        roots = recursive_cluster([bytes([1, 2])] * 5)
         assert roots[0].verdict == ABANDONED_SMALL
 
     def test_mixed_lengths_split_before_analysis(self):
-        short = [ref([i, i], message_id=i) for i in range(6)]
-        long_ = [ref(list(range(10)), message_id=10 + i) for i in range(6)]
-        roots = recursive_cluster(short + long_)
+        values = [bytes([i, i]) for i in range(6)] + [bytes(range(10))] * 6
+        roots = recursive_cluster(values)
         root = roots[0]
         assert root.verdict == RECURSED
         assert len(root.children) == 2
-        assert {len(c.members[0]) for c in root.children} == {2, 10}
+        assert {len(values[c.members[0]]) for c in root.children} == {2, 10}
 
     def test_no_segments_rejected(self):
         with pytest.raises(UsageError):
             recursive_cluster([])
 
+    def test_empty_value_rejected(self):
+        with pytest.raises(UsageError):
+            recursive_cluster([b"\x01\x02"] * 6 + [b""])
+
     def test_leaves_partition_input(self):
         rng = np.random.default_rng(99)
-        members = []
-        for i in range(60):
-            n = int(rng.integers(1, 7))
-            members.append(ref(rng.integers(0, 256, size=n).tolist(), message_id=i))
-        roots = recursive_cluster(members)
+        values = [bytes(rng.integers(0, 256, size=int(rng.integers(1, 7))).tolist())
+                  for _ in range(60)]
+        roots = recursive_cluster(values)
         leaves = [leaf for root in roots for leaf in root.leaves()]
-        collected = [m for leaf in leaves for m in leaf.members]
-        assert sorted(collected, key=id) == sorted(members, key=id)
+        assert sorted(m for leaf in leaves for m in leaf.members) == list(range(60))
         for leaf in leaves:
             assert leaf.verdict != RECURSED
             assert leaf.depth <= 3
+            assert list(leaf.members) == sorted(leaf.members)
 
     def test_recursed_nodes_have_children(self):
-        rng = np.random.default_rng(41)
-        members = [ref(rng.integers(0, 256, size=3).tolist(), message_id=i)
-                   for i in range(40)]
-        roots = recursive_cluster(members)
+        roots = recursive_cluster(random_values(np.random.default_rng(41), 40, 3))
 
         def walk(node):
             assert (node.verdict == RECURSED) == bool(node.children)
@@ -433,8 +454,7 @@ class TestOneClusterChain:
 
     def test_chain_is_analysed_once(self, monkeypatch):
         # 20 random 6-byte values: unsuitable, and DBSCAN keeps all of them together
-        rng = np.random.default_rng(2)
-        members = [ref(rng.integers(0, 256, size=6).tolist(), message_id=i) for i in range(20)]
+        _, refs, values = placed(random_values(np.random.default_rng(2), 20, 6))
         calls = {"overlay": 0, "dbscan": 0}
 
         def counted(name, fn):
@@ -445,18 +465,18 @@ class TestOneClusterChain:
 
         monkeypatch.setattr(dissim, "overlay_cluster", counted("overlay", dissim.overlay_cluster))
         monkeypatch.setattr(cluster, "dbscan", counted("dbscan", cluster.dbscan))
-        roots = recursive_cluster(members, max_depth=3)
+        roots = recursive_cluster(values, max_depth=3)
         assert calls == {"overlay": 1, "dbscan": 1}
         node = roots[0]
         for depth in range(3):
-            assert (node.verdict, node.depth, node.members) == (RECURSED, depth, tuple(members))
+            assert (node.verdict, node.depth, node.members) == (RECURSED, depth, tuple(range(20)))
             assert len(node.children) == 1
             node = node.children[0]
-        assert (node.verdict, node.depth, node.members) == (ABANDONED_DEPTH, 3, tuple(members))
+        assert (node.verdict, node.depth, node.members) == (ABANDONED_DEPTH, 3, tuple(range(20)))
         assert not node.children
-        reference = reference_recursive_cluster(members, AnalysisParams(), 3)
+        reference = reference_recursive_cluster(refs, AnalysisParams(), 3)
         assert calls["overlay"] == 5  # the recomputing recursion overlays every level
-        assert roots == reference
+        assert ref_tree(roots, refs) == reference
         assert_children_partition(roots)
 
     @pytest.mark.parametrize("max_depth", [1, 3])
@@ -464,21 +484,19 @@ class TestOneClusterChain:
         rng = np.random.default_rng(23 + max_depth)
         for _ in range(40):
             length = int(rng.integers(2, 9))
-            members = [ref(rng.integers(0, 256, size=length).tolist(), message_id=i)
-                       for i in range(int(rng.integers(6, 40)))]
-            roots = recursive_cluster(members, max_depth=max_depth)
-            assert roots == reference_recursive_cluster(members, AnalysisParams(), max_depth)
+            trace, refs, values = placed(random_values(rng, int(rng.integers(6, 40)), length))
+            roots = recursive_cluster(values, max_depth=max_depth)
+            assert ref_tree(roots, refs) == reference_recursive_cluster(refs, AnalysisParams(),
+                                                                        max_depth)
             assert_children_partition(roots)
-            assert_round_trips(roots)
+            assert_round_trips(roots, trace, refs)
 
     @pytest.mark.parametrize("name", sorted(synth.reference_specs()))
     def test_spec_segments_match_recomputing_recursion(self, name):
-        spec = dataclasses.replace(synth.reference_specs()[name], message_count=40, rng_seed=7)
-        messages, _ = synth.generate(spec)
-        members = [r for m in messages for r in segments_of(null_segmenter(m), m)]
-        roots = recursive_cluster(members)
-        assert roots == reference_recursive_cluster(members, AnalysisParams(),
-                                                    cluster.DEFAULT_MAX_DEPTH)
+        _, refs, values = spec_layout(name, 40, 7)
+        roots = recursive_cluster(values)
+        assert ref_tree(roots, refs) == reference_recursive_cluster(refs, AnalysisParams(),
+                                                                    cluster.DEFAULT_MAX_DEPTH)
         assert_children_partition(roots)
 
 
@@ -488,13 +506,13 @@ class TestOverlayReuse:
     fresh_overlay = staticmethod(dissim.overlay_cluster)
 
     def record_overlays(self, monkeypatch):
-        """Every overlay made from now on, as (members, overlay, offsets reused)."""
+        """Every overlay made from now on, as (members, their bytes, overlay, offsets reused)."""
         overlays = []
 
-        def recorded(members, dist, inverse, known=None):
-            overlay = self.fresh_overlay(members, dist, inverse, known)
-            reused = bool(known) and members[overlay.reference].values in known
-            overlays.append((tuple(members), overlay, reused))
+        def recorded(members, values, dist, inverse, known=None):
+            overlay = self.fresh_overlay(members, values, dist, inverse, known)
+            reused = bool(known) and values[inverse[overlay.reference]] in known
+            overlays.append((members, [values[d] for d in inverse], overlay, reused))
             return overlay
 
         monkeypatch.setattr(dissim, "overlay_cluster", recorded)
@@ -502,8 +520,8 @@ class TestOverlayReuse:
 
     def assert_fresh(self, overlays):
         # ClusterNode equality skips the overlay, so it is compared here
-        for members, overlay, _ in overlays:
-            fresh = self.fresh_overlay(members, *reference_distinct(members))
+        for members, member_values, overlay, _ in overlays:
+            fresh = self.fresh_overlay(members, *reference_distinct(member_values))
             assert (overlay.reference, overlay.shifts, overlay.width) == \
                    (fresh.reference, fresh.shifts, fresh.width)
             assert overlay.members == members
@@ -528,20 +546,20 @@ class TestOverlayReuse:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             prototypes = rng.integers(0, 256, size=(3, 10))
-            members = []
+            values = []
             for i in range(int(rng.integers(30, 80))):
                 value = prototypes[rng.integers(0, 3)].copy()
                 k = int(rng.integers(0, 3))
                 value[rng.integers(0, 10, size=k)] = rng.integers(0, 256, size=k)
                 start = int(rng.integers(0, 3))
-                members.append(ref(value[start:start + int(rng.integers(7, 11 - start))].tolist(),
-                                   message_id=i))
-            roots = recursive_cluster(members)
-            assert roots == reference_recursive_cluster(members, AnalysisParams(),
-                                                        cluster.DEFAULT_MAX_DEPTH)
+                values.append(value[start:start + int(rng.integers(7, 11 - start))].tolist())
+            _, refs, values = placed(values)
+            roots = recursive_cluster(values)
+            assert ref_tree(roots, refs) == reference_recursive_cluster(
+                refs, AnalysisParams(), cluster.DEFAULT_MAX_DEPTH)
         self.assert_fresh(overlays)
         assert sum(reused and len(set(overlay.shifts)) > 1
-                   for _, overlay, reused in overlays) >= 20
+                   for _, _, overlay, reused in overlays) >= 20
 
     def test_reused_offsets_skip_dissimilarity(self, monkeypatch):
         # a medoid held by an ancestor's medoid costs no dissimilarity call
@@ -556,10 +574,10 @@ class TestOverlayReuse:
             counted["calls"] += 1
             return fresh_dissimilarity(s, t)
 
-        def overlay(members, dist, inverse, known=None):
+        def overlay(members, values, dist, inverse, known=None):
             before = counted["calls"]
-            result = fresh_overlay(members, dist, inverse, known)
-            if known and members[result.reference].values in known:
+            result = fresh_overlay(members, values, dist, inverse, known)
+            if known and values[inverse[result.reference]] in known:
                 counted["reused"] += 1
                 assert counted["calls"] == before
             return result
@@ -576,9 +594,11 @@ class TestSubsetGather:
     @staticmethod
     def gather(D, rows, in_place):
         rows = np.asarray(rows)
-        members, inverse, sub = cluster._subset(tuple(range(len(D))), np.arange(len(D)), D,
-                                                rows, rows.tolist(), in_place)
-        assert members == tuple(rows.tolist())
+        everything = np.arange(len(D))
+        members, values, inverse, sub = cluster._subset(everything, everything.tolist(),
+                                                        everything, D, rows, rows.tolist(),
+                                                        in_place)
+        assert members.tolist() == values == rows.tolist()
         assert inverse.tolist() == list(range(rows.size))
         return sub
 
@@ -608,8 +628,7 @@ class TestSubsetGather:
 
     def test_pairwise_matrix_is_c_contiguous(self):
         # so the in-place gather's reshape(-1) is a view of the root's buffer
-        rng = np.random.default_rng(3)
-        values = [bytes(rng.integers(0, 256, size=4).tolist()) for _ in range(30)]
+        values = random_values(np.random.default_rng(3), 30, 4)
         assert dissim.pairwise(values).flags.c_contiguous
 
     def test_peak_memory_stays_near_the_largest_matrix(self):
@@ -620,10 +639,10 @@ class TestSubsetGather:
         passes = preset("nullpca").passes
         before_pca = dataclasses.replace(preset("nullpca"), passes=passes[:passes.index(PASS_PCA)])
         segs = run_pipeline(messages, before_pca).segmentations
-        members = [r for m, s in zip(messages, segs) for r in segments_of(s, m)]
+        values = [r.values for m, s in zip(messages, segs) for r in segments_of(s, m)]
         groups = {}
-        for r in members:
-            groups.setdefault(len(r.values), set()).add(r.values)
+        for v in values:
+            groups.setdefault(len(v), set()).add(v)
         u = max(map(len, groups.values()))
         assert u == 1167
 
@@ -633,13 +652,14 @@ class TestSubsetGather:
         try:
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            roots = recursive_cluster(members)
+            roots = recursive_cluster(values)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             if started:
                 tracemalloc.stop()
         # the root splits by length, so the largest matrix is that group's
-        assert {len({len(m) for m in child.members}) for child in roots[0].children} == {1}
+        assert {len({len(values[m]) for m in child.members})
+                for child in roots[0].children} == {1}
         assert peak < 1.6 * 8 * u * u
 
 
@@ -651,12 +671,15 @@ def assert_children_partition(roots):
             node = stack.pop()
             if node.children:
                 held = [m for child in node.children for m in child.members]
-                assert sorted(map(id, held)) == sorted(map(id, node.members))
+                assert sorted(held) == list(node.members)
                 stack.extend(node.children)
 
 
-def assert_round_trips(roots):
-    """Each node's member multiset and count, rebuilt from its dict's leaves, are the tree's."""
+def assert_round_trips(roots, trace, refs):
+    """Each node's member multiset and count, rebuilt from its dict's leaves, are the tree's.
+
+    Member i of the tree is refs[i], a segment of trace.
+    """
     def rebuilt(entry, node, ids):
         assert (entry["id"], entry["verdict"], entry["depth"]) == (next(ids), node.verdict,
                                                                     node.depth)
@@ -669,10 +692,11 @@ def assert_round_trips(roots):
         else:
             assert "children" not in entry
             held = Counter(map(tuple, entry["members"]))
-        assert held == Counter((m.message_id, m.start, m.end) for m in node.members)
+        assert held == Counter((refs[m].message_id, refs[m].start, refs[m].end)
+                               for m in node.members)
         return held
 
-    tree = tree_to_json(roots)
+    tree = tree_to_json(roots, trace)
     assert tree["format"] == 2 and len(tree["roots"]) == len(roots)
     ids = itertools.count()
     for entry, root in zip(tree["roots"], roots):
@@ -683,23 +707,24 @@ class TestTreeToJson:
     """`tree_to_json` gives the format-2 node dicts of `clusters.json`."""
 
     def test_empty_root_list(self):
-        assert tree_to_json([]) == {"format": 2, "roots": []} == reference_tree_dicts([])
+        assert tree_to_json([], None) == {"format": 2, "roots": []} == reference_tree_dicts([])
 
     def test_one_cluster_chain(self):
-        rng = np.random.default_rng(2)
-        members = [ref(rng.integers(0, 256, size=6).tolist(), message_id=i) for i in range(20)]
-        roots = recursive_cluster(members, max_depth=3)
-        assert tree_to_json(roots) == reference_tree_dicts(roots)
-        assert_round_trips(roots)
-        text = json.dumps(tree_to_json(roots), separators=(",", ":"))
+        trace, refs, values = placed(random_values(np.random.default_rng(2), 20, 6))
+        roots = recursive_cluster(values, max_depth=3)
+        assert tree_to_json(roots, trace) == reference_tree_dicts(ref_tree(roots, refs))
+        assert_round_trips(roots, trace, refs)
+        text = json.dumps(tree_to_json(roots, trace), separators=(",", ":"))
         assert text.count("[7,0,6]") == 1  # members once, at the leaf
         assert text.count('"member_count":20') == 4
 
     def test_leaf_members_and_inner_counts(self):
-        members = (ref([1, 2], message_id=3, start=4), ref([5, 6, 7], message_id=8))
-        root = ClusterNode(members, RECURSED, 0, children=(
-            ClusterNode(members[1:], PCA_SUITABLE, 1), ClusterNode(members[:1], NOISE, 1)))
-        assert tree_to_json([root]) == {"format": 2, "roots": [{
+        # segments [0, 4) and [4, 6) of message 3, and all of message 8
+        trace, _, _ = layout([Message(3, bytes(6)), Message(8, bytes(3))],
+                             [Segmentation(3, (4,)), Segmentation(8, ())])
+        root = ClusterNode((1, 2), RECURSED, 0, children=(
+            ClusterNode((2,), PCA_SUITABLE, 1), ClusterNode((1,), NOISE, 1)))
+        assert tree_to_json([root], trace) == {"format": 2, "roots": [{
             "id": 0, "verdict": RECURSED, "depth": 0, "member_count": 2, "children": [
                 {"id": 1, "verdict": PCA_SUITABLE, "depth": 1, "member_count": 1,
                  "members": [(8, 0, 3)]},
@@ -709,8 +734,8 @@ class TestTreeToJson:
 
     def test_noise_children_and_deep_nesting(self):
         rng = np.random.default_rng(5)
-        members = tuple(ref(rng.integers(0, 256, size=4).tolist(), message_id=i, start=i % 3)
-                        for i in range(30))
+        trace, refs, _ = placed(random_values(rng, 30, 4), [i % 3 for i in range(30)])
+        members = tuple((trace.first[1:] - 1).tolist())  # each message's value
         chain = ClusterNode(members[:10], ABANDONED_DEPTH, 3)
         for level in (2, 1):
             chain = ClusterNode(members[:10], RECURSED, level, children=(chain,))
@@ -721,55 +746,52 @@ class TestTreeToJson:
             ClusterNode(members[20:], NOISE, 1),
         ))
         roots = [root, ClusterNode(members[:2], NOISE, 0)]
-        assert tree_to_json(roots) == reference_tree_dicts(roots)
-        assert_round_trips(roots)
+        assert tree_to_json(roots, trace) == reference_tree_dicts(ref_tree(roots, refs))
+        assert_round_trips(roots, trace, refs)
 
     def test_length_split_roots(self):
         rng = np.random.default_rng(8)
-        members = [ref(rng.integers(0, 256, size=int(size)).tolist(), message_id=i)
-                   for i, size in enumerate(rng.choice([2, 5, 12], size=60))]
-        roots = recursive_cluster(members)
+        trace, refs, values = placed([rng.integers(0, 256, size=int(size)).tolist()
+                                      for size in rng.choice([2, 5, 12], size=60)])
+        roots = recursive_cluster(values)
         assert roots[0].verdict == RECURSED and len(roots[0].children) == 3
-        assert tree_to_json(roots) == reference_tree_dicts(roots)
+        assert tree_to_json(roots, trace) == reference_tree_dicts(ref_tree(roots, refs))
         assert_children_partition(roots)
-        assert_round_trips(roots)
+        assert_round_trips(roots, trace, refs)
 
     def test_verdict_and_empty_members_through_the_json_encoder(self, tmp_path):
-        roots = [ClusterNode((), 'caf\u00e9 "q" \\ \n', 0),
-                 ClusterNode((ref([1, 2], message_id=12345, start=678),), NOISE, 0)]
+        trace, refs, _ = layout([Message(12345, bytes(680))], [Segmentation(12345, (678,))])
+        roots = [ClusterNode((), 'caf\u00e9 "q" \\ \n', 0), ClusterNode((1,), NOISE, 0)]
         path = tmp_path / "clusters.json"
-        write_json_atomic(str(path), tree_to_json(roots))
-        want = json.dumps(reference_tree_dicts(roots), separators=(",", ":")) + "\n"
-        assert path.read_text(encoding="utf-8") == want
-        assert_round_trips(roots)
+        write_json_atomic(str(path), tree_to_json(roots, trace))
+        want = json.dumps(reference_tree_dicts(ref_tree(roots, refs)), separators=(",", ":"))
+        assert path.read_text(encoding="utf-8") == want + "\n"
+        assert '"members":[[12345,678,680]]' in want
+        assert_round_trips(roots, trace, refs)
 
     def test_duplicate_heavy_sets(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
             values = duplicate_heavy_values(rng, int(rng.integers(10, 120)))[0]
-            members = [ref(v, message_id=i, start=i % 5) for i, v in enumerate(values)]
-            roots = recursive_cluster(members)
+            # every fifth value starts at 0; the others after a zero-byte segment
+            trace, refs, values = placed(values, [i % 5 for i in range(len(values))])
+            roots = recursive_cluster(values)
             assert_children_partition(roots)
-            assert_round_trips(roots)
+            assert_round_trips(roots, trace, refs)
 
     def test_duplicate_heavy_spec_tree(self):
         # the shape of the golden mixed/nullpca@600 case: length groups with
         # several times more segments than distinct values, recursing below
-        spec = dataclasses.replace(synth.reference_specs()["mixed"], message_count=300,
-                                   rng_seed=5)
-        messages, _ = synth.generate(spec)
-        members = [r for m in messages for r in segments_of(null_segmenter(m), m)]
-        roots = recursive_cluster(members)
+        trace, refs, values = spec_layout("mixed", 300, 5)
+        roots = recursive_cluster(values)
         assert max(node.depth for node in roots[0].leaves()) >= 2
         assert_children_partition(roots)
-        assert_round_trips(roots)
+        assert_round_trips(roots, trace, refs)
 
     @pytest.mark.parametrize("name", sorted(synth.reference_specs()))
     def test_spec_trees(self, name):
-        spec = dataclasses.replace(synth.reference_specs()[name], message_count=120, rng_seed=3)
-        messages, _ = synth.generate(spec)
-        members = [r for m in messages for r in segments_of(null_segmenter(m), m)]
-        roots = recursive_cluster(members)
-        assert tree_to_json(roots) == reference_tree_dicts(roots)
+        trace, refs, values = spec_layout(name, 120, 3)
+        roots = recursive_cluster(values)
+        assert tree_to_json(roots, trace) == reference_tree_dicts(ref_tree(roots, refs))
         assert_children_partition(roots)
-        assert_round_trips(roots)
+        assert_round_trips(roots, trace, refs)

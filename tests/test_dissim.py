@@ -6,12 +6,18 @@ from conftest import (duplicate_heavy_values, reference_distinct, reference_over
 from protoseg import dissim
 from protoseg.dissim import (UNMATCHED_PENALTY, Overlay, build_matrix, canberra,
                              dissimilarity, overlay_cluster, pairwise)
-from protoseg.model import DegenerateClusterError, SegmentRef, UsageError
+from protoseg.model import DegenerateClusterError, UsageError
 
 
-def ref(values, message_id=0, start=0):
-    values = bytes(values)
-    return SegmentRef(message_id, start, start + len(values), values)
+def overlay_of(values, known=None):
+    """The overlay of segments 0..n-1 holding the byte values, from the reference matrix."""
+    return overlay_cluster(tuple(range(len(values))), *reference_distinct(values), known)
+
+
+def matrix_of(values):
+    """The data matrix of `overlay_of(values)`."""
+    distinct, _, inverse = reference_distinct(values)
+    return build_matrix(overlay_of(values), distinct, inverse)
 
 
 class TestCanberra:
@@ -273,41 +279,43 @@ class TestPairwiseOracle:
 
 class TestOverlay:
     def test_identical_members_align_at_zero(self):
-        members = [ref(b"\x05\x06", message_id=i) for i in range(3)]
-        ov = overlay_cluster(members, *reference_distinct(members))
+        ov = overlay_of([b"\x05\x06"] * 3)
+        assert ov.members == (0, 1, 2)
         assert ov.shifts == (0, 0, 0)
         assert ov.width == 2
 
     def test_short_member_aligns_at_best_offset(self):
-        members = [ref(b"\x08\x90"), ref(b"\x90", message_id=1)]
-        ov = overlay_cluster(members, *reference_distinct(members))
+        ov = overlay_of([b"\x08\x90", b"\x90"])
         assert ov.reference == 0
         assert ov.shifts == (0, 1)
         assert ov.width == 2
 
     def test_medoid_is_lowest_index_of_identical_pair(self):
-        a = ref(b"\x10\x10", message_id=0)
-        b1 = ref(b"\x40\x41", message_id=1)
-        b2 = ref(b"\x40\x41", message_id=2)
-        members = [a, b1, b2]
-        ov = overlay_cluster(members, *reference_distinct(members))
+        ov = overlay_of([b"\x10\x10", b"\x40\x41", b"\x40\x41"])
         # brute-force totals: the identical pair minimizes total dissimilarity
         assert ov.reference == 1
 
     def test_needs_two_members(self):
         with pytest.raises(UsageError):
-            overlay_cluster([ref(b"\x01")], np.zeros((1, 1)), [0])
+            overlay_cluster((0,), [b"\x01"], np.zeros((1, 1)), [0])
+
+    def test_members_are_carried_unread(self):
+        # segment indices in, the same tuple out; the bytes come from values
+        values = [b"\x08\x90", b"\x90", b"\x90"]
+        ov = overlay_cluster((4, 9, 17), *reference_distinct(values))
+        want = overlay_of(values)
+        assert ov.members == (4, 9, 17)
+        assert (ov.shifts, ov.width, ov.reference) == (want.shifts, want.width, want.reference)
 
     def test_medoid_takes_the_rounding_of_the_member_row_sums(self):
         # both values have total 6 * d exactly, but summed over the members
         # in order the second row rounds lower, so its first member is the
         # medoid; a product of the distinct matrix and the counts would tie
         # and pick member 0
-        members = [ref(b"\x02" if c == "a" else b"\x80\x03", message_id=i)
-                   for i, c in enumerate("aaabaaabbbbb")]
-        U = pairwise([b"\x02", b"\x80\x03"])
+        values = [b"\x02", b"\x80\x03"]
+        U = pairwise(values)
         inverse = [0 if c == "a" else 1 for c in "aaabaaabbbbb"]
-        assert overlay_cluster(members, U, inverse).reference == 3
+        assert overlay_cluster(tuple(range(12)), values, U, inverse).reference == 3
 
     def test_distinct_matrix_gives_the_expanded_overlay(self):
         # medoid by the row sums of the matrix over every member, shifts
@@ -315,14 +323,14 @@ class TestOverlay:
         rng = np.random.default_rng(99)
         for _ in range(200):
             values, distinct, inverse, _ = duplicate_heavy_values(rng, int(rng.integers(2, 40)))
-            members = [ref(v, message_id=i) for i, v in enumerate(values)]
             reference = int(np.argmin(reference_pairwise(values).sum(axis=1)))
             medoid = values[reference]
             rel = [0 if v == medoid else
                    dissimilarity(v, medoid)[1] * (1 if len(v) <= len(medoid) else -1)
                    for v in values]
             want = (reference, tuple(r - min(rel) for r in rel))
-            ov = overlay_cluster(members, pairwise(distinct), inverse)
+            ov = overlay_cluster(tuple(range(len(values))), distinct, pairwise(distinct),
+                                 inverse)
             assert (ov.reference, ov.shifts) == want
 
 
@@ -343,20 +351,18 @@ class TestOverlayAgainstMemberLoop:
                     for _ in range(int(rng.integers(1, 9)))]
             picks = rng.integers(0, len(pool), size=int(rng.integers(2, 30)))
             values = [pool[int(k)] for k in picks]
-            members = [ref(v, message_id=i, start=int(rng.integers(0, 5)))
-                       for i, v in enumerate(values)]
-            dist, inverse = reference_distinct(members)
-            first = reference_overlay(members, dist, inverse)
+            distinct, dist, inverse = reference_distinct(values)
+            first = reference_overlay(values, dist, inverse)
             offsets = np.empty(dist.shape[0], np.intp)
             offsets[inverse] = first.shifts
-            medoid = members[first.reference].values
+            medoid = values[first.reference]
             for known in (None, {medoid: offsets - offsets[inverse[first.reference]]},
                           {b"\xff\xff\xff\xff\xff": offsets}):
                 calls.clear()
-                want = reference_overlay(members, dist, inverse, known)
+                want = reference_overlay(values, dist, inverse, known)
                 expected_calls = list(calls)
                 calls.clear()
-                got = overlay_cluster(members, dist, inverse, known)
+                got = overlay_cluster(tuple(range(len(values))), distinct, dist, inverse, known)
                 assert (got.members, got.shifts, got.width, got.reference) == \
                     (want.members, want.shifts, want.width, want.reference)
                 assert all(type(s) is int for s in got.shifts) and type(got.width) is int
@@ -367,20 +373,13 @@ class TestOverlayAgainstMemberLoop:
 
 class TestBuildMatrix:
     def test_equal_length_members_reproduce_raw_bytes(self, example_x):
-        members = [ref(row.astype(np.uint8).tobytes(), message_id=i)
-                   for i, row in enumerate(example_x)]
-        ov = overlay_cluster(members, *reference_distinct(members))
-        dm = build_matrix(ov)
+        dm = matrix_of([row.astype(np.uint8).tobytes() for row in example_x])
         assert dm.mask.all()
         assert np.array_equal(dm.X, example_x)
         assert np.array_equal(dm.column_map, np.arange(5))
 
     def test_minority_column_mean_filled(self):
-        members = [ref(b"\x0a\x14\x1e", message_id=0),
-                   ref(b"\x0a\x14\x28", message_id=1),
-                   ref(b"\x0a\x14\x32", message_id=2),
-                   ref(b"\x0a\x14", message_id=3)]
-        dm = build_matrix(overlay_cluster(members, *reference_distinct(members)))
+        dm = matrix_of([b"\x0a\x14\x1e", b"\x0a\x14\x28", b"\x0a\x14\x32", b"\x0a\x14"])
         # last column observed by 3 of 4 members: retained, gap holds the mean
         assert dm.column_map.tolist() == [0, 1, 2]
         assert not dm.mask[3, 2]
@@ -389,17 +388,15 @@ class TestBuildMatrix:
     def test_degenerate_overlay_rejected(self):
         # three members on disjoint spans: no position reaches the majority
         # quorum of 2, so there is no column to analyze
-        members = tuple(ref(bytes([1, 2]), message_id=i) for i in range(3))
-        broken = Overlay(members=members, shifts=(0, 3, 6), width=8, reference=0)
+        broken = Overlay(members=(0, 1, 2), shifts=(0, 3, 6), width=8, reference=0)
         with pytest.raises(DegenerateClusterError):
-            build_matrix(broken)
+            build_matrix(broken, [bytes([1, 2])], [0, 0, 0])
 
     def test_mean_fill_adds_no_covariance(self):
         rng = np.random.default_rng(31)
-        members = [ref(bytes(rng.integers(0, 256, size=3).tolist()), message_id=i)
-                   for i in range(3)]
-        members.append(ref(bytes(rng.integers(0, 256, size=2).tolist()), message_id=3))
-        dm = build_matrix(overlay_cluster(members, *reference_distinct(members)))
+        values = [bytes(rng.integers(0, 256, size=3).tolist()) for _ in range(3)]
+        values.append(bytes(rng.integers(0, 256, size=2).tolist()))
+        dm = matrix_of(values)
         filled = ~dm.mask
         assert filled.any()
         deviations = dm.X - dm.X.mean(axis=0)
@@ -408,19 +405,19 @@ class TestBuildMatrix:
         assert np.allclose(deviations[filled], 0.0)
 
 
-def loop_build_matrix(ov):
-    """Data matrix of an overlay filled member by member."""
+def loop_build_matrix(ov, values):
+    """Data matrix of an overlay filled member by member; values[i] is member i's bytes."""
     n = len(ov.members)
     starts = np.array(ov.shifts)
-    ends = starts + np.array([len(m) for m in ov.members])
+    ends = starts + np.array([len(v) for v in values])
     positions = np.arange(ov.width)
     observed = (positions >= starts[:, None]) & (positions < ends[:, None])
     keep = observed.sum(axis=0) >= (n + 1) // 2
     column_map = positions[keep]
     mask = observed[:, keep]
     X = np.zeros((n, column_map.size))
-    for i, member in enumerate(ov.members):
-        row = np.frombuffer(member.values, dtype=np.uint8).astype(float)
+    for i, value in enumerate(values):
+        row = np.frombuffer(value, dtype=np.uint8).astype(float)
         cols = mask[i]
         X[i, cols] = row[column_map[cols] - starts[i]]
     col_means = np.where(mask, X, 0.0).sum(axis=0) / mask.sum(axis=0)
@@ -436,18 +433,21 @@ class TestBuildMatrixOracle:
         checked = filled = 0
         for _ in range(300):
             n = int(rng.integers(2, 12))
-            members = tuple(ref(rng.integers(0, 256, size=int(rng.choice(lengths))).tolist(),
-                                message_id=i) for i in range(n))
+            # a few repeats, so members share distinct values
+            pool = [bytes(rng.integers(0, 256, size=int(rng.choice(lengths))).tolist())
+                    for _ in range(n)]
+            values = [pool[int(k)] for k in rng.integers(0, n, size=n)]
             shifts = rng.integers(0, 4, size=n)
             shifts -= shifts.min()
-            width = int(max(s + len(m) for s, m in zip(shifts, members)))
-            ov = Overlay(members=members, shifts=tuple(int(s) for s in shifts),
+            width = int(max(s + len(v) for s, v in zip(shifts, values)))
+            ov = Overlay(members=tuple(range(n)), shifts=tuple(int(s) for s in shifts),
                          width=width, reference=0)
+            distinct = list(dict.fromkeys(values))
             try:
-                dm = build_matrix(ov)
+                dm = build_matrix(ov, distinct, [distinct.index(v) for v in values])
             except DegenerateClusterError:
                 continue
-            X, mask, column_map = loop_build_matrix(ov)
+            X, mask, column_map = loop_build_matrix(ov, values)
             assert np.array_equal(dm.X, X)
             assert np.array_equal(dm.mask, mask)
             assert np.array_equal(dm.column_map, column_map)

@@ -243,15 +243,15 @@ def external_runs(tmp_path_factory):
             paths.add(LENGTHS)
         return pairwise(values)
 
-    def recorded_overlay(members, dist, inverse, known=None):
-        overlay = overlay_cluster(members, dist, inverse, known)
-        medoid = members[overlay.reference].values
+    def recorded_overlay(members, values, dist, inverse, known=None):
+        overlay = overlay_cluster(members, values, dist, inverse, known)
+        medoid = values[inverse[overlay.reference]]
         if known and medoid in known and np.any(np.asarray(known[medoid]) != 0):
             paths.add(REUSE)
         return overlay
 
-    def recorded_matrix(overlay):
-        matrix = build_matrix(overlay)
+    def recorded_matrix(overlay, values, inverse):
+        matrix = build_matrix(overlay, values, inverse)
         if not matrix.mask.all():
             paths.add(FILL)
         return matrix

@@ -91,7 +91,7 @@ def test_segment_ref_invariants():
     with pytest.raises(UsageError):
         SegmentRef(0, 0, 2, b"x")
     ref = SegmentRef(0, 1, 4, b"abc")
-    assert len(ref) == 3
+    assert (ref.start, ref.end, ref.values) == (1, 4, b"abc")
 
 
 def test_default_params_match_published_values():

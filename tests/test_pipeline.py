@@ -32,7 +32,7 @@ def assert_matches_reference(messages, pipeline, reference_pipeline=None):
     assert result.edits == edits
     assert (result.tree is None) == (roots is None)
     if roots is not None:
-        assert tree_to_json(result.tree) == reference_tree_dicts(roots)
+        assert tree_to_json(result.tree, result.trace) == reference_tree_dicts(roots)
     return result
 
 

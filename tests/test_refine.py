@@ -344,7 +344,7 @@ class TestJoinTrace:
             assert got.joined == want["joined"]
             for name in ("offsets", "edges", "first", "at_cut", "is_cut"):
                 assert getattr(got, name).tolist() == want[name], name
-            assert got.row_of == want["row_of"]
+            assert got.ids.tolist() == want["ids"]
         assert seen == {"one byte", "no cuts", "cut at len - 1"}
 
     @pytest.mark.parametrize("cuts", [(2,), (3,), (1, 5)])
@@ -583,7 +583,7 @@ class TestPipeline:
             result = run_pipeline(messages, preset(name))
             for m, s in zip(messages, result.segmentations):
                 s.validate_against(m)
-                assert all(len(r) > 0 for r in segments_of(s, m))
+                assert all(r.values for r in segments_of(s, m))
 
     def test_pipeline_is_deterministic(self):
         rng = np.random.default_rng(22)

@@ -1,14 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import (extreme_payload, reference_boundaries, reference_cluster_edits,
-                      reference_common_aligned_cuts)
-from protoseg.cluster import PCA_SUITABLE, ClusterNode, recursive_cluster
+                      reference_common_aligned_cuts, trace_refs)
+from protoseg.cluster import PCA_SUITABLE, ClusterNode
 from protoseg.dissim import Overlay
-from protoseg.model import (AnalysisParams, Message, NoSignalError, SegmentRef,
-                            Segmentation)
+from protoseg.model import AnalysisParams, Message, NoSignalError, Segmentation
 from protoseg.pca import analyze_spectrum
-from protoseg.refine import _segment_refs, join_trace
+from protoseg.refine import join_trace
 from protoseg.rules import (BoundaryEdit, ContributionVector, apply_edits,
                             cluster_edits, common_aligned_cuts, contribution,
                             rule_a, rule_b)
@@ -18,6 +19,11 @@ def trace_cuts(cuts_by_message: dict, length: int):
     """The `JoinedTrace` of messages of `length` bytes with these cuts, by message id."""
     segs = [Segmentation(mid, tuple(sorted(cuts))) for mid, cuts in cuts_by_message.items()]
     return join_trace(segs, [Message(s.message_id, bytes(length)) for s in segs])
+
+
+def segments_from(trace, start: int) -> tuple:
+    """The index of each message's segment that starts at offset start."""
+    return tuple(trace.edges.searchsorted(trace.offsets[:-1] + start).tolist())
 
 
 def contrib(m):
@@ -105,72 +111,64 @@ def test_rules_never_fire_on_the_same_position():
 
 class TestCommonAligned:
     @staticmethod
-    def _overlay(lengths_shifts, start=10):
-        members = tuple(SegmentRef(i, start, start + ln, bytes(ln))
-                        for i, (ln, _) in enumerate(lengths_shifts))
+    def _case(lengths_shifts, boundaries, start=10):
+        """(overlay, trace): member i is message i's segment from start, shifted as given."""
+        trace = trace_cuts(boundaries, 40)
         shifts = tuple(sh for _, sh in lengths_shifts)
         width = max(sh + ln for ln, sh in lengths_shifts)
-        return Overlay(members=members, shifts=shifts, width=width, reference=0)
+        return Overlay(segments_from(trace, start), shifts, width, reference=0), trace
 
     def test_majority_local_maximum_reported(self):
         # six members aligned one position in, two spanning the full width:
         # counts over positions 0..4 are [2, 6, 0, 0, 8]
-        ov = self._overlay([(3, 1)] * 6 + [(4, 0)] * 2)
         boundaries = {i: {10, 13} for i in range(6)}
         boundaries.update({i: {10, 14} for i in range(6, 8)})
-        assert common_aligned_cuts(ov, trace_cuts(boundaries, 40)) == [1, 4]
+        ov, trace = self._case([(3, 1)] * 6 + [(4, 0)] * 2, boundaries)
+        assert common_aligned_cuts(ov, trace) == [1, 4]
 
     def test_sub_quorum_plateau_not_reported(self):
         # counts [2, 3, 3, 0, 8]: positions 1 and 2 are neither strict
         # local maxima nor above the quorum of 4
-        ov = self._overlay([(3, 1)] * 3 + [(2, 2)] * 3 + [(4, 0)] * 2)
         boundaries = {i: {10, 13} for i in range(3)}
         boundaries.update({i: {10, 12} for i in range(3, 6)})
         boundaries.update({i: {10, 14} for i in range(6, 8)})
-        assert common_aligned_cuts(ov, trace_cuts(boundaries, 40)) == [4]
+        ov, trace = self._case([(3, 1)] * 3 + [(2, 2)] * 3 + [(4, 0)] * 2, boundaries)
+        assert common_aligned_cuts(ov, trace) == [4]
 
     def test_unanimous_boundary_reported(self):
-        ov = self._overlay([(4, 0)] * 4, start=2)
-        boundaries = {i: {2, 4, 6} for i in range(4)}
-        assert 2 in common_aligned_cuts(ov, trace_cuts(boundaries, 40))
-
-
-def make_suitable_node(values_by_message, start, params=AnalysisParams()):
-    members = [SegmentRef(mid, start, start + len(v), bytes(v))
-               for mid, v in values_by_message.items()]
-    roots = recursive_cluster(members, params)
-    assert roots[0].verdict == "pca_suitable"
-    return roots[0]
+        ov, trace = self._case([(4, 0)] * 4, {i: {2, 4, 6} for i in range(4)}, start=2)
+        assert 2 in common_aligned_cuts(ov, trace)
 
 
 class TestClusterEdits:
-    def _node_with_shift_zero(self, n=6, width=3, start=10):
-        rng = np.random.default_rng(8)
-        values = {i: [7, int(rng.integers(0, 256)), 9] for i in range(n)}
-        return make_suitable_node(values, start)
+    @staticmethod
+    def _case(cuts, start=10, n=6):
+        """(node, trace): n messages of 20 bytes with these cuts; member i is message i's
+        segment from start, at shift 0 in an overlay 3 wide."""
+        trace = trace_cuts({i: cuts for i in range(n)}, 20)
+        members = segments_from(trace, start)
+        overlay = Overlay(members=members, shifts=(0,) * n, width=3, reference=0)
+        return ClusterNode(members, PCA_SUITABLE, 0, overlay=overlay), trace
 
     def test_off_by_one_move(self):
-        node = self._node_with_shift_zero(start=10)
-        trace = trace_cuts({i: (13,) for i in range(6)}, 20)
+        node, trace = self._case((10, 13))
         edits = cluster_edits(node, [(2, "rule_a")], trace)
-        assert all(e.kind == "move" and e.offset == 12 and e.old_offset == 13
-                   for e in edits)
+        assert len(edits) == 6
+        assert all(e.kind == "move" and e.offset == 12 and e.old_offset == 13 for e in edits)
+        assert [e.message_id for e in edits] == list(range(6))
 
     def test_existing_cut_is_noop(self):
-        node = self._node_with_shift_zero(start=10)
-        trace = trace_cuts({i: (12,) for i in range(6)}, 20)
+        node, trace = self._case((10, 12))
         assert cluster_edits(node, [(2, "rule_a")], trace) == []
 
     def test_out_of_range_target_dropped(self):
-        node = self._node_with_shift_zero(start=0)
-        trace = trace_cuts({i: () for i in range(6)}, 20)
+        node, trace = self._case((3,), start=0)
         assert cluster_edits(node, [(0, "rule_b")], trace) == []
 
     def test_add_when_nothing_nearby(self):
-        node = self._node_with_shift_zero(start=10)
-        trace = trace_cuts({i: () for i in range(6)}, 20)
+        node, trace = self._case((10, 15))
         edits = cluster_edits(node, [(2, "rule_a")], trace)
-        assert all(e.kind == "add" and e.offset == 12 for e in edits)
+        assert len(edits) == 6 and all(e.kind == "add" and e.offset == 12 for e in edits)
 
 
 class TestApplyEdits:
@@ -257,7 +255,7 @@ class TestApplyEdits:
 
 
 def random_overlays(rng, count):
-    """count random (overlay, positions, segmentations, messages) cases.
+    """count random (overlay, ref overlay, positions, segmentations, messages) cases.
 
     A trace of 1..12 messages of 1..40 bytes with random cut sets, none
     in about a fifth of the traces; an overlay of 2..12 of its segments,
@@ -265,6 +263,9 @@ def random_overlays(rng, count):
     end, at shifts 0..3 and a width up to 2 beyond the widest member;
     and 0..6 (position, provenance) pairs over 0..width + 1, repeats
     included, with no positions at all in about a fifth of the cases.
+    The overlay's members are segment indices; the ref overlay holds the
+    same segments as `SegmentRef`s, as the member loops of conftest read
+    them.
     """
     for _ in range(count):
         count = int(rng.integers(1, 13))
@@ -276,16 +277,17 @@ def random_overlays(rng, count):
             cuts = set() if bare or n < 2 else set(
                 rng.integers(1, n, size=int(rng.integers(0, n))).tolist())
             segs.append(Segmentation(m.id, tuple(sorted(cuts))))
-        refs = _segment_refs(segs, messages, join_trace(segs, messages))
-        picked = rng.integers(0, len(refs), size=int(rng.integers(2, 13)))
-        members = tuple(refs[k] for k in picked.tolist())
-        shifts = tuple(rng.integers(0, 4, size=len(members)).tolist())
-        width = max(sh + len(m) for sh, m in zip(shifts, members)) + int(rng.integers(0, 3))
-        overlay = Overlay(members=members, shifts=shifts, width=width, reference=0)
+        refs = trace_refs(segs, messages)
+        picked = tuple(rng.integers(0, len(refs), size=int(rng.integers(2, 13))).tolist())
+        shifts = tuple(rng.integers(0, 4, size=len(picked)).tolist())
+        width = max(sh + len(refs[k].values) for sh, k in zip(shifts, picked)) \
+            + int(rng.integers(0, 3))
+        overlay = Overlay(members=picked, shifts=shifts, width=width, reference=0)
         positions = [] if rng.random() < 0.2 else [
             (int(k), str(rng.choice(["rule_a", "rule_b", "common_aligned"])))
             for k in rng.integers(0, width + 2, size=int(rng.integers(1, 7)))]
-        yield overlay, positions, segs, messages
+        ref_overlay = dataclasses.replace(overlay, members=tuple(refs[k] for k in picked))
+        yield overlay, ref_overlay, positions, segs, messages
 
 
 class TestAgainstMemberLoops:
@@ -293,20 +295,20 @@ class TestAgainstMemberLoops:
 
     def test_common_aligned_cuts(self):
         rng = np.random.default_rng(191)
-        for overlay, _, segs, messages in random_overlays(rng, 1500):
+        for overlay, ref_overlay, _, segs, messages in random_overlays(rng, 1500):
             trace = join_trace(segs, messages)
             boundaries, _, _ = reference_boundaries(segs, messages)
             assert common_aligned_cuts(overlay, trace) == \
-                reference_common_aligned_cuts(overlay, boundaries)
+                reference_common_aligned_cuts(ref_overlay, boundaries)
 
     def test_cluster_edits(self):
         rng = np.random.default_rng(192)
         kinds = set()
-        for overlay, positions, segs, messages in random_overlays(rng, 1500):
+        for overlay, ref_overlay, positions, segs, messages in random_overlays(rng, 1500):
             node = ClusterNode(overlay.members, PCA_SUITABLE, 0, overlay=overlay)
             _, segs_by_id, lengths = reference_boundaries(segs, messages)
             got = cluster_edits(node, positions, join_trace(segs, messages))
-            assert got == reference_cluster_edits(overlay, positions, segs_by_id, lengths)
+            assert got == reference_cluster_edits(ref_overlay, positions, segs_by_id, lengths)
             # every field is a plain Python value, as the JSON writer needs
             assert all(type(e.message_id) is int and type(e.offset) is int
                        and type(e.old_offset) in (int, type(None)) for e in got)
@@ -315,7 +317,7 @@ class TestAgainstMemberLoops:
 
     def test_apply_edits_keeps_untouched_messages(self):
         rng = np.random.default_rng(193)
-        for overlay, positions, segs, messages in random_overlays(rng, 300):
+        for overlay, _, positions, segs, messages in random_overlays(rng, 300):
             node = ClusterNode(overlay.members, PCA_SUITABLE, 0, overlay=overlay)
             edits = cluster_edits(node, positions, join_trace(segs, messages))
             new, applied = apply_edits(edits, segs)

@@ -8,7 +8,13 @@ callable module attribute, and `run_pipeline` looks its passes up in the
 would call around the wrapper.  Each static pass is one call per
 trace, and a pass that fails on a message logs the warning the tracer
 counts as `refine.pass_failures`.  The tracing module is loaded from
-its file; nothing in it is changed.
+its file; nothing in it is changed.  Its `Tracer` is installed here
+around a whole `segment` run, as the benchmark's traced passes install
+it, so a change that leaves a site unreached or feeds a count hook
+something else fails here, not only in the benchmark.
+
+The pca pass clusters byte strings and keeps positions in its layout,
+so no `SegmentRef` is built inside `run_pipeline`; that is counted too.
 """
 
 import dataclasses
@@ -20,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from protoseg import refine, synth
+from protoseg import cli, evaluate, model, refine, synth, traceio
 from protoseg.model import UsageError
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -126,3 +132,57 @@ def test_a_pass_failing_on_one_message_leaves_the_others(monkeypatch, caplog):
     failures = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pass ")]
     assert failures == [f"pass crop_chars failed on message {victim}: refused message {victim}"]
     assert tracer.counts[tracer.pass_id]["refine.pass_failures"] == 1
+
+
+@pytest.mark.parametrize("name", sorted(refine.PRESETS))
+def test_the_tracer_covers_a_traced_segment_run(tmp_path, name):
+    # what a traced benchmark pass checks: no site is absent, every site
+    # the preset reaches records a span, and the count hooks read the
+    # arguments and results they expect
+    hex_path, out = tmp_path / "mixed.hex", tmp_path / "out"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        spec = dataclasses.replace(synth.reference_specs()["mixed"], message_count=150,
+                                   rng_seed=1)
+        messages, truth = synth.generate(spec)
+        traceio.save_hexlines(str(hex_path), messages)
+        assert cli.main(["segment", "--trace", str(hex_path), "--preset", name,
+                         "--no-dedupe", "--out", str(out)]) == 0
+        segmentations = traceio.load_segmentation(str(out / "segments.json"), messages)
+        evaluate.score_trace(segmentations, truth, messages)
+    finally:
+        tracer.uninstall()
+    base, passes = refine.PRESETS[name]
+    before_pca = refine.Pipeline(base, passes[:passes.index(refine.PASS_PCA)])
+    clustered = sum(len(seg.cuts) + 1
+                    for seg in refine.run_pipeline(messages, before_pca).segmentations)
+    counts = tracer.counts[tracer.pass_id]
+    assert tracer.absent == []
+    assert counts[tracing.INTERPRETABLE] > 0  # so the per-leaf sites are expected too
+    assert tracing.expected_sites({name}, counts[tracing.INTERPRETABLE]) - tracer.reached() \
+        == set()
+    assert counts["refine.segments_clustered"] == clustered
+    assert counts["dissim.pairwise_segments"] >= counts["dissim.pairwise_unique"] > 0
+    assert counts["rules.edits_proposed"] >= counts["rules.edits_applied"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(refine.PRESETS))
+@pytest.mark.parametrize("spec", sorted(synth.reference_specs()))
+def test_run_pipeline_builds_no_segment_ref(monkeypatch, spec, name):
+    built = []
+    check = model.SegmentRef.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(model.SegmentRef, "__post_init__", counted)
+    messages, _ = synth.generate(dataclasses.replace(synth.reference_specs()[spec],
+                                                     message_count=60, rng_seed=3))
+    model.segments_of(model.Segmentation(messages[0].id, ()), messages[0])
+    assert len(built) == 1  # the counter sees a construction
+    built.clear()
+    result = refine.run_pipeline(messages, refine.preset(name))
+    assert result.tree is not None and result.edits
+    assert built == []
