@@ -7,7 +7,7 @@ its unset most significant bytes (it stays with the number).
 """
 
 from protoseg.model import Message, Segmentation, segments_of
-from protoseg.refine import null_refine, null_segmenter
+from protoseg.refine import join_trace, null_refine, null_segmenter
 
 
 def show(label, msg, seg):
@@ -28,10 +28,11 @@ for label, payload in samples:
     show(label, msg, null_segmenter(msg))
 
 # refinement never adds or removes cuts, it only relocates one per run;
-# like every static pass it maps a whole trace, here of one message
+# like every static pass it maps the layout of a whole trace (here of one
+# message) to a new layout, which gives the segmentations back
 print("\nnull-byte refinement of a coarse segmentation:")
 msg = Message(0, bytes.fromhex("9911000000310a"))
 coarse = Segmentation(0, (4,))
-(refined,) = null_refine([coarse], [msg])
+(refined,) = null_refine(join_trace([coarse], [msg])).segmentations()
 show("before (cut inside run)", msg, coarse)
 show("after  (cut at run start)", msg, refined)

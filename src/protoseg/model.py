@@ -45,13 +45,20 @@ FIELD_TYPES = frozenset({"char", "number", "flags", "id", "pad", "unknown"})
 
 @dataclass(frozen=True)
 class Message:
-    """One raw payload from a trace. `id` is the index within the trace."""
+    """One raw payload from a trace. `id`, an int64, is the index within the trace."""
 
     id: int
     payload: bytes
     source: str = ""
 
     def __post_init__(self):
+        try:
+            mid = operator.index(self.id)
+        except TypeError:
+            raise UsageError(f"message id must be an integer: {self.id!r}") from None
+        if not -2**63 <= mid < 2**63:
+            raise UsageError(f"message id {mid} is outside the signed 64-bit range")
+        object.__setattr__(self, "id", mid)
         if len(self.payload) == 0:
             raise UsageError(f"message {self.id} has an empty payload ({self.source or 'unknown source'})")
 

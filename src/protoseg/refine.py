@@ -11,30 +11,27 @@ rules.  Two presets wire the chains:
     nemepca   bit_congruence (or external) base; entropy_merge,
               null_bytes_refine, crop_chars, pca, crop_distinct, split_fixed
 
-The base segmenters map one message.  Every static pass maps a whole
-trace, `(segmentations, messages, knobs...) -> segmentations`, where
-segmentations[i] is the cut set of messages[i], and returns a message's
-`Segmentation` object itself when it leaves its cuts as they are.
-`run_pipeline` calls each pass once per trace; when a pass raises, it
-calls the same pass again on one message at a time, and a message that
-still fails keeps its cuts.  `entropy_merge` finds the entropies of all
-segments, and of the spans each greedy step merges, with one sort per
-step (`_span_entropies`; one `bincount` when a step merges one span).
-Each entropy still comes from its key, the byte counts in byte-value
-order, through one formula, so it has the bits a per-span computation
-gives.
+The base segmenters map one message.  `run_pipeline` then lays the
+trace out once, as a `JoinedTrace` (`join_trace`): the payloads joined
+in trace order, each message's offset and every segment's edges in
+them, and a flag per position that marks the cuts.  Every pass maps
+that layout to a new one, `(trace, knobs...) -> trace`, by setting and
+clearing cut flags (`JoinedTrace.recut` derives the rest), so a pass's
+edits (`_diff_edits`) are the positions whose flags changed, and the
+segmentations are read from the last layout.  `run_pipeline` calls each
+pass once per trace; when a pass raises, it calls the same pass again
+on each message's own layout, and a message that still fails keeps its
+cuts.
 
-Trace-wide passes start from one layout of the cut sets, a
-`JoinedTrace` (`join_trace`): the payloads joined in trace order, each
-message's offset and every segment's edges in them, and a flag per
-position that marks the cuts.  `entropy_merge`, `crop_distinct` and the
-PCA pass read it.  The PCA pass clusters the bytes of every segment it
-slices from it; the rules and `clusters.json` read a member's message
-and bounds back from it by the member's segment index.
-`crop_distinct` counts segment values once over the trace and finds
-each frequent value's occurrences in the joined payloads.  The edits
-of a static pass (`_diff_edits`) come from one comparison of the
-changed messages' old and new cuts as sorted (message, cut) keys.
+`entropy_merge` finds the entropies of all segments, and of the spans
+each greedy step merges, with one sort per step (`_span_entropies`; one
+`bincount` when a step merges one span).  Each entropy still comes from
+its key, the byte counts in byte-value order, through one formula, so
+it has the bits a per-span computation gives.  `crop_distinct` counts
+segment values once over the trace and finds each frequent value's
+occurrences in the joined payloads.  The PCA pass clusters the bytes of
+every segment; the rules and `clusters.json` read a member's message
+and bounds back from the layout by the member's segment index.
 
 The bit-congruence segmenter reads its Gaussian kernel from a table
 keyed by sigma that `run_pipeline` creates empty for each run.  Null
@@ -47,11 +44,10 @@ from __future__ import annotations
 import logging
 import math
 import re
-from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, groupby, repeat
-from operator import attrgetter, is_not, itemgetter
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -137,32 +133,28 @@ def null_segmenter(msg: Message) -> Segmentation:
     return Segmentation(msg.id, tuple(cuts))
 
 
-def null_refine(segmentations: list, messages: list) -> list:
+def null_refine(trace: JoinedTrace) -> JoinedTrace:
     """Relocate cuts near null runs to the run edge the nulls belong to.
 
     Only moves existing cuts (the nearest one within one byte of the
-    run); never adds or removes any.  A message without cuts or without
-    a null byte is left as it is.
+    run); never adds or removes any.  Only the messages with a cut and
+    a null byte are scanned.
     """
-    out = list(segmentations)
-    for k, (seg, msg) in enumerate(zip(segmentations, messages)):
-        if not seg.cuts or 0 not in msg.payload:
-            continue
-        cuts = set(seg.cuts)
-        moved = False
-        for (a, b), target in _null_run_targets(msg.payload):
-            if target is None or target in cuts:
+    offsets = trace.offsets
+    nulls = np.frombuffer(trace.joined, dtype=np.uint8) == 0
+    rows = np.unique(offsets.searchsorted(nulls.nonzero()[0], "right") - 1)
+    is_cut = trace.is_cut.copy()
+    for r in rows[np.diff(trace.first)[rows] > 1].tolist():
+        base, end = offsets[r:r + 2].tolist()
+        for (a, b), target in _null_run_targets(trace.joined[base:end]):
+            if target is None or is_cut[base + target]:
                 continue
-            candidates = [c for c in cuts if a - 1 <= c <= b + 1]
-            if not candidates:
-                continue
-            nearest = min(candidates, key=lambda c: (abs(c - target), c))
-            cuts.discard(nearest)
-            cuts.add(target)
-            moved = True
-        if moved:
-            out[k] = Segmentation(msg.id, tuple(sorted(cuts)))
-    return out
+            lo = base + a - 1  # a run that leaves a target starts at 1 or later
+            near = (lo + is_cut[lo:min(base + b + 2, end)].nonzero()[0]).tolist()
+            if near:
+                is_cut[min(near, key=lambda c: (abs(c - base - target), c))] = False
+                is_cut[base + target] = True
+    return trace.recut(is_cut)
 
 
 # set bits of every byte value
@@ -297,11 +289,13 @@ class JoinedTrace(NamedTuple):
     offsets[r + 1] of `joined`, and its segments are first[r] up to
     first[r + 1]; segment k covers edges[k] up to edges[k + 1].  Both
     offsets and first end with a sentinel, so consecutive messages share
-    the edge between them.  at_cut[k] tells whether segment k starts at
-    a cut rather than at its message's first byte, and is_cut flags the
-    same positions of `joined` (with one more position, its end), so a
-    position inside one message never reads another's cut.  ids[r] is
-    message r's id.
+    the edge between them.  is_cut flags the cuts, positions of `joined`
+    (with one more position, its end), so a position inside one message
+    never reads another's cut; at_cut[k] tells whether segment k starts
+    at a cut rather than at its message's first byte.  ids[r] is message
+    r's id.  is_cut is the state a pass changes: `recut` derives edges,
+    first and at_cut from it, and a pass never writes into the arrays of
+    the trace it is given.
     """
 
     joined: bytes
@@ -311,6 +305,28 @@ class JoinedTrace(NamedTuple):
     at_cut: np.ndarray
     is_cut: np.ndarray
     ids: np.ndarray
+
+    def recut(self, is_cut: np.ndarray) -> JoinedTrace:
+        """The same payloads cut where is_cut is set, which holds no message start."""
+        starts = is_cut.copy()
+        starts[self.offsets] = True
+        edges = starts.nonzero()[0]
+        return self._replace(edges=edges, first=edges.searchsorted(self.offsets),
+                             at_cut=is_cut[edges[:-1]], is_cut=is_cut)
+
+    def message(self, r: int) -> JoinedTrace:
+        """The layout of message r alone."""
+        a, b = self.offsets[r:r + 2].tolist()
+        return JoinedTrace(self.joined[a:b], self.offsets[r:r + 2] - a, None, None, None, None,
+                           self.ids[r:r + 1]).recut(self.is_cut[a:b + 1])
+
+    def segmentations(self) -> list:
+        """One `Segmentation` per message, in trace order."""
+        row = np.repeat(np.arange(self.ids.size), np.diff(self.first))
+        cuts = (self.edges[:-1] - self.offsets[row])[self.at_cut].tolist()
+        ends = np.cumsum(np.bincount(row[self.at_cut], minlength=self.ids.size)).tolist()
+        return list(map(Segmentation, self.ids.tolist(),
+                        map(tuple, map(cuts.__getitem__, map(slice, [0] + ends[:-1], ends)))))
 
     def segments(self, index) -> tuple:
         """(message rows, starts, ends) of the segments at index, the positions in `joined`."""
@@ -325,33 +341,26 @@ def join_trace(segmentations: list, messages: list) -> JoinedTrace:
     A cut at or beyond its payload's end raises the `UsageError` of
     `Segmentation.validate_against`.
     """
-    n = len(segmentations)
+    n = len(messages)
+    payloads = [msg.payload for msg in messages]
+    sizes = np.fromiter(map(len, payloads), np.intp, n)
+    offsets = np.zeros(n + 1, np.intp)
+    np.cumsum(sizes, out=offsets[1:])
     ncuts = np.fromiter(map(len, map(attrgetter("cuts"), segmentations)), np.intp, n)
     cuts = np.fromiter(chain.from_iterable(seg.cuts for seg in segmentations),
                        dtype=np.intp, count=int(ncuts.sum()))
-    payloads = [msg.payload for msg in messages]
-    offsets = np.zeros(n + 1, np.intp)
-    np.cumsum(np.fromiter(map(len, payloads), np.intp, n), out=offsets[1:])
-    first = np.zeros(n + 1, np.intp)
-    np.cumsum(ncuts + 1, out=first[1:])
-    # each message's offset once per segment, then the end sentinel; a
-    # segment other than its message's first starts at a cut
-    edges = np.repeat(offsets, np.append(ncuts + 1, 1))
-    at_cut = np.ones(first[-1], dtype=bool)
-    at_cut[first[:-1]] = False
-    edges[:-1][at_cut] += cuts
-    sizes = np.diff(edges)
-    if sizes.size and sizes.min() <= 0:  # a cut at or beyond its payload's end
-        k = int(first.searchsorted(np.argmax(sizes <= 0), "right")) - 1
+    row = np.repeat(np.arange(n), ncuts)
+    beyond = np.flatnonzero(cuts >= sizes[row])
+    if beyond.size:
+        k = int(row[beyond[0]])
         segmentations[k].validate_against(messages[k])
     is_cut = np.zeros(offsets[-1] + 1, dtype=bool)
-    is_cut[edges[:-1][at_cut]] = True
-    return JoinedTrace(b"".join(payloads), offsets, edges, first, at_cut, is_cut,
-                       np.fromiter(map(attrgetter("id"), messages), np.intp, n))
+    is_cut[offsets[row] + cuts] = True
+    return JoinedTrace(b"".join(payloads), offsets, None, None, None, None,
+                       np.fromiter(map(attrgetter("id"), messages), np.intp, n)).recut(is_cut)
 
 
-def entropy_merge(segmentations: list, messages: list,
-                  floor: float = 0.6, diff: float = 0.1) -> list:
+def entropy_merge(trace: JoinedTrace, floor: float = 0.6, diff: float = 0.1) -> JoinedTrace:
     """Merge adjacent segments of similar, high local entropy.
 
     Left-to-right greedy within each message; the merged segment is
@@ -364,10 +373,8 @@ def entropy_merge(segmentations: list, messages: list,
     take their greedy steps together, and each step finds the entropies
     of its merged spans with one `_span_entropies` call.
     """
-    out = list(segmentations)
-    if not any(seg.cuts for seg in segmentations):
-        return out
-    trace = join_trace(segmentations, messages)
+    if not trace.at_cut.any():
+        return trace
     starts, ends, at_cut = trace.edges[:-1], trace.edges[1:], trace.at_cut
     data = np.frombuffer(trace.joined, dtype=np.uint8)
     entropies = _Entropies()
@@ -403,89 +410,65 @@ def entropy_merge(segmentations: list, messages: list,
         h_a = h_b  # the merged span's entropy, or the next segment's
         nxt += 1
 
-    merged = np.zeros(starts.size, dtype=bool)
-    if joins:
-        merged[np.concatenate(joins)] = True
-    # a merged segment starts at a cut, which goes; the other cuts stay
-    row = np.repeat(np.arange(len(segmentations)), np.diff(trace.first))
-    kept = at_cut & ~merged
-    cuts = (starts - trace.offsets[row])[kept].tolist()
-    kept_end = np.cumsum(np.bincount(row[kept], minlength=len(segmentations))).tolist()
-    changed = row[merged]  # ascending, once per merged cut
-    for k in changed[np.diff(changed, prepend=-1) > 0].tolist():
-        start = kept_end[k - 1] if k else 0
-        out[k] = Segmentation(out[k].message_id, tuple(cuts[start:kept_end[k]]))
-    return out
+    if not joins:
+        return trace
+    is_cut = trace.is_cut.copy()
+    is_cut[starts[np.concatenate(joins)]] = False  # a merged segment's cut goes
+    return trace.recut(is_cut)
 
 
-def merge_chars(segmentations: list, messages: list) -> list:
+def merge_chars(trace: JoinedTrace) -> JoinedTrace:
     """Merge adjacent segments whose concatenation still looks like text."""
-    out = []
-    for seg, msg in zip(segmentations, messages):
-        payload = msg.payload
-        bounds = [0, *seg.cuts, len(payload)]
+    is_cut = trace.is_cut.copy()
+    edges, first = trace.edges.tolist(), trace.first.tolist()
+    for r in np.flatnonzero(np.diff(trace.first) > 1).tolist():
+        bounds = edges[first[r]:first[r + 1] + 1]
         i = 0
         while i + 1 < len(bounds) - 1:
-            if char_heuristic(payload[bounds[i]:bounds[i + 2]]):
-                del bounds[i + 1]
+            if char_heuristic(trace.joined[bounds[i]:bounds[i + 2]]):
+                is_cut[bounds.pop(i + 1)] = False
             else:
                 i += 1
-        out.append(seg if len(bounds) == len(seg.cuts) + 2
-                   else Segmentation(msg.id, tuple(bounds[1:-1])))
-    return out
+    return trace.recut(is_cut)
 
 
-def _with_added(seg: Segmentation, cuts: set) -> Segmentation:
-    """The result of an add-only pass that grew seg's cuts to `cuts`: seg when it added none."""
-    if len(cuts) == len(seg.cuts):
-        return seg
-    return Segmentation(seg.message_id, tuple(sorted(cuts)))
-
-
-def crop_chars(segmentations: list, messages: list, min_run: int = 6) -> list:
+def crop_chars(trace: JoinedTrace, min_run: int = 6) -> JoinedTrace:
     """Cut embedded text runs out of larger segments.
 
     Within each segment of at least min_run bytes, maximal runs of
     printable bytes of at least min_run length are carved out; a single
     terminating null stays with the run.
 
-    One scan of the joined payloads finds each message's maximal runs;
-    a segment's runs are those runs clipped to it.
+    One scan of the joined payloads finds the maximal runs, and a
+    segment's runs are those runs clipped to it; segments end where
+    their messages do, so the clipping also splits a run that crosses
+    from one message into the next.
     """
-    out = list(segmentations)
-    bases = [0]  # where each payload starts in the joined scan, after a null separator
-    for msg in messages:
-        bases.append(bases[-1] + len(msg.payload) + 1)
-    runs = defaultdict(list)
     pattern = re.compile(_CHAR_CLASS + b"{%d,}" % min_run)
-    for run in pattern.finditer(b"\x00".join(m.payload for m in messages)):
-        a, b = run.span()
-        k = bisect_right(bases, a) - 1
-        runs[k].append((a - bases[k], b - bases[k]))
-    for k, spans in runs.items():
-        seg, payload = segmentations[k], messages[k].payload
-        cuts = set(seg.cuts)
-        bounds = (0, *seg.cuts, len(payload))
-        for run_start, run_end in spans:
-            i = bisect_right(bounds, run_start)  # the run starts in bounds[i - 1]:bounds[i]
-            while bounds[i - 1] < run_end:
-                s, e = bounds[i - 1], bounds[i]
-                i += 1
-                start, end = max(run_start, s), min(run_end, e)
-                if end - start < min_run:
-                    continue
-                if start > s:
-                    cuts.add(start)
-                if end < e and payload[end] == 0:
-                    end += 1  # keep the terminator with the text
-                if end < e:
-                    cuts.add(end)
-        out[k] = _with_added(seg, cuts)
-    return out
+    spans = [run.span() for run in pattern.finditer(trace.joined)]
+    if not spans:
+        return trace
+    run_start, run_end = np.array(spans, dtype=np.intp).T
+    edges = trace.edges
+    # each run against every segment it overlaps
+    lo = edges.searchsorted(run_start, "right") - 1
+    count = edges.searchsorted(run_end) - lo
+    ends = np.cumsum(count)
+    segment = np.arange(ends[-1]) + np.repeat(lo - ends + count, count)
+    s, e = edges[segment], edges[segment + 1]
+    start = np.maximum(np.repeat(run_start, count), s)
+    end = np.minimum(np.repeat(run_end, count), e)
+    keep = end - start >= min_run
+    data = np.frombuffer(trace.joined, dtype=np.uint8)
+    end += (end < e) & (data.take(end, mode="clip") == 0)  # keep the terminator with the text
+    is_cut = trace.is_cut.copy()
+    is_cut[start[keep & (start > s)]] = True
+    is_cut[end[keep & (end < e)]] = True
+    return trace.recut(is_cut)
 
 
-def crop_distinct(segmentations: list, messages: list,
-                  min_fraction: float = 0.10, min_messages: int = 3) -> list:
+def crop_distinct(trace: JoinedTrace, min_fraction: float = 0.10,
+                  min_messages: int = 3) -> JoinedTrace:
     """Carve trace-wide frequent segment values out of larger segments.
 
     A value of length >= 2 is distinct-frequent when it occurs as a
@@ -493,32 +476,26 @@ def crop_distinct(segmentations: list, messages: list,
     messages.  Longest values first, leftmost non-overlapping
     occurrences.
 
-    segmentations[i] is matched to its message by id.  The values are
-    counted over one `join_trace` of the trace.  Each frequent value's
-    occurrences are then found in the joined payloads at once, and only
-    the messages whose segments hold one, with bytes to spare, get a new
-    `Segmentation`.
+    The values are counted once over the trace, and each frequent
+    value's occurrences are then found in the joined payloads at once.
     """
-    by_id = {m.id: m for m in messages}
-    trace = join_trace(segmentations, [by_id[seg.message_id] for seg in segmentations])
     edges = trace.edges
     sizes = np.diff(edges)
     pieces = np.flatnonzero(sizes >= 2)
     values = list(map(trace.joined.__getitem__, map(slice, edges[pieces].tolist(),
                                                      edges[pieces + 1].tolist())))
     distinct, inverse = distinct_values(values)
-    owner = np.array([seg.message_id for seg in segmentations], dtype=np.int64)
-    owner = np.repeat(owner, np.diff(trace.first))[pieces]
+    owner = trace.first.searchsorted(pieces, "right") - 1  # each piece's message row
     order = np.lexsort((owner, inverse))  # each value's owners, ascending
     held, owner = inverse[order], owner[order]
     new = np.ones(order.size, dtype=bool)  # the first time a message holds the value
     new[1:] = (held[1:] != held[:-1]) | (owner[1:] != owner[:-1])
     holders = np.bincount(held[new], minlength=len(distinct))
-    threshold = max(min_fraction * len(messages), min_messages)
+    threshold = max(min_fraction * trace.ids.size, min_messages)
     frequent = sorted(map(distinct.__getitem__, np.flatnonzero(holders >= threshold).tolist()),
                       key=lambda v: (-len(v), v))
     if not frequent:
-        return list(segmentations)
+        return trace
 
     # Each value, longest first, claims its occurrences left to right that
     # lie inside a longer segment and overlap no claim made before; claims
@@ -526,7 +503,7 @@ def crop_distinct(segmentations: list, messages: list,
     # segments, and the ones made so far are disjoint and kept in order.
     data = np.frombuffer(trace.joined, dtype=np.uint8)
     claim_start = claim_end = np.zeros(0, dtype=np.intp)
-    added = []
+    is_cut = trace.is_cut.copy()
     for value in frequent:
         size = len(value)
         at = np.flatnonzero(data[:data.size - size + 1] == value[0])
@@ -550,21 +527,12 @@ def crop_distinct(segmentations: list, messages: list,
         claim_start = np.concatenate((claim_start, at))
         order = np.argsort(claim_start, kind="stable")
         claim_start, claim_end = claim_start[order], np.concatenate((claim_end, at + size))[order]
-        added += [at[at > edges[segment]], (at + size)[at + size < edges[segment + 1]]]
-
-    out = list(segmentations)
-    cut = np.sort(np.concatenate(added))
-    cut = cut[np.diff(cut, prepend=-1) > 0]  # two claims may meet at one cut
-    row = trace.offsets.searchsorted(cut, "right") - 1
-    for k, cuts in groupby(zip(row.tolist(), (cut - trace.offsets[row]).tolist()),
-                           itemgetter(0)):
-        seg = segmentations[k]
-        out[k] = Segmentation(seg.message_id,
-                              tuple(sorted(chain(seg.cuts, map(itemgetter(1), cuts)))))
-    return out
+        is_cut[at[at > edges[segment]]] = True
+        is_cut[(at + size)[at + size < edges[segment + 1]]] = True
+    return trace.recut(is_cut)
 
 
-def split_fixed(segmentations: list, messages: list, chunk: int = 2) -> list:
+def split_fixed(trace: JoinedTrace, chunk: int = 2) -> JoinedTrace:
     """Split a non-text first segment into fixed-size chunks.
 
     A trailing piece shorter than the chunk size stays attached to the
@@ -572,14 +540,17 @@ def split_fixed(segmentations: list, messages: list, chunk: int = 2) -> list:
     """
     if chunk < 1:
         raise UsageError("chunk size must be at least 1")
-    out = []
-    for seg, msg in zip(segmentations, messages):
-        first_end = seg.cuts[0] if seg.cuts else len(msg.payload)
-        new = range(chunk, first_end - chunk + 1, chunk)
-        if new and not char_heuristic(msg.payload[:first_end]):
-            seg = Segmentation(seg.message_id, (*new, *seg.cuts))
-        out.append(seg)
-    return out
+    start, end = trace.offsets[:-1], trace.edges[trace.first[:-1] + 1]
+    rows = np.flatnonzero(end - start >= 2 * chunk)
+    text = np.fromiter(map(char_heuristic, map(trace.joined.__getitem__, map(
+        slice, start[rows].tolist(), end[rows].tolist()))), bool, rows.size)
+    rows = rows[~text]
+    # the cuts chunk, 2 chunk, ... of each first segment, numbered across the trace
+    count = (end - start)[rows] // chunk - 1
+    origin = start[rows] - chunk * (np.cumsum(count) - count)
+    is_cut = trace.is_cut.copy()
+    is_cut[chunk * np.arange(1, count.sum() + 1) + np.repeat(origin, count)] = True
+    return trace.recut(is_cut)
 
 
 @dataclass(frozen=True)
@@ -654,59 +625,39 @@ class PipelineResult:
     trace: Optional[JoinedTrace] = None
 
 
-def _diff_edits(old_segs: list, new_segs: list, provenance: str) -> list:
+def _diff_edits(old: JoinedTrace, new: JoinedTrace, provenance: str) -> list:
     """The edits of one static pass, per message in trace order.
 
-    A message the pass left as it was keeps its `Segmentation` object
-    and gets none.  The cuts of the changed messages, old and new, are
-    keyed by message and compared as two sorted arrays: a new key absent
-    from the old ones is an added cut, and the other way round a removed
-    one.
+    old and new lay out the same payloads; the positions where their
+    cut flags differ are the added and the removed cuts, both ascending
+    by message and offset.
     """
-    changed = np.flatnonzero(np.fromiter(map(is_not, old_segs, new_segs), bool, len(new_segs)))
+    changed = np.flatnonzero(old.is_cut != new.is_cut)
     if not changed.size:
         return []
-    rows = changed.tolist()
-    old_row, old_cut = _keyed([old_segs[k].cuts for k in rows])
-    new_row, new_cut = _keyed([new_segs[k].cuts for k in rows])
-    stride = 1 + max(old_cut.max(initial=0), new_cut.max(initial=0))
-    old_keys, new_keys = old_row * stride + old_cut, new_row * stride + new_cut
-    is_added, is_removed = ~_among(new_keys, old_keys), ~_among(old_keys, new_keys)
-    add_row, add_cut = new_row[is_added], new_cut[is_added]
-    rm_row, rm_cut = old_row[is_removed], old_cut[is_removed]
+    rows = new.offsets.searchsorted(changed, "right") - 1
+    cut = changed - new.offsets[rows]
+    added = new.is_cut[changed]
+    add_row, add_cut = rows[added], cut[added]
+    rm_row, rm_cut = rows[~added], cut[~added]
     # a static pass only adds, only removes or only moves cuts (null_refine),
     # so equal counts of added and removed cuts are moves, paired in order
-    move = np.bincount(add_row, minlength=len(rows)) == np.bincount(rm_row, minlength=len(rows))
+    n = new.ids.size
+    move = np.bincount(add_row, minlength=n) == np.bincount(rm_row, minlength=n)
     moved, kept = move[add_row], ~move[rm_row]
     src = np.zeros(add_cut.size, np.intp)  # 0 for an add: a cut is never at offset 0
     src[moved] = rm_cut[~kept]
     # per message: its moves or adds, in cut order, then its removes
     row = np.concatenate((add_row, rm_row[kept]))
     order = np.argsort(row * 2 + (np.arange(row.size) >= add_row.size), kind="stable")
-    mids = np.array([new_segs[k].message_id for k in rows])[row[order]]
     srcs = np.concatenate((src, np.full(int(kept.sum()), -1)))[order].tolist()
-    return list(map(BoundaryEdit, mids.tolist(),
+    return list(map(BoundaryEdit, new.ids[row[order]].tolist(),
                     np.concatenate((add_cut, rm_cut[kept]))[order].tolist(),
                     [MOVE if o > 0 else ADD if o == 0 else REMOVE for o in srcs],
                     [o if o > 0 else None for o in srcs], repeat(provenance)))
 
 
-def _keyed(cut_tuples: list) -> tuple:
-    """(index i, cut) of every cut of every cut_tuples[i], in order, as two arrays."""
-    counts = np.fromiter(map(len, cut_tuples), np.intp, len(cut_tuples))
-    return (np.repeat(np.arange(len(cut_tuples)), counts),
-            np.fromiter(chain.from_iterable(cut_tuples), np.intp, int(counts.sum())))
-
-
-def _among(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Whether the ascending array y holds each element of x."""
-    if not y.size:
-        return np.zeros(x.size, dtype=bool)
-    return y.take(y.searchsorted(x), mode="clip") == x
-
-
-def _pca_pass(messages: list, segmentations: list, config: PipelineConfig):
-    trace = join_trace(segmentations, messages)
+def _pca_pass(trace: JoinedTrace, config: PipelineConfig):
     edges = trace.edges.tolist()
     values = list(map(trace.joined.__getitem__, map(slice, edges[:-1], edges[1:])))
     params = config.analysis
@@ -732,40 +683,49 @@ def _pca_pass(messages: list, segmentations: list, config: PipelineConfig):
                 proposals.extend(cluster_edits(leaf, positions, trace))
             except ProtosegError as exc:
                 logger.warning("skipping cluster of %d segments: %s", len(leaf.members), exc)
-    new_segs, applied = apply_edits(proposals, segmentations)
-    return new_segs, applied, roots, trace
+    new, applied = apply_edits(proposals, trace)
+    return new, applied, roots
 
 
-def _isolated(pass_name: str, op, args: list, segs: list, messages: list) -> list:
-    """op(segs, messages, *args), or, when that raises, op on one message at a time.
+def _isolated(pass_name: str, op, args: list, trace: JoinedTrace) -> JoinedTrace:
+    """op(trace, *args), or, when that raises, op on one message at a time.
 
-    A message the pass fails on keeps its segmentation, and the failure
-    is logged.
+    A message the pass fails on keeps its cuts, and the failure is
+    logged.
     """
     try:
-        return op(segs, messages, *args)
+        return op(trace, *args)
     except ProtosegError:
         pass
-    out = []
-    for seg, msg in zip(segs, messages):
+    flags = []
+    for r, mid in enumerate(trace.ids.tolist()):
+        one = trace.message(r)
         try:
-            out.extend(op([seg], [msg], *args))
+            one = op(one, *args)
         except ProtosegError as exc:
-            logger.warning("pass %s failed on message %d: %s", pass_name, msg.id, exc)
-            out.append(seg)
-    return out
+            logger.warning("pass %s failed on message %d: %s", pass_name, mid, exc)
+        flags.append(one.is_cut[:-1])
+    flags.append(trace.is_cut[-1:])
+    return trace.recut(np.concatenate(flags))
 
 
 def run_pipeline(messages: list, pipeline: Pipeline,
                  external: Optional[list] = None) -> PipelineResult:
     """Run a base segmenter and refinement chain over a trace.
 
-    Per-message pass failures are logged and leave that message's
-    segmentation unchanged; they never abort the trace.
+    The trace is laid out once, after the base segmenter, and every pass
+    maps that `JoinedTrace` to a new one; the segmentations are read
+    from the last.  Per-message pass failures are logged and leave that
+    message's cuts unchanged; they never abort the trace.  A message id
+    that occurs twice is refused.
     """
     cfg = pipeline.config
     if not messages:
         return PipelineResult(segmentations=[], edits=[], tree=None)
+    ids = Counter(m.id for m in messages)
+    if len(ids) < len(messages):
+        repeated = next(mid for mid, count in ids.items() if count > 1)
+        raise UsageError(f"message id {repeated} occurs more than once in the trace")
 
     if pipeline.base == BASE_NULL_BYTES:
         segs = [null_segmenter(m) for m in messages]
@@ -776,11 +736,8 @@ def run_pipeline(messages: list, pipeline: Pipeline,
         if external is None:
             raise UsageError("external base requires a segmentation list")
         by_id = {s.message_id: s for s in external}
-        segs = []
-        for m in messages:
-            seg = by_id.get(m.id, Segmentation(m.id, ()))
-            seg.validate_against(m)
-            segs.append(seg)
+        segs = [by_id.get(m.id, Segmentation(m.id, ())) for m in messages]
+    trace = join_trace(segs, messages)  # refuses a cut at or beyond its payload's end
 
     knobs = {  # built per call, so a pass replaced on the module is the one called
         PASS_ENTROPY_MERGE: (entropy_merge, cfg.entropy_floor, cfg.entropy_diff),
@@ -792,18 +749,19 @@ def run_pipeline(messages: list, pipeline: Pipeline,
     provenance_of = {PASS_NULL_REFINE: "nullbytes"}
 
     edits: list = []
-    tree = trace = None
+    tree = clustered = None
     for pass_name in pipeline.passes:
         if pass_name == PASS_PCA:
-            segs, applied, tree, trace = _pca_pass(messages, segs, cfg)
+            clustered = trace
+            trace, applied, tree = _pca_pass(trace, cfg)
             edits.extend(applied)
             continue
         if pass_name == PASS_CROP_DISTINCT:
-            new = crop_distinct(segs, messages,
-                                cfg.distinct_min_fraction, cfg.distinct_min_messages)
+            new = crop_distinct(trace, cfg.distinct_min_fraction, cfg.distinct_min_messages)
         else:
             op, *args = knobs[pass_name]
-            new = _isolated(pass_name, op, args, segs, messages)
-        edits.extend(_diff_edits(segs, new, provenance_of.get(pass_name, pass_name)))
-        segs = new
-    return PipelineResult(segmentations=segs, edits=edits, tree=tree, trace=trace)
+            new = _isolated(pass_name, op, args, trace)
+        edits.extend(_diff_edits(trace, new, provenance_of.get(pass_name, pass_name)))
+        trace = new
+    return PipelineResult(segmentations=trace.segmentations(), edits=edits, tree=tree,
+                          trace=clustered)

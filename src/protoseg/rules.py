@@ -33,20 +33,21 @@ end to end, with a flag per position that marks the cuts.  Each
 member's message row, start and end are read from it.
 `common_aligned_cuts` counts the boundaries of all members with one
 `bincount`, `cluster_edits` decides every (member, position) pair of a
-members x positions grid at once, and `apply_edits` builds a new
-`Segmentation` only for a message it changes.
+members x positions grid at once, and `apply_edits` sets and clears
+those flags and returns the layout recut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
 from .cluster import ClusterNode
 from .dissim import Overlay
-from .model import AnalysisParams, NoSignalError, Segmentation
+from .model import AnalysisParams, NoSignalError
 from .pca import PcaResult
 
 if TYPE_CHECKING:  # refine imports this module
@@ -185,37 +186,30 @@ def cluster_edits(node: ClusterNode, positions, trace: JoinedTrace) -> list:
                     map(provenances.__getitem__, column.tolist())))
 
 
-def apply_edits(edits, segmentations: list) -> tuple:
+def apply_edits(edits, trace: JoinedTrace) -> tuple:
     """Apply edits trace-wide in (message, offset) order.
 
     Conflicting edits resolve to the first in that order: a move whose
     source cut is gone or whose target is taken is dropped, as is an add
-    on an existing cut.  Returns (new segmentations, applied edits); a
-    message no edit changed keeps its `Segmentation` object.
+    on an existing cut.  So is an edit for a message the trace does not
+    hold, or at an offset outside its message's interior.  Returns
+    (the trace recut, applied edits).
     """
-    row_of = {seg.message_id: k for k, seg in enumerate(segmentations)}
-    cut_sets = {}
+    bounds = dict(zip(trace.ids.tolist(), pairwise(trace.offsets.tolist())))
+    is_cut = bytearray(trace.is_cut)  # one flag byte per position, read and set as ints
     applied = []
     for edit in sorted(edits, key=BoundaryEdit.sort_key):
-        cuts = cut_sets.get(edit.message_id)
-        if cuts is None:
-            if edit.message_id not in row_of:
-                continue
-            cuts = cut_sets[edit.message_id] = set(segmentations[row_of[edit.message_id]].cuts)
-        if edit.kind == ADD:
-            if edit.offset not in cuts:
-                cuts.add(edit.offset)
-                applied.append(edit)
-        elif edit.kind == MOVE:
-            if edit.old_offset in cuts and edit.offset not in cuts:
-                cuts.discard(edit.old_offset)
-                cuts.add(edit.offset)
-                applied.append(edit)
-        elif edit.kind == REMOVE:
-            if edit.offset in cuts:
-                cuts.discard(edit.offset)
-                applied.append(edit)
-    new_segs = list(segmentations)
-    for mid in {edit.message_id for edit in applied}:
-        new_segs[row_of[mid]] = Segmentation(mid, tuple(sorted(cut_sets[mid])))
-    return new_segs, applied
+        base, end = bounds.get(edit.message_id, (0, 0))
+        at, src = base + edit.offset, base + (edit.old_offset or 0)
+        if not base < at < end:
+            continue
+        if edit.kind == ADD and not is_cut[at]:
+            is_cut[at] = True
+        elif edit.kind == MOVE and base < src < end and is_cut[src] and not is_cut[at]:
+            is_cut[src], is_cut[at] = False, True
+        elif edit.kind == REMOVE and is_cut[at]:
+            is_cut[at] = False
+        else:
+            continue
+        applied.append(edit)
+    return trace.recut(np.frombuffer(is_cut, dtype=bool)), applied

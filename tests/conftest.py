@@ -13,8 +13,11 @@ member loops of the rules read each member's message and offsets off
 its ref.  The per-byte loops of
 the bit-congruence segmenter, the null-run and printable-run scans and
 the uncached entropy merge check their vectorised, table-driven
-replacements in `refine`.  The dict tree of the cluster nodes checks
-the value `cluster.tree_to_json` gives for `clusters.json`; every
+replacements in `refine`; the message-by-message loops of the null
+refinement, the char merge, the fixed split and the edit application
+check the passes that set and clear the cut flags of a whole trace.
+The dict tree of the cluster nodes checks the value
+`cluster.tree_to_json` gives for `clusters.json`; every
 artifact's text is the compact `json.dumps` of its value, which
 `tests/test_traceio.py` and `tests/test_cli.py` check directly.  The
 message-by-message layout checks `refine.join_trace`, and
@@ -276,6 +279,48 @@ def reference_crop_chars(cuts, payload, min_run):
     return tuple(sorted(out))
 
 
+def reference_null_refine(cuts, payload):
+    """Cut offsets of null_refine, one null run of the message at a time.
+
+    A run's boundary is its end after text and its start otherwise;
+    leading nulls have none.  The cut nearest to it, within one byte of
+    the run, moves there.
+    """
+    cuts = set(cuts)
+    prev_end = 0
+    for a, b in reference_null_runs(payload):
+        target = (b if refine.char_heuristic(payload[prev_end:a]) else a) if a else None
+        prev_end = b
+        if target is None or not 0 < target < len(payload) or target in cuts:
+            continue
+        candidates = [c for c in cuts if a - 1 <= c <= b + 1]
+        if candidates:
+            cuts.discard(min(candidates, key=lambda c: (abs(c - target), c)))
+            cuts.add(target)
+    return tuple(sorted(cuts))
+
+
+def reference_merge_chars(cuts, payload):
+    """Cut offsets of merge_chars, greedy over the message's bounds left to right."""
+    bounds = [0, *cuts, len(payload)]
+    i = 0
+    while i + 1 < len(bounds) - 1:
+        if refine.char_heuristic(payload[bounds[i]:bounds[i + 2]]):
+            del bounds[i + 1]
+        else:
+            i += 1
+    return tuple(bounds[1:-1])
+
+
+def reference_split_fixed(cuts, payload, chunk):
+    """Cut offsets of split_fixed, the first segment's chunks counted out one by one."""
+    first_end = cuts[0] if cuts else len(payload)
+    new = range(chunk, first_end - chunk + 1, chunk)
+    if new and not refine.char_heuristic(payload[:first_end]):
+        return (*new, *cuts)
+    return tuple(cuts)
+
+
 def reference_recursive_cluster(segments, params, max_depth):
     """Cluster tree of `cluster.recursive_cluster` over `SegmentRef`s, every node analysed afresh.
 
@@ -460,12 +505,13 @@ def reference_cluster_edits(overlay, positions, segmentations_by_id, payload_len
 
 
 def reference_diff_edits(old_segs, new_segs, provenance):
-    """`refine._diff_edits` message by message: adds, then removes; equal counts pair as moves."""
+    """`refine._diff_edits` of the layouts of old_segs and new_segs, message by message.
+
+    Per message: adds, then removes; equal counts pair as moves.
+    """
     from protoseg.rules import ADD, MOVE, REMOVE, BoundaryEdit
     edits = []
     for old, new in zip(old_segs, new_segs):
-        if new is old:
-            continue
         added = sorted(set(new.cuts).difference(old.cuts))
         removed = sorted(set(old.cuts).difference(new.cuts))
         mid = new.message_id
@@ -516,6 +562,32 @@ def reference_crop_distinct(segmentations, messages, min_fraction=0.10, min_mess
                     pos = span[1]
         out.append(tuple(sorted(cuts)))
     return out
+
+
+def reference_apply_edits(edits, segmentations):
+    """(segmentations, applied edits) of `rules.apply_edits`, one set of cuts per message.
+
+    Every edit lies inside its message, as `cluster_edits` proposes them.
+    """
+    from protoseg.rules import ADD, MOVE, REMOVE, BoundaryEdit
+    cut_sets = {seg.message_id: set(seg.cuts) for seg in segmentations}
+    applied = []
+    for edit in sorted(edits, key=BoundaryEdit.sort_key):
+        cuts = cut_sets.get(edit.message_id)
+        if cuts is None:
+            continue
+        if edit.kind == ADD and edit.offset not in cuts:
+            cuts.add(edit.offset)
+        elif edit.kind == MOVE and edit.old_offset in cuts and edit.offset not in cuts:
+            cuts.discard(edit.old_offset)
+            cuts.add(edit.offset)
+        elif edit.kind == REMOVE and edit.offset in cuts:
+            cuts.discard(edit.offset)
+        else:
+            continue
+        applied.append(edit)
+    return [Segmentation(seg.message_id, tuple(sorted(cut_sets[seg.message_id])))
+            for seg in segmentations], applied
 
 
 def reference_joined_trace(segmentations, messages) -> dict:
@@ -570,16 +642,15 @@ def reference_pca_pass(segmentations, messages, config) -> tuple:
         positions += [(k, "common_aligned")
                       for k in reference_common_aligned_cuts(leaf.overlay, boundaries)]
         proposals += reference_cluster_edits(leaf.overlay, positions, segs_by_id, lengths)
-    return (*rules.apply_edits(proposals, segmentations), roots)
+    return (*reference_apply_edits(proposals, segmentations), roots)
 
 
 def reference_run_pipeline(messages, pipeline, external=None) -> tuple:
     """(segmentations, edits, roots) of `refine.run_pipeline`, composed from the stage oracles.
 
-    The bit-congruence base, the entropy merge, the char crop and the
-    distinct-value crop are the oracles above; the null base, the null
-    refinement, merge_chars and split_fixed are the library's, called on
-    one message at a time.  Each static pass's edits come from
+    The bit-congruence base and every static pass are the oracles
+    above, called on one message at a time, except the null base, which
+    is the library's.  Each static pass's edits come from
     `reference_diff_edits` under the pass's provenance, and the pca pass
     is `reference_pca_pass`.  roots is None without a pca pass.
     """
@@ -595,17 +666,15 @@ def reference_run_pipeline(messages, pipeline, external=None) -> tuple:
         by_id = {s.message_id: s for s in external}
         segs = [by_id.get(m.id, Segmentation(m.id, ())) for m in messages]
 
-    def library(op, *knobs):
-        return lambda seg, msg: op([seg], [msg], *knobs)[0].cuts
-
     cuts_of = {
         refine.PASS_ENTROPY_MERGE: lambda seg, msg: reference_entropy_merge(
             seg.cuts, msg.payload, cfg.entropy_floor, cfg.entropy_diff),
-        refine.PASS_NULL_REFINE: library(refine.null_refine),
-        refine.PASS_MERGE_CHARS: library(refine.merge_chars),
+        refine.PASS_NULL_REFINE: lambda seg, msg: reference_null_refine(seg.cuts, msg.payload),
+        refine.PASS_MERGE_CHARS: lambda seg, msg: reference_merge_chars(seg.cuts, msg.payload),
         refine.PASS_CROP_CHARS: lambda seg, msg: reference_crop_chars(
             seg.cuts, msg.payload, cfg.char_min_run),
-        refine.PASS_SPLIT_FIXED: library(refine.split_fixed, cfg.chunk),
+        refine.PASS_SPLIT_FIXED: lambda seg, msg: reference_split_fixed(
+            seg.cuts, msg.payload, cfg.chunk),
     }
     edits, roots = [], None
     for name in pipeline.passes:
@@ -618,8 +687,7 @@ def reference_run_pipeline(messages, pipeline, external=None) -> tuple:
                                            cfg.distinct_min_messages)
         else:
             cuts = [cuts_of[name](seg, msg) for seg, msg in zip(segs, messages)]
-        new = [seg if c == seg.cuts else Segmentation(seg.message_id, c)
-               for seg, c in zip(segs, cuts)]
+        new = [Segmentation(seg.message_id, c) for seg, c in zip(segs, cuts)]
         edits += reference_diff_edits(segs, new, "nullbytes" if name == refine.PASS_NULL_REFINE
                                       else name)
         segs = new

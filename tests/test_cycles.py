@@ -84,13 +84,13 @@ def test_external_base_leaves_no_cyclic_garbage(traces, tmp_path, collector_off)
 def test_isolated_pass_failure_leaves_no_cyclic_garbage(traces, tmp_path, collector_off,
                                                         monkeypatch, caplog):
     # split_fixed refuses one message: the pass runs again one message at a
-    # time, logs that message's failure and keeps its segmentation
+    # time, logs that message's failure and keeps its cuts
     split_fixed, victim = refine.split_fixed, 3
 
-    def failing(segs, msgs, *knobs):
-        if any(m.id == victim for m in msgs):
+    def failing(trace, *knobs):
+        if victim in trace.ids.tolist():
             raise UsageError(f"refused message {victim}")
-        return split_fixed(segs, msgs, *knobs)
+        return split_fixed(trace, *knobs)
 
     monkeypatch.setattr(refine, "split_fixed", failing)
     trace, _ = traces["mixed"]

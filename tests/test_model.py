@@ -47,6 +47,18 @@ def test_message_rejects_empty_payload():
         Message(0, b"")
 
 
+@pytest.mark.parametrize("mid", ["m0", 2.0, None, 2**63, -2**63 - 1])
+def test_message_rejects_an_id_outside_int64(mid):
+    with pytest.raises(UsageError, match="message id"):
+        Message(mid, b"abc")
+
+
+@pytest.mark.parametrize("mid", [np.int64(5), np.uint8(5), 2**63 - 1, -2**63])
+def test_message_keeps_an_int64_id_as_a_python_int(mid):
+    msg = Message(mid, b"abc")
+    assert type(msg.id) is int and msg.id == int(mid)
+
+
 @pytest.mark.parametrize("cuts", [(0,), (3, 3), (4, 2), (-1,)])
 def test_segmentation_rejects_bad_cuts(cuts):
     with pytest.raises(UsageError):

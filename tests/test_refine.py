@@ -5,7 +5,8 @@ import pytest
 
 from conftest import (extreme_payload, reference_bit_congruence, reference_crop_chars,
                       reference_crop_distinct, reference_diff_edits, reference_entropy,
-                      reference_entropy_merge, reference_joined_trace, reference_null_runs)
+                      reference_entropy_merge, reference_joined_trace, reference_merge_chars,
+                      reference_null_refine, reference_null_runs, reference_split_fixed)
 from protoseg import synth
 from protoseg.model import Message, Segmentation, UsageError, segments_of
 from protoseg.refine import (BASE_EXTERNAL, PASS_PCA, PRESETS, Pipeline,
@@ -14,15 +15,21 @@ from protoseg.refine import (BASE_EXTERNAL, PASS_PCA, PRESETS, Pipeline,
                              merge_chars, null_refine, null_segmenter, preset,
                              run_pipeline, split_fixed, join_trace, _diff_edits, _Entropies,
                              _null_runs, _span_entropies)
+from protoseg.rules import BoundaryEdit
 
 
 def msg(data, mid=0):
     return Message(mid, bytes(data))
 
 
+def run_pass(op, segs, messages, *knobs) -> list:
+    """The segmentations a whole-trace pass leaves on the layout of segs over messages."""
+    return op(join_trace(segs, messages), *knobs).segmentations()
+
+
 def one(op, seg, m, *knobs):
     """A whole-trace pass run on a trace of one message."""
-    (out,) = op([seg], [m], *knobs)
+    (out,) = run_pass(op, [seg], [m], *knobs)
     return out
 
 
@@ -167,7 +174,7 @@ class TestAgainstPerByteReferences:
 
     def test_entropy_merge_on_multi_message_traces(self):
         # one call merges a whole trace, each message as the per-byte greedy
-        # merges it alone; a message whose cuts stay keeps its segmentation
+        # merges it alone
         rng = np.random.default_rng(62)
         payloads = [extreme_payload(rng) for _ in range(2000)]
         changed = 0
@@ -175,10 +182,9 @@ class TestAgainstPerByteReferences:
             segs = [Segmentation(m.id, tuple(c for c in range(1, len(m.payload))
                                              if rng.random() < 0.35)) for m in trace]
             floor, diff = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.3))
-            for m, seg, out in zip(trace, segs, entropy_merge(segs, trace, floor, diff)):
+            for m, seg, out in zip(trace, segs, run_pass(entropy_merge, segs, trace, floor, diff)):
                 assert out.cuts == reference_entropy_merge(seg.cuts, m.payload, floor, diff)
-                assert (out is seg) == (out.cuts == seg.cuts)
-                changed += out is not seg
+                changed += out.cuts != seg.cuts
         assert 200 < changed < 1800
 
     def test_entropy_merge_on_long_messages(self):
@@ -195,7 +201,8 @@ class TestAgainstPerByteReferences:
                     trace.append(msg(payload.tolist(), i))
                 segs = [bit_congruence_segmenter(m) for m in trace]
                 floor, diff = float(rng.uniform(0.3, 0.8)), float(rng.uniform(0.05, 0.3))
-                for m, seg, out in zip(trace, segs, entropy_merge(segs, trace, floor, diff)):
+                for m, seg, out in zip(trace, segs,
+                                       run_pass(entropy_merge, segs, trace, floor, diff)):
                     assert out.cuts == reference_entropy_merge(seg.cuts, m.payload, floor, diff)
 
     def test_span_entropies_equal_entropy_on_the_specs(self):
@@ -253,15 +260,35 @@ class TestAgainstPerByteReferences:
             segs = [Segmentation(m.id, tuple(c for c in range(1, len(m.payload))
                                              if rng.random() < 0.1)) for m in trace]
             min_run = int(rng.integers(1, 9))
-            for m, seg, out in zip(trace, segs, crop_chars(segs, trace, min_run)):
+            for m, seg, out in zip(trace, segs, run_pass(crop_chars, segs, trace, min_run)):
                 assert out.cuts == reference_crop_chars(seg.cuts, m.payload, min_run)
 
 
 class TestAgainstMessageLoops:
     """The trace-wide passes and edit diffs equal the message-by-message loops of conftest."""
 
+    def test_null_refine_merge_chars_and_split_fixed(self):
+        # payloads rich in nulls and text, so every pass has work in most traces
+        rng = np.random.default_rng(68)
+        alphabet = [0x00, 0x00, 0x00, 0x41, 0x42, 0x61, 0x20, 0x01, 0xff]
+        payloads = [bytes(rng.choice(alphabet, size=int(rng.integers(1, 41))).tolist())
+                    if rng.random() < 0.6 else extreme_payload(rng) for _ in range(3000)]
+        changed = {"null_refine": 0, "merge_chars": 0, "split_fixed": 0}
+        for trace in random_traces(rng, payloads):
+            segs = [Segmentation(m.id, tuple(c for c in range(1, len(m.payload))
+                                             if rng.random() < 0.3)) for m in trace]
+            chunk = int(rng.integers(1, 5))
+            for name, got, reference in (
+                    ("null_refine", run_pass(null_refine, segs, trace), reference_null_refine),
+                    ("merge_chars", run_pass(merge_chars, segs, trace), reference_merge_chars),
+                    ("split_fixed", run_pass(split_fixed, segs, trace, chunk),
+                     lambda cuts, payload: reference_split_fixed(cuts, payload, chunk))):
+                for m, seg, out in zip(trace, segs, got):
+                    assert out.cuts == reference(seg.cuts, m.payload), (name, m.payload.hex())
+                    changed[name] += out.cuts != seg.cuts
+        assert min(changed.values()) > 150
+
     def test_crop_distinct(self):
-        # segmentations in trace order or shuffled (they are matched by id),
         # with runs of one byte value whose frequent values overlap themselves
         rng = np.random.default_rng(66)
         changed = 0
@@ -274,23 +301,19 @@ class TestAgainstMessageLoops:
                 trace.append(msg(payload, 2 * i))
                 cuts = rng.integers(1, len(payload), size=int(rng.integers(0, len(payload))))
                 segs.append(Segmentation(2 * i, tuple(sorted(set(cuts.tolist())))))
-            if rng.random() < 0.3:
-                segs = [segs[k] for k in rng.permutation(len(segs)).tolist()]
             fraction, least = float(rng.choice([0.0, 0.05, 0.1, 0.3])), int(rng.integers(1, 4))
-            out = crop_distinct(segs, trace, fraction, least)
+            out = run_pass(crop_distinct, segs, trace, fraction, least)
             assert [s.cuts for s in out] == reference_crop_distinct(segs, trace, fraction, least)
-            assert all((new is old) == (new.cuts == old.cuts) for new, old in zip(out, segs))
-            changed += sum(new is not old for new, old in zip(out, segs))
+            changed += sum(new.cuts != old.cuts for new, old in zip(out, segs))
         assert changed > 3000
 
     def test_diff_edits(self):
-        # per message: unchanged (same object), the same cuts in a new
-        # object, only added, only removed, as many added as removed (moves)
-        # or any other change; and passes that change nothing at all
+        # per message: unchanged, only added, only removed, as many added as
+        # removed (moves) or any other change; and passes that change nothing
         rng = np.random.default_rng(67)
         kinds = set()
         for _ in range(1500):
-            old, new = [], []
+            messages, old, new = [], [], []
             for i in range(int(rng.integers(0, 20))):
                 length = int(rng.integers(1, 40))
                 cuts = sorted(set(rng.integers(1, length, size=int(rng.integers(0, length)))
@@ -307,13 +330,14 @@ class TestAgainstMessageLoops:
                 elif change == 4:
                     picked = set(sorted(picked)[:len(dropped)])
                     dropped = set(sorted(dropped)[:len(picked)])
-                out = seg if change == 0 else Segmentation(
-                    seg.message_id, tuple(sorted((set(cuts) - dropped) | picked))
-                    if change != 1 else seg.cuts)
+                out = seg if change in (0, 1) else Segmentation(
+                    seg.message_id, tuple(sorted((set(cuts) - dropped) | picked)))
+                messages.append(Message(seg.message_id, bytes(length)))
                 old.append(seg)
                 new.append(out)
-            for changes in (new, list(old)):
-                got = _diff_edits(old, changes, "crop_chars")
+            before = join_trace(old, messages)
+            for changes in (new, old):
+                got = _diff_edits(before, join_trace(changes, messages), "crop_chars")
                 assert got == reference_diff_edits(old, changes, "crop_chars")
                 assert all(type(e.message_id) is int and type(e.offset) is int
                            and type(e.old_offset) in (int, type(None)) for e in got)
@@ -346,6 +370,29 @@ class TestJoinTrace:
                 assert getattr(got, name).tolist() == want[name], name
             assert got.ids.tolist() == want["ids"]
         assert seen == {"one byte", "no cuts", "cut at len - 1"}
+
+    def test_recut_message_and_segmentations_match_a_fresh_join(self):
+        # a layout recut to other cuts, one message of it alone, and the
+        # segmentations read back, each against join_trace of the cut sets
+        rng = np.random.default_rng(72)
+        fields = ("joined", "offsets", "edges", "first", "at_cut", "is_cut", "ids")
+
+        def cut_sets(trace):
+            return [Segmentation(m.id, tuple(c for c in range(1, len(m.payload))
+                                             if rng.random() < 0.3)) for m in trace]
+
+        def assert_same(got, want):
+            for name in fields:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+        payloads = [extreme_payload(rng) for _ in range(1500)]
+        for trace in random_traces(rng, payloads, largest=12):
+            old, new = cut_sets(trace), cut_sets(trace)
+            layout, want = join_trace(old, trace), join_trace(new, trace)
+            assert layout.segmentations() == old
+            assert_same(layout.recut(want.is_cut), want)
+            r = int(rng.integers(0, len(trace)))
+            assert_same(layout.message(r), join_trace(old[r:r + 1], trace[r:r + 1]))
 
     @pytest.mark.parametrize("cuts", [(2,), (3,), (1, 5)])
     def test_cut_at_or_beyond_the_end_raises(self, cuts):
@@ -398,14 +445,14 @@ class TestPassKinds:
             msgs = [msg(p, i) for i, p in enumerate(payloads)]
             segs = [Segmentation(i, tuple(c for c in range(1, len(p)) if rng.random() < 0.3))
                     for i, p in enumerate(payloads)]
-            for old, new in zip(segs, crop_distinct(segs, msgs)):
+            for old, new in zip(segs, run_pass(crop_distinct, segs, msgs)):
                 assert set(new.cuts) >= set(old.cuts)
                 changed += new.cuts != old.cuts
         assert changed > 100
 
 
 class TestUnchangedCuts:
-    """A pass that leaves the cuts as they are returns the segmentation it was given."""
+    """A pass that leaves the cuts as they are leaves the cut flags equal, so it logs no edit."""
 
     def test_per_message_passes(self):
         rng = np.random.default_rng(65)
@@ -414,18 +461,22 @@ class TestUnchangedCuts:
         for _ in range(2000):
             payload = extreme_payload(rng)
             seg = Segmentation(0, tuple(c for c in range(1, len(payload)) if rng.random() < 0.3))
+            trace = join_trace([seg], [msg(payload)])
             for op in passes:
-                out = one(op, seg, msg(payload))
-                assert (out is seg) == (out.cuts == seg.cuts)
-                kept[op] += out is seg
+                out = op(trace)
+                same = out.segmentations() == [seg]
+                assert np.array_equal(out.is_cut, trace.is_cut) == same
+                assert (_diff_edits(trace, out, op.__name__) == []) == same
+                kept[op] += same
         assert min(kept.values()) > 100  # every pass met unchanged and changed cuts
         assert max(kept.values()) < 2000
 
     def test_crop_distinct(self):
         msgs, segs = TestCropDistinct()._trace()
-        out = crop_distinct(segs, msgs)
-        assert out[9] is not segs[9]
-        assert all(new is old for new, old in zip(out[:9], segs))
+        trace = join_trace(segs, msgs)
+        out = crop_distinct(trace)
+        assert out.segmentations()[:9] == segs[:9]
+        assert {e.message_id for e in _diff_edits(trace, out, "crop_distinct")} == {9}
 
 
 class TestEntropyMerge:
@@ -493,34 +544,35 @@ class TestCropDistinct:
 
     def test_frequent_value_cropped_from_larger_segment(self):
         msgs, segs = self._trace()
-        out = crop_distinct(segs, msgs)
+        out = run_pass(crop_distinct, segs, msgs)
         assert out[9].cuts == (1, 3)
 
     def test_whole_segment_occurrence_untouched(self):
         msgs, segs = self._trace()
-        out = crop_distinct(segs, msgs)
+        out = run_pass(crop_distinct, segs, msgs)
         assert out[0].cuts == (2,)
 
     def test_no_frequent_value_is_noop(self):
         msgs = [msg(bytes([i, i + 1, i + 2]), mid=i) for i in range(8)]
         segs = [Segmentation(i, ()) for i in range(8)]
-        assert [s.cuts for s in crop_distinct(segs, msgs)] == [()] * 8
+        assert [s.cuts for s in run_pass(crop_distinct, segs, msgs)] == [()] * 8
 
     def test_value_counts_once_per_message(self):
         # 81 82 is a segment three times in each of two messages: two messages, not six
         msgs = [msg(bytes.fromhex("818281828182aa"), mid=i) for i in range(2)]
         msgs += [msg(bytes.fromhex("cc8182dd"), mid=2)]
         segs = [Segmentation(i, (2, 4, 6)) for i in range(2)] + [Segmentation(2, ())]
-        assert [s.cuts for s in crop_distinct(segs, msgs)] == [(2, 4, 6)] * 2 + [()]
+        assert [s.cuts for s in run_pass(crop_distinct, segs, msgs)] == [(2, 4, 6)] * 2 + [()]
         msgs.append(msg(bytes.fromhex("8182ee"), mid=3))
         segs.append(Segmentation(3, (2,)))
-        assert crop_distinct(segs, msgs)[2].cuts == (1, 3)
+        assert run_pass(crop_distinct, segs, msgs)[2].cuts == (1, 3)
 
     def test_cut_beyond_the_payload_is_rejected(self):
+        # the layout the pass reads refuses the cut
         msgs, segs = self._trace()
         segs[4] = Segmentation(4, (2, 3))
         with pytest.raises(UsageError, match="out of range for message 4"):
-            crop_distinct(segs, msgs)
+            run_pass(crop_distinct, segs, msgs)
 
 
 class TestSplitFixed:
@@ -574,6 +626,31 @@ class TestPipeline:
     def test_external_base_requires_segmentations(self):
         with pytest.raises(UsageError):
             run_pipeline([msg(b"ab")], Pipeline(base=BASE_EXTERNAL, passes=()))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_repeated_message_id_is_refused(self, name):
+        messages, _ = synth.generate(dataclasses.replace(synth.reference_specs()["fixed"],
+                                                         message_count=60, rng_seed=3))
+        messages = [Message(k // 2, m.payload) for k, m in enumerate(messages)]
+        with pytest.raises(UsageError, match="message id 0 occurs more than once"):
+            run_pipeline(messages, preset(name))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_ids_at_the_ends_of_int64(self, name):
+        # the same trace numbered down from the largest int64, then up from the smallest
+        messages, _ = synth.generate(dataclasses.replace(synth.reference_specs()["mixed"],
+                                                         message_count=60, rng_seed=3))
+        plain = run_pipeline(messages, preset(name))
+        for mid in (lambda k: 2**63 - 1 - k, lambda k: -2**63 + k):
+            ids = [mid(k) for k in range(len(messages))]
+            result = run_pipeline([Message(i, m.payload) for i, m in zip(ids, messages)],
+                                  preset(name))
+            assert [(s.message_id, s.cuts) for s in result.segmentations] == \
+                [(i, s.cuts) for i, s in zip(ids, plain.segmentations)]
+            # the pca pass applies its edits in message id order
+            renumbered = [e._replace(message_id=ids[e.message_id]) for e in plain.edits]
+            assert sorted(result.edits, key=BoundaryEdit.sort_key) == \
+                sorted(renumbered, key=BoundaryEdit.sort_key)
 
     def test_every_pass_keeps_segmentations_valid(self):
         rng = np.random.default_rng(21)

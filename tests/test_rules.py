@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (extreme_payload, reference_boundaries, reference_cluster_edits,
-                      reference_common_aligned_cuts, trace_refs)
+from conftest import (extreme_payload, reference_apply_edits, reference_boundaries,
+                      reference_cluster_edits, reference_common_aligned_cuts, trace_refs)
 from protoseg.cluster import PCA_SUITABLE, ClusterNode
 from protoseg.dissim import Overlay
 from protoseg.model import AnalysisParams, Message, NoSignalError, Segmentation
@@ -19,6 +19,13 @@ def trace_cuts(cuts_by_message: dict, length: int):
     """The `JoinedTrace` of messages of `length` bytes with these cuts, by message id."""
     segs = [Segmentation(mid, tuple(sorted(cuts))) for mid, cuts in cuts_by_message.items()]
     return join_trace(segs, [Message(s.message_id, bytes(length)) for s in segs])
+
+
+def apply(edits, segs, length: int = 16) -> tuple:
+    """(segmentations, applied edits) of `apply_edits` on messages of `length` bytes cut as segs."""
+    trace, applied = apply_edits(
+        edits, join_trace(segs, [Message(s.message_id, bytes(length)) for s in segs]))
+    return trace.segmentations(), applied
 
 
 def segments_from(trace, start: int) -> tuple:
@@ -179,26 +186,34 @@ class TestApplyEdits:
             BoundaryEdit(0, 6, "move", old_offset=9, provenance="rule_a"),
             BoundaryEdit(0, 9, "add", provenance="rule_b"),
         ]
-        new, applied = apply_edits(edits, segs)
+        new, applied = apply(edits, segs)
         # first move wins the target; the second is dropped; add is a no-op
         assert new[0].cuts == (6, 9)
         assert len(applied) == 1
 
-    def test_untouched_message_keeps_its_object(self):
+    def test_untouched_message_keeps_its_cuts(self):
         segs = [Segmentation(0, (5,)), Segmentation(4, (3,)), Segmentation(9, (4,))]
         edits = [BoundaryEdit(4, 6, "add", provenance="rule_b"),
                  BoundaryEdit(9, 4, "add", provenance="rule_b"),  # its cut is there already
                  BoundaryEdit(9, 2, "move", old_offset=1, provenance="rule_a")]  # no cut at 1
-        new, applied = apply_edits(edits, segs)
+        new, applied = apply(edits, segs)
         assert applied == edits[:1]
-        assert new[0] is segs[0] and new[2] is segs[2]
-        assert new[1] == Segmentation(4, (3, 6))
+        assert new == [segs[0], Segmentation(4, (3, 6)), segs[2]]
+
+    def test_edit_outside_its_message_is_dropped(self):
+        # each would otherwise write or read a cut flag of the next message
+        segs = [Segmentation(0, (5,)), Segmentation(4, (1, 3))]
+        edits = [BoundaryEdit(0, 8, "add", provenance="rule_b"),
+                 BoundaryEdit(0, 6, "move", old_offset=9, provenance="rule_a"),
+                 BoundaryEdit(0, 0, "add", provenance="rule_b"),
+                 BoundaryEdit(7, 2, "add", provenance="rule_b")]  # no such message
+        assert apply(edits, segs, length=8) == (segs, [])
 
     def test_idempotent_on_reapplication(self):
         segs = [Segmentation(0, (5,))]
         edits = [BoundaryEdit(0, 4, "move", old_offset=5, provenance="rule_a")]
-        once, applied1 = apply_edits(edits, segs)
-        twice, applied2 = apply_edits(edits, once)
+        once, applied1 = apply(edits, segs)
+        twice, applied2 = apply(edits, once)
         assert once == twice
         assert applied1 and not applied2
 
@@ -219,7 +234,7 @@ class TestApplyEdits:
                 edits.append(BoundaryEdit(0, offset, kind,
                                           old_offset=old if kind == "move" else None,
                                           provenance="rule_a"))
-            new, _ = apply_edits(edits, segs)
+            new, _ = apply(edits, segs, length)
             seg = new[0]
             assert all(0 < c < length for c in seg.cuts)
             assert list(seg.cuts) == sorted(set(seg.cuts))
@@ -231,9 +246,9 @@ class TestApplyEdits:
     def test_exact_repeat_applies_once(self, edit):
         # cluster_edits may propose one edit twice; the repeat is a no-op here
         segs = [Segmentation(0, (5, 9))]
-        new, applied = apply_edits([edit, edit], segs)
+        new, applied = apply([edit, edit], segs)
         assert applied == [edit]
-        assert (new, applied) == apply_edits([edit], segs)
+        assert (new, applied) == apply([edit], segs)
 
     def test_repeats_change_nothing(self):
         rng = np.random.default_rng(79)
@@ -251,7 +266,7 @@ class TestApplyEdits:
                                               old_offset=int(rng.integers(1, length)),
                                               provenance="rule_a"))
             repeats = [edits[int(k)] for k in rng.integers(0, len(edits), size=3)]
-            assert apply_edits(edits + repeats, segs) == apply_edits(edits, segs)
+            assert apply(edits + repeats, segs, length) == apply(edits, segs, length)
 
 
 def random_overlays(rng, count):
@@ -319,11 +334,10 @@ class TestAgainstMemberLoops:
         rng = np.random.default_rng(193)
         for overlay, _, positions, segs, messages in random_overlays(rng, 300):
             node = ClusterNode(overlay.members, PCA_SUITABLE, 0, overlay=overlay)
-            edits = cluster_edits(node, positions, join_trace(segs, messages))
-            new, applied = apply_edits(edits, segs)
+            trace = join_trace(segs, messages)
+            edits = cluster_edits(node, positions, trace)
+            new, applied = apply_edits(edits, trace)
+            assert (new.segmentations(), applied) == reference_apply_edits(edits, segs)
             touched = {e.message_id for e in applied}
-            for old, seg in zip(segs, new):
-                if old.message_id in touched:
-                    assert seg.cuts != old.cuts
-                else:
-                    assert seg is old
+            for old, seg in zip(segs, new.segmentations()):
+                assert (seg.cuts != old.cuts) == (old.message_id in touched)

@@ -15,6 +15,10 @@ something else fails here, not only in the benchmark.
 
 The pca pass clusters byte strings and keeps positions in its layout,
 so no `SegmentRef` is built inside `run_pipeline`; that is counted too.
+So is the one layout of the cuts the whole chain shares: `run_pipeline`
+joins the trace once, every static pass maps a `JoinedTrace` to a
+`JoinedTrace`, and the only `Segmentation`s are the base segmenter's
+and the result's.
 """
 
 import dataclasses
@@ -106,11 +110,11 @@ def test_a_pass_failing_on_one_message_leaves_the_others(monkeypatch, caplog):
 
     crop_chars, sizes = refine.crop_chars, []
 
-    def failing(segs, msgs, *knobs):
-        sizes.append(len(msgs))
-        if any(m.id == victim for m in msgs):
+    def failing(trace, *knobs):
+        sizes.append(trace.ids.size)
+        if victim in trace.ids.tolist():
             raise UsageError(f"refused message {victim}")
-        return crop_chars(segs, msgs, *knobs)
+        return crop_chars(trace, *knobs)
 
     monkeypatch.setattr(refine, "crop_chars", failing)
     tracer = tracing.Tracer()
@@ -186,3 +190,36 @@ def test_run_pipeline_builds_no_segment_ref(monkeypatch, spec, name):
     result = refine.run_pipeline(messages, refine.preset(name))
     assert result.tree is not None and result.edits
     assert built == []
+
+
+@pytest.mark.parametrize("name", sorted(refine.PRESETS))
+@pytest.mark.parametrize("spec", sorted(synth.reference_specs()))
+def test_run_pipeline_keeps_one_layout(monkeypatch, spec, name):
+    messages, _ = synth.generate(dataclasses.replace(synth.reference_specs()[spec],
+                                                     message_count=60, rng_seed=3))
+    built, calls, check = [], Counter(), model.Segmentation.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    def layout_in_and_out(attr, fn):
+        def wrapper(trace, *knobs):
+            assert isinstance(trace, refine.JoinedTrace), attr
+            out = fn(trace, *knobs)
+            assert isinstance(out, refine.JoinedTrace), attr
+            calls[attr] += 1
+            return out
+        return wrapper
+
+    static = [attr for _, attr in tracing.SITES["refine.static_s"][0]]
+    for attr in static:
+        monkeypatch.setattr(refine, attr, layout_in_and_out(attr, getattr(refine, attr)))
+    joins = _count_calls(monkeypatch, ["join_trace"])
+    monkeypatch.setattr(model.Segmentation, "__post_init__", counted)
+    result = refine.run_pipeline(messages, refine.preset(name))
+    assert result.tree is not None and result.edits
+    assert len(built) == 2 * len(messages)  # the base segmenter's and the result's
+    assert joins == {"join_trace": 1}
+    assert {attr for attr in static if calls[attr]} == \
+        {attr for attr in static if f"refine.{attr}" not in tracing.UNREACHED[name]}
