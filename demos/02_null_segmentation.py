@@ -11,7 +11,7 @@ from protoseg.refine import join_trace, null_refine, null_segmenter
 
 
 def show(label, msg, seg):
-    parts = " | ".join(ref.values.hex(" ") for ref in segments_of(seg, msg))
+    parts = " | ".join(value.hex(" ") for value in segments_of(seg, msg))
     print(f"{label:24s} {parts}")
 
 

@@ -28,7 +28,7 @@ for metric in ("exact_f1", "near_f1", "fms_like"):
 msg = messages[0]
 print(f"\nmessage 0, truth cuts {truth.cuts[0]}:")
 for name, seg in (("base", base_segs[0]), ("nullpca", result.segmentations[0])):
-    parts = "|".join(r.values.hex() for r in segments_of(seg, msg))
+    parts = "|".join(value.hex() for value in segments_of(seg, msg))
     print(f"  {name:8s} {parts}")
 
 print("\n" + evaluate.compare_csv([base_report, pca_report]).splitlines()[-1])

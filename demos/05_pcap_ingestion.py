@@ -46,6 +46,6 @@ print(f"{len(payloads)} frames in the capture, {len(messages)} unique messages l
 
 for msg in messages:
     seg = null_segmenter(msg)
-    parts = " | ".join(r.values.hex(" ") for r in segments_of(seg, msg))
+    parts = " | ".join(value.hex(" ") for value in segments_of(seg, msg))
     print(f"message {msg.id} ({msg.source}):")
     print(f"  {parts}")

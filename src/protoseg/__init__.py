@@ -15,8 +15,7 @@ The usual entry points:
     evaluate.score_trace               compare against ground truth
 """
 
-from .model import (AnalysisParams, GroundTruth, Message, SegmentRef,
-                    Segmentation, segments_of)
+from .model import AnalysisParams, GroundTruth, Message, Segmentation, segments_of
 from .refine import Pipeline, PipelineConfig, preset, run_pipeline
 
 __version__ = "0.1.0"
@@ -27,7 +26,6 @@ __all__ = [
     "Message",
     "Pipeline",
     "PipelineConfig",
-    "SegmentRef",
     "Segmentation",
     "preset",
     "run_pipeline",

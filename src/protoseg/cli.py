@@ -271,7 +271,7 @@ def _cmd_inspect(args) -> int:
     for msg in messages[:args.limit]:
         seg = segs.get(msg.id)
         if seg is not None:
-            parts = [ref.values.hex() for ref in segments_of(seg, msg)]
+            parts = [value.hex() for value in segments_of(seg, msg)]
             dump = "|".join(parts)
         else:
             dump = msg.payload.hex()

@@ -305,7 +305,7 @@ def _analyze(members: np.ndarray, values: list, inverse, dist, depth: int,
         dist = dissim.pairwise(values)
 
     try:
-        overlay = dissim.overlay_cluster(node, values, dist, inverse, known)
+        overlay = dissim.overlay_cluster(values, dist, inverse, known)
         matrix = dissim.build_matrix(overlay, values, inverse)
     except DegenerateClusterError:
         return ClusterNode(node, NOISE, depth)

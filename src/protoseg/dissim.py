@@ -36,8 +36,9 @@ The clustering passes `pairwise` a node's distinct values only, in
 order of first occurrence, and hands those values, their matrix and
 the members' distinct ids to `overlay_cluster`, which expands the
 matrix per member where a sum needs it; so n is the number of
-distinct values, not of segments.  A member is a segment index, which
-the overlay carries but never reads.
+distinct values, not of segments.  The overlay holds one shift per
+member, in the order of the node's members; the members themselves,
+segment indices, stay on the cluster node.
 
 A member's shift is its distinct value's offset against the medoid,
 which depends only on that (value, medoid) pair.  A sub-cluster's
@@ -212,18 +213,17 @@ def pairwise(values) -> np.ndarray:
 class Overlay:
     """A cluster's members placed at their best-match relative offsets.
 
-    members are segment indices; member i occupies relative positions
+    Member i of the cluster occupies relative positions
     [shifts[i], shifts[i]+len); the minimum shift is normalized to 0.
     `reference` indexes the medoid the others were aligned against.
     """
 
-    members: tuple
     shifts: tuple
     width: int
     reference: int
 
 
-def overlay_cluster(members, values, dist: np.ndarray, inverse, known=None) -> Overlay:
+def overlay_cluster(values, dist: np.ndarray, inverse, known=None) -> Overlay:
     """Align a cluster on its medoid.
 
     The medoid is the member with the smallest total dissimilarity to
@@ -232,8 +232,7 @@ def overlay_cluster(members, values, dist: np.ndarray, inverse, known=None) -> O
     are the members' distinct byte values in order of first occurrence,
     `dist` is their dissimilarity matrix, as `pairwise` gives it for
     that list, and `inverse` numbers each member's distinct value in
-    that order, as `distinct_values` does.  members are carried into
-    the overlay unread.
+    that order, as `distinct_values` does.
 
     `known`, when given, maps medoid values of overlays of supersets of
     these members (the clusters this one was split from) to offsets:
@@ -270,8 +269,7 @@ def overlay_cluster(members, values, dist: np.ndarray, inverse, known=None) -> O
         offsets = np.where(lengths <= len(ref), found, -found)
     shift_of = offsets - np.minimum.reduce(offsets)
     width = int(np.maximum.reduce(shift_of + lengths))
-    return Overlay(members=tuple(members), shifts=tuple(shift_of[inverse].tolist()),
-                   width=width, reference=reference)
+    return Overlay(shifts=tuple(shift_of[inverse].tolist()), width=width, reference=reference)
 
 
 @dataclass(frozen=True)
@@ -291,7 +289,7 @@ class DataMatrix:
 
 def build_matrix(ov: Overlay, values, inverse) -> DataMatrix:
     """Data matrix of an overlay of members valued values[inverse[i]], majority positions kept."""
-    n = len(ov.members)
+    n = len(ov.shifts)
     starts = np.array(ov.shifts)
     distinct_lengths = np.fromiter(map(len, values), np.intp, len(values))
     lengths = distinct_lengths[inverse]

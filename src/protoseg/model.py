@@ -1,4 +1,4 @@
-"""Core value types: messages, segmentations, segment views, analysis parameters.
+"""Core value types: messages, segmentations, analysis parameters, ground truth.
 
 Boundaries are stored as interior cut offsets (never 0 or the payload
 length), so refinement passes compose as pure cut-set transformations.
@@ -43,6 +43,17 @@ class SpecError(ProtosegError):
 FIELD_TYPES = frozenset({"char", "number", "flags", "id", "pad", "unknown"})
 
 
+def message_id(value) -> int:
+    """value as a message id: a Python or numpy integer in the signed 64-bit range."""
+    try:
+        mid = operator.index(value)
+    except TypeError:
+        raise UsageError(f"message id must be an integer: {value!r}") from None
+    if not -2**63 <= mid < 2**63:
+        raise UsageError(f"message id {mid} is outside the signed 64-bit range")
+    return mid
+
+
 @dataclass(frozen=True)
 class Message:
     """One raw payload from a trace. `id`, an int64, is the index within the trace."""
@@ -52,13 +63,7 @@ class Message:
     source: str = ""
 
     def __post_init__(self):
-        try:
-            mid = operator.index(self.id)
-        except TypeError:
-            raise UsageError(f"message id must be an integer: {self.id!r}") from None
-        if not -2**63 <= mid < 2**63:
-            raise UsageError(f"message id {mid} is outside the signed 64-bit range")
-        object.__setattr__(self, "id", mid)
+        object.__setattr__(self, "id", message_id(self.id))
         if len(self.payload) == 0:
             raise UsageError(f"message {self.id} has an empty payload ({self.source or 'unknown source'})")
 
@@ -92,22 +97,6 @@ class Segmentation:
         if self.cuts and self.cuts[-1] >= len(msg.payload):
             raise UsageError(
                 f"cut {self.cuts[-1]} out of range for message {self.message_id} of length {len(msg.payload)}")
-
-
-@dataclass(frozen=True)
-class SegmentRef:
-    """A (message, start, end) view of bytes, as `segments_of` splits a message."""
-
-    message_id: int
-    start: int
-    end: int
-    values: bytes
-
-    def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise UsageError(f"invalid segment range [{self.start},{self.end}) in message {self.message_id}")
-        if len(self.values) != self.end - self.start:
-            raise UsageError(f"segment values length {len(self.values)} != {self.end - self.start}")
 
 
 @dataclass(frozen=True)
@@ -150,20 +139,29 @@ class AnalysisParams:
                 raise UsageError(f"{name} must lie in (0, 1)")
 
 
+def _key_id(key) -> int:
+    """A `GroundTruth` key as a message id; an integer's string, as a JSON key holds it, too."""
+    try:
+        return message_id(int(key) if isinstance(key, str) else key)
+    except ValueError:  # the string holds no integer
+        raise UsageError(f"message id must be an integer: {key!r}") from None
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """True interior boundaries per message id, with optional field type labels.
 
-    Each cut tuple is checked and normalized as `Segmentation` checks it.
+    Each key is checked as `Message` checks its id, and each cut tuple
+    as `Segmentation` checks it.
     """
 
     cuts: dict = field(default_factory=dict)
     labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        cuts = {int(k): v for k, v in self.cuts.items()}
+        cuts = {_key_id(k): v for k, v in self.cuts.items()}
         object.__setattr__(self, "cuts", {k: Segmentation(k, v).cuts for k, v in cuts.items()})
-        object.__setattr__(self, "labels", {int(k): tuple(v) for k, v in self.labels.items()})
+        object.__setattr__(self, "labels", {_key_id(k): tuple(v) for k, v in self.labels.items()})
         for mid, labels in self.labels.items():
             for lab in labels:
                 if lab not in FIELD_TYPES:
@@ -178,13 +176,7 @@ class GroundTruth:
 
 
 def segments_of(seg: Segmentation, msg: Message) -> list:
-    """Split `msg` into the contiguous SegmentRefs implied by `seg`.
-
-    Returns len(cuts)+1 refs covering the whole payload in order.
-    """
+    """The bytes of the len(cuts)+1 segments `seg` splits `msg` into, in order."""
     seg.validate_against(msg)
     bounds = (0,) + seg.cuts + (len(msg.payload),)
-    return [
-        SegmentRef(msg.id, a, b, msg.payload[a:b])
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    return list(map(msg.payload.__getitem__, map(slice, bounds[:-1], bounds[1:])))

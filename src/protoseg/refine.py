@@ -30,17 +30,19 @@ its key, the byte counts in byte-value order, through one formula, so
 it has the bits a per-span computation gives.  `crop_distinct` counts
 segment values once over the trace and finds each frequent value's
 occurrences in the joined payloads.  The PCA pass clusters the bytes of
-every segment; the rules and `clusters.json` read a member's message
-and bounds back from the layout by the member's segment index.
+every segment and hands each suitable leaf to the rules; the rules and
+`clusters.json` read a member's message and bounds back from the layout
+by the member's segment index.
 
-The bit-congruence segmenter reads its Gaussian kernel from a table
-keyed by sigma that `run_pipeline` creates empty for each run.  Null
-runs and printable runs are found by regular expressions on the
-payload bytes.
+The bit-congruence segmenter builds its Gaussian kernel once per
+sigma (`gaussian_kernel` is memoized and hands out one read-only
+array).  Null runs and printable runs are found by regular expressions
+on the payload bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
@@ -161,34 +163,28 @@ def null_refine(trace: JoinedTrace) -> JoinedTrace:
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.intp)
 
 
+@functools.lru_cache
 def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Normalized Gaussian smoothing kernel of std sigma and radius ceil(3 sigma)."""
+    """Normalized Gaussian kernel of std sigma and radius ceil(3 sigma); one read-only array."""
     if sigma <= 0:
         raise UsageError("sigma must be positive")
     radius = math.ceil(3 * sigma)
     support = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (support / sigma) ** 2)
     kernel /= kernel.sum()
+    kernel.flags.writeable = False
     return kernel
 
 
-def bit_congruence_segmenter(msg: Message, sigma: float = 0.9,
-                             kernels: Optional[dict] = None) -> Segmentation:
+def bit_congruence_segmenter(msg: Message, sigma: float = 0.9) -> Segmentation:
     """Cut where the smoothed bit-congruence delta bottoms out before rising.
 
     Bit congruence of adjacent bytes is the fraction of equal bits; its
     delta series is smoothed with a Gaussian kernel (std sigma, radius
     ceil(3 sigma)) and a cut is placed after every local minimum that is
-    followed by a rising edge.  The kernel is read from `kernels`, which
-    maps sigma to its `gaussian_kernel`; a missing entry is built and
-    added, so one table can serve every message of a trace.  Without
-    one, the kernel is built for this message only.
+    followed by a rising edge.
     """
-    if kernels is None:
-        kernels = {}
-    kernel = kernels.get(sigma)
-    if kernel is None:
-        kernel = kernels[sigma] = gaussian_kernel(sigma)
+    kernel = gaussian_kernel(sigma)
     payload = msg.payload
     if len(payload) < 3:
         return Segmentation(msg.id, ())
@@ -221,23 +217,11 @@ class _Entropies(dict):
     """
 
     def __missing__(self, key: tuple) -> float:
-        h = self[key] = self.formula(np.array(key, dtype=np.intp), sum(key))
+        n = sum(key)
+        p = np.array(key, dtype=np.intp) / n
+        h = float(-np.add.reduce(p * np.log2(p))) / math.log2(min(n, 256)) if n > 1 else 0.0
+        self[key] = h
         return h
-
-    def of(self, counts: np.ndarray, n: int) -> float:
-        """The entropy of a key held as an array, the counts of n bytes."""
-        key = tuple(counts.tolist())
-        h = self.get(key)
-        if h is None:
-            h = self[key] = self.formula(counts, n)
-        return h
-
-    @staticmethod
-    def formula(counts: np.ndarray, n: int) -> float:
-        if n < 2:
-            return 0.0
-        p = counts / n
-        return float(-np.add.reduce(p * np.log2(p))) / math.log2(min(n, 256))
 
 
 def _span_entropies(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -255,7 +239,7 @@ def _span_entropies(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     if starts.size == 1:
         (a,), (b,) = starts.tolist(), ends.tolist()
         counts = np.bincount(data[a:b])
-        return [entropies.of(counts[counts > 0], b - a)]
+        return [entropies[tuple(counts[counts > 0].tolist())]]
     lengths = ends - starts
     bounds = np.cumsum(lengths)  # where each span's bytes end once gathered
     gather = np.arange(bounds[-1]) + np.repeat(starts - bounds + lengths, lengths)
@@ -678,7 +662,7 @@ def _pca_pass(trace: JoinedTrace, config: PipelineConfig):
                     positions.append((int(column_map[k]), "rule_a"))
                 for k in rule_b(contrib, params):
                     positions.append((int(column_map[k]), "rule_b"))
-                for k in common_aligned_cuts(leaf.overlay, trace):
+                for k in common_aligned_cuts(leaf, trace):
                     positions.append((k, "common_aligned"))
                 proposals.extend(cluster_edits(leaf, positions, trace))
             except ProtosegError as exc:
@@ -717,7 +701,8 @@ def run_pipeline(messages: list, pipeline: Pipeline,
     maps that `JoinedTrace` to a new one; the segmentations are read
     from the last.  Per-message pass failures are logged and leave that
     message's cuts unchanged; they never abort the trace.  A message id
-    that occurs twice is refused.
+    that occurs twice, in the trace or in `external`, is refused, and so
+    is an external segmentation of a message the trace does not hold.
     """
     cfg = pipeline.config
     if not messages:
@@ -730,11 +715,14 @@ def run_pipeline(messages: list, pipeline: Pipeline,
     if pipeline.base == BASE_NULL_BYTES:
         segs = [null_segmenter(m) for m in messages]
     elif pipeline.base == BASE_BIT_CONGRUENCE:
-        kernels = {}  # this run's kernel table; see bit_congruence_segmenter
-        segs = [bit_congruence_segmenter(m, cfg.sigma, kernels) for m in messages]
+        segs = [bit_congruence_segmenter(m, cfg.sigma) for m in messages]
     else:
         if external is None:
             raise UsageError("external base requires a segmentation list")
+        for mid, count in Counter(s.message_id for s in external).items():
+            if count > 1 or mid not in ids:
+                why = "more than once" if count > 1 else "but the trace does not hold it"
+                raise UsageError(f"the external segmentation names message id {mid!r} {why}")
         by_id = {s.message_id: s for s in external}
         segs = [by_id.get(m.id, Segmentation(m.id, ())) for m in messages]
     trace = join_trace(segs, messages)  # refuses a cut at or beyond its payload's end

@@ -26,15 +26,16 @@ moved (the dominant near-match error of coarse segmenters is exactly
 one byte), otherwise a cut is added.
 
 The bookkeeping around a cluster works on trace-wide arrays, not member
-by member.  A member is a segment index into the trace's
-`refine.JoinedTrace`, the layout the PCA pass slices its segments
-from: every message's boundaries as positions in the payloads joined
-end to end, with a flag per position that marks the cuts.  Each
-member's message row, start and end are read from it.
-`common_aligned_cuts` counts the boundaries of all members with one
-`bincount`, `cluster_edits` decides every (member, position) pair of a
-members x positions grid at once, and `apply_edits` sets and clears
-those flags and returns the layout recut.
+by member.  It takes the cluster's leaf: its members, segment indices
+into the trace's `refine.JoinedTrace`, and its overlay, one shift per
+member.  The layout is the one the PCA pass slices its segments from:
+every message's boundaries as positions in the payloads joined end to
+end, with a flag per position that marks the cuts.  Each member's
+message row, start and end are read from it.  `common_aligned_cuts`
+counts the boundaries of all members with one `bincount`,
+`cluster_edits` decides every (member, position) pair of a members x
+positions grid at once, and `apply_edits` sets and clears those flags
+and returns the layout recut.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from .cluster import ClusterNode
-from .dissim import Overlay
 from .model import AnalysisParams, NoSignalError
 from .pca import PcaResult
 
@@ -119,24 +119,25 @@ def rule_b(contrib: ContributionVector, params: AnalysisParams = AnalysisParams(
     return out
 
 
-def _members(overlay: Overlay, trace: JoinedTrace) -> tuple:
+def _members(node: ClusterNode, trace: JoinedTrace) -> tuple:
     """(message rows, joined position of each member's relative 0, member starts, ends there)."""
-    rows, start, end = trace.segments(overlay.members)
-    return rows, start - np.array(overlay.shifts, dtype=np.intp), start, end
+    rows, start, end = trace.segments(node.members)
+    return rows, start - np.array(node.overlay.shifts, dtype=np.intp), start, end
 
 
-def common_aligned_cuts(overlay: Overlay, trace: JoinedTrace) -> list:
+def common_aligned_cuts(node: ClusterNode, trace: JoinedTrace) -> list:
     """Relative offsets where member boundaries pile up above both neighbors.
 
-    A member's boundaries are those of its message, 0 and the payload
-    length included.  A position is reported when it is a strict local
-    maximum of the boundary count and at least half the members share
-    it.  Each member's boundaries within relative 0..width are one run
-    of `trace.edges`, clipped to its message, so one `bincount` of all
+    The members are node's, placed at its overlay's shifts.  A member's
+    boundaries are those of its message, 0 and the payload length
+    included.  A position is reported when it is a strict local maximum
+    of the boundary count and at least half the members share it.  Each
+    member's boundaries within relative 0..width are one run of
+    `trace.edges`, clipped to its message, so one `bincount` of all
     these runs counts them.
     """
-    n, width = len(overlay.members), overlay.width
-    rows, origin, _, _ = _members(overlay, trace)
+    n, width = len(node.members), node.overlay.width
+    rows, origin, _, _ = _members(node, trace)
     edges, first = trace.edges, trace.first
     lo = np.maximum(edges.searchsorted(origin), first[rows])
     # the member's own start and end lie in its run, so none is empty
@@ -164,7 +165,7 @@ def cluster_edits(node: ClusterNode, positions, trace: JoinedTrace) -> list:
     if not positions:
         return []
     ks, provenances = zip(*positions)
-    rows, origin, start, end = _members(node.overlay, trace)
+    rows, origin, start, end = _members(node, trace)
     offsets, is_cut = trace.offsets, trace.is_cut
     base = offsets[rows]
     # the member observes a = start..end, and a must be interior to its message

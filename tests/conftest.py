@@ -7,10 +7,11 @@ broadcast Canberra formula checks the byte-pair table kernel.  Both
 work on every item, duplicates included, so they are also the expanded
 oracles of the clustering at distinct-value resolution.  The
 recomputing recursion checks the clustering tree against the full
-segments x segments analysis at every level; it clusters `SegmentRef`s,
-and `ref_tree` maps the library's segment indices to them.  The
-member loops of the rules read each member's message and offsets off
-its ref.  The per-byte loops of
+segments x segments analysis at every level; it clusters `Ref`s, a
+record of each segment's message, bounds and bytes kept here so the
+oracles need none from the library, and `ref_tree` maps the library's
+segment indices to them.  The member loops of the rules read each
+member's message and offsets off its ref.  The per-byte loops of
 the bit-congruence segmenter, the null-run and printable-run scans and
 the uncached entropy merge check their vectorised, table-driven
 replacements in `refine`; the message-by-message loops of the null
@@ -27,14 +28,25 @@ pipeline, which `tests/test_pipeline.py` checks `run_pipeline` against.
 
 import math
 from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from protoseg import cluster, dissim, pca, refine, rules
 from protoseg.dissim import UNMATCHED_PENALTY
-from protoseg.model import DegenerateClusterError, EstimationError, SegmentRef, Segmentation
+from protoseg.model import DegenerateClusterError, EstimationError, Segmentation
 from protoseg.refine import CHAR_BYTES
+
+
+class Ref(NamedTuple):
+    """One segment as the oracles read it: its message, its bounds there and its bytes."""
+
+    message_id: int
+    start: int
+    end: int
+    values: bytes
+
 
 # the published 8x5 example: eight aligned 5-byte segments
 EXAMPLE_X = np.array([
@@ -322,7 +334,7 @@ def reference_split_fixed(cuts, payload, chunk):
 
 
 def reference_recursive_cluster(segments, params, max_depth):
-    """Cluster tree of `cluster.recursive_cluster` over `SegmentRef`s, every node analysed afresh.
+    """Cluster tree of `cluster.recursive_cluster` over `Ref`s, every node analysed afresh.
 
     The members of every node are the refs themselves, in input order,
     where the library's are their indices (`ref_tree` maps those back).
@@ -342,7 +354,7 @@ def reference_recursive_cluster(segments, params, max_depth):
                         for L in sorted(set(lengths))]
             return cluster.ClusterNode(members, cluster.RECURSED, depth, children=tuple(children))
         distinct, dist, inverse = reference_distinct([m.values for m in members])
-        overlay = dissim.overlay_cluster(members, distinct, dist, inverse)
+        overlay = dissim.overlay_cluster(distinct, dist, inverse)
         try:
             matrix = dissim.build_matrix(overlay, distinct, inverse)
         except DegenerateClusterError:
@@ -378,11 +390,11 @@ def ref_tree(roots, refs) -> list:
 
 
 def trace_refs(segmentations, messages) -> list:
-    """Every segment of the trace as a `SegmentRef` read from its payload, in trace order."""
+    """Every segment of the trace as a `Ref` read from its payload, in trace order."""
     refs = []
     for seg, msg in zip(segmentations, messages):
         bounds = (0, *seg.cuts, len(msg.payload))
-        refs += [SegmentRef(msg.id, a, b, msg.payload[a:b]) for a, b in zip(bounds, bounds[1:])]
+        refs += [Ref(msg.id, a, b, msg.payload[a:b]) for a, b in zip(bounds, bounds[1:])]
     return refs
 
 
@@ -420,12 +432,11 @@ def extreme_payload(rng, low=1, high=41):
 def reference_overlay(values, dist, inverse, known=None):
     """`dissim.overlay_cluster` member by member: the medoid, then one offset per distinct value.
 
-    values[i] is the bytes of member i, and the members are segments 0
-    to len(values) - 1.  The distinct values are read from them in
-    order of first occurrence, and each one's offset against the medoid
-    comes from `dissimilarity` unless `known` holds the medoid's offsets.
+    values[i] is the bytes of member i.  The distinct values are read
+    from them in order of first occurrence, and each one's offset
+    against the medoid comes from `dissimilarity` unless `known` holds
+    the medoid's offsets.
     """
-    members = tuple(range(len(values)))
     inverse = np.asarray(inverse)
     distinct = list(dict.fromkeys(values))
     approx = np.einsum("ij,j->i", dist, np.bincount(inverse))
@@ -449,7 +460,7 @@ def reference_overlay(values, dist, inverse, known=None):
     shift_of = [o - low for o in offsets]
     width = max(s + len(v) for s, v in zip(shift_of, distinct))
     shifts = tuple(shift_of[i] for i in inverse.tolist())
-    return dissim.Overlay(members=members, shifts=shifts, width=width, reference=reference)
+    return dissim.Overlay(shifts=shifts, width=width, reference=reference)
 
 
 def reference_boundaries(segmentations, messages):
@@ -462,12 +473,12 @@ def reference_boundaries(segmentations, messages):
             {s.message_id: s for s in segmentations}, lengths)
 
 
-def reference_common_aligned_cuts(overlay, boundaries_by_message):
-    """`rules.common_aligned_cuts` with one set of relative boundaries per member."""
-    n = len(overlay.members)
-    width = overlay.width
+def reference_common_aligned_cuts(node, boundaries_by_message):
+    """`rules.common_aligned_cuts` with one set of relative boundaries per member `Ref` of node."""
+    n = len(node.members)
+    width = node.overlay.width
     counts = [0] * (width + 1)
-    for member, shift in zip(overlay.members, overlay.shifts):
+    for member, shift in zip(node.members, node.overlay.shifts):
         relative = {b - member.start + shift for b in boundaries_by_message[member.message_id]}
         for k in relative:
             if 0 <= k <= width:
@@ -482,11 +493,11 @@ def reference_common_aligned_cuts(overlay, boundaries_by_message):
     return out
 
 
-def reference_cluster_edits(overlay, positions, segmentations_by_id, payload_len_by_id):
-    """`rules.cluster_edits` member by member, position by position."""
+def reference_cluster_edits(node, positions, segmentations_by_id, payload_len_by_id):
+    """`rules.cluster_edits` member by member, position by position; node's members are `Ref`s."""
     from protoseg.rules import ADD, MOVE, BoundaryEdit
     edits = []
-    for member, shift in zip(overlay.members, overlay.shifts):
+    for member, shift in zip(node.members, node.overlay.shifts):
         cuts = set(segmentations_by_id[member.message_id].cuts)
         length = payload_len_by_id[member.message_id]
         for k, provenance in positions:
@@ -622,7 +633,7 @@ REFERENCE_PRESETS = {
 def reference_pca_pass(segmentations, messages, config) -> tuple:
     """(segmentations, applied edits, roots) of the pca pass, from the member-loop oracles.
 
-    Every segment becomes a `SegmentRef` read from its payload, the tree
+    Every segment becomes a `Ref` read from its payload, the tree
     is `reference_recursive_cluster`'s, and each suitable leaf with a
     significant component proposes rule A, rule B and common-aligned
     positions that `reference_cluster_edits` translates member by member.
@@ -640,8 +651,8 @@ def reference_pca_pass(segmentations, messages, config) -> tuple:
         positions = [(int(column[k]), "rule_a") for k in rules.rule_a(contrib, params)]
         positions += [(int(column[k]), "rule_b") for k in rules.rule_b(contrib, params)]
         positions += [(k, "common_aligned")
-                      for k in reference_common_aligned_cuts(leaf.overlay, boundaries)]
-        proposals += reference_cluster_edits(leaf.overlay, positions, segs_by_id, lengths)
+                      for k in reference_common_aligned_cuts(leaf, boundaries)]
+        proposals += reference_cluster_edits(leaf, positions, segs_by_id, lengths)
     return (*reference_apply_edits(proposals, segmentations), roots)
 
 

@@ -125,8 +125,7 @@ class TestDbscan:
         # segmenter: many repeated values, so many exact ties in the matrix
         spec = dataclasses.replace(synth.reference_specs()["mixed"], message_count=200)
         messages, _ = synth.generate(spec)
-        values = [r.values for m in messages for r in segments_of(null_segmenter(m), m)
-                  if len(r.values) == 2]
+        values = [v for m in messages for v in segments_of(null_segmenter(m), m) if len(v) == 2]
         D = dissim.pairwise(values)
         assert len(values) > 2 * len(set(values))
         entries = np.unique(D[np.triu_indices(len(D), 1)])
@@ -506,13 +505,13 @@ class TestOverlayReuse:
     fresh_overlay = staticmethod(dissim.overlay_cluster)
 
     def record_overlays(self, monkeypatch):
-        """Every overlay made from now on, as (members, their bytes, overlay, offsets reused)."""
+        """Every overlay made from now on, as (its members' bytes, overlay, offsets reused)."""
         overlays = []
 
-        def recorded(members, values, dist, inverse, known=None):
-            overlay = self.fresh_overlay(members, values, dist, inverse, known)
+        def recorded(values, dist, inverse, known=None):
+            overlay = self.fresh_overlay(values, dist, inverse, known)
             reused = bool(known) and values[inverse[overlay.reference]] in known
-            overlays.append((members, [values[d] for d in inverse], overlay, reused))
+            overlays.append(([values[d] for d in inverse], overlay, reused))
             return overlay
 
         monkeypatch.setattr(dissim, "overlay_cluster", recorded)
@@ -520,11 +519,8 @@ class TestOverlayReuse:
 
     def assert_fresh(self, overlays):
         # ClusterNode equality skips the overlay, so it is compared here
-        for members, member_values, overlay, _ in overlays:
-            fresh = self.fresh_overlay(members, *reference_distinct(member_values))
-            assert (overlay.reference, overlay.shifts, overlay.width) == \
-                   (fresh.reference, fresh.shifts, fresh.width)
-            assert overlay.members == members
+        for member_values, overlay, _ in overlays:
+            assert overlay == self.fresh_overlay(*reference_distinct(member_values))
 
     @pytest.mark.parametrize("preset_name", ["nullpca", "nemepca"])
     @pytest.mark.parametrize("name", sorted(synth.reference_specs()))
@@ -559,7 +555,7 @@ class TestOverlayReuse:
                 refs, AnalysisParams(), cluster.DEFAULT_MAX_DEPTH)
         self.assert_fresh(overlays)
         assert sum(reused and len(set(overlay.shifts)) > 1
-                   for _, _, overlay, reused in overlays) >= 20
+                   for _, overlay, reused in overlays) >= 20
 
     def test_reused_offsets_skip_dissimilarity(self, monkeypatch):
         # a medoid held by an ancestor's medoid costs no dissimilarity call
@@ -574,9 +570,9 @@ class TestOverlayReuse:
             counted["calls"] += 1
             return fresh_dissimilarity(s, t)
 
-        def overlay(members, values, dist, inverse, known=None):
+        def overlay(values, dist, inverse, known=None):
             before = counted["calls"]
-            result = fresh_overlay(members, values, dist, inverse, known)
+            result = fresh_overlay(values, dist, inverse, known)
             if known and values[inverse[result.reference]] in known:
                 counted["reused"] += 1
                 assert counted["calls"] == before
@@ -639,7 +635,7 @@ class TestSubsetGather:
         passes = preset("nullpca").passes
         before_pca = dataclasses.replace(preset("nullpca"), passes=passes[:passes.index(PASS_PCA)])
         segs = run_pipeline(messages, before_pca).segmentations
-        values = [r.values for m, s in zip(messages, segs) for r in segments_of(s, m)]
+        values = [v for m, s in zip(messages, segs) for v in segments_of(s, m)]
         groups = {}
         for v in values:
             groups.setdefault(len(v), set()).add(v)

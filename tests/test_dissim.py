@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import (duplicate_heavy_values, reference_distinct, reference_overlay,
@@ -10,8 +12,8 @@ from protoseg.model import DegenerateClusterError, UsageError
 
 
 def overlay_of(values, known=None):
-    """The overlay of segments 0..n-1 holding the byte values, from the reference matrix."""
-    return overlay_cluster(tuple(range(len(values))), *reference_distinct(values), known)
+    """The overlay of members holding the byte values, from the reference matrix."""
+    return overlay_cluster(*reference_distinct(values), known)
 
 
 def matrix_of(values):
@@ -280,7 +282,6 @@ class TestPairwiseOracle:
 class TestOverlay:
     def test_identical_members_align_at_zero(self):
         ov = overlay_of([b"\x05\x06"] * 3)
-        assert ov.members == (0, 1, 2)
         assert ov.shifts == (0, 0, 0)
         assert ov.width == 2
 
@@ -297,15 +298,16 @@ class TestOverlay:
 
     def test_needs_two_members(self):
         with pytest.raises(UsageError):
-            overlay_cluster((0,), [b"\x01"], np.zeros((1, 1)), [0])
+            overlay_cluster([b"\x01"], np.zeros((1, 1)), [0])
 
-    def test_members_are_carried_unread(self):
-        # segment indices in, the same tuple out; the bytes come from values
-        values = [b"\x08\x90", b"\x90", b"\x90"]
-        ov = overlay_cluster((4, 9, 17), *reference_distinct(values))
-        want = overlay_of(values)
-        assert ov.members == (4, 9, 17)
-        assert (ov.shifts, ov.width, ov.reference) == (want.shifts, want.width, want.reference)
+    def test_one_shift_per_member_in_member_order(self):
+        # members holding one distinct value share its shift, in the order of inverse
+        values = [b"\x90", b"\x08\x90", b"\x90", b"\x08\x90", b"\x90"]
+        ov = overlay_of(values)
+        assert ov.reference == 0  # the value three members hold
+        assert ov.shifts == (1, 0, 1, 0, 1)
+        # the members themselves stay on the cluster node
+        assert [f.name for f in dataclasses.fields(ov)] == ["shifts", "width", "reference"]
 
     def test_medoid_takes_the_rounding_of_the_member_row_sums(self):
         # both values have total 6 * d exactly, but summed over the members
@@ -315,7 +317,7 @@ class TestOverlay:
         values = [b"\x02", b"\x80\x03"]
         U = pairwise(values)
         inverse = [0 if c == "a" else 1 for c in "aaabaaabbbbb"]
-        assert overlay_cluster(tuple(range(12)), values, U, inverse).reference == 3
+        assert overlay_cluster(values, U, inverse).reference == 3
 
     def test_distinct_matrix_gives_the_expanded_overlay(self):
         # medoid by the row sums of the matrix over every member, shifts
@@ -329,8 +331,7 @@ class TestOverlay:
                    dissimilarity(v, medoid)[1] * (1 if len(v) <= len(medoid) else -1)
                    for v in values]
             want = (reference, tuple(r - min(rel) for r in rel))
-            ov = overlay_cluster(tuple(range(len(values))), distinct, pairwise(distinct),
-                                 inverse)
+            ov = overlay_cluster(distinct, pairwise(distinct), inverse)
             assert (ov.reference, ov.shifts) == want
 
 
@@ -362,9 +363,8 @@ class TestOverlayAgainstMemberLoop:
                 want = reference_overlay(values, dist, inverse, known)
                 expected_calls = list(calls)
                 calls.clear()
-                got = overlay_cluster(tuple(range(len(values))), distinct, dist, inverse, known)
-                assert (got.members, got.shifts, got.width, got.reference) == \
-                    (want.members, want.shifts, want.width, want.reference)
+                got = overlay_cluster(distinct, dist, inverse, known)
+                assert got == want
                 assert all(type(s) is int for s in got.shifts) and type(got.width) is int
                 assert calls == expected_calls
                 assert (len(calls) == 0) == (known is not None and medoid in known
@@ -388,7 +388,7 @@ class TestBuildMatrix:
     def test_degenerate_overlay_rejected(self):
         # three members on disjoint spans: no position reaches the majority
         # quorum of 2, so there is no column to analyze
-        broken = Overlay(members=(0, 1, 2), shifts=(0, 3, 6), width=8, reference=0)
+        broken = Overlay(shifts=(0, 3, 6), width=8, reference=0)
         with pytest.raises(DegenerateClusterError):
             build_matrix(broken, [bytes([1, 2])], [0, 0, 0])
 
@@ -407,7 +407,7 @@ class TestBuildMatrix:
 
 def loop_build_matrix(ov, values):
     """Data matrix of an overlay filled member by member; values[i] is member i's bytes."""
-    n = len(ov.members)
+    n = len(values)
     starts = np.array(ov.shifts)
     ends = starts + np.array([len(v) for v in values])
     positions = np.arange(ov.width)
@@ -440,8 +440,7 @@ class TestBuildMatrixOracle:
             shifts = rng.integers(0, 4, size=n)
             shifts -= shifts.min()
             width = int(max(s + len(v) for s, v in zip(shifts, values)))
-            ov = Overlay(members=tuple(range(n)), shifts=tuple(int(s) for s in shifts),
-                         width=width, reference=0)
+            ov = Overlay(shifts=tuple(int(s) for s in shifts), width=width, reference=0)
             distinct = list(dict.fromkeys(values))
             try:
                 dm = build_matrix(ov, distinct, [distinct.index(v) for v in values])

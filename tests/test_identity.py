@@ -243,8 +243,8 @@ def external_runs(tmp_path_factory):
             paths.add(LENGTHS)
         return pairwise(values)
 
-    def recorded_overlay(members, values, dist, inverse, known=None):
-        overlay = overlay_cluster(members, values, dist, inverse, known)
+    def recorded_overlay(values, dist, inverse, known=None):
+        overlay = overlay_cluster(values, dist, inverse, known)
         medoid = values[inverse[overlay.reference]]
         if known and medoid in known and np.any(np.asarray(known[medoid]) != 0):
             paths.add(REUSE)

@@ -3,26 +3,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from protoseg.model import (AnalysisParams, GroundTruth, Message, Segmentation,
-                            SegmentRef, UsageError, segments_of)
+from protoseg.model import (AnalysisParams, GroundTruth, Message, Segmentation, UsageError,
+                            segments_of)
 
 
 def test_segments_of_partitions_payload():
     msg = Message(0, bytes(range(6)))
-    refs = segments_of(Segmentation(0, (2, 4)), msg)
-    assert [(r.start, r.end) for r in refs] == [(0, 2), (2, 4), (4, 6)]
+    assert segments_of(Segmentation(0, (2, 4)), msg) == [b"\x00\x01", b"\x02\x03", b"\x04\x05"]
 
 
 def test_segments_of_empty_cuts():
-    msg = Message(0, bytes(5))
-    refs = segments_of(Segmentation(0, ()), msg)
-    assert [(r.start, r.end) for r in refs] == [(0, 5)]
+    msg = Message(0, bytes(range(5)))
+    assert segments_of(Segmentation(0, ()), msg) == [msg.payload]
 
 
 def test_segments_of_unit_segments():
-    msg = Message(0, bytes(3))
-    refs = segments_of(Segmentation(0, (1, 2)), msg)
-    assert [(r.start, r.end) for r in refs] == [(0, 1), (1, 2), (2, 3)]
+    msg = Message(0, b"xyz")
+    assert segments_of(Segmentation(0, (1, 2)), msg) == [b"x", b"y", b"z"]
 
 
 def test_segments_of_rejects_mismatched_ids():
@@ -35,11 +32,12 @@ def test_cut_roundtrip_and_coverage():
     msg = Message(7, payload)
     for cuts in [(), (1,), (5, 9, 22), tuple(range(1, 23))]:
         seg = Segmentation(7, cuts)
-        refs = segments_of(seg, msg)
-        # round trip: ends of all but the last ref reproduce the cuts
-        assert tuple(r.end for r in refs[:-1]) == cuts
+        values = segments_of(seg, msg)
+        assert len(values) == len(cuts) + 1 and all(values)
+        # round trip: the running lengths of all but the last segment reproduce the cuts
+        assert tuple(np.cumsum(list(map(len, values[:-1]))).tolist()) == cuts
         # coverage: concatenated values equal the payload
-        assert b"".join(r.values for r in refs) == payload
+        assert b"".join(values) == payload
 
 
 def test_message_rejects_empty_payload():
@@ -97,15 +95,6 @@ def test_segmentation_rejects_out_of_range_cut():
         Segmentation(0, (9,)).validate_against(msg)
 
 
-def test_segment_ref_invariants():
-    with pytest.raises(UsageError):
-        SegmentRef(0, 3, 3, b"")
-    with pytest.raises(UsageError):
-        SegmentRef(0, 0, 2, b"x")
-    ref = SegmentRef(0, 1, 4, b"abc")
-    assert (ref.start, ref.end, ref.values) == (1, 4, b"abc")
-
-
 def test_default_params_match_published_values():
     p = AnalysisParams()
     assert p.scree_min == 10
@@ -159,3 +148,18 @@ def test_ground_truth_normalizes_integer_cuts():
     truth = GroundTruth(cuts={"1": [np.int64(2), 4], 0: ()})
     assert truth.cuts == {1: (2, 4), 0: ()}
     assert all(type(c) is int for c in truth.cuts[1])
+
+
+@pytest.mark.parametrize("key", [1.7, np.float64(2.0), "x", "1.5", "--1", None, 2**63])
+def test_ground_truth_refuses_a_key_that_is_no_message_id(key):
+    # int() used to truncate 1.7 to 1 and raise ValueError on "x"
+    with pytest.raises(UsageError, match="message id"):
+        GroundTruth(cuts={key: (2,)})
+    with pytest.raises(UsageError, match="message id"):
+        GroundTruth(labels={key: ("number",)})
+
+
+def test_ground_truth_keys_are_checked_as_message_ids_are():
+    truth = GroundTruth(cuts={np.int64(3): (1,), "-4": ()}, labels={np.uint8(3): ("id", "pad")})
+    assert truth.cuts == {3: (1,), -4: ()} and truth.labels == {3: ("id", "pad")}
+    assert all(type(k) is int for k in (*truth.cuts, *truth.labels))

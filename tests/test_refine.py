@@ -50,10 +50,6 @@ def span_entropy(data: bytes, entropies=None) -> float:
     return h
 
 
-def seg_values(seg, m):
-    return [r.values for r in segments_of(seg, m)]
-
-
 class TestCharHeuristic:
     def test_plain_text(self):
         assert char_heuristic(b"ABC") is True
@@ -76,7 +72,7 @@ class TestNullSegmenter:
     def test_mixed_allocation(self):
         m = msg(bytes.fromhex("112200004142430099"))
         seg = null_segmenter(m)
-        assert seg_values(seg, m) == [bytes.fromhex("1122"),
+        assert segments_of(seg, m) == [bytes.fromhex("1122"),
                                       bytes.fromhex("000041424300"),
                                       bytes.fromhex("99")]
 
@@ -160,17 +156,16 @@ class TestAgainstPerByteReferences:
 
     def test_bit_congruence(self):
         rng = np.random.default_rng(61)
-        kernels = {}
         for _ in range(2000):
             payload = extreme_payload(rng)
             sigma = float(rng.uniform(0.4, 2.0))
             expected = reference_bit_congruence(payload, sigma)
             assert bit_congruence_segmenter(msg(payload), sigma).cuts == expected
-            assert bit_congruence_segmenter(msg(payload), sigma, kernels).cuts == expected
-        # one table served every sigma, each entry the kernel of its key
-        assert len(kernels) == 2000
-        for sigma, kernel in kernels.items():
-            assert np.array_equal(kernel, gaussian_kernel(sigma))
+            # one kernel array per sigma, shared by every call, and read-only
+            kernel = gaussian_kernel(sigma)
+            assert gaussian_kernel(sigma) is kernel
+            with pytest.raises(ValueError):
+                kernel[0] = 0.0
 
     def test_entropy_merge_on_multi_message_traces(self):
         # one call merges a whole trace, each message as the per-byte greedy
@@ -627,6 +622,24 @@ class TestPipeline:
         with pytest.raises(UsageError):
             run_pipeline([msg(b"ab")], Pipeline(base=BASE_EXTERNAL, passes=()))
 
+    @pytest.mark.parametrize("external, named", [
+        ([Segmentation(0, (2,)), Segmentation(0, (3,))], "id 0 more than once"),
+        ([Segmentation(999, (2,))], "id 999 but the trace does not hold it"),
+        ([Segmentation("0", (2,))], "id '0' but the trace does not hold it"),
+    ], ids=["repeated", "absent", "string"])
+    def test_external_segmentation_it_would_misread_is_refused(self, external, named):
+        # these were read silently: a repeated id kept its last entry, and a
+        # segmentation of a message the trace does not hold was ignored
+        messages, _ = synth.generate(dataclasses.replace(synth.reference_specs()["mixed"],
+                                                         message_count=20))
+        pipeline = preset("nullpca", base=BASE_EXTERNAL)
+        with pytest.raises(UsageError, match=f"external segmentation names message {named}"):
+            run_pipeline(messages, pipeline, external=external)
+        # a list naming each message at most once is read as it is
+        read = run_pipeline(messages, Pipeline(base=BASE_EXTERNAL, passes=()),
+                            external=[Segmentation(0, (2,))]).segmentations
+        assert [s.cuts for s in read] == [(2,)] + [()] * (len(messages) - 1)
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_repeated_message_id_is_refused(self, name):
         messages, _ = synth.generate(dataclasses.replace(synth.reference_specs()["fixed"],
@@ -660,7 +673,7 @@ class TestPipeline:
             result = run_pipeline(messages, preset(name))
             for m, s in zip(messages, result.segmentations):
                 s.validate_against(m)
-                assert all(r.values for r in segments_of(s, m))
+                assert all(segments_of(s, m))
 
     def test_pipeline_is_deterministic(self):
         rng = np.random.default_rng(22)

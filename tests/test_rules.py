@@ -119,19 +119,20 @@ def test_rules_never_fire_on_the_same_position():
 class TestCommonAligned:
     @staticmethod
     def _case(lengths_shifts, boundaries, start=10):
-        """(overlay, trace): member i is message i's segment from start, shifted as given."""
+        """(node, trace): member i is message i's segment from start, shifted as given."""
         trace = trace_cuts(boundaries, 40)
         shifts = tuple(sh for _, sh in lengths_shifts)
         width = max(sh + ln for ln, sh in lengths_shifts)
-        return Overlay(segments_from(trace, start), shifts, width, reference=0), trace
+        overlay = Overlay(shifts, width, reference=0)
+        return ClusterNode(segments_from(trace, start), PCA_SUITABLE, 0, overlay=overlay), trace
 
     def test_majority_local_maximum_reported(self):
         # six members aligned one position in, two spanning the full width:
         # counts over positions 0..4 are [2, 6, 0, 0, 8]
         boundaries = {i: {10, 13} for i in range(6)}
         boundaries.update({i: {10, 14} for i in range(6, 8)})
-        ov, trace = self._case([(3, 1)] * 6 + [(4, 0)] * 2, boundaries)
-        assert common_aligned_cuts(ov, trace) == [1, 4]
+        node, trace = self._case([(3, 1)] * 6 + [(4, 0)] * 2, boundaries)
+        assert common_aligned_cuts(node, trace) == [1, 4]
 
     def test_sub_quorum_plateau_not_reported(self):
         # counts [2, 3, 3, 0, 8]: positions 1 and 2 are neither strict
@@ -139,12 +140,12 @@ class TestCommonAligned:
         boundaries = {i: {10, 13} for i in range(3)}
         boundaries.update({i: {10, 12} for i in range(3, 6)})
         boundaries.update({i: {10, 14} for i in range(6, 8)})
-        ov, trace = self._case([(3, 1)] * 3 + [(2, 2)] * 3 + [(4, 0)] * 2, boundaries)
-        assert common_aligned_cuts(ov, trace) == [4]
+        node, trace = self._case([(3, 1)] * 3 + [(2, 2)] * 3 + [(4, 0)] * 2, boundaries)
+        assert common_aligned_cuts(node, trace) == [4]
 
     def test_unanimous_boundary_reported(self):
-        ov, trace = self._case([(4, 0)] * 4, {i: {2, 4, 6} for i in range(4)}, start=2)
-        assert 2 in common_aligned_cuts(ov, trace)
+        node, trace = self._case([(4, 0)] * 4, {i: {2, 4, 6} for i in range(4)}, start=2)
+        assert 2 in common_aligned_cuts(node, trace)
 
 
 class TestClusterEdits:
@@ -153,9 +154,8 @@ class TestClusterEdits:
         """(node, trace): n messages of 20 bytes with these cuts; member i is message i's
         segment from start, at shift 0 in an overlay 3 wide."""
         trace = trace_cuts({i: cuts for i in range(n)}, 20)
-        members = segments_from(trace, start)
-        overlay = Overlay(members=members, shifts=(0,) * n, width=3, reference=0)
-        return ClusterNode(members, PCA_SUITABLE, 0, overlay=overlay), trace
+        overlay = Overlay(shifts=(0,) * n, width=3, reference=0)
+        return ClusterNode(segments_from(trace, start), PCA_SUITABLE, 0, overlay=overlay), trace
 
     def test_off_by_one_move(self):
         node, trace = self._case((10, 13))
@@ -269,8 +269,8 @@ class TestApplyEdits:
             assert apply(edits + repeats, segs, length) == apply(edits, segs, length)
 
 
-def random_overlays(rng, count):
-    """count random (overlay, ref overlay, positions, segmentations, messages) cases.
+def random_leaves(rng, count):
+    """count random (leaf, ref leaf, positions, segmentations, messages) cases.
 
     A trace of 1..12 messages of 1..40 bytes with random cut sets, none
     in about a fifth of the traces; an overlay of 2..12 of its segments,
@@ -278,9 +278,9 @@ def random_overlays(rng, count):
     end, at shifts 0..3 and a width up to 2 beyond the widest member;
     and 0..6 (position, provenance) pairs over 0..width + 1, repeats
     included, with no positions at all in about a fifth of the cases.
-    The overlay's members are segment indices; the ref overlay holds the
-    same segments as `SegmentRef`s, as the member loops of conftest read
-    them.
+    The leaf's members are segment indices; the ref leaf holds the same
+    segments as conftest's `Ref`s, as its member loops read them, and
+    the same overlay.
     """
     for _ in range(count):
         count = int(rng.integers(1, 13))
@@ -297,12 +297,13 @@ def random_overlays(rng, count):
         shifts = tuple(rng.integers(0, 4, size=len(picked)).tolist())
         width = max(sh + len(refs[k].values) for sh, k in zip(shifts, picked)) \
             + int(rng.integers(0, 3))
-        overlay = Overlay(members=picked, shifts=shifts, width=width, reference=0)
+        leaf = ClusterNode(picked, PCA_SUITABLE, 0,
+                           overlay=Overlay(shifts=shifts, width=width, reference=0))
         positions = [] if rng.random() < 0.2 else [
             (int(k), str(rng.choice(["rule_a", "rule_b", "common_aligned"])))
             for k in rng.integers(0, width + 2, size=int(rng.integers(1, 7)))]
-        ref_overlay = dataclasses.replace(overlay, members=tuple(refs[k] for k in picked))
-        yield overlay, ref_overlay, positions, segs, messages
+        yield (leaf, dataclasses.replace(leaf, members=tuple(refs[k] for k in picked)),
+               positions, segs, messages)
 
 
 class TestAgainstMemberLoops:
@@ -310,20 +311,19 @@ class TestAgainstMemberLoops:
 
     def test_common_aligned_cuts(self):
         rng = np.random.default_rng(191)
-        for overlay, ref_overlay, _, segs, messages in random_overlays(rng, 1500):
+        for leaf, ref_leaf, _, segs, messages in random_leaves(rng, 1500):
             trace = join_trace(segs, messages)
             boundaries, _, _ = reference_boundaries(segs, messages)
-            assert common_aligned_cuts(overlay, trace) == \
-                reference_common_aligned_cuts(ref_overlay, boundaries)
+            assert common_aligned_cuts(leaf, trace) == \
+                reference_common_aligned_cuts(ref_leaf, boundaries)
 
     def test_cluster_edits(self):
         rng = np.random.default_rng(192)
         kinds = set()
-        for overlay, ref_overlay, positions, segs, messages in random_overlays(rng, 1500):
-            node = ClusterNode(overlay.members, PCA_SUITABLE, 0, overlay=overlay)
+        for leaf, ref_leaf, positions, segs, messages in random_leaves(rng, 1500):
             _, segs_by_id, lengths = reference_boundaries(segs, messages)
-            got = cluster_edits(node, positions, join_trace(segs, messages))
-            assert got == reference_cluster_edits(ref_overlay, positions, segs_by_id, lengths)
+            got = cluster_edits(leaf, positions, join_trace(segs, messages))
+            assert got == reference_cluster_edits(ref_leaf, positions, segs_by_id, lengths)
             # every field is a plain Python value, as the JSON writer needs
             assert all(type(e.message_id) is int and type(e.offset) is int
                        and type(e.old_offset) in (int, type(None)) for e in got)
@@ -332,10 +332,9 @@ class TestAgainstMemberLoops:
 
     def test_apply_edits_keeps_untouched_messages(self):
         rng = np.random.default_rng(193)
-        for overlay, _, positions, segs, messages in random_overlays(rng, 300):
-            node = ClusterNode(overlay.members, PCA_SUITABLE, 0, overlay=overlay)
+        for leaf, _, positions, segs, messages in random_leaves(rng, 300):
             trace = join_trace(segs, messages)
-            edits = cluster_edits(node, positions, trace)
+            edits = cluster_edits(leaf, positions, trace)
             new, applied = apply_edits(edits, trace)
             assert (new.segmentations(), applied) == reference_apply_edits(edits, segs)
             touched = {e.message_id for e in applied}

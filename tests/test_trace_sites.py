@@ -14,8 +14,9 @@ it, so a change that leaves a site unreached or feeds a count hook
 something else fails here, not only in the benchmark.
 
 The pca pass clusters byte strings and keeps positions in its layout,
-so no `SegmentRef` is built inside `run_pipeline`; that is counted too.
-So is the one layout of the cuts the whole chain shares: `run_pipeline`
+so `run_pipeline` builds no per-segment record: it splits no message
+with `segments_of`, and a member is a segment index that only the
+cluster tree holds; that is checked too.  So is the one layout of the cuts the whole chain shares: `run_pipeline`
 joins the trace once, every static pass maps a `JoinedTrace` to a
 `JoinedTrace`, and the only `Segmentation`s are the base segmenter's
 and the result's.
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from protoseg import cli, evaluate, model, refine, synth, traceio
+from protoseg import cli, cluster, dissim, evaluate, model, refine, rules, synth, traceio
 from protoseg.model import UsageError
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -174,22 +175,27 @@ def test_the_tracer_covers_a_traced_segment_run(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(refine.PRESETS))
 @pytest.mark.parametrize("spec", sorted(synth.reference_specs()))
 def test_run_pipeline_builds_no_segment_ref(monkeypatch, spec, name):
-    built = []
-    check = model.SegmentRef.__post_init__
-
-    def counted(self):
-        built.append(self)
-        check(self)
-
-    monkeypatch.setattr(model.SegmentRef, "__post_init__", counted)
+    # the per-segment record and the overlay's copy of the members are
+    # gone: no message is split per segment, every member is an index
+    # into the clustered layout's segments, and an overlay holds only
+    # one shift per member of its leaf
+    split, segments_of = [], model.segments_of
+    monkeypatch.setattr(model, "segments_of",
+                        lambda seg, msg: split.append(seg) or segments_of(seg, msg))
     messages, _ = synth.generate(dataclasses.replace(synth.reference_specs()[spec],
                                                      message_count=60, rng_seed=3))
     model.segments_of(model.Segmentation(messages[0].id, ()), messages[0])
-    assert len(built) == 1  # the counter sees a construction
-    built.clear()
+    assert len(split) == 1  # the counter sees a call
+    split.clear()
     result = refine.run_pipeline(messages, refine.preset(name))
     assert result.tree is not None and result.edits
-    assert built == []
+    assert split == []
+    assert not any(hasattr(module, "segments_of") for module in (refine, rules, cluster, dissim))
+    segments = result.trace.edges.size - 1
+    for leaf in (leaf for root in result.tree for leaf in root.leaves()):
+        assert all(type(m) is int and 0 <= m < segments for m in leaf.members)
+        if leaf.overlay is not None:
+            assert len(leaf.overlay.shifts) == len(leaf.members)
 
 
 @pytest.mark.parametrize("name", sorted(refine.PRESETS))
