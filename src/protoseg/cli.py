@@ -24,7 +24,7 @@ import sys
 from . import evaluate as ev
 from . import refine, synth, traceio
 from .cluster import tree_to_json
-from .model import AnalysisParams, ProtosegError, UsageError, segments_of
+from .model import AnalysisParams, ProtosegError, Segmentation, UsageError, segments_of
 
 # traces beyond this need --force; the analysis memory is quadratic in
 # distinct segment values
@@ -264,17 +264,12 @@ def _cmd_inspect(args) -> int:
     if args.limit < 0:
         raise UsageError(f"--limit must be non-negative, got {args.limit}")
     messages = _load_messages(args, args.segments)
+    segs = {}
     if args.segments:
         segs = {s.message_id: s for s in traceio.load_segmentation(args.segments, messages)}
-    else:
-        segs = {}
     for msg in messages[:args.limit]:
-        seg = segs.get(msg.id)
-        if seg is not None:
-            parts = [value.hex() for value in segments_of(seg, msg)]
-            dump = "|".join(parts)
-        else:
-            dump = msg.payload.hex()
+        seg = segs.get(msg.id) or Segmentation(msg.id)
+        dump = "|".join(value.hex() for value in segments_of(seg, msg))
         print(f"{msg.id:6d}  {dump}  # {msg.source}")
     return 0
 

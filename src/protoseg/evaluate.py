@@ -1,8 +1,8 @@
 """Scoring of inferred segmentations against ground truth.
 
-Each message is scored on its interior cut set: precision/recall/F1 for
-exact matches, the same after a one-byte-tolerant matching of the
-leftovers, and their geometric mean as the headline per-message score
+Each message is scored on its interior cut set: the F1 of precision and
+recall for exact matches, the same after a one-byte-tolerant matching of
+the leftovers, and their geometric mean as the headline per-message score
 (coarse segmenters miss mostly by exactly one byte, so the gap between
 the exact and the tolerant F1 is the interesting quantity).  Per-trace
 scores are medians over messages, taking the lower of the two middle
@@ -21,11 +21,9 @@ from .model import GroundTruth, Segmentation, UsageError
 
 @dataclass(frozen=True)
 class MessageScore:
-    exact_precision: float
-    exact_recall: float
+    """The scores of one message; a trace reports the median of each."""
+
     exact_f1: float
-    near_precision: float
-    near_recall: float
     near_f1: float
     fms_like: float
 
@@ -43,13 +41,12 @@ class ScoreReport:
     name: str = ""
 
 
-def _prf(matched: int, inferred: int, true: int) -> tuple:
+def _f1(matched: int, inferred: int, true: int) -> float:
     if inferred == 0 and true == 0:
-        return 1.0, 1.0, 1.0
+        return 1.0
     precision = matched / inferred if inferred else 0.0
     recall = matched / true if true else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
 def _near_matches(left, right) -> int:
@@ -72,14 +69,13 @@ def score_message(inferred, true) -> MessageScore:
     I = sorted(set(inferred))
     T = sorted(set(true))
     exact = set(I) & set(T)
-    p_e, r_e, f_e = _prf(len(exact), len(I), len(T))
+    f_e = _f1(len(exact), len(I), len(T))
 
     rest_i = [c for c in I if c not in exact]
     rest_t = [c for c in T if c not in exact]
     near = len(exact) + _near_matches(rest_i, rest_t)
-    p_n, r_n, f_n = _prf(near, len(I), len(T))
-
-    return MessageScore(p_e, r_e, f_e, p_n, r_n, f_n, math.sqrt(f_e * f_n))
+    f_n = _f1(near, len(I), len(T))
+    return MessageScore(f_e, f_n, math.sqrt(f_e * f_n))
 
 
 def median_low(values):
@@ -107,28 +103,17 @@ def _unknown_segments(seg: Segmentation, true_cuts, length: int) -> int:
 
 def score_trace(segmentations, truth: GroundTruth, messages, name: str = "") -> ScoreReport:
     """Score a whole trace; messages without ground truth are excluded and counted."""
-    by_id = {m.id: m for m in messages}
-    per_message = {}
-    cut_count = 0
-    unknown = 0
-    missing = 0
-    for seg in segmentations:
-        if seg.message_id not in truth.cuts or seg.message_id not in by_id:
-            missing += 1
-            continue
-        true_cuts = truth.cuts[seg.message_id]
-        per_message[seg.message_id] = score_message(seg.cuts, true_cuts)
-        cut_count += len(seg.cuts)
-        unknown += _unknown_segments(seg, true_cuts, len(by_id[seg.message_id].payload))
-
-    medians = {}
-    if per_message:
-        scores = list(per_message.values())
-        for metric in ("exact_f1", "near_f1", "fms_like"):
-            medians[metric] = median_low([getattr(s, metric) for s in scores])
-    return ScoreReport(per_message=per_message, medians=medians,
-                       message_count=len(per_message), cut_count=cut_count,
-                       unknown_segments=unknown, missing_truth=missing, name=name)
+    lengths = {m.id: len(m.payload) for m in messages}
+    segmentations = list(segmentations)
+    scored = [s for s in segmentations if s.message_id in truth.cuts and s.message_id in lengths]
+    per_message = {s.message_id: score_message(s.cuts, truth.cuts[s.message_id]) for s in scored}
+    unknown = sum(_unknown_segments(s, truth.cuts[s.message_id], lengths[s.message_id])
+                  for s in scored)
+    scores = list(map(vars, per_message.values()))
+    medians = {m: median_low([s[m] for s in scores]) for m in scores[0]} if scores else {}
+    return ScoreReport(per_message=per_message, medians=medians, message_count=len(per_message),
+                       cut_count=sum(len(s.cuts) for s in scored), unknown_segments=unknown,
+                       missing_truth=len(segmentations) - len(scored), name=name)
 
 
 def compare_csv(reports) -> str:
@@ -154,11 +139,7 @@ def report_to_json(report: ScoreReport) -> dict:
         "unknown_segments": report.unknown_segments,
         "missing_truth": report.missing_truth,
         "per_message": {
-            str(mid): {
-                "exact_f1": round(s.exact_f1, 6),
-                "near_f1": round(s.near_f1, 6),
-                "fms_like": round(s.fms_like, 6),
-            }
+            str(mid): {metric: round(v, 6) for metric, v in vars(s).items()}
             for mid, s in sorted(report.per_message.items())
         },
     }

@@ -44,14 +44,34 @@ FIELD_TYPES = frozenset({"char", "number", "flags", "id", "pad", "unknown"})
 
 
 def message_id(value) -> int:
-    """value as a message id: a Python or numpy integer in the signed 64-bit range."""
+    """value as a message id: a Python or numpy integer in the signed 64-bit range, not a bool."""
     try:
-        mid = operator.index(value)
+        if value.__class__ is not bool and -2**63 <= (mid := operator.index(value)) < 2**63:
+            return mid
     except TypeError:
-        raise UsageError(f"message id must be an integer: {value!r}") from None
-    if not -2**63 <= mid < 2**63:
-        raise UsageError(f"message id {mid} is outside the signed 64-bit range")
-    return mid
+        pass
+    raise UsageError(f"message id must be an integer in the signed 64-bit range: {value!r}")
+
+
+def cut_offset(value) -> int:
+    """value as a cut offset or a field bound: a Python or numpy integer, not a bool."""
+    try:
+        if value.__class__ is not bool:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise UsageError(f"cut offsets must be integers: {value!r}")
+
+
+def validate_cuts(cuts_by_id: dict, messages) -> None:
+    """Each id of a {message id: checked cuts} map names one of messages, and its cuts fit it."""
+    lengths = {m.id: len(m.payload) for m in messages}
+    for mid, cuts in cuts_by_id.items():
+        if mid not in lengths:
+            raise UsageError(f"cuts reference unknown message id {mid}")
+        if cuts and cuts[-1] >= lengths[mid]:
+            raise UsageError(
+                f"cut {cuts[-1]} out of range for message {mid} of length {lengths[mid]}")
 
 
 @dataclass(frozen=True)
@@ -81,22 +101,24 @@ class Segmentation:
     cuts: tuple = ()
 
     def __post_init__(self):
-        try:  # Python and numpy integers pass; 2.7 or "3" is not an offset
-            cuts = tuple(map(operator.index, self.cuts))
-        except TypeError:
-            raise UsageError(
-                f"cuts of message {self.message_id} must be integers: {self.cuts!r}") from None
+        mid = message_id(self.message_id)
+        try:  # a TypeError when cuts holds no sequence
+            cuts = tuple(self.cuts)
+            if not {int}.issuperset(map(type, cuts)):  # cut_offset keeps a plain int as it is
+                cuts = tuple(map(cut_offset, cuts))
+        except (TypeError, UsageError):
+            raise UsageError(f"cuts of message {mid} must be integers: {self.cuts!r}") from None
+        object.__setattr__(self, "message_id", mid)
         object.__setattr__(self, "cuts", cuts)
-        if not all(map(operator.lt, (0,) + cuts, cuts)):  # 0 < c1 < c2 < ..., at C speed
+        # 0 < c1 < c2 < ... < 2**63, at C speed: no int64-sized payload has an offset beyond
+        if not all(map(operator.lt, (0,) + cuts, cuts + (2**63,))):
             raise UsageError(
-                f"cuts of message {self.message_id} not strictly increasing interior offsets: {cuts}")
+                f"cuts of message {mid} not strictly increasing interior offsets: {cuts}")
 
     def validate_against(self, msg: Message) -> None:
         if msg.id != self.message_id:
             raise UsageError(f"segmentation for message {self.message_id} applied to message {msg.id}")
-        if self.cuts and self.cuts[-1] >= len(msg.payload):
-            raise UsageError(
-                f"cut {self.cuts[-1]} out of range for message {self.message_id} of length {len(msg.payload)}")
+        validate_cuts({self.message_id: self.cuts}, (msg,))
 
 
 @dataclass(frozen=True)
@@ -143,8 +165,8 @@ def _key_id(key) -> int:
     """A `GroundTruth` key as a message id; an integer's string, as a JSON key holds it, too."""
     try:
         return message_id(int(key) if isinstance(key, str) else key)
-    except ValueError:  # the string holds no integer
-        raise UsageError(f"message id must be an integer: {key!r}") from None
+    except ValueError:  # the string holds no integer: message_id refuses it as it is
+        return message_id(key)
 
 
 @dataclass(frozen=True)
@@ -168,11 +190,7 @@ class GroundTruth:
                     raise UsageError(f"unknown field type label {lab!r} for message {mid}")
 
     def validate_against(self, messages) -> None:
-        by_id = {m.id: m for m in messages}
-        for mid, cuts in self.cuts.items():
-            if mid not in by_id:
-                raise UsageError(f"cuts reference unknown message id {mid}")
-            Segmentation(mid, cuts).validate_against(by_id[mid])
+        validate_cuts(self.cuts, messages)
 
 
 def segments_of(seg: Segmentation, msg: Message) -> list:

@@ -722,7 +722,7 @@ def run_pipeline(messages: list, pipeline: Pipeline,
         for mid, count in Counter(s.message_id for s in external).items():
             if count > 1 or mid not in ids:
                 why = "more than once" if count > 1 else "but the trace does not hold it"
-                raise UsageError(f"the external segmentation names message id {mid!r} {why}")
+                raise UsageError(f"the external segmentation names message id {mid} {why}")
         by_id = {s.message_id: s for s in external}
         segs = [by_id.get(m.id, Segmentation(m.id, ())) for m in messages]
     trace = join_trace(segs, messages)  # refuses a cut at or beyond its payload's end

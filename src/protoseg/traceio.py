@@ -29,11 +29,12 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import (FIELD_TYPES, GroundTruth, IngestionError, Message,
-                    Segmentation, UsageError)
+from .model import (GroundTruth, IngestionError, Message, Segmentation, UsageError,
+                    cut_offset, validate_cuts)
 
 FORMAT_PCAP = "pcap"
 FORMAT_HEXLINES = "hexlines"
@@ -228,41 +229,39 @@ def _parse_cut_map(data, path: str, allow_records: bool, messages=None):
             for i, rec in enumerate(entries):
                 if not {"start", "end"} <= rec.keys():
                     raise IngestionError(f"{where}[{i}]: field record needs start and end")
-                if not all(type(rec[k]) is int for k in ("start", "end")):
-                    raise IngestionError(f"{where}[{i}]: start and end must be integers")
-                if rec["start"] != end:
+                start, stop = (_offset(rec[k], f"{where}[{i}]: {k}") for k in ("start", "end"))
+                if start != end:
                     raise IngestionError(
-                        f"{where}[{i}]: field record starts at {rec['start']}, expected {end}")
-                if rec["end"] <= end:
+                        f"{where}[{i}]: field record starts at {start}, expected {end}")
+                if stop <= end:
                     raise IngestionError(
-                        f"{where}[{i}]: field record ends at {rec['end']}, not after its start")
-                end = rec["end"]
+                        f"{where}[{i}]: field record ends at {stop}, not after its start")
+                end = stop
             if end != lengths.get(mid, end):
                 raise IngestionError(f"{where}[{len(entries) - 1}]: last field record ends at"
                                      f" {end}, not at the payload length {lengths[mid]}")
             cuts_by_id[mid] = tuple(rec["start"] for rec in entries[1:])
-            labels = tuple(str(r.get("type", "unknown")) for r in entries)
-            if not set(labels) <= FIELD_TYPES:
-                bad = sorted(set(labels) - FIELD_TYPES)
-                raise IngestionError(f"{where}: unknown field type {bad[0]!r}")
-            labels_by_id[mid] = labels
+            labels_by_id[mid] = tuple(str(r.get("type", "unknown")) for r in entries)
         else:
-            for i, c in enumerate(entries):
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise IngestionError(f"{where}[{i}]: expected an integer cut offset")
-            cuts_by_id[mid] = tuple(entries)
+            cuts_by_id[mid] = tuple(_offset(c, f"{where}[{i}]") for i, c in enumerate(entries))
     return cuts_by_id, labels_by_id
 
 
-def _validate_cuts(cuts_by_id: dict, messages, what: str) -> list:
-    """Segmentations of a cut map by message id, checked against the trace when given."""
+@contextmanager
+def _ingesting(what: str):
+    """A UsageError raised inside becomes an IngestionError naming what is read."""
     try:
-        segs = [Segmentation(mid, cuts_by_id[mid]) for mid in sorted(cuts_by_id)]
-        if messages is not None:
-            GroundTruth(cuts=cuts_by_id).validate_against(messages)
+        yield
     except UsageError as exc:
         raise IngestionError(f"{what}: {exc}") from None
-    return segs
+
+
+def _offset(value, where: str) -> int:
+    """value as `cut_offset` takes it; an IngestionError naming where it is if it is none."""
+    try:
+        return cut_offset(value)
+    except UsageError as exc:
+        raise IngestionError(f"{where}: {exc}") from None
 
 
 def _distinct_keys(pairs) -> dict:
@@ -293,14 +292,21 @@ def load_json(path: str, error=IngestionError):
 def load_ground_truth(path: str, messages=None) -> GroundTruth:
     """Ground truth JSON, validated against the trace when given."""
     cuts_by_id, labels_by_id = _parse_cut_map(load_json(path), path, True, messages)
-    _validate_cuts(cuts_by_id, messages, f"{path}: ground truth")
-    return GroundTruth(cuts=cuts_by_id, labels=labels_by_id)
+    with _ingesting(f"{path}: ground truth"):
+        truth = GroundTruth(cuts=cuts_by_id, labels=labels_by_id)
+        if messages is not None:
+            truth.validate_against(messages)
+    return truth
 
 
 def load_segmentation(path: str, messages=None) -> list:
-    """Segmentation JSON as a list ordered by message id."""
+    """Segmentation JSON as a list ordered by message id, validated against the trace when given."""
     cuts_by_id, _ = _parse_cut_map(load_json(path), path, allow_records=False)
-    return _validate_cuts(cuts_by_id, messages, f"{path}: segmentation")
+    with _ingesting(f"{path}: segmentation"):
+        segs = [Segmentation(mid, cuts_by_id[mid]) for mid in sorted(cuts_by_id)]
+        if messages is not None:
+            validate_cuts(cuts_by_id, messages)
+    return segs
 
 
 def write_text_atomic(path: str, *texts: str) -> None:

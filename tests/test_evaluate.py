@@ -8,6 +8,11 @@ from protoseg.evaluate import (compare_csv, median_low, report_to_json,
 from protoseg.model import GroundTruth, Message, Segmentation
 
 
+def recall(score, inferred, truth) -> float:
+    """Exact recall, matched / true, read back from exact F1 = 2 * matched / (inferred + true)."""
+    return score.exact_f1 * (len(inferred) + len(truth)) / (2 * len(truth))
+
+
 class TestScoreMessage:
     def test_mixed_exact_and_near(self):
         s = score_message({2, 4}, {2, 5})
@@ -29,14 +34,15 @@ class TestScoreMessage:
 
     def test_spurious_inference_without_truth(self):
         s = score_message({3}, set())
-        assert s.exact_precision == 0.0
+        assert s.exact_f1 == s.near_f1 == 0.0
         assert s.fms_like == 0.0
 
     def test_near_matching_is_one_to_one(self):
         # two inferred cuts may not both claim the same true cut
         s = score_message({4, 5}, {5})
-        assert s.near_recall == 1.0
-        assert s.near_precision == pytest.approx(0.5)
+        # F1 is 2 * matched / (inferred + true): 2/3 is one match, recall 1.0 and
+        # precision 0.5; 4 claiming 5 as well would make it 4/3
+        assert s.near_f1 == pytest.approx(2 / 3)
 
     def test_correct_cut_never_lowers_scores(self):
         rng = np.random.default_rng(2)
@@ -60,7 +66,8 @@ class TestScoreMessage:
             spurious = int(rng.integers(1, 40))
             before = score_message(inferred, truth)
             after = score_message(inferred | {spurious}, truth)
-            assert after.exact_recall <= before.exact_recall + 1e-12 or spurious in truth
+            assert recall(after, inferred | {spurious}, truth) <= \
+                recall(before, inferred, truth) + 1e-12 or spurious in truth
 
 
 class TestMedian:

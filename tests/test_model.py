@@ -45,7 +45,7 @@ def test_message_rejects_empty_payload():
         Message(0, b"")
 
 
-@pytest.mark.parametrize("mid", ["m0", 2.0, None, 2**63, -2**63 - 1])
+@pytest.mark.parametrize("mid", ["m0", 2.0, None, 2**63, -2**63 - 1, True, False])
 def test_message_rejects_an_id_outside_int64(mid):
     with pytest.raises(UsageError, match="message id"):
         Message(mid, b"abc")
@@ -57,7 +57,7 @@ def test_message_keeps_an_int64_id_as_a_python_int(mid):
     assert type(msg.id) is int and msg.id == int(mid)
 
 
-@pytest.mark.parametrize("cuts", [(0,), (3, 3), (4, 2), (-1,)])
+@pytest.mark.parametrize("cuts", [(0,), (3, 3), (4, 2), (-1,), (2**63,), 5])
 def test_segmentation_rejects_bad_cuts(cuts):
     with pytest.raises(UsageError):
         Segmentation(0, cuts)
@@ -76,11 +76,26 @@ def test_segmentation_accepts_exactly_strictly_increasing_interior_cuts(cuts):
         assert str(info.value) == message
 
 
-@pytest.mark.parametrize("cuts", [(2.7, 5), ("3",), (2.0,), (1, None), (np.float64(2),)])
+@pytest.mark.parametrize("cuts", [(2.7, 5), ("3",), (2.0,), (1, None), (np.float64(2),), (True,)])
 def test_segmentation_rejects_non_integral_cuts(cuts):
-    # int() used to truncate these: (2.7, 5) became (2, 5) and ("3",) became (3,)
+    # int() used to truncate these: (2.7, 5) became (2, 5) and ("3",) became (3,);
+    # operator.index made (True,) into (1,)
     with pytest.raises(UsageError, match="must be integers"):
         Segmentation(0, cuts)
+
+
+@pytest.mark.parametrize("mid", ["0", 1.5, True, 2**63])
+def test_segmentation_rejects_an_id_outside_int64(mid):
+    # these used to construct, and failed only where an id was compared
+    with pytest.raises(UsageError, match="message id"):
+        Segmentation(mid, ())
+    with pytest.raises(UsageError, match="message id"):
+        Segmentation(mid, (2,))
+
+
+def test_segmentation_keeps_an_int64_id_as_a_python_int():
+    seg = Segmentation(np.uint8(5), ())
+    assert type(seg.message_id) is int and seg.message_id == 5
 
 
 def test_segmentation_takes_python_and_numpy_integers():
@@ -150,7 +165,7 @@ def test_ground_truth_normalizes_integer_cuts():
     assert all(type(c) is int for c in truth.cuts[1])
 
 
-@pytest.mark.parametrize("key", [1.7, np.float64(2.0), "x", "1.5", "--1", None, 2**63])
+@pytest.mark.parametrize("key", [1.7, np.float64(2.0), "x", "1.5", "--1", None, 2**63, False])
 def test_ground_truth_refuses_a_key_that_is_no_message_id(key):
     # int() used to truncate 1.7 to 1 and raise ValueError on "x"
     with pytest.raises(UsageError, match="message id"):

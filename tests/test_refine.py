@@ -622,19 +622,22 @@ class TestPipeline:
         with pytest.raises(UsageError):
             run_pipeline([msg(b"ab")], Pipeline(base=BASE_EXTERNAL, passes=()))
 
-    @pytest.mark.parametrize("external, named", [
-        ([Segmentation(0, (2,)), Segmentation(0, (3,))], "id 0 more than once"),
-        ([Segmentation(999, (2,))], "id 999 but the trace does not hold it"),
-        ([Segmentation("0", (2,))], "id '0' but the trace does not hold it"),
+    @pytest.mark.parametrize("external, refused", [
+        (lambda: [Segmentation(0, (2,)), Segmentation(0, (3,))],
+         "external segmentation names message id 0 more than once"),
+        (lambda: [Segmentation(999, (2,))],
+         "external segmentation names message id 999 but the trace does not hold it"),
+        # a string id no longer reaches the pipeline: the segmentation itself refuses it
+        (lambda: [Segmentation("0", (2,))], "message id must be an integer .*: '0'"),
     ], ids=["repeated", "absent", "string"])
-    def test_external_segmentation_it_would_misread_is_refused(self, external, named):
+    def test_external_segmentation_it_would_misread_is_refused(self, external, refused):
         # these were read silently: a repeated id kept its last entry, and a
         # segmentation of a message the trace does not hold was ignored
         messages, _ = synth.generate(dataclasses.replace(synth.reference_specs()["mixed"],
                                                          message_count=20))
         pipeline = preset("nullpca", base=BASE_EXTERNAL)
-        with pytest.raises(UsageError, match=f"external segmentation names message {named}"):
-            run_pipeline(messages, pipeline, external=external)
+        with pytest.raises(UsageError, match=refused):
+            run_pipeline(messages, pipeline, external=external())
         # a list naming each message at most once is read as it is
         read = run_pipeline(messages, Pipeline(base=BASE_EXTERNAL, passes=()),
                             external=[Segmentation(0, (2,))]).segmentations

@@ -202,6 +202,7 @@ class TestGroundTruthJson:
         ([{"start": 0, "end": 2}, {"start": 2, "end": 2}], 1, "ends at 2, not after"),
         ([{"start": False, "end": True}], 0, "must be integers"),
         ([{"start": 0, "end": 2}, {"start": 2, "end": 5}], 1, "ends at 5, not at the payload"),
+        ([{"start": 0, "end": 2}, {"start": 2, "end": True}], 1, "end: .*must be integers"),
     ])
     def test_field_records_must_tile_the_message(self, tmp_path, records, where, message):
         msgs = self._trace(tmp_path)
@@ -224,9 +225,32 @@ class TestGroundTruthJson:
 
     def test_bad_element_reports_json_path(self, tmp_path):
         path = tmp_path / "gt.json"
-        path.write_text('{"0": [1, "x"]}')
-        with pytest.raises(IngestionError, match=r"\$\.0\[1\]"):
-            load_ground_truth(str(path))
+        # a JSON true is no cut at offset 1, in either file
+        for text, load in [('{"0": [1, "x"]}', load_ground_truth), ('{"0": [1, true]}', load_ground_truth),
+                           ('{"0": [1, true]}', load_segmentation)]:
+            path.write_text(text)
+            with pytest.raises(IngestionError, match=r"\$\.0\[1\]: .*must be integers"):
+                load(str(path))
+
+    def test_each_record_builds_as_few_segmentations_as_it_can(self, tmp_path, monkeypatch):
+        # a segmentation file builds one per record; ground truth builds its own, and
+        # checks it against the trace without building another
+        built = []
+        post_init = Segmentation.__post_init__
+        monkeypatch.setattr(Segmentation, "__post_init__",
+                            lambda seg: built.append(seg.message_id) or post_init(seg))
+        trace = tmp_path / "t.hex"
+        trace.write_text("001122334455\n" "0011223344\n" "00112233\n")
+        messages = load_trace(TraceSpec(str(trace)))
+        path = tmp_path / "cuts.json"
+        path.write_text('{"0": [2, 4], "1": [], "2": [3]}')
+        for given in (None, messages):
+            built.clear()
+            load_segmentation(str(path), given)
+            assert sorted(built) == [0, 1, 2]
+            built.clear()
+            load_ground_truth(str(path), given)
+            assert set(built) == {0, 1, 2} and max(map(built.count, built)) <= 2
 
     def test_unknown_type_label_rejected(self, tmp_path):
         path = tmp_path / "gt.json"
