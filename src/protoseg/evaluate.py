@@ -15,6 +15,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import GroundTruth, Segmentation, UsageError
 
@@ -102,9 +103,14 @@ def _unknown_segments(seg: Segmentation, true_cuts, length: int) -> int:
 
 
 def score_trace(segmentations, truth: GroundTruth, messages, name: str = "") -> ScoreReport:
-    """Score a whole trace; messages without ground truth are excluded and counted."""
+    """Score a whole trace; messages without ground truth are excluded and counted.
+
+    A message id that two segmentations share is refused.
+    """
     lengths = {m.id: len(m.payload) for m in messages}
     segmentations = list(segmentations)
+    if len(set(map(attrgetter("message_id"), segmentations))) < len(segmentations):
+        raise UsageError("the segmentations name a message id more than once")
     scored = [s for s in segmentations if s.message_id in truth.cuts and s.message_id in lengths]
     per_message = {s.message_id: score_message(s.cuts, truth.cuts[s.message_id]) for s in scored}
     unknown = sum(_unknown_segments(s, truth.cuts[s.message_id], lengths[s.message_id])

@@ -40,9 +40,6 @@ class SpecError(ProtosegError):
     """A synthetic protocol spec violates its invariants."""
 
 
-FIELD_TYPES = frozenset({"char", "number", "flags", "id", "pad", "unknown"})
-
-
 def message_id(value) -> int:
     """value as a message id: a Python or numpy integer in the signed 64-bit range, not a bool."""
     try:
@@ -161,33 +158,18 @@ class AnalysisParams:
                 raise UsageError(f"{name} must lie in (0, 1)")
 
 
-def _key_id(key) -> int:
-    """A `GroundTruth` key as a message id; an integer's string, as a JSON key holds it, too."""
-    try:
-        return message_id(int(key) if isinstance(key, str) else key)
-    except ValueError:  # the string holds no integer: message_id refuses it as it is
-        return message_id(key)
-
-
 @dataclass(frozen=True)
 class GroundTruth:
-    """True interior boundaries per message id, with optional field type labels.
+    """True interior boundaries per message id.
 
-    Each key is checked as `Message` checks its id, and each cut tuple
-    as `Segmentation` checks it.
+    Each entry is checked as `Segmentation` checks its id and its cuts.
     """
 
     cuts: dict = field(default_factory=dict)
-    labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        cuts = {_key_id(k): v for k, v in self.cuts.items()}
-        object.__setattr__(self, "cuts", {k: Segmentation(k, v).cuts for k, v in cuts.items()})
-        object.__setattr__(self, "labels", {_key_id(k): tuple(v) for k, v in self.labels.items()})
-        for mid, labels in self.labels.items():
-            for lab in labels:
-                if lab not in FIELD_TYPES:
-                    raise UsageError(f"unknown field type label {lab!r} for message {mid}")
+        entries = [Segmentation(k, v) for k, v in self.cuts.items()]
+        object.__setattr__(self, "cuts", {s.message_id: s.cuts for s in entries})
 
     def validate_against(self, messages) -> None:
         validate_cuts(self.cuts, messages)

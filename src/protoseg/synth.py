@@ -13,6 +13,7 @@ import random
 import string
 from dataclasses import dataclass
 from importlib import resources
+from itertools import accumulate
 
 from .model import GroundTruth, Message, Segmentation, SpecError, UsageError
 from .traceio import load_json
@@ -28,16 +29,8 @@ KIND_PAYLOAD = "payload"
 
 _VARIABLE_KINDS = (KIND_CHARS, KIND_PAYLOAD)
 
-_TYPE_LABEL = {
-    KIND_CONST: "id",
-    KIND_UINT: "number",
-    KIND_ENUM: "id",
-    KIND_FLAGS: "flags",
-    KIND_CHARS: "char",
-    KIND_PADDING: "pad",
-    KIND_LENGTH_OF: "number",
-    KIND_PAYLOAD: "unknown",
-}
+_KINDS = frozenset({KIND_CONST, KIND_UINT, KIND_ENUM, KIND_FLAGS, KIND_CHARS, KIND_PADDING,
+                    KIND_LENGTH_OF, KIND_PAYLOAD})
 
 _DEFAULT_CHARSET = string.ascii_letters + string.digits
 
@@ -81,15 +74,22 @@ class ProtocolSpec:
 
 
 def _validate_spec(spec: ProtocolSpec) -> None:
-    if spec.message_count < 0:
-        raise SpecError("message_count must be non-negative")
+    """Every setting has its type and range; an integer is an int, never a bool."""
+    if not (type(spec.message_count) is int and spec.message_count >= 0):
+        raise SpecError(f"message_count must be a non-negative integer: {spec.message_count!r}")
+    if type(spec.rng_seed) is not int:
+        raise SpecError(f"rng_seed must be an integer: {spec.rng_seed!r}")
     if spec.endianness not in ("big", "little"):
         raise SpecError("endianness must be 'big' or 'little'")
     seen = {}
     non_const = False
     for f in spec.fields:
-        if f.kind not in _TYPE_LABEL:
+        if f.kind not in _KINDS:
             raise SpecError(f"field {f.name!r}: unknown kind {f.kind!r}")
+        if not {int}.issuperset(map(type, (f.width, f.lo, f.hi, *f.values))):
+            raise SpecError(f"field {f.name!r}: width, lo, hi and values must be integers")
+        if not {bool}.issuperset(map(type, (f.optional, f.null_terminated))):
+            raise SpecError(f"field {f.name!r}: optional and null_terminated must be booleans")
         if f.kind != KIND_CONST:
             non_const = True
         if f.kind == KIND_CONST and len(f.value) == 0:
@@ -106,6 +106,10 @@ def _validate_spec(spec: ProtocolSpec) -> None:
                 raise SpecError(f"field {f.name!r}: enum needs byte values")
         if f.kind == KIND_CHARS and not (1 <= f.lo <= f.hi):
             raise SpecError(f"field {f.name!r}: chars needs 1 <= lo <= hi")
+        if f.kind == KIND_CHARS and not (isinstance(f.charset, str) and f.charset
+                                         and max(map(ord, f.charset)) < 256):
+            raise SpecError(f"field {f.name!r}: charset must be a non-empty string of"
+                            " code points below 256")
         if f.kind == KIND_PAYLOAD and not (0 <= f.lo <= f.hi):
             raise SpecError(f"field {f.name!r}: payload needs 0 <= lo <= hi")
         if f.kind == KIND_LENGTH_OF:
@@ -113,6 +117,9 @@ def _validate_spec(spec: ProtocolSpec) -> None:
             if target is None or target.kind not in _VARIABLE_KINDS:
                 raise SpecError(
                     f"field {f.name!r}: length_of must reference an earlier variable-length field")
+            if target.hi + (target.kind == KIND_CHARS and target.null_terminated) >= 256 ** f.width:
+                raise SpecError(f"field {f.name!r}: width {f.width} cannot hold the length of"
+                                f" {f.ref!r}")
         seen[f.name] = f
     if spec.fields and not non_const:
         raise SpecError("a protocol of only const fields has no variance to analyze")
@@ -146,7 +153,6 @@ def generate(spec: ProtocolSpec) -> tuple:
     rng = random.Random(spec.rng_seed)
     messages = []
     cuts_by_id = {}
-    labels_by_id = {}
     for mid in range(spec.message_count):
         emitted = {}
         parts = []
@@ -156,19 +162,13 @@ def generate(spec: ProtocolSpec) -> tuple:
             data = _emit(f, rng, emitted, spec.endianness)
             emitted[f.name] = data
             if data:
-                parts.append((data, _TYPE_LABEL[f.kind]))
-        payload = b"".join(p[0] for p in parts)
+                parts.append(data)
+        payload = b"".join(parts)
         if not payload:
             raise SpecError(f"spec {spec.name!r} generated an empty message (id {mid})")
-        ends = []
-        offset = 0
-        for data, _ in parts:
-            offset += len(data)
-            ends.append(offset)
-        cuts_by_id[mid] = tuple(ends[:-1])
-        labels_by_id[mid] = tuple(label for _, label in parts)
+        cuts_by_id[mid] = tuple(accumulate(map(len, parts[:-1])))
         messages.append(Message(id=mid, payload=payload, source=f"synth:{spec.name}:{mid}"))
-    return messages, GroundTruth(cuts=cuts_by_id, labels=labels_by_id)
+    return messages, GroundTruth(cuts=cuts_by_id)
 
 
 def perturb(truth: GroundTruth, messages, delta: int, fraction: float,
@@ -212,8 +212,8 @@ def spec_from_json(data: dict) -> ProtocolSpec:
         return ProtocolSpec(
             name=data["name"],
             fields=tuple(fields),
-            message_count=int(data.get("message_count", 100)),
-            rng_seed=int(data.get("rng_seed", 1)),
+            message_count=data.get("message_count", 100),
+            rng_seed=data.get("rng_seed", 1),
             endianness=data.get("endianness", "big"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

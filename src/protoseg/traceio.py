@@ -8,9 +8,9 @@ comments in any text) is the canonical fixture format: deterministic and diffabl
 
 Segmentations and ground truth are UTF-8 JSON objects mapping message
 ids, written in ASCII decimal digits, to arrays of interior cut offsets;
-ground truth may instead map to arrays of {"start", "end", "type"} field
+ground truth may instead map to arrays of {"start", "end"} field
 records that tile the message in order, from whose ends the cuts are
-derived.  `load_json` reads every
+derived; a record's other keys are ignored.  `load_json` reads every
 JSON input, and a file that holds no JSON value is an error naming its
 line and column.
 
@@ -129,7 +129,7 @@ def _iter_pcap(path: str, layer: str, port: Optional[int]):
         order = _PCAP_MAGICS.get(header[:4])
         if order is None:
             raise IngestionError(f"{path}: unknown pcap magic {header[:4].hex()}")
-        linktype = struct.unpack(order + "I", header[20:24])[0]
+        snaplen, linktype = struct.unpack(order + "II", header[16:24])
         if linktype != _LINKTYPE_ETHERNET:
             raise IngestionError(f"{path}: unsupported link type {linktype} (only Ethernet)")
 
@@ -142,6 +142,9 @@ def _iter_pcap(path: str, layer: str, port: Optional[int]):
             if len(record) < 16:
                 raise IngestionError(f"{path}: truncated record header at frame {frame_no}")
             _, _, incl_len, _ = struct.unpack(order + "IIII", record)
+            if incl_len > max(snaplen, 262144):  # 262 144: libpcap's largest snapshot length
+                raise IngestionError(f"{path}: frame {frame_no} claims {incl_len} bytes,"
+                                     f" more than the snaplen {snaplen} and 262144")
             frame = fh.read(incl_len)
             if len(frame) < incl_len:
                 raise IngestionError(f"{path}: truncated packet data at frame {frame_no}")
@@ -204,7 +207,6 @@ def _parse_cut_map(data, path: str, allow_records: bool, messages=None):
     if not isinstance(data, dict):
         raise IngestionError(f"{path}: $: expected an object at the top level")
     cuts_by_id = {}
-    labels_by_id = {}
     key_of = {}  # message id -> the key that named it
     lengths = {m.id: len(m.payload) for m in messages or ()}
     for key in data:
@@ -241,10 +243,9 @@ def _parse_cut_map(data, path: str, allow_records: bool, messages=None):
                 raise IngestionError(f"{where}[{len(entries) - 1}]: last field record ends at"
                                      f" {end}, not at the payload length {lengths[mid]}")
             cuts_by_id[mid] = tuple(rec["start"] for rec in entries[1:])
-            labels_by_id[mid] = tuple(str(r.get("type", "unknown")) for r in entries)
         else:
             cuts_by_id[mid] = tuple(_offset(c, f"{where}[{i}]") for i, c in enumerate(entries))
-    return cuts_by_id, labels_by_id
+    return cuts_by_id
 
 
 @contextmanager
@@ -291,9 +292,9 @@ def load_json(path: str, error=IngestionError):
 
 def load_ground_truth(path: str, messages=None) -> GroundTruth:
     """Ground truth JSON, validated against the trace when given."""
-    cuts_by_id, labels_by_id = _parse_cut_map(load_json(path), path, True, messages)
+    cuts_by_id = _parse_cut_map(load_json(path), path, True, messages)
     with _ingesting(f"{path}: ground truth"):
-        truth = GroundTruth(cuts=cuts_by_id, labels=labels_by_id)
+        truth = GroundTruth(cuts=cuts_by_id)
         if messages is not None:
             truth.validate_against(messages)
     return truth
@@ -301,7 +302,7 @@ def load_ground_truth(path: str, messages=None) -> GroundTruth:
 
 def load_segmentation(path: str, messages=None) -> list:
     """Segmentation JSON as a list ordered by message id, validated against the trace when given."""
-    cuts_by_id, _ = _parse_cut_map(load_json(path), path, allow_records=False)
+    cuts_by_id = _parse_cut_map(load_json(path), path, allow_records=False)
     with _ingesting(f"{path}: segmentation"):
         segs = [Segmentation(mid, cuts_by_id[mid]) for mid in sorted(cuts_by_id)]
         if messages is not None:

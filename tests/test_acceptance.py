@@ -62,10 +62,16 @@ def test_criterion_03_rule_formulas():
     ok(3, "all six boundary-rule examples evaluate exactly as specified")
 
 
-def test_criterion_04_off_by_one_restoration():
+def _off_by_one_restoration(delta):
+    """(restored share, stray cuts, seconds) after every true cut of mixed is shifted by delta.
+
+    The trace is 500 messages, and the pipeline the `pca` pass alone.
+    A stray cut is a new cut, in a message of a PCA-suitable cluster,
+    more than one byte from every true cut.
+    """
     spec = dataclasses.replace(synth.reference_specs()["mixed"], message_count=500)
     messages, truth = synth.generate(spec)
-    base = synth.perturb(truth, messages, +1, 1.0)
+    base = synth.perturb(truth, messages, delta, 1.0)
     pipeline = refine.Pipeline(base=refine.BASE_EXTERNAL, passes=(refine.PASS_PCA,))
 
     start = time.perf_counter()
@@ -90,12 +96,21 @@ def test_criterion_04_off_by_one_restoration():
             for cut in final - perturbed:
                 if not any(abs(cut - t) <= 1 for t in true_cuts):
                     outside += 1
-    rate = restored / moved
+    return restored / moved, outside, elapsed
+
+
+def test_criterion_04_off_by_one_restoration():
+    rate, outside, elapsed = _off_by_one_restoration(+1)
     assert rate >= 0.70
     assert outside == 0
     assert elapsed < 30
+    # cuts one byte early are restored far less often; 0.41 is the rate
+    # measured when this bound was set, so it can only move up
+    early_rate, early_outside, _ = _off_by_one_restoration(-1)
+    assert early_rate >= 0.41
+    assert early_outside == 0
     ok(4, f"{rate:.1%} of +1-perturbed cuts restored exactly, "
-          f"no stray cuts, {elapsed:.1f} s")
+          f"no stray cuts, {elapsed:.1f} s; {early_rate:.1%} of -1-perturbed cuts")
 
 
 def _six_spec_run():

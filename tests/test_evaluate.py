@@ -5,7 +5,7 @@ import pytest
 
 from protoseg.evaluate import (compare_csv, median_low, report_to_json,
                                score_message, score_trace)
-from protoseg.model import GroundTruth, Message, Segmentation
+from protoseg.model import GroundTruth, Message, Segmentation, UsageError
 
 
 def recall(score, inferred, truth) -> float:
@@ -106,6 +106,13 @@ class TestScoreTrace:
         a = score_trace(segs, truth, messages)
         b = score_trace(list(reversed(segs)), truth, messages)
         assert a.medians == b.medians
+
+    def test_repeated_message_id_refused(self):
+        # it used to score only the last and count the cuts of both
+        messages = [Message(0, bytes(6))]
+        truth = GroundTruth(cuts={0: (2,)})
+        with pytest.raises(UsageError, match="more than once"):
+            score_trace([Segmentation(0, (1,)), Segmentation(0, (1, 2, 3))], truth, messages)
 
     def test_unknown_segment_counting(self):
         messages = [Message(0, bytes(10))]

@@ -110,6 +110,46 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             ProtocolSpec("t", (FieldSpec("x", "float"),))
 
+    @pytest.mark.parametrize("field, message", [
+        ({"kind": "enum", "values": [1.5]}, "must be integers"),
+        ({"kind": "uint", "lo": 0.5, "hi": 1.5}, "must be integers"),
+        ({"kind": "payload", "hi": 2.5}, "must be integers"),
+        ({"kind": "uint", "width": True, "hi": 3}, "must be integers"),
+        ({"kind": "uint", "hi": 3, "optional": "no"}, "must be booleans"),
+        ({"kind": "chars", "lo": 1, "hi": 2, "null_terminated": 1}, "must be booleans"),
+        ({"kind": "chars", "lo": 1, "hi": 2, "charset": ""}, "charset must be a non-empty"),
+        ({"kind": "chars", "lo": 1, "hi": 2, "charset": "\u20ac"}, "below 256"),
+        ({"kind": "chars", "lo": 1, "hi": 2, "charset": ["a"]}, "charset must be a"),
+    ])
+    def test_spec_json_values_of_the_wrong_type_are_spec_errors(self, field, message):
+        # each raised TypeError, ValueError or IndexError, or was taken as another value
+        data = {"name": "t", "fields": [{"name": "x", **field}]}
+        with pytest.raises(SpecError, match=message):
+            generate(spec_from_json(data))
+
+    @pytest.mark.parametrize("key, value", [("message_count", 2.9), ("message_count", True),
+                                            ("rng_seed", 1.5), ("rng_seed", "7")])
+    def test_spec_counts_must_be_integers(self, key, value):
+        data = {"name": "t", "fields": [{"name": "x", "kind": "uint", "hi": 3}], key: value}
+        with pytest.raises(SpecError, match=f"{key} must be .*integer"):
+            spec_from_json(data)
+
+    @pytest.mark.parametrize("target, fits", [
+        ({"kind": "payload", "lo": 0, "hi": 255}, True),
+        ({"kind": "payload", "lo": 0, "hi": 256}, False),
+        ({"kind": "chars", "lo": 1, "hi": 254, "null_terminated": True}, True),
+        ({"kind": "chars", "lo": 1, "hi": 255, "null_terminated": True}, False),
+    ])
+    def test_length_of_width_must_hold_the_longest_value(self, target, fits):
+        # a length that overflowed the width raised OverflowError while generating
+        data = {"name": "t", "message_count": 3, "fields": [
+            {"name": "body", **target}, {"name": "len", "kind": "length_of", "ref": "body"}]}
+        if fits:
+            generate(spec_from_json(data))
+        else:
+            with pytest.raises(SpecError, match="width 1 cannot hold the length of 'body'"):
+                spec_from_json(data)
+
 
 class TestPerturb:
     def test_zero_fraction_is_identity(self):
@@ -152,7 +192,8 @@ class TestSpecJson:
         (b'{"name": "t", "fields": [', ":1:26: invalid JSON"),
         (b"\xff\xfe", ":1:1: not UTF-8 text"),
         (b'{"name": "t", "name": "u", "fields": []}', ": invalid JSON: duplicate key 'name'"),
-        (b'{"name": "t", "fields": [], "message_count": 1e999}', "malformed protocol spec"),
+        (b'{"name": "t", "fields": [], "message_count": 1e999}',
+         "message_count must be a non-negative integer: inf"),
     ])
     def test_bad_spec_file_is_spec_error(self, tmp_path, blob, message):
         path = tmp_path / "p.json"

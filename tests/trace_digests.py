@@ -1,4 +1,4 @@
-"""SHA-256 of every `segment` artifact, by bytes and by JSON value, over the identity set.
+"""SHA-256 of every artifact of `synth`, `segment` and `evaluate`, by bytes and by value.
 
 Usage, from the root of a checkout:
 
@@ -6,21 +6,26 @@ Usage, from the root of a checkout:
     python3 tests/trace_digests.py --against REV
 
 The set has two parts.  The 108-trace part is the six bundled specs x
-seeds {0, 3, 7} x {150, 600, 1500} messages, each generated with
-rng_seed 1000 * seed + messages and segmented under both presets with
-`--no-dedupe`.  The external part, `external_cases`, is the length-
-tolerant path: traces whose external base segmentation puts segments of
-several lengths into one cluster, segmented with `--base external`
-under nullpca.  Every run goes through `cli.main` as the `segment`
-command runs.  Each artifact file gets one line,
+seeds {0, 3, 7} x {150, 600, 1500} messages, each bundled spec file
+written again with that message count and rng_seed 1000 * seed +
+messages, generated by `synth`, segmented under both presets with
+`--no-dedupe`, and both presets' `segments.json` scored by one
+`evaluate` against the `truth.json` of `synth`.  The external part,
+`external_cases`, is the length-tolerant path: traces whose external
+base segmentation puts segments of several lengths into one cluster,
+segmented with `--base external` under nullpca.  Every run goes through
+`cli.main` as the command runs.  Each artifact file gets one line,
 
     <trace> <artifact> <sha256 of bytes> <sha256 of value>
 
-where <trace> is <spec>/<preset>/s<seed>/n<messages> for the 108-trace
-part and external/<case> for the external part, and the value digest is
-the SHA-256 of the compact re-dump of the parsed file,
+where <trace> is <spec>/<preset>/s<seed>/n<messages> for the three
+artifacts of `segment` in the 108-trace part, <spec>/s<seed>/n<messages>
+for `truth.json`, `report.json` and `comparison.csv`, and
+external/<case> for the external part.  The value digest of a JSON file
+is the SHA-256 of the compact re-dump of the parsed file,
 `json.dumps(value, separators=(",", ":"))`, so it does not depend on
-the file's layout.  The output of two checkouts is compared with one
+the file's layout; `comparison.csv` has no other value than its bytes,
+and its two digests are equal.  The output of two checkouts is compared with one
 `diff`: a change meant to keep the artifacts byte-identical leaves it
 empty, and a layout-only change leaves the last column unchanged
 (`cut -d" " -f1,2,4` of both outputs compare equal).  Run as a
@@ -53,6 +58,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from importlib import resources
 
 if __name__ == "__main__":  # a script imports protoseg from its own checkout
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -62,6 +68,7 @@ from protoseg import synth, traceio  # noqa: E402
 from protoseg.cli import main  # noqa: E402
 
 ARTIFACTS = ("segments.json", "edits.json", "clusters.json")
+EVALUATE_ARTIFACTS = ("report.json", "comparison.csv")
 PRESETS = ("nullpca", "nemepca")
 SEEDS = (0, 3, 7)
 SIZES = (150, 600, 1500)
@@ -124,37 +131,58 @@ def external_cases(work_dir: str) -> dict:
     return cases
 
 
-def segment_digests(trace: str, argv: list, out: str):
-    """Run `segment` with argv into out; yield one (trace, artifact, bytes sha256, value sha256) per artifact."""
+def command_digests(trace: str, argv: list, out: str, artifacts=ARTIFACTS):
+    """Run the command argv into out; yield (trace, artifact, bytes sha256, value sha256) each."""
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([*argv, "--out", out])
     if code != 0:
-        raise SystemExit(f"segment exited with {code} on {trace}")
-    for artifact in ARTIFACTS:
+        raise SystemExit(f"{argv[0]} exited with {code} on {trace}")
+    for artifact in artifacts:
         with open(os.path.join(out, artifact), "rb") as fh:
             raw = fh.read()
-        value = json.dumps(json.loads(raw), separators=(",", ":"))
+        if artifact.endswith(".json"):
+            raw_value = json.dumps(json.loads(raw), separators=(",", ":")).encode("utf-8")
+        else:
+            raw_value = raw
         yield (trace, artifact, hashlib.sha256(raw).hexdigest(),
-               hashlib.sha256(value.encode("utf-8")).hexdigest())
+               hashlib.sha256(raw_value).hexdigest())
+
+
+def spec_files() -> dict:
+    """{spec name: the JSON value of its bundled spec file}."""
+    entries = (resources.files(synth.__package__) / "specs").iterdir()
+    values = (json.loads(e.read_text(encoding="utf-8"))
+              for e in entries if e.name.endswith(".json"))
+    return {value["name"]: value for value in values}
 
 
 def trace_digests(work_dir: str):
     """Yield one (trace, artifact, bytes sha256, value sha256) per artifact file of the set."""
-    for name, spec in sorted(synth.reference_specs().items()):
+    for name, spec in sorted(spec_files().items()):
         for seed in SEEDS:
             for n in SIZES:
-                messages, _ = synth.generate(
-                    dataclasses.replace(spec, message_count=n, rng_seed=1000 * seed + n))
-                hex_path = os.path.join(work_dir, f"{name}-s{seed}-n{n}.hex")
-                traceio.save_hexlines(hex_path, messages)
+                trace = f"{name}/s{seed}/n{n}"
+                stem = os.path.join(work_dir, trace.replace("/", "-"))
+                traceio.write_json_atomic(stem + ".spec.json",
+                                          {**spec, "message_count": n, "rng_seed": 1000 * seed + n})
+                yield from command_digests(trace, ["synth", "--spec", stem + ".spec.json"], stem,
+                                           ("truth.json",))
+                hex_path = os.path.join(stem, "trace.hex")
+                segments = []
                 for preset in PRESETS:
-                    trace = f"{name}/{preset}/s{seed}/n{n}"
-                    yield from segment_digests(
-                        trace, ["segment", "--trace", hex_path, "--preset", preset, "--no-dedupe"],
-                        os.path.join(work_dir, trace.replace("/", "-")))
+                    run = f"{name}/{preset}/s{seed}/n{n}"
+                    out = os.path.join(work_dir, run.replace("/", "-"))
+                    yield from command_digests(
+                        run, ["segment", "--trace", hex_path, "--preset", preset, "--no-dedupe"],
+                        out)
+                    segments.append(os.path.join(out, "segments.json"))
+                yield from command_digests(
+                    trace, ["evaluate", "--trace", hex_path, "--no-dedupe", "--truth",
+                            os.path.join(stem, "truth.json"), "--segments", *segments],
+                    stem + "-evaluate", EVALUATE_ARTIFACTS)
     for case, argv in external_cases(work_dir).items():
         trace = f"external/{case}"
-        yield from segment_digests(trace, argv, os.path.join(work_dir, trace.replace("/", "-")))
+        yield from command_digests(trace, argv, os.path.join(work_dir, trace.replace("/", "-")))
 
 
 def diff_against(rev: str) -> int:
