@@ -33,9 +33,9 @@ matrices are gathered from it in blocks of rows, every child but the
 one with the most distinct values into a fresh array, and that one
 into the front of the node's own buffer, before any child recurses.
 The peak is therefore about 8u^2 bytes for the u distinct values of the
-largest length group, plus DBSCAN's u^2-byte bool `within` matrix, the
-copies of that node's other children, and scratch blocks of about
-`_PARTITION_BUDGET` elements.
+largest length group, plus DBSCAN's eps-neighborhood graph as packed
+bits (u^2/8 bytes), the copies of that node's other children, and
+scratch blocks of about `_PARTITION_BUDGET` elements.
 """
 
 from __future__ import annotations
@@ -56,9 +56,13 @@ MIN_PTS = 3
 
 DEFAULT_MAX_DEPTH = 3
 
-# rows * columns of one block of the k-distance partition and of the
-# parent rows a child's matrix is gathered from (elements)
+# rows * columns of one block of the k-distance partition, of DBSCAN's
+# neighborhood graph and of the parent rows a child's matrix is gathered
+# from (elements)
 _PARTITION_BUDGET = 262_144
+
+# set bits of every byte value; refine's bit congruence reads it too
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.intp)
 
 PCA_SUITABLE = "pca_suitable"
 RECURSED = "recursed"
@@ -102,51 +106,75 @@ def dbscan(dist: np.ndarray, eps: float, min_pts: int, weights=None) -> tuple:
     included, so the result is deterministic.  Expanding the rows to
     their items in order gives DBSCAN on the items.  Returns (list of
     row-index lists, noise list).
+
+    The scratch is the eps-neighborhood graph as bit-packed rows, n^2/8
+    bytes for n rows, and blocks of about `_PARTITION_BUDGET` matrix
+    entries that it is filled and read in.
     """
-    if eps <= 0:
-        raise UsageError("eps must be positive")
+    if not eps > 0:  # NaN included
+        raise UsageError(f"eps must be positive, got {eps!r}")
     if min_pts < 1:
         raise UsageError("min_pts must be at least 1")
     D = np.asarray(dist, dtype=float)
     n = D.shape[0]
     if n == 0:
         return [], []
-    within = D <= eps
-    count = within.sum(axis=1)
-    if weights is not None:
-        # a row of weight w adds its w - 1 duplicates to every neighbor
-        w = np.asarray(weights)
-        heavy = (w > 1).nonzero()[0]
-        count += within[:, heavy] @ (w[heavy] - 1)
+    # the eps-neighborhood graph as packed rows: bit j of row i (bits run
+    # high to low within a byte, as np.packbits packs them, and the pad
+    # bits of a row's last byte are 0) is D[i, j] <= eps.  It is filled in
+    # blocks of rows, each counting its rows' neighbors as it goes: the
+    # popcount of a row, plus w - 1 for each neighbor of weight w > 1,
+    # summed by einsum, which casts the bools in small buffers where a
+    # matrix product would cast the whole block to int64 first
+    w = np.ones(n, np.intp) if weights is None else np.asarray(weights)
+    heavy = (w > 1).nonzero()[0]
+    extra = w[heavy] - 1
+    step = max(1, _PARTITION_BUDGET // n)
+    width = -(-n // 8)
+    within = np.empty((n, width), np.uint8)
+    count = np.empty(n, np.intp)
+    for lo in range(0, n, step):
+        block = D[lo:lo + step] <= eps
+        within[lo:lo + step] = np.packbits(block, axis=1)
+        count[lo:lo + step] = (_POPCOUNT.take(within[lo:lo + step]).sum(axis=1)
+                               + np.einsum("ij,j->i", block.take(heavy, axis=1), extra))
     core = count >= min_pts
 
     # connected components of the core-core graph, by frontier expansion
-    # from the lowest unlabelled core row: a frontier row's neighbors in
-    # `within` that are core and unlabelled
+    # from the lowest unlabelled core row: the unlabelled core rows among
+    # the neighbors of the rows reached last, whose packed rows are ORed
+    # in groups of about _PARTITION_BUDGET bytes.  free is padded to the
+    # unpacked row length, so an unpacked row ANDs with it as it is
     label = np.full(n, -1)
-    free = core.copy()
+    free = np.zeros(8 * width, np.uint8)
+    free[:n] = core
+    group = 8 * step
     n_clusters = 0
     seed = int(free.argmax())
     while free[seed]:
-        free[seed] = False
+        free[seed] = 0
         label[seed] = n_clusters
-        frontier = within[seed] & free
-        while True:
-            reached = frontier.nonzero()[0]
-            if not reached.size:
-                break
-            free[reached] = False
+        reached = (np.unpackbits(within[seed]) & free).nonzero()[0]
+        while reached.size:
+            free[reached] = 0
             label[reached] = n_clusters
-            frontier = within[reached].any(axis=0)
-            frontier &= free
+            near = np.bitwise_or.reduce(within.take(reached[:group], axis=0))
+            for lo in range(group, reached.size, group):
+                near |= np.bitwise_or.reduce(within.take(reached[lo:lo + group], axis=0))
+            reached = (np.unpackbits(near) & free).nonzero()[0]
         n_clusters += 1
         seed = int(free.argmax())
 
+    # a border row's lowest-index core neighbor is the first set bit of
+    # its packed row ANDed with the packed core mask
     border = (~core).nonzero()[0]
     if n_clusters and border.size:
-        to_core = within[border] & core
-        first = to_core.argmax(axis=1)  # lowest-index core neighbor
-        label[border] = np.where(to_core[np.arange(border.size), first], label[first], -1)
+        core_bits = np.packbits(core)
+        for lo in range(0, border.size, step):
+            rows = border[lo:lo + step]
+            to_core = np.unpackbits(within.take(rows, axis=0) & core_bits, axis=1)
+            first = to_core.argmax(axis=1)
+            label[rows] = np.where(to_core[np.arange(rows.size), first], label[first], -1)
 
     # rows ascend within a cluster, so a cluster's first row is its lowest
     clusters = [[] for _ in range(n_clusters)]

@@ -9,7 +9,9 @@ workers.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 
 class ProtosegError(Exception):
@@ -58,6 +60,16 @@ def cut_offset(value) -> int:
     except TypeError:
         pass
     raise UsageError(f"cut offsets must be integers: {value!r}")
+
+
+def refuse_bools(settings) -> None:
+    """Raise UsageError if a field of the dataclass instance settings holds a bool.
+
+    A bool is an int to Python, so True would pass as 1 in a numeric field.
+    """
+    for f in fields(settings):
+        if isinstance(getattr(settings, f.name), (bool, np.bool_)):
+            raise UsageError(f"{f.name} must be a number, not a bool")
 
 
 def validate_cuts(cuts_by_id: dict, messages) -> None:
@@ -146,6 +158,7 @@ class AnalysisParams:
     notable: float = 0.005
 
     def __post_init__(self):
+        refuse_bools(self)
         for name in ("scree_min", "max_principals", "min_cluster", "quiet_len"):
             if not (isinstance(getattr(self, name), int) and getattr(self, name) > 0):
                 raise UsageError(f"{name} must be a positive integer")

@@ -54,9 +54,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cluster import DEFAULT_MAX_DEPTH, PCA_SUITABLE, recursive_cluster
+from .cluster import _POPCOUNT, DEFAULT_MAX_DEPTH, PCA_SUITABLE, recursive_cluster
 from .dissim import distinct_values
-from .model import AnalysisParams, Message, ProtosegError, Segmentation, UsageError
+from .model import (AnalysisParams, Message, ProtosegError, Segmentation, UsageError,
+                    refuse_bools)
 from .rules import (ADD, MOVE, REMOVE, BoundaryEdit, apply_edits, cluster_edits,
                     common_aligned_cuts, contribution, rule_a, rule_b)
 
@@ -157,10 +158,6 @@ def null_refine(trace: JoinedTrace) -> JoinedTrace:
                 is_cut[min(near, key=lambda c: (abs(c - base - target), c))] = False
                 is_cut[base + target] = True
     return trace.recut(is_cut)
-
-
-# set bits of every byte value
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.intp)
 
 
 @functools.lru_cache
@@ -552,6 +549,7 @@ class PipelineConfig:
     distinct_min_messages: int = 3
 
     def __post_init__(self):
+        refuse_bools(self)
         for name, low in (("max_depth", 0), ("chunk", 1), ("char_min_run", 1),
                           ("distinct_min_messages", 1)):
             if not (isinstance(getattr(self, name), int) and getattr(self, name) >= low):

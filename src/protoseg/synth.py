@@ -34,6 +34,10 @@ _KINDS = frozenset({KIND_CONST, KIND_UINT, KIND_ENUM, KIND_FLAGS, KIND_CHARS, KI
 
 _DEFAULT_CHARSET = string.ascii_letters + string.digits
 
+# most bytes one field may emit: a flags or padding width, a chars or
+# payload hi (the bundled specs use at most 12)
+MAX_FIELD_BYTES = 65_535
+
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -96,22 +100,22 @@ def _validate_spec(spec: ProtocolSpec) -> None:
             raise SpecError(f"field {f.name!r}: const needs a non-empty value")
         if f.kind in (KIND_UINT, KIND_LENGTH_OF) and not (1 <= f.width <= 4):
             raise SpecError(f"field {f.name!r}: width must be in 1..4")
-        if f.kind in (KIND_FLAGS, KIND_PADDING) and f.width < 1:
-            raise SpecError(f"field {f.name!r}: width must be at least 1")
+        if f.kind in (KIND_FLAGS, KIND_PADDING) and not (1 <= f.width <= MAX_FIELD_BYTES):
+            raise SpecError(f"field {f.name!r}: width must be in 1..{MAX_FIELD_BYTES}")
         if f.kind == KIND_UINT:
             if not (0 <= f.lo <= f.hi < 256 ** f.width):
                 raise SpecError(f"field {f.name!r}: uint range incompatible with width {f.width}")
         if f.kind == KIND_ENUM:
             if not f.values or not all(0 <= v <= 255 for v in f.values):
                 raise SpecError(f"field {f.name!r}: enum needs byte values")
-        if f.kind == KIND_CHARS and not (1 <= f.lo <= f.hi):
-            raise SpecError(f"field {f.name!r}: chars needs 1 <= lo <= hi")
+        if f.kind == KIND_CHARS and not (1 <= f.lo <= f.hi <= MAX_FIELD_BYTES):
+            raise SpecError(f"field {f.name!r}: chars needs 1 <= lo <= hi <= {MAX_FIELD_BYTES}")
         if f.kind == KIND_CHARS and not (isinstance(f.charset, str) and f.charset
                                          and max(map(ord, f.charset)) < 256):
             raise SpecError(f"field {f.name!r}: charset must be a non-empty string of"
                             " code points below 256")
-        if f.kind == KIND_PAYLOAD and not (0 <= f.lo <= f.hi):
-            raise SpecError(f"field {f.name!r}: payload needs 0 <= lo <= hi")
+        if f.kind == KIND_PAYLOAD and not (0 <= f.lo <= f.hi <= MAX_FIELD_BYTES):
+            raise SpecError(f"field {f.name!r}: payload needs 0 <= lo <= hi <= {MAX_FIELD_BYTES}")
         if f.kind == KIND_LENGTH_OF:
             target = seen.get(f.ref)
             if target is None or target.kind not in _VARIABLE_KINDS:

@@ -90,6 +90,8 @@ class TestDbscan:
     def test_invalid_parameters(self):
         with pytest.raises(UsageError):
             dbscan(np.zeros((2, 2)), eps=0.0, min_pts=3)
+        with pytest.raises(UsageError):  # made every row noise
+            dbscan(np.zeros((3, 3)), eps=float("nan"), min_pts=2)
         with pytest.raises(UsageError):
             dbscan(np.zeros((2, 2)), eps=0.5, min_pts=0)
 
@@ -133,6 +135,81 @@ class TestDbscan:
         for eps in [estimate_eps(D)] + [float(entries[int(q * (entries.size - 1))])
                                         for q in (0.0, 0.05, 0.2, 0.5)]:
             assert dbscan(D, eps, 3) == reference_dbscan(D.tolist(), eps, 3)
+
+
+class TestPackedGraph:
+    """DBSCAN's neighborhood graph as packed rows: pad bits, row blocks, grouped ORs."""
+
+    @staticmethod
+    def cases():
+        """(D, eps, min_pts, weights, bridged): every size 1..17, so most rows end in pad bits.
+
+        Entries come from a few levels, so eps falls on ties, and most
+        weights have heavy rows.  A bridged case has two clusters of three
+        weight-2 cores and border rows of weight 1 that each touch a core
+        of both, permuted so either cluster can hold a border row's
+        lowest-index core neighbor.
+        """
+        rng = np.random.default_rng(28)
+        levels = np.array([0.0, 0.1, 0.3, 0.6, 0.9])
+        for n in range(1, 18):
+            for _ in range(12):
+                D = np.triu(levels[rng.integers(0, 5, size=(n, n))], 1)
+                weights = rng.integers(1, 5, size=n) if rng.random() < 0.7 else np.ones(n, int)
+                yield D + D.T, float(rng.choice(levels[1:])), int(rng.integers(1, 6)), weights, False
+            for _ in range(4 if n >= 7 else 0):
+                D = np.full((n, n), 0.9)
+                D[:3, :3] = D[3:6, 3:6] = 0.1
+                for b in range(6, n):
+                    ends = [rng.integers(0, 3), rng.integers(3, 6)]
+                    D[b, ends] = D[ends, b] = 0.1
+                np.fill_diagonal(D, 0.0)
+                p = rng.permutation(n)
+                yield D[p][:, p], 0.2, 6, np.array([2] * 6 + [1] * (n - 6))[p], True
+
+    @pytest.mark.parametrize("budget", [cluster._PARTITION_BUDGET, 1, 40])
+    def test_matches_the_expanded_reference(self, monkeypatch, budget):
+        # a budget of 1 puts one row in a block and ORs the packed rows of
+        # 8 reached rows at a time; 40 puts two or more rows in a block
+        monkeypatch.setattr(cluster, "_PARTITION_BUDGET", budget)
+        border_sides = Counter()
+        for D, eps, min_pts, weights, bridged in self.cases():
+            clusters, noise = dbscan(D, eps, min_pts, weights)
+            inverse = np.arange(len(D)).repeat(weights)
+            expand = lambda rows: np.flatnonzero(np.isin(inverse, rows)).tolist()
+            want = reference_dbscan(D[inverse][:, inverse].tolist(), eps, min_pts)
+            assert ([expand(c) for c in clusters], expand(noise)) == want
+            if bridged:
+                assert len(clusters) == 2 and not noise
+                border_sides.update(k for k, rows in enumerate(clusters)
+                                    for row in rows if weights[row] == 1)
+        assert border_sides[0] > 10 and border_sides[1] > 10
+
+    @pytest.mark.parametrize("budget", [cluster._PARTITION_BUDGET, 16_000])
+    def test_scratch_is_the_packed_graph_and_a_few_blocks(self, monkeypatch, budget):
+        # 1000 rows, 300 of them of weight 3, in one cluster: the packed
+        # graph takes n^2/8 bytes, a block's bools about budget bytes and
+        # its popcount lookup twice that; the bool matrix alone took n^2.
+        # At 16 000 (16 rows a block) the bound is under n^2/4
+        monkeypatch.setattr(cluster, "_PARTITION_BUDGET", budget)
+        rng = np.random.default_rng(28)
+        n = 1000
+        D = random_dist(rng, n)
+        weights = np.ones(n, dtype=np.intp)
+        weights[rng.choice(n, size=300, replace=False)] = 3
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            clusters, noise = dbscan(D, 0.3, cluster.MIN_PTS, weights)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert (clusters, noise) == ([list(range(n))], [])
+        assert peak < n * n / 8 + 4 * budget + 32 * n
 
 
 class TestEstimateEps:

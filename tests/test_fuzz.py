@@ -16,6 +16,7 @@ from test_traceio import build_pcap, eth_ipv4_udp
 from protoseg.cli import main
 from protoseg.model import IngestionError, Message
 from protoseg.refine import PRESETS, preset, run_pipeline
+from protoseg.synth import MAX_FIELD_BYTES
 from protoseg.traceio import (FORMAT_HEXLINES, FORMAT_PCAP, LAYER_RAW, LAYER_TCP,
                               LAYER_UDP, TraceSpec, load_ground_truth, load_segmentation,
                               load_trace)
@@ -241,23 +242,27 @@ def test_random_cut_map_bytes_raise_only_ingestion_error(fuzz_dir, fuzz_trace, w
 
 
 # protocol specs: a valid spec, sometimes with one setting replaced by a
-# value of another type or range, and random JSON trees; sizes stay
-# small, so a spec that loads generates in a moment
+# value of another type or range, and random JSON trees; a field's size
+# is small or huge, and the largest size that loads generates a few
+# messages in a moment
 
 _SPEC_VALUES = st.one_of(st.integers(-2, 12), st.floats(-2, 12), st.none(), st.text(max_size=3),
                          st.lists(st.integers(-2, 300), max_size=3))
 # values next to a valid one: a fraction, a bool, an empty or wide string
 _NEAR_VALUES = st.sampled_from([0.5, 1.5, 2.5, True, False, "", "no", "\u20ac", [1.5]])
+# a field size at or past synth's cap, or past what an index or memory holds
+_HUGE = st.sampled_from([MAX_FIELD_BYTES, MAX_FIELD_BYTES + 1, 2**31, 2**63, 2**70])
 _SETTINGS = {
     "const": {"value": st.sampled_from(["01", "0a0b"])},
     "uint": {"width": st.integers(1, 4), "lo": st.integers(0, 3), "hi": st.integers(3, 255)},
     "enum": {"values": st.lists(st.integers(0, 255), min_size=1, max_size=3)},
-    "flags": {"width": st.integers(1, 3)},
-    "chars": {"lo": st.integers(1, 3), "hi": st.integers(3, 6), "null_terminated": st.booleans(),
+    "flags": {"width": st.one_of(st.integers(1, 3), _HUGE)},
+    "chars": {"lo": st.integers(1, 3), "hi": st.one_of(st.integers(3, 6), _HUGE),
+              "null_terminated": st.booleans(),
               "charset": st.sampled_from(["ab", "\x00\xff", "xyz0"])},
-    "padding": {"width": st.integers(1, 3)},
+    "padding": {"width": st.one_of(st.integers(1, 3), _HUGE)},
     "length_of": {"width": st.integers(1, 2)},
-    "payload": {"lo": st.integers(0, 3), "hi": st.integers(3, 6)},
+    "payload": {"lo": st.integers(0, 3), "hi": st.one_of(st.integers(3, 6), _HUGE)},
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -130,6 +132,13 @@ def test_params_validate_ranges():
     with pytest.raises(UsageError):
         AnalysisParams(delta_min=1.5)
 
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AnalysisParams)])
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_params_refuse_bools(name, value):
+    # True passed as 1 where 1 is in range: quiet_len=True gave quiet_len True
+    with pytest.raises(UsageError, match=f"{name} must be a number, not a bool"):
+        AnalysisParams(**{name: value})
 
 def test_min_cluster_needs_two_members_to_overlay():
     with pytest.raises(UsageError, match="min_cluster must be at least 2, got 1"):

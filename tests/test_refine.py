@@ -9,7 +9,7 @@ from conftest import (extreme_payload, reference_bit_congruence, reference_crop_
                       reference_null_refine, reference_null_runs, reference_split_fixed)
 from protoseg import synth
 from protoseg.model import Message, Segmentation, UsageError, segments_of
-from protoseg.refine import (BASE_EXTERNAL, PASS_PCA, PRESETS, Pipeline,
+from protoseg.refine import (BASE_EXTERNAL, PASS_PCA, PRESETS, Pipeline, PipelineConfig,
                              bit_congruence_segmenter, char_heuristic,
                              crop_chars, crop_distinct, entropy_merge, gaussian_kernel,
                              merge_chars, null_refine, null_segmenter, preset,
@@ -609,6 +609,14 @@ class TestPipeline:
     def test_unknown_preset_rejected(self):
         with pytest.raises(UsageError):
             preset("bogus")
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PipelineConfig)
+                                      if f.name != "analysis"])
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_config_refuses_bools(self, name, value):
+        # True passed as 1 where 1 is in range: max_depth=True and sigma=True were kept as True
+        with pytest.raises(UsageError, match=f"{name} must be a number, not a bool"):
+            PipelineConfig(**{name: value})
 
     def test_pca_at_most_once(self):
         with pytest.raises(UsageError):

@@ -1,9 +1,11 @@
+import json
 import re
 
 import pytest
 
 from protoseg.model import SpecError, UsageError
-from protoseg.synth import (FieldSpec, ProtocolSpec, generate, load_spec,
+from protoseg.cli import main
+from protoseg.synth import (MAX_FIELD_BYTES, FieldSpec, ProtocolSpec, generate, load_spec,
                             perturb, reference_specs, spec_from_json)
 
 
@@ -149,6 +151,23 @@ class TestSpecValidation:
         else:
             with pytest.raises(SpecError, match="width 1 cannot hold the length of 'body'"):
                 spec_from_json(data)
+
+    @pytest.mark.parametrize("field, size_key", [
+        ({"kind": "flags"}, "width"), ({"kind": "padding"}, "width"),
+        ({"kind": "chars", "lo": 1}, "hi"), ({"kind": "payload"}, "hi")])
+    def test_field_sizes_are_capped(self, tmp_path, field, size_key):
+        # a padding width of 2**70 raised OverflowError while generating
+        spec = {"name": "t", "message_count": 1, "fields": [{"name": "x", **field}]}
+        for size in (MAX_FIELD_BYTES + 1, 2**31, 2**70):
+            spec["fields"][0][size_key] = size
+            with pytest.raises(SpecError, match=str(MAX_FIELD_BYTES)):
+                spec_from_json(spec)
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+        spec["fields"][0][size_key] = MAX_FIELD_BYTES
+        messages, _ = generate(spec_from_json(spec))
+        assert len(messages[0].payload) <= MAX_FIELD_BYTES
 
 
 class TestPerturb:
