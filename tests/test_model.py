@@ -140,6 +140,7 @@ def test_params_refuse_bools(name, value):
     with pytest.raises(UsageError, match=f"{name} must be a number, not a bool"):
         AnalysisParams(**{name: value})
 
+
 def test_min_cluster_needs_two_members_to_overlay():
     with pytest.raises(UsageError, match="min_cluster must be at least 2, got 1"):
         AnalysisParams(min_cluster=1)
