@@ -28,14 +28,23 @@ verdict and the same split at every level.  Its chain of `recursed`
 nodes down to an `abandoned_depth` leaf at max_depth is emitted
 directly, without another overlay, PCA, eps estimate or DBSCAN.
 
-A node's matrix is dead once DBSCAN has split it: its children's
-matrices are gathered from it in blocks of rows, every child but the
-one with the most distinct values into a fresh array, and that one
-into the front of the node's own buffer, before any child recurses.
-The peak is therefore about 8u^2 bytes for the u distinct values of the
-largest length group, plus DBSCAN's eps-neighborhood graph as packed
-bits (u^2/8 bytes), the copies of that node's other children, and
-scratch blocks of about `_PARTITION_BUDGET` elements.
+Every matrix of one `recursive_cluster` call lives in one flat float64
+workspace, sized before the first matrix for the u distinct values of
+the largest length group (of the root, when it is not split by length).
+A node's matrix is the u_n x u_n view of the workspace's front, and it
+is dead once DBSCAN has split the node.  The child with the most
+distinct values then has its matrix gathered in blocks of rows over the
+front of the same workspace, and its subtree runs first.  Each other
+child's matrix is computed into the workspace again with
+`dissim.pairwise`, just before its own subtree runs; its values keep
+their first-occurrence order, so the entries have the bits the gather
+would give them.  The children are still returned in cluster order,
+noise last.  The recomputation is bounded: if the largest child has k
+of a node's u distinct values, the others' matrices hold at most
+k(u - k) <= u^2/4 entries, a quarter of a `pairwise` over the node.
+The peak is therefore 8u^2 bytes for the workspace, plus DBSCAN's
+eps-neighborhood graph as packed bits (u^2/8 bytes) and scratch blocks
+of about `_PARTITION_BUDGET` elements.
 """
 
 from __future__ import annotations
@@ -265,28 +274,53 @@ def recursive_cluster(values, params: AnalysisParams = AnalysisParams(),
     groups (no depth cost; the partition cannot repeat); otherwise the
     node is overlaid and its eigen spectrum tested.  Unsuitable nodes
     are DBSCAN-split with an epsilon estimated on the subset and
-    recursed one level deeper.
+    recursed one level deeper.  Every matrix is a view of one workspace
+    of 8u^2 bytes for the largest distinct-value count u of a root.
     """
     values = list(values)
     if not values or not all(values):
         raise UsageError("recursive_cluster needs at least one segment, none of them empty")
-    return [_analyze(np.arange(len(values)), values, None, None, 0, params, max_depth)]
+    # only the root splits by length, before any matrix exists: its
+    # children have one length each, and a DBSCAN child's spread is at
+    # most its parent's
+    lengths = list(map(len, values))
+    split = (len(values) >= params.min_cluster
+             and 1.0 - min(lengths) / max(lengths) > params.length_ratio)
+    groups = {}
+    for idx, length in enumerate(lengths):
+        groups.setdefault(length if split else 0, []).append(idx)
+    # the workspace fits the largest root's matrix; a root's distinct values
+    # are found when its turn comes, so no other root's arrays are held then
+    work = np.empty(max(len(set(map(values.__getitem__, idx))) for idx in groups.values()) ** 2)
+    nodes = [_analyze(np.array(idx), *dissim.distinct_values(list(map(values.__getitem__, idx))),
+                      None, 0, params, max_depth, work)
+             for _, idx in sorted(groups.items())]
+    if split:
+        return [ClusterNode(tuple(range(len(values))), RECURSED, 0, children=tuple(nodes))]
+    return nodes
 
 
-def _subset(members: np.ndarray, values: list, inverse: np.ndarray, dist: np.ndarray,
-            idx: np.ndarray, rows, in_place: bool = False) -> tuple:
+def _subset(members: np.ndarray, values: list, inverse: np.ndarray, dist, idx: np.ndarray,
+            rows) -> tuple:
     """(members, values, inverse, dist) of the members at the ascending positions idx.
 
     rows are the ascending distinct ids of those members.  Identical
     members are never separated, so these are the subset's distinct
     values in first-occurrence order, and its matrix is the parent's
-    restricted to them.  The matrix is gathered in blocks of rows, so
-    the scratch stays small; in_place writes it over the front of the
-    parent's own (C-contiguous) buffer, which nothing may read after.
+    restricted to them.  Given the parent's matrix dist, at the front of
+    the workspace, the subset's matrix is gathered in blocks of rows over
+    the front of that same (C-contiguous) buffer, which nothing may read
+    after, so the scratch stays small.  When dist is None the subset's
+    matrix is None as well, and `_analyze` computes it into the
+    workspace when the subset's turn comes.
     """
     rows = np.asarray(rows)
+    subset = (members[idx], list(map(values.__getitem__, rows.tolist())),
+              rows.searchsorted(inverse[idx]))
+    if dist is None:
+        return (*subset, None)
     k, u = rows.size, dist.shape[0]
-    out = (dist.reshape(-1)[:k * k] if in_place else np.empty(k * k)).reshape(k, k)
+    out = dist.reshape(-1)[:k * k].reshape(k, k)
     # in place is safe because rows ascend: block [lo, hi) writes the flat
     # range [lo*k, hi*k) after `take` has copied its own rows out, and
     # every row a later block reads starts at rows[hi]*u >= hi*k
@@ -295,42 +329,35 @@ def _subset(members: np.ndarray, values: list, inverse: np.ndarray, dist: np.nda
         # take write straight into out, where the default mode writes a copy first
         dist.take(rows[lo:lo + step], axis=0).take(rows, axis=1, out=out[lo:lo + step],
                                                    mode="clip")
-    return (members[idx], list(map(values.__getitem__, rows.tolist())),
-            rows.searchsorted(inverse[idx]), out)
+    return (*subset, out)
 
 
-def _analyze(members: np.ndarray, values: list, inverse, dist, depth: int,
-             params: AnalysisParams, max_depth: int, known=None) -> ClusterNode:
+def _analyze(members: np.ndarray, values: list, inverse: np.ndarray, dist, depth: int,
+             params: AnalysisParams, max_depth: int, work: np.ndarray,
+             known=None) -> ClusterNode:
     """Verdict and subtree of one node.
 
     members are the node's segment indices, ascending.  values are its
     distinct byte values in order of first occurrence, inverse[i]
     numbers the value of members[i] among them, and dist is their
-    dissimilarity matrix.  Until the node or an ancestor computes the
-    matrix, inverse and dist are None and values[i] is the bytes of
-    members[i].  known maps the medoid value of each ancestor's overlay
-    to the offsets of this node's distinct values against it, as
-    `dissim.overlay_cluster` takes them; it is None at a root.
+    dissimilarity matrix at the front of the flat workspace work, or
+    None until it is computed there.  known maps the medoid value of
+    each ancestor's overlay to the offsets of this node's distinct
+    values against it, as `dissim.overlay_cluster` takes them; it is
+    None at a root.
+
+    A split node's largest child (most distinct values, the first on a
+    tie) gathers its matrix from this one and runs first; every other
+    child computes its own with `dissim.pairwise` when its turn comes,
+    since the largest child's subtree has overwritten the workspace by
+    then.  With k of this node's u distinct values in the largest child,
+    the recomputed matrices hold at most k(u - k) <= u^2/4 entries.
     """
     node = tuple(members.tolist())
     if len(node) < params.min_cluster:
         return ClusterNode(node, ABANDONED_SMALL, depth)
-
     if dist is None:
-        # only a root splits by length, before any matrix exists: its
-        # children have one length each, and a DBSCAN child's spread is
-        # at most its parent's
-        lengths = list(map(len, values))
-        if 1.0 - min(lengths) / max(lengths) > params.length_ratio:
-            groups = {}
-            for idx, length in enumerate(lengths):
-                groups.setdefault(length, []).append(idx)
-            children = [_analyze(members[idx], list(map(values.__getitem__, idx)), None, None,
-                                 depth, params, max_depth)
-                        for _, idx in sorted(groups.items())]
-            return ClusterNode(node, RECURSED, depth, children=tuple(children))
-        values, inverse = dissim.distinct_values(values)
-        dist = dissim.pairwise(values)
+        dist = dissim.pairwise(values, out=work)
 
     try:
         overlay = dissim.overlay_cluster(values, dist, inverse, known)
@@ -370,26 +397,23 @@ def _analyze(members: np.ndarray, values: list, inverse, dist, depth: int,
     member_label = label[inverse]
     order = member_label.argsort(kind="stable")  # ascending within a group
     bounds = member_label[order].searchsorted(np.arange(len(clusters) + 1)).tolist()
-    # this matrix is dead once the children are sliced: the others are
-    # copied out first, then the child with the most rows takes its buffer
-    spans = [(order[lo:hi], rows) for rows, lo, hi in zip(clusters, bounds, bounds[1:])]
-    largest = max(range(len(clusters)), key=lambda c: len(clusters[c]))
-    subsets = [None if c == largest else _subset(members, values, inverse, dist, *span)
-               for c, span in enumerate(spans)]
-    subsets[largest] = _subset(members, values, inverse, dist, *spans[largest], in_place=True)
-    del dist
     # each distinct value's offset from the medoid, which every member
     # holding it shares; a child's distinct values are its rows of these
     offsets = np.empty(len(weights), np.intp)
     offsets[inverse] = overlay.shifts
     offsets -= overlay.shifts[overlay.reference]
     known = {**(known or {}), values[inverse[overlay.reference]]: offsets}
-    children = []
-    for c in range(len(subsets)):
-        args, subsets[c] = subsets[c], None  # a copy is freed once its subtree is done
+    # this matrix is dead once the node is split: the child with the most
+    # rows gathers its own from it and runs first, and each other child
+    # computes its own into the workspace that subtree has overwritten
+    largest = max(range(len(clusters)), key=lambda c: len(clusters[c]))
+    children = [None] * len(clusters)
+    for c in [largest, *(c for c in range(len(clusters)) if c != largest)]:
         rows = clusters[c]
-        children.append(_analyze(*args, depth + 1, params, max_depth,
-                                 {value: o[rows] for value, o in known.items()}))
+        subset = _subset(members, values, inverse, dist if c == largest else None,
+                         order[bounds[c]:bounds[c + 1]], rows)
+        children[c] = _analyze(*subset, depth + 1, params, max_depth, work,
+                               {value: o[rows] for value, o in known.items()})
     if noise:
         children.append(ClusterNode(tuple(members[order[bounds[-1]:]].tolist()), NOISE,
                                     depth + 1))

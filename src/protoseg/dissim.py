@@ -30,7 +30,8 @@ symmetric, so blocks of equal-length segments compute only the upper
 half and mirror it.
 A block has at most _BLOCK_BUDGET rows x max(cols, 256) entries,
 which bounds the kernel's scratch memory at a few MB whatever the
-segment count; the returned n x n matrix itself takes 8 n^2 bytes.
+segment count; the n x n matrix itself takes 8 n^2 bytes, in a new
+array or in the caller's `out`.
 
 The clustering passes `pairwise` a node's distinct values only, in
 order of first occurrence, and hands those values, their matrix and
@@ -138,10 +139,12 @@ def _term_sums(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return total
 
 
-def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
+def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray, ia=None, ib=None) -> None:
     """Write the dissimilarities of the rows of A (a,m) to those of B (b,n), m <= n, to out.
 
-    A and B hold bytes.  When A is B the matrix is symmetric: each row
+    A and B hold bytes.  Row i of A against row j of B goes to out[i, j],
+    or, given the index arrays ia and ib, to out[ia[i], ib[j]] and
+    out[ib[j], ia[i]].  When A is B the matrix is symmetric: each row
     block computes only the columns from its own first row onward and
     mirrors them.
     """
@@ -160,9 +163,15 @@ def _block_values(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
         for o in range(1, n - m + 1):
             np.minimum(best, _term_sums(X, Y[:, o:o + m]), out=best)
         best += (n - m) * UNMATCHED_PENALTY
-        np.divide(best, n, out=out[lo:hi, first:])
-        if symmetric:
-            out[hi:, lo:hi] = out[lo:hi, hi:].T
+        if ia is None:
+            np.divide(best, n, out=out[lo:hi, first:])
+            if symmetric:
+                out[hi:, lo:hi] = out[lo:hi, hi:].T
+        else:
+            best /= n
+            out[np.ix_(ia[lo:hi], ib[first:])] = best
+            mirror = hi if symmetric else 0  # the square [lo, hi) of a symmetric block is whole
+            out[np.ix_(ib[mirror:], ia[lo:hi])] = best[:, mirror - first:].T
 
 
 def distinct_values(values) -> tuple:
@@ -175,13 +184,27 @@ def distinct_values(values) -> tuple:
     return list(ids), np.fromiter(map(ids.__getitem__, values), np.intp, len(values))
 
 
-def pairwise(values) -> np.ndarray:
+def pairwise(values, out=None) -> np.ndarray:
     """Full symmetric dissimilarity matrix over a list of byte sequences.
 
     The matrix has one row per value, repeats included; the clustering
     passes distinct values only, so it gets their matrix and no more.
+
+    out, when given, is a flat C-contiguous float64 array of at least
+    n*n elements.  The matrix is then written over out[:n*n], nothing
+    else of out is touched, the (n, n) view of those elements is
+    returned, and no n x n array is allocated: values of several lengths
+    are scattered into place block by block.  The clustering passes its
+    one workspace here, so every node's matrix reuses the same memory.
     """
     n = len(values)
+    if out is None:
+        out = np.empty(n * n)
+    elif not (out.dtype == np.float64 and out.ndim == 1 and out.flags.c_contiguous
+              and out.size >= n * n):
+        raise UsageError(f"pairwise needs out to be a flat C-contiguous float64 array "
+                         f"of at least {n * n} elements")
+    D = out[:n * n].reshape(n, n)
     by_len = defaultdict(list)
     for i, v in enumerate(values):
         by_len[len(v)].append(i)
@@ -191,7 +214,6 @@ def pairwise(values) -> np.ndarray:
             .reshape(len(idx), L))
         for L, idx in by_len.items()
     }
-    D = np.empty((n, n))
     if len(lengths) == 1:  # the one block is the whole matrix
         _, A = arrays[lengths[0]]
         _block_values(A, A, D)
@@ -200,11 +222,7 @@ def pairwise(values) -> np.ndarray:
             ia, A = arrays[La]
             for Lb in lengths[ai:]:
                 ib, B = arrays[Lb]
-                vals = np.empty((len(ia), len(ib)))
-                _block_values(A, B, vals)
-                D[np.ix_(ia, ib)] = vals
-                if La != Lb:
-                    D[np.ix_(ib, ia)] = vals.T
+                _block_values(A, B, D, ia, ib)
     np.fill_diagonal(D, 0.0)
     return D
 

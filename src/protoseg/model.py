@@ -8,6 +8,7 @@ workers.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field, fields
 
@@ -62,14 +63,22 @@ def cut_offset(value) -> int:
     raise UsageError(f"cut offsets must be integers: {value!r}")
 
 
-def refuse_bools(settings) -> None:
-    """Raise UsageError if a field of the dataclass instance settings holds a bool.
+def refuse_non_numbers(settings) -> None:
+    """Raise UsageError naming the first numeric field of settings that holds no number.
 
-    A bool is an int to Python, so True would pass as 1 in a numeric field.
+    settings is a dataclass instance; its numeric fields are those whose
+    default is a number, and each must hold a real number that is not a
+    bool.  A bool is an int to Python, so True would pass as 1, and a
+    string or None would fail later in a range comparison with a TypeError.
     """
     for f in fields(settings):
-        if isinstance(getattr(settings, f.name), (bool, np.bool_)):
+        value = getattr(settings, f.name)
+        if not isinstance(f.default, numbers.Real):
+            continue
+        if isinstance(value, (bool, np.bool_)):
             raise UsageError(f"{f.name} must be a number, not a bool")
+        if not isinstance(value, numbers.Real):
+            raise UsageError(f"{f.name} must be a number, not {value!r}")
 
 
 def validate_cuts(cuts_by_id: dict, messages) -> None:
@@ -158,7 +167,7 @@ class AnalysisParams:
     notable: float = 0.005
 
     def __post_init__(self):
-        refuse_bools(self)
+        refuse_non_numbers(self)
         for name in ("scree_min", "max_principals", "min_cluster", "quiet_len"):
             if not (isinstance(getattr(self, name), int) and getattr(self, name) > 0):
                 raise UsageError(f"{name} must be a positive integer")

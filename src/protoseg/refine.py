@@ -57,7 +57,7 @@ import numpy as np
 from .cluster import _POPCOUNT, DEFAULT_MAX_DEPTH, PCA_SUITABLE, recursive_cluster
 from .dissim import distinct_values
 from .model import (AnalysisParams, Message, ProtosegError, Segmentation, UsageError,
-                    refuse_bools)
+                    refuse_non_numbers)
 from .rules import (ADD, MOVE, REMOVE, BoundaryEdit, apply_edits, cluster_edits,
                     common_aligned_cuts, contribution, rule_a, rule_b)
 
@@ -549,7 +549,9 @@ class PipelineConfig:
     distinct_min_messages: int = 3
 
     def __post_init__(self):
-        refuse_bools(self)
+        refuse_non_numbers(self)
+        if not isinstance(self.analysis, AnalysisParams):
+            raise UsageError(f"analysis must be an AnalysisParams, not {self.analysis!r}")
         for name, low in (("max_depth", 0), ("chunk", 1), ("char_min_run", 1),
                           ("distinct_min_messages", 1)):
             if not (isinstance(getattr(self, name), int) and getattr(self, name) >= low):

@@ -662,17 +662,17 @@ class TestOverlayReuse:
 
 
 class TestSubsetGather:
-    """A child's matrix gathered in row blocks, into a fresh array or its parent's buffer."""
+    """A child's matrix gathered in row blocks over the front of its parent's buffer."""
 
     @staticmethod
-    def gather(D, rows, in_place):
+    def gather(D, rows):
         rows = np.asarray(rows)
         everything = np.arange(len(D))
-        members, values, inverse, sub = cluster._subset(everything, everything.tolist(),
-                                                        everything, D, rows, rows.tolist(),
-                                                        in_place)
-        assert members.tolist() == values == rows.tolist()
-        assert inverse.tolist() == list(range(rows.size))
+        for dist in (None, D):
+            members, values, inverse, sub = cluster._subset(everything, everything.tolist(),
+                                                            everything, dist, rows, rows.tolist())
+            assert members.tolist() == values == rows.tolist()
+            assert inverse.tolist() == list(range(rows.size))
         return sub
 
     # below 513 distinct values a child fits in one block of rows; above, in two
@@ -686,16 +686,14 @@ class TestSubsetGather:
         rows = np.union1d(rows, ends).astype(np.intp)
         D = random_dist(rng, u)
         want = D[np.ix_(rows, rows)]
-        assert self.gather(D, rows, False).tobytes() == want.tobytes()
-
         buffer = D.copy()
-        sub = self.gather(buffer, rows, True)
+        sub = self.gather(buffer, rows)
         assert np.shares_memory(sub, buffer)
         assert sub.tobytes() == want.tobytes()
         # a child gathered in place is a prefix view, and its own child can
         # again be gathered into the same buffer
         inner = rows[::2]
-        subsub = self.gather(sub, np.searchsorted(rows, inner), True)
+        subsub = self.gather(sub, np.searchsorted(rows, inner))
         assert np.shares_memory(subsub, buffer)
         assert subsub.tobytes() == D[np.ix_(inner, inner)].tobytes()
 
@@ -734,6 +732,37 @@ class TestSubsetGather:
         assert {len({len(values[m]) for m in child.members})
                 for child in roots[0].children} == {1}
         assert peak < 1.6 * 8 * u * u
+
+    def test_peak_is_one_workspace_when_the_root_splits_in_two(self):
+        # 2000 distinct 8-byte values in two well-separated families of
+        # 1000: the root splits into two children of about 980 values.
+        # The second child's matrix is computed into the workspace after
+        # the first child's subtree, where a copy of it took 8 k^2 bytes more
+        rng = np.random.default_rng(5)
+        values = set()
+        for pattern in ([100, 200] * 4, [200, 100] * 4):
+            family = set()
+            while len(family) < 1000:
+                family.add(bytes((np.array(pattern) + rng.integers(0, 24, size=8)).tolist()))
+            values |= family
+        values = sorted(values, key=lambda v: rng.random())
+        u = len(values)
+
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            roots = recursive_cluster(values)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if started:
+                tracemalloc.stop()
+        sizes = sorted(len(child.members) for child in roots[0].children
+                       if child.verdict != NOISE)
+        assert roots[0].verdict == RECURSED and sizes[-2] > 900
+        assert peak < 8 * u * u + u * u / 8 + 3 * 8 * cluster._PARTITION_BUDGET
 
 
 def assert_children_partition(roots):

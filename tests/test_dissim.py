@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,53 @@ class TestPairwiseOracle:
         values = [bytes(rng.choice(extreme if k % 2 else 256, size=length).tolist())
                   for k, length in enumerate([3, 9, 17, 17, 24, 31, 40, 40, 130, 140])]
         self.assert_oracles(values)
+
+    @pytest.mark.parametrize("lengths, repeats", [([6], 0), ([2, 3, 7], 0), ([3, 5], 40)])
+    def test_into_a_workspace(self, lengths, repeats):
+        # equal-length, mixed-length and repeated values: the matrix written
+        # over the front of out has the bits of a fresh one and of the
+        # reference, and the rest of out keeps its bits
+        rng = np.random.default_rng(67)
+        values = random_values(rng, 120, lengths)
+        values += values[:repeats]
+        n = len(values)
+        out = np.full(n * n + 97, -0.0)
+        D = pairwise(values, out=out)
+        assert D.shape == (n, n) and np.shares_memory(D, out) and D.flags.c_contiguous
+        assert np.array_equal(D.view(np.int64), pairwise(values).view(np.int64))
+        assert np.array_equal(D.view(np.int64), reference_pairwise(values).view(np.int64))
+        assert np.array_equal(out[n * n:].view(np.int64), np.full(97, -0.0).view(np.int64))
+
+
+class TestPairwiseWorkspace:
+    """`pairwise(values, out=...)` allocates no matrix of its own."""
+
+    # one dominant length, so a block of a length pair is most of the matrix
+    @pytest.mark.parametrize("lengths", [[6], [6] * 9 + [3], [4, 6, 8]])
+    def test_allocates_no_matrix(self, lengths):
+        rng = np.random.default_rng(71)
+        values = random_values(rng, 1000, lengths)
+        values += values[:100]
+        n = len(values)
+        out = np.empty(n * n)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            pairwise(values, out=out)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 8 * n * n / 2
+
+    @pytest.mark.parametrize("out", [np.empty(15), np.empty(16, np.float32),
+                                     np.empty((4, 4)), np.empty(32)[::2]])
+    def test_refuses_an_unfit_out(self, out):
+        with pytest.raises(UsageError, match="flat C-contiguous float64 array of at least 16"):
+            pairwise([b"\x01", b"\x02", b"\x03\x04", b"\x05"], out=out)
 
 
 class TestOverlay:

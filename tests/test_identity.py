@@ -238,10 +238,10 @@ def external_runs(tmp_path_factory):
             paths.add(UNEQUAL)
         return dissimilarity(s, t)
 
-    def recorded_pairwise(values):
+    def recorded_pairwise(values, out=None):
         if len(set(map(len, values))) > 1:
             paths.add(LENGTHS)
-        return pairwise(values)
+        return pairwise(values, out)
 
     def recorded_overlay(values, dist, inverse, known=None):
         overlay = overlay_cluster(values, dist, inverse, known)

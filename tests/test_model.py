@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,14 @@ def test_params_validate_ranges():
 def test_params_refuse_bools(name, value):
     # True passed as 1 where 1 is in range: quiet_len=True gave quiet_len True
     with pytest.raises(UsageError, match=f"{name} must be a number, not a bool"):
+        AnalysisParams(**{name: value})
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AnalysisParams)])
+@pytest.mark.parametrize("value", ["0.5", None, b"1", 1j])
+def test_params_refuse_non_numbers(name, value):
+    # delta_min="0.5" raised TypeError from the range comparison
+    with pytest.raises(UsageError, match=f"{name} must be a number, not {re.escape(repr(value))}"):
         AnalysisParams(**{name: value})
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -617,6 +618,20 @@ class TestPipeline:
         # True passed as 1 where 1 is in range: max_depth=True and sigma=True were kept as True
         with pytest.raises(UsageError, match=f"{name} must be a number, not a bool"):
             PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PipelineConfig)
+                                      if f.name != "analysis"])
+    @pytest.mark.parametrize("value", ["1", None, b"1", 1j])
+    def test_config_refuses_non_numbers(self, name, value):
+        # sigma="1" and entropy_floor=None raised TypeError from the range comparison
+        message = f"{name} must be a number, not {re.escape(repr(value))}"
+        with pytest.raises(UsageError, match=message):
+            PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, None, {"min_cluster": 3}])
+    def test_config_refuses_an_analysis_of_another_type(self, value):
+        with pytest.raises(UsageError, match="analysis must be an AnalysisParams"):
+            PipelineConfig(analysis=value)
 
     def test_pca_at_most_once(self):
         with pytest.raises(UsageError):
