@@ -30,7 +30,7 @@ print(f"snapped back exactly:      {restored} ({restored / moved:.1%})")
 
 by_rule = {}
 for edit in result.edits:
-    by_rule[edit.provenance] = by_rule.get(edit.provenance, 0) + 1
+    by_rule[edit["provenance"]] = by_rule.get(edit["provenance"], 0) + 1
 print("applied edits by rule:", dict(sorted(by_rule.items())))
 
 mid = 0

@@ -200,11 +200,7 @@ def _cmd_segment(args) -> int:
 
     out = _out_dir(args.out)
     traceio.save_segmentation(os.path.join(out, "segments.json"), result.segmentations)
-    traceio.write_json_atomic(os.path.join(out, "edits.json"), [
-        {"message": e.message_id, "offset": e.offset, "kind": e.kind,
-         "old_offset": e.old_offset, "provenance": e.provenance}
-        for e in result.edits
-    ])
+    traceio.write_json_atomic(os.path.join(out, "edits.json"), result.edits)
     traceio.write_json_atomic(os.path.join(out, "clusters.json"),
                               tree_to_json(result.tree or [], result.trace))
     print(f"{len(messages)} messages -> {out}/segments.json "

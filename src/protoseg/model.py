@@ -103,6 +103,9 @@ class Message:
 
     def __post_init__(self):
         object.__setattr__(self, "id", message_id(self.id))
+        if not isinstance(self.payload, bytes):
+            raise UsageError(f"message {self.id} has a payload of {type(self.payload).__name__}, "
+                             "not bytes")
         if len(self.payload) == 0:
             raise UsageError(f"message {self.id} has an empty payload ({self.source or 'unknown source'})")
 

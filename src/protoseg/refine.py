@@ -48,7 +48,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -58,8 +58,8 @@ from .cluster import _POPCOUNT, DEFAULT_MAX_DEPTH, PCA_SUITABLE, recursive_clust
 from .dissim import distinct_values
 from .model import (AnalysisParams, Message, ProtosegError, Segmentation, UsageError,
                     refuse_non_numbers)
-from .rules import (ADD, MOVE, REMOVE, BoundaryEdit, apply_edits, cluster_edits,
-                    common_aligned_cuts, contribution, rule_a, rule_b)
+from .rules import (ADD, EDIT, MOVE, REMOVE, apply_edits, cluster_edits, common_aligned_cuts,
+                    contribution, edit_log, edit_records, rule_a, rule_b)
 
 logger = logging.getLogger(__name__)
 
@@ -145,9 +145,11 @@ def null_refine(trace: JoinedTrace) -> JoinedTrace:
     """
     offsets = trace.offsets
     nulls = np.frombuffer(trace.joined, dtype=np.uint8) == 0
-    rows = np.unique(offsets.searchsorted(nulls.nonzero()[0], "right") - 1)
+    # a flag per message row: np.unique would import numpy.ma on its first call
+    has_null = np.zeros(trace.ids.size, dtype=bool)
+    has_null[offsets.searchsorted(nulls.nonzero()[0], "right") - 1] = True
     is_cut = trace.is_cut.copy()
-    for r in rows[np.diff(trace.first)[rows] > 1].tolist():
+    for r in np.flatnonzero(has_null & (np.diff(trace.first) > 1)).tolist():
         base, end = offsets[r:r + 2].tolist()
         for (a, b), target in _null_run_targets(trace.joined[base:end]):
             if target is None or is_cut[base + target]:
@@ -160,11 +162,15 @@ def null_refine(trace: JoinedTrace) -> JoinedTrace:
     return trace.recut(is_cut)
 
 
+def _check_sigma(sigma) -> None:
+    if not 0.0 < sigma < math.inf:  # a NaN fails too
+        raise UsageError("sigma must be a positive finite number")
+
+
 @functools.lru_cache
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized Gaussian kernel of std sigma and radius ceil(3 sigma); one read-only array."""
-    if sigma <= 0:
-        raise UsageError("sigma must be positive")
+    _check_sigma(sigma)
     radius = math.ceil(3 * sigma)
     support = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (support / sigma) ** 2)
@@ -556,8 +562,7 @@ class PipelineConfig:
                           ("distinct_min_messages", 1)):
             if not (isinstance(getattr(self, name), int) and getattr(self, name) >= low):
                 raise UsageError(f"{name} must be an integer of at least {low}")
-        if not 0.0 < self.sigma < math.inf:
-            raise UsageError("sigma must be a positive finite number")
+        _check_sigma(self.sigma)
         for name in ("entropy_floor", "entropy_diff", "distinct_min_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise UsageError(f"{name} must lie in [0, 1]")
@@ -572,6 +577,8 @@ class Pipeline:
     config: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self):
+        if not isinstance(self.config, PipelineConfig):
+            raise UsageError(f"config must be a PipelineConfig, not {self.config!r}")
         if self.base not in (BASE_NULL_BYTES, BASE_BIT_CONGRUENCE, BASE_EXTERNAL):
             raise UsageError(f"unknown base segmenter {self.base!r}")
         for p in self.passes:
@@ -596,12 +603,12 @@ def preset(name: str, config: PipelineConfig = None, base: str = None) -> Pipeli
         raise UsageError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     default_base, passes = PRESETS[name]
     return Pipeline(base=base or default_base, passes=passes,
-                    config=config or PipelineConfig())
+                    config=PipelineConfig() if config is None else config)
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Refined segmentations and edit log; a pca pass's tree indexes the segments of trace."""
+    """Refined segmentations and `edits.json` records; a pca pass's tree indexes trace's segments."""
 
     segmentations: list
     edits: list
@@ -609,8 +616,8 @@ class PipelineResult:
     trace: Optional[JoinedTrace] = None
 
 
-def _diff_edits(old: JoinedTrace, new: JoinedTrace, provenance: str) -> list:
-    """The edits of one static pass, per message in trace order.
+def _diff_edits(old: JoinedTrace, new: JoinedTrace, provenance: str) -> np.ndarray:
+    """The edits of one static pass, per message in trace order, as an `EDIT` array.
 
     old and new lay out the same payloads; the positions where their
     cut flags differ are the added and the removed cuts, both ascending
@@ -618,7 +625,7 @@ def _diff_edits(old: JoinedTrace, new: JoinedTrace, provenance: str) -> list:
     """
     changed = np.flatnonzero(old.is_cut != new.is_cut)
     if not changed.size:
-        return []
+        return np.empty(0, EDIT)
     rows = new.offsets.searchsorted(changed, "right") - 1
     cut = changed - new.offsets[rows]
     added = new.is_cut[changed]
@@ -629,16 +636,15 @@ def _diff_edits(old: JoinedTrace, new: JoinedTrace, provenance: str) -> list:
     n = new.ids.size
     move = np.bincount(add_row, minlength=n) == np.bincount(rm_row, minlength=n)
     moved, kept = move[add_row], ~move[rm_row]
-    src = np.zeros(add_cut.size, np.intp)  # 0 for an add: a cut is never at offset 0
-    src[moved] = rm_cut[~kept]
+    removed = rm_cut[kept]
+    old_offset = np.zeros(add_cut.size + removed.size, np.intp)  # 0: a cut is never at 0
+    old_offset[:add_cut.size][moved] = rm_cut[~kept]
+    kind = np.concatenate((np.where(moved, MOVE, ADD), np.full(removed.size, REMOVE)))
     # per message: its moves or adds, in cut order, then its removes
     row = np.concatenate((add_row, rm_row[kept]))
     order = np.argsort(row * 2 + (np.arange(row.size) >= add_row.size), kind="stable")
-    srcs = np.concatenate((src, np.full(int(kept.sum()), -1)))[order].tolist()
-    return list(map(BoundaryEdit, new.ids[row[order]].tolist(),
-                    np.concatenate((add_cut, rm_cut[kept]))[order].tolist(),
-                    [MOVE if o > 0 else ADD if o == 0 else REMOVE for o in srcs],
-                    [o if o > 0 else None for o in srcs], repeat(provenance)))
+    return edit_log(new.ids[row[order]], np.concatenate((add_cut, removed))[order],
+                    kind[order], old_offset[order], provenance)
 
 
 def _pca_pass(trace: JoinedTrace, config: PipelineConfig):
@@ -647,7 +653,7 @@ def _pca_pass(trace: JoinedTrace, config: PipelineConfig):
     params = config.analysis
     roots = recursive_cluster(values, params, config.max_depth)
 
-    proposals = []
+    proposals = [np.empty(0, EDIT)]
     for root in roots:
         for leaf in root.leaves():
             if leaf.verdict != PCA_SUITABLE:
@@ -664,10 +670,10 @@ def _pca_pass(trace: JoinedTrace, config: PipelineConfig):
                     positions.append((int(column_map[k]), "rule_b"))
                 for k in common_aligned_cuts(leaf, trace):
                     positions.append((k, "common_aligned"))
-                proposals.extend(cluster_edits(leaf, positions, trace))
+                proposals.append(cluster_edits(leaf, positions, trace))
             except ProtosegError as exc:
                 logger.warning("skipping cluster of %d segments: %s", len(leaf.members), exc)
-    new, applied = apply_edits(proposals, trace)
+    new, applied = apply_edits(np.concatenate(proposals), trace)
     return new, applied, roots
 
 
@@ -736,20 +742,20 @@ def run_pipeline(messages: list, pipeline: Pipeline,
     }
     provenance_of = {PASS_NULL_REFINE: "nullbytes"}
 
-    edits: list = []
+    logs = [np.empty(0, EDIT)]
     tree = clustered = None
     for pass_name in pipeline.passes:
         if pass_name == PASS_PCA:
             clustered = trace
             trace, applied, tree = _pca_pass(trace, cfg)
-            edits.extend(applied)
+            logs.append(applied)
             continue
         if pass_name == PASS_CROP_DISTINCT:
             new = crop_distinct(trace, cfg.distinct_min_fraction, cfg.distinct_min_messages)
         else:
             op, *args = knobs[pass_name]
             new = _isolated(pass_name, op, args, trace)
-        edits.extend(_diff_edits(trace, new, provenance_of.get(pass_name, pass_name)))
+        logs.append(_diff_edits(trace, new, provenance_of.get(pass_name, pass_name)))
         trace = new
-    return PipelineResult(segmentations=trace.segmentations(), edits=edits, tree=tree,
-                          trace=clustered)
+    return PipelineResult(segmentations=trace.segmentations(),
+                          edits=edit_records(np.concatenate(logs)), tree=tree, trace=clustered)

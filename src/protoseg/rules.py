@@ -36,13 +36,16 @@ counts the boundaries of all members with one `bincount`,
 `cluster_edits` decides every (member, position) pair of a members x
 positions grid at once, and `apply_edits` sets and clears those flags
 and returns the layout recut.
+
+Every pass logs its edits as one `EDIT` array, a row per edit, and
+`edit_records` turns a pipeline's whole log into `edits.json` records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,11 +56,14 @@ from .pca import PcaResult
 if TYPE_CHECKING:  # refine imports this module
     from .refine import JoinedTrace
 
-ADD = "add"
-MOVE = "move"
-REMOVE = "remove"
+# in the order `apply_edits` settles a conflict: a move before an add before a remove
+KINDS = ("move", "add", "remove")
+MOVE, ADD, REMOVE = range(len(KINDS))
 
-_KIND_ORDER = {MOVE: 0, ADD: 1, REMOVE: 2}
+# an edit: its message id, offset, index into KINDS, old offset (0 for no
+# move: a cut is never at 0) and provenance, the rule or pass that made it
+EDIT = np.dtype([("message", np.int64), ("offset", np.int64), ("kind", np.int8),
+                 ("old_offset", np.int64), ("provenance", object)])
 
 
 @dataclass(frozen=True)
@@ -68,22 +74,18 @@ class ContributionVector:
     n_sig: int
 
 
-class BoundaryEdit(NamedTuple):
-    """One proposed cut-set change with its provenance.
+def edit_log(message, offset, kind, old_offset, provenance) -> np.ndarray:
+    """An `EDIT` array from its columns; a scalar fills its column."""
+    log = np.empty(np.size(offset), EDIT)
+    log["message"], log["offset"], log["kind"] = message, offset, kind
+    log["old_offset"], log["provenance"] = old_offset, provenance
+    return log
 
-    A named tuple, so it is immutable and cheap to build: a trace's
-    edit log holds one per changed cut.
-    """
 
-    message_id: int
-    offset: int
-    kind: str
-    old_offset: Optional[int] = None
-    provenance: str = ""
-
-    def sort_key(self):
-        return (self.message_id, self.offset, _KIND_ORDER[self.kind],
-                -1 if self.old_offset is None else self.old_offset, self.provenance)
+def edit_records(log: np.ndarray) -> list:
+    """The `edits.json` records of an `EDIT` array, in order: kinds by name, None for no move."""
+    return [{"message": m, "offset": o, "kind": KINDS[k], "old_offset": old or None,
+             "provenance": p} for m, o, k, old, p in zip(*(log[f].tolist() for f in EDIT.names))]
 
 
 def contribution(spectrum: PcaResult) -> ContributionVector:
@@ -151,8 +153,8 @@ def common_aligned_cuts(node: ClusterNode, trace: JoinedTrace) -> list:
     return peak.nonzero()[0].tolist()
 
 
-def cluster_edits(node: ClusterNode, positions, trace: JoinedTrace) -> list:
-    """Translate relative boundary positions into per-message edits.
+def cluster_edits(node: ClusterNode, positions, trace: JoinedTrace) -> np.ndarray:
+    """Translate relative boundary positions into per-message edits, an `EDIT` array.
 
     positions is a list of (relative position, provenance).  For a
     member with shift d and start s, position k maps to offset
@@ -163,7 +165,7 @@ def cluster_edits(node: ClusterNode, positions, trace: JoinedTrace) -> list:
     each member's in the order of `positions`.
     """
     if not positions:
-        return []
+        return np.empty(0, EDIT)
     ks, provenances = zip(*positions)
     rows, origin, start, end = _members(node, trace)
     offsets, is_cut = trace.offsets, trace.is_cut
@@ -181,36 +183,38 @@ def cluster_edits(node: ClusterNode, positions, trace: JoinedTrace) -> list:
     after, before = is_cut[target + 1], is_cut[target - 1]
     target -= base[member]
     # the cut that moves, or 0 for an add (a cut is never at offset 0)
-    olds = np.where(after, target + 1, np.where(before, target - 1, 0)).tolist()
-    return list(map(BoundaryEdit, trace.ids[rows[member]].tolist(), target.tolist(),
-                    [MOVE if o else ADD for o in olds], [o or None for o in olds],
-                    map(provenances.__getitem__, column.tolist())))
+    old = np.where(after, target + 1, np.where(before, target - 1, 0))
+    return edit_log(trace.ids[rows[member]], target, np.where(old > 0, MOVE, ADD), old,
+                    np.array(provenances, dtype=object)[column])
 
 
-def apply_edits(edits, trace: JoinedTrace) -> tuple:
-    """Apply edits trace-wide in (message, offset) order.
+def apply_edits(edits: np.ndarray, trace: JoinedTrace) -> tuple:
+    """Apply an `EDIT` array trace-wide, ordered by its fields from message to provenance.
 
     Conflicting edits resolve to the first in that order: a move whose
     source cut is gone or whose target is taken is dropped, as is an add
     on an existing cut.  So is an edit for a message the trace does not
     hold, or at an offset outside its message's interior.  Returns
-    (the trace recut, applied edits).
+    (the trace recut, the applied edits in that order).
     """
+    edits = edits[np.lexsort((edits["provenance"], edits["old_offset"], edits["kind"],
+                              edits["offset"], edits["message"]))]
     bounds = dict(zip(trace.ids.tolist(), pairwise(trace.offsets.tolist())))
     is_cut = bytearray(trace.is_cut)  # one flag byte per position, read and set as ints
     applied = []
-    for edit in sorted(edits, key=BoundaryEdit.sort_key):
-        base, end = bounds.get(edit.message_id, (0, 0))
-        at, src = base + edit.offset, base + (edit.old_offset or 0)
+    columns = (edits[f].tolist() for f in ("message", "offset", "kind", "old_offset"))
+    for i, (mid, offset, kind, old) in enumerate(zip(*columns)):
+        base, end = bounds.get(mid, (0, 0))
+        at, src = base + offset, base + old
         if not base < at < end:
             continue
-        if edit.kind == ADD and not is_cut[at]:
+        if kind == ADD and not is_cut[at]:
             is_cut[at] = True
-        elif edit.kind == MOVE and base < src < end and is_cut[src] and not is_cut[at]:
+        elif kind == MOVE and base < src < end and is_cut[src] and not is_cut[at]:
             is_cut[src], is_cut[at] = False, True
-        elif edit.kind == REMOVE and is_cut[at]:
+        elif kind == REMOVE and is_cut[at]:
             is_cut[at] = False
         else:
             continue
-        applied.append(edit)
-    return trace.recut(np.frombuffer(is_cut, dtype=bool)), applied
+        applied.append(i)
+    return trace.recut(np.frombuffer(is_cut, dtype=bool)), edits[applied]

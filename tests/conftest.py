@@ -493,9 +493,23 @@ def reference_common_aligned_cuts(node, boundaries_by_message):
     return out
 
 
+def record(message, offset, kind, old_offset=None, provenance=""):
+    """One `edits.json` record."""
+    return {"message": message, "offset": offset, "kind": kind, "old_offset": old_offset,
+            "provenance": provenance}
+
+
+def edits_of(records) -> np.ndarray:
+    """The `rules.EDIT` array of `edits.json` records, in their order."""
+    return np.array([(r["message"], r["offset"], rules.KINDS.index(r["kind"]),
+                      r["old_offset"] or 0, r["provenance"]) for r in records], dtype=rules.EDIT)
+
+
 def reference_cluster_edits(node, positions, segmentations_by_id, payload_len_by_id):
-    """`rules.cluster_edits` member by member, position by position; node's members are `Ref`s."""
-    from protoseg.rules import ADD, MOVE, BoundaryEdit
+    """`rules.cluster_edits` member by member, position by position, as `edits.json` records.
+
+    node's members are `Ref`s.
+    """
     edits = []
     for member, shift in zip(node.members, node.overlay.shifts):
         cuts = set(segmentations_by_id[member.message_id].cuts)
@@ -508,30 +522,29 @@ def reference_cluster_edits(node, positions, segmentations_by_id, payload_len_by
                 continue
             nearby = [c for c in (a + 1, a - 1) if c in cuts]
             if nearby:
-                edits.append(BoundaryEdit(member.message_id, a, MOVE,
-                                          old_offset=nearby[0], provenance=provenance))
+                edits.append(record(member.message_id, a, "move", nearby[0], provenance))
             else:
-                edits.append(BoundaryEdit(member.message_id, a, ADD, provenance=provenance))
+                edits.append(record(member.message_id, a, "add", None, provenance))
     return edits
 
 
 def reference_diff_edits(old_segs, new_segs, provenance):
     """`refine._diff_edits` of the layouts of old_segs and new_segs, message by message.
 
-    Per message: adds, then removes; equal counts pair as moves.
+    Per message: adds, then removes; equal counts pair as moves.  The
+    edits are `edits.json` records.
     """
-    from protoseg.rules import ADD, MOVE, REMOVE, BoundaryEdit
     edits = []
     for old, new in zip(old_segs, new_segs):
         added = sorted(set(new.cuts).difference(old.cuts))
         removed = sorted(set(old.cuts).difference(new.cuts))
         mid = new.message_id
         if len(added) == len(removed):
-            edits += [BoundaryEdit(mid, dst, MOVE, src, provenance)
+            edits += [record(mid, dst, "move", src, provenance)
                       for src, dst in zip(removed, added)]
         else:
-            edits += [BoundaryEdit(mid, c, ADD, None, provenance) for c in added]
-            edits += [BoundaryEdit(mid, c, REMOVE, None, provenance) for c in removed]
+            edits += [record(mid, c, "add", None, provenance) for c in added]
+            edits += [record(mid, c, "remove", None, provenance) for c in removed]
     return edits
 
 
@@ -575,25 +588,33 @@ def reference_crop_distinct(segmentations, messages, min_fraction=0.10, min_mess
     return out
 
 
+# the order `rules.apply_edits` applies edits in: message, offset, move
+# before add before remove, old offset (none first), provenance
+def _application_order(edit):
+    return (edit["message"], edit["offset"], ("move", "add", "remove").index(edit["kind"]),
+            edit["old_offset"] or 0, edit["provenance"])
+
+
 def reference_apply_edits(edits, segmentations):
     """(segmentations, applied edits) of `rules.apply_edits`, one set of cuts per message.
 
-    Every edit lies inside its message, as `cluster_edits` proposes them.
+    The edits are `edits.json` records, and every one lies inside its
+    message, as `cluster_edits` proposes them.
     """
-    from protoseg.rules import ADD, MOVE, REMOVE, BoundaryEdit
     cut_sets = {seg.message_id: set(seg.cuts) for seg in segmentations}
     applied = []
-    for edit in sorted(edits, key=BoundaryEdit.sort_key):
-        cuts = cut_sets.get(edit.message_id)
+    for edit in sorted(edits, key=_application_order):
+        cuts = cut_sets.get(edit["message"])
+        offset, kind = edit["offset"], edit["kind"]
         if cuts is None:
             continue
-        if edit.kind == ADD and edit.offset not in cuts:
-            cuts.add(edit.offset)
-        elif edit.kind == MOVE and edit.old_offset in cuts and edit.offset not in cuts:
-            cuts.discard(edit.old_offset)
-            cuts.add(edit.offset)
-        elif edit.kind == REMOVE and edit.offset in cuts:
-            cuts.discard(edit.offset)
+        if kind == "add" and offset not in cuts:
+            cuts.add(offset)
+        elif kind == "move" and edit["old_offset"] in cuts and offset not in cuts:
+            cuts.discard(edit["old_offset"])
+            cuts.add(offset)
+        elif kind == "remove" and offset in cuts:
+            cuts.discard(offset)
         else:
             continue
         applied.append(edit)

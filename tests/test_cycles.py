@@ -10,10 +10,15 @@ and the second call must find nothing.
 import dataclasses
 import gc
 import logging
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import protoseg
 from protoseg import cli, refine, synth, traceio
 from protoseg.cli import main
 from protoseg.model import UsageError
@@ -119,6 +124,26 @@ def test_evaluate_inspect_and_synth_leave_no_cyclic_garbage(traces, tmp_path, co
         assert cyclic_garbage(argv) == (0, []), argv[0]
     assert (tmp_path / "eval" / "report.json").exists()
     assert (tmp_path / "syn" / "trace.hex").exists()
+
+
+def test_commands_leave_numpy_ma_unimported(traces, tmp_path):
+    # importing numpy.ma leaves cyclic garbage, which a command run with
+    # the collector off keeps; np.unique and np.percentile import it on
+    # their first call.  A fresh interpreter, since this one may hold it.
+    trace, truth = traces["chars"]
+    argvs = [["segment", "--trace", trace, "--no-dedupe", "--preset", name,
+              "--out", str(tmp_path / name)] for name in sorted(refine.PRESETS)]
+    argvs.append(["evaluate", "--trace", trace, "--no-dedupe", "--truth", truth, "--segments",
+                  *(os.path.join(argv[-1], "segments.json") for argv in argvs),
+                  "--out", str(tmp_path / "eval")])
+    script = (f"import sys\nfrom protoseg.cli import main\n"
+              f"for argv in {argvs!r}:\n    assert main(argv) == 0, argv\n"
+              "print('numpy.ma' in sys.modules)")
+    src = str(Path(protoseg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_error_exits_leave_no_cyclic_garbage(traces, tmp_path, collector_off, capsys):

@@ -48,6 +48,14 @@ def test_message_rejects_empty_payload():
         Message(0, b"")
 
 
+@pytest.mark.parametrize("payload", ["ab\x00cd", None, bytearray(b"ab"), memoryview(b"ab"),
+                                     [1, 2]])
+def test_message_rejects_a_payload_that_is_not_bytes(payload):
+    # a str was kept and failed later in a regex or np.frombuffer, None failed in len
+    with pytest.raises(UsageError, match=r"message 3 has a payload of \w+, not bytes"):
+        Message(3, payload)
+
+
 @pytest.mark.parametrize("mid", ["m0", 2.0, None, 2**63, -2**63 - 1, True, False])
 def test_message_rejects_an_id_outside_int64(mid):
     with pytest.raises(UsageError, match="message id"):

@@ -6,18 +6,25 @@ next, the provenance of every edit and the tree of the pca pass.  It
 compares the segmentations, the edit log and the `clusters.json` value
 on the six bundled specs under both presets, and on random traces under
 the presets and under random chains of passes.
+
+Two properties of the presets hold without a reference, on a 150-message
+trace of every bundled spec: the external base, given the preset's own
+base segmentation, gives the preset's cuts and edit records, and the
+order of the messages in the trace changes no message's cuts.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 from test_fuzz import traces
 
 from conftest import REFERENCE_PRESETS, reference_run_pipeline, reference_tree_dicts
 from protoseg import synth
 from protoseg.cluster import tree_to_json
-from protoseg.refine import (BASE_BIT_CONGRUENCE, BASE_NULL_BYTES, KNOWN_PASSES, PASS_PCA,
-                             Pipeline, preset, run_pipeline)
+from protoseg.refine import (BASE_BIT_CONGRUENCE, BASE_EXTERNAL, BASE_NULL_BYTES, KNOWN_PASSES,
+                             PASS_PCA, Pipeline, bit_congruence_segmenter, null_segmenter,
+                             preset, run_pipeline)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -62,3 +69,34 @@ _CHAINS = st.lists(st.sampled_from(KNOWN_PASSES), max_size=7).filter(
                   passes=_CHAINS)
 def test_random_chains_match_the_reference(messages, base, passes):
     assert_matches_reference(messages, Pipeline(base, tuple(passes)))
+
+
+def spec_trace(spec):
+    """150 messages of a bundled spec at rng seed 4."""
+    return synth.generate(dataclasses.replace(synth.reference_specs()[spec],
+                                              message_count=150, rng_seed=4))[0]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PRESETS))
+@pytest.mark.parametrize("spec", sorted(synth.reference_specs()))
+def test_external_base_of_the_presets_own_base_is_the_preset(spec, name):
+    messages, pipeline = spec_trace(spec), preset(name)
+    if pipeline.base == BASE_NULL_BYTES:
+        base = [null_segmenter(m) for m in messages]
+    else:
+        base = [bit_congruence_segmenter(m, pipeline.config.sigma) for m in messages]
+    result = run_pipeline(messages, pipeline)
+    composed = run_pipeline(messages, preset(name, base=BASE_EXTERNAL), external=base)
+    assert composed.segmentations == result.segmentations
+    assert composed.edits == result.edits
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PRESETS))
+@pytest.mark.parametrize("spec", sorted(synth.reference_specs()))
+def test_message_order_changes_no_cuts(spec, name):
+    messages = spec_trace(spec)
+    shuffled = [messages[k] for k in np.random.default_rng(4).permutation(len(messages))]
+    cuts = {s.message_id: s.cuts for s in run_pipeline(messages, preset(name)).segmentations}
+    result = run_pipeline(shuffled, preset(name))
+    assert [s.message_id for s in result.segmentations] == [m.id for m in shuffled]
+    assert [s.cuts for s in result.segmentations] == [cuts[m.id] for m in shuffled]

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import re
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -9,14 +11,14 @@ from conftest import (extreme_payload, reference_bit_congruence, reference_crop_
                       reference_entropy_merge, reference_joined_trace, reference_merge_chars,
                       reference_null_refine, reference_null_runs, reference_split_fixed)
 from protoseg import synth
-from protoseg.model import Message, Segmentation, UsageError, segments_of
+from protoseg.model import AnalysisParams, Message, Segmentation, UsageError, segments_of
 from protoseg.refine import (BASE_EXTERNAL, PASS_PCA, PRESETS, Pipeline, PipelineConfig,
                              bit_congruence_segmenter, char_heuristic,
                              crop_chars, crop_distinct, entropy_merge, gaussian_kernel,
                              merge_chars, null_refine, null_segmenter, preset,
                              run_pipeline, split_fixed, join_trace, _diff_edits, _Entropies,
                              _null_runs, _span_entropies)
-from protoseg.rules import BoundaryEdit
+from protoseg.rules import EDIT, edit_records
 
 
 def msg(data, mid=0):
@@ -142,6 +144,17 @@ class TestBitCongruence:
 
     def test_short_message(self):
         assert bit_congruence_segmenter(msg(b"\x01\x02")).cuts == ()
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_outside_the_config_rule_is_refused(self, sigma):
+        # a NaN raised ValueError and an infinity OverflowError from math.ceil
+        message = "sigma must be a positive finite number"
+        with pytest.raises(UsageError, match=message):
+            gaussian_kernel(sigma)
+        with pytest.raises(UsageError, match=message):
+            bit_congruence_segmenter(msg(b"\x01\x02\x03\x04"), sigma)
+        with pytest.raises(UsageError, match=message):
+            PipelineConfig(sigma=sigma)
 
     def test_cuts_always_valid(self):
         rng = np.random.default_rng(5)
@@ -334,10 +347,12 @@ class TestAgainstMessageLoops:
             before = join_trace(old, messages)
             for changes in (new, old):
                 got = _diff_edits(before, join_trace(changes, messages), "crop_chars")
+                assert got.dtype == EDIT
+                got = edit_records(got)
                 assert got == reference_diff_edits(old, changes, "crop_chars")
-                assert all(type(e.message_id) is int and type(e.offset) is int
-                           and type(e.old_offset) in (int, type(None)) for e in got)
-                kinds.update(e.kind for e in got)
+                assert all(type(e["message"]) is int and type(e["offset"]) is int
+                           and type(e["old_offset"]) in (int, type(None)) for e in got)
+                kinds.update(e["kind"] for e in got)
         assert kinds == {"add", "move", "remove"}
 
 
@@ -462,7 +477,7 @@ class TestUnchangedCuts:
                 out = op(trace)
                 same = out.segmentations() == [seg]
                 assert np.array_equal(out.is_cut, trace.is_cut) == same
-                assert (_diff_edits(trace, out, op.__name__) == []) == same
+                assert (_diff_edits(trace, out, op.__name__).size == 0) == same
                 kept[op] += same
         assert min(kept.values()) > 100  # every pass met unchanged and changed cuts
         assert max(kept.values()) < 2000
@@ -472,7 +487,7 @@ class TestUnchangedCuts:
         trace = join_trace(segs, msgs)
         out = crop_distinct(trace)
         assert out.segmentations()[:9] == segs[:9]
-        assert {e.message_id for e in _diff_edits(trace, out, "crop_distinct")} == {9}
+        assert set(_diff_edits(trace, out, "crop_distinct")["message"].tolist()) == {9}
 
 
 class TestEntropyMerge:
@@ -633,6 +648,16 @@ class TestPipeline:
         with pytest.raises(UsageError, match="analysis must be an AnalysisParams"):
             PipelineConfig(analysis=value)
 
+    @pytest.mark.parametrize("config", [AnalysisParams(), None, {"sigma": 0.9}])
+    def test_pipeline_refuses_a_config_of_another_type(self, config):
+        # run_pipeline raised AttributeError on the first knob it read
+        with pytest.raises(UsageError, match="config must be a PipelineConfig"):
+            Pipeline(base="null_bytes", passes=(), config=config)
+        if config is not None:  # None picks the default config
+            with pytest.raises(UsageError, match="config must be a PipelineConfig"):
+                preset("nullpca", config=config)
+        assert preset("nullpca", config=None).config == PipelineConfig()
+
     def test_pca_at_most_once(self):
         with pytest.raises(UsageError):
             Pipeline(base="null_bytes", passes=(PASS_PCA, PASS_PCA))
@@ -687,9 +712,9 @@ class TestPipeline:
             assert [(s.message_id, s.cuts) for s in result.segmentations] == \
                 [(i, s.cuts) for i, s in zip(ids, plain.segmentations)]
             # the pca pass applies its edits in message id order
-            renumbered = [e._replace(message_id=ids[e.message_id]) for e in plain.edits]
-            assert sorted(result.edits, key=BoundaryEdit.sort_key) == \
-                sorted(renumbered, key=BoundaryEdit.sort_key)
+            renumbered = [{**e, "message": ids[e["message"]]} for e in plain.edits]
+            by_value = itemgetter("message", "offset", "kind", "old_offset", "provenance")
+            assert sorted(result.edits, key=by_value) == sorted(renumbered, key=by_value)
 
     def test_every_pass_keeps_segmentations_valid(self):
         rng = np.random.default_rng(21)

@@ -3,16 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (extreme_payload, reference_apply_edits, reference_boundaries,
-                      reference_cluster_edits, reference_common_aligned_cuts, trace_refs)
+from conftest import (edits_of, extreme_payload, record, reference_apply_edits,
+                      reference_boundaries, reference_cluster_edits,
+                      reference_common_aligned_cuts, trace_refs)
 from protoseg.cluster import PCA_SUITABLE, ClusterNode
 from protoseg.dissim import Overlay
 from protoseg.model import AnalysisParams, Message, NoSignalError, Segmentation
 from protoseg.pca import analyze_spectrum
 from protoseg.refine import join_trace
-from protoseg.rules import (BoundaryEdit, ContributionVector, apply_edits,
-                            cluster_edits, common_aligned_cuts, contribution,
-                            rule_a, rule_b)
+from protoseg.rules import (EDIT, ContributionVector, apply_edits, cluster_edits,
+                            common_aligned_cuts, contribution, edit_records, rule_a, rule_b)
 
 
 def trace_cuts(cuts_by_message: dict, length: int):
@@ -22,10 +22,13 @@ def trace_cuts(cuts_by_message: dict, length: int):
 
 
 def apply(edits, segs, length: int = 16) -> tuple:
-    """(segmentations, applied edits) of `apply_edits` on messages of `length` bytes cut as segs."""
+    """(segmentations, applied edits) of `apply_edits` on messages of `length` bytes cut as segs.
+
+    The edits, given and applied, are `edits.json` records.
+    """
     trace, applied = apply_edits(
-        edits, join_trace(segs, [Message(s.message_id, bytes(length)) for s in segs]))
-    return trace.segmentations(), applied
+        edits_of(edits), join_trace(segs, [Message(s.message_id, bytes(length)) for s in segs]))
+    return trace.segmentations(), edit_records(applied)
 
 
 def segments_from(trace, start: int) -> tuple:
@@ -160,42 +163,46 @@ class TestClusterEdits:
     def test_off_by_one_move(self):
         node, trace = self._case((10, 13))
         edits = cluster_edits(node, [(2, "rule_a")], trace)
-        assert len(edits) == 6
-        assert all(e.kind == "move" and e.offset == 12 and e.old_offset == 13 for e in edits)
-        assert [e.message_id for e in edits] == list(range(6))
+        assert edits.dtype == EDIT
+        assert edit_records(edits) == [record(m, 12, "move", 13, "rule_a") for m in range(6)]
 
     def test_existing_cut_is_noop(self):
         node, trace = self._case((10, 12))
-        assert cluster_edits(node, [(2, "rule_a")], trace) == []
+        assert cluster_edits(node, [(2, "rule_a")], trace).size == 0
 
     def test_out_of_range_target_dropped(self):
         node, trace = self._case((3,), start=0)
-        assert cluster_edits(node, [(0, "rule_b")], trace) == []
+        assert cluster_edits(node, [(0, "rule_b")], trace).size == 0
+
+    def test_no_position_proposes_nothing(self):
+        node, trace = self._case((10, 13))
+        edits = cluster_edits(node, [], trace)
+        assert edits.dtype == EDIT and edits.size == 0
 
     def test_add_when_nothing_nearby(self):
         node, trace = self._case((10, 15))
         edits = cluster_edits(node, [(2, "rule_a")], trace)
-        assert len(edits) == 6 and all(e.kind == "add" and e.offset == 12 for e in edits)
+        assert edit_records(edits) == [record(m, 12, "add", None, "rule_a") for m in range(6)]
 
 
 class TestApplyEdits:
     def test_sorted_application_and_conflicts(self):
         segs = [Segmentation(0, (5, 9))]
         edits = [
-            BoundaryEdit(0, 6, "move", old_offset=5, provenance="rule_a"),
-            BoundaryEdit(0, 6, "move", old_offset=9, provenance="rule_a"),
-            BoundaryEdit(0, 9, "add", provenance="rule_b"),
+            record(0, 6, "move", 5, "rule_a"),
+            record(0, 6, "move", 9, "rule_a"),
+            record(0, 9, "add", None, "rule_b"),
         ]
         new, applied = apply(edits, segs)
         # first move wins the target; the second is dropped; add is a no-op
         assert new[0].cuts == (6, 9)
-        assert len(applied) == 1
+        assert applied == edits[:1]
 
     def test_untouched_message_keeps_its_cuts(self):
         segs = [Segmentation(0, (5,)), Segmentation(4, (3,)), Segmentation(9, (4,))]
-        edits = [BoundaryEdit(4, 6, "add", provenance="rule_b"),
-                 BoundaryEdit(9, 4, "add", provenance="rule_b"),  # its cut is there already
-                 BoundaryEdit(9, 2, "move", old_offset=1, provenance="rule_a")]  # no cut at 1
+        edits = [record(4, 6, "add", None, "rule_b"),
+                 record(9, 4, "add", None, "rule_b"),  # its cut is there already
+                 record(9, 2, "move", 1, "rule_a")]  # no cut at 1
         new, applied = apply(edits, segs)
         assert applied == edits[:1]
         assert new == [segs[0], Segmentation(4, (3, 6)), segs[2]]
@@ -203,15 +210,15 @@ class TestApplyEdits:
     def test_edit_outside_its_message_is_dropped(self):
         # each would otherwise write or read a cut flag of the next message
         segs = [Segmentation(0, (5,)), Segmentation(4, (1, 3))]
-        edits = [BoundaryEdit(0, 8, "add", provenance="rule_b"),
-                 BoundaryEdit(0, 6, "move", old_offset=9, provenance="rule_a"),
-                 BoundaryEdit(0, 0, "add", provenance="rule_b"),
-                 BoundaryEdit(7, 2, "add", provenance="rule_b")]  # no such message
+        edits = [record(0, 8, "add", None, "rule_b"),
+                 record(0, 6, "move", 9, "rule_a"),
+                 record(0, 0, "add", None, "rule_b"),
+                 record(7, 2, "add", None, "rule_b")]  # no such message
         assert apply(edits, segs, length=8) == (segs, [])
 
     def test_idempotent_on_reapplication(self):
         segs = [Segmentation(0, (5,))]
-        edits = [BoundaryEdit(0, 4, "move", old_offset=5, provenance="rule_a")]
+        edits = [record(0, 4, "move", 5, "rule_a")]
         once, applied1 = apply(edits, segs)
         twice, applied2 = apply(edits, once)
         assert once == twice
@@ -231,17 +238,15 @@ class TestApplyEdits:
                 old = int(rng.integers(1, length))
                 if kind == "move" and old == offset:
                     continue
-                edits.append(BoundaryEdit(0, offset, kind,
-                                          old_offset=old if kind == "move" else None,
-                                          provenance="rule_a"))
+                edits.append(record(0, offset, kind, old if kind == "move" else None, "rule_a"))
             new, _ = apply(edits, segs, length)
             seg = new[0]
             assert all(0 < c < length for c in seg.cuts)
             assert list(seg.cuts) == sorted(set(seg.cuts))
 
     @pytest.mark.parametrize("edit", [
-        BoundaryEdit(0, 7, "add", provenance="rule_b"),
-        BoundaryEdit(0, 4, "move", old_offset=5, provenance="rule_a"),
+        record(0, 7, "add", None, "rule_b"),
+        record(0, 4, "move", 5, "rule_a"),
     ])
     def test_exact_repeat_applies_once(self, edit):
         # cluster_edits may propose one edit twice; the repeat is a no-op here
@@ -249,6 +254,16 @@ class TestApplyEdits:
         new, applied = apply([edit, edit], segs)
         assert applied == [edit]
         assert (new, applied) == apply([edit], segs)
+
+    @pytest.mark.parametrize("kind, old", [("add", None), ("move", 5)])
+    def test_provenance_settles_a_tie(self, kind, old):
+        # two edits that differ only in provenance: the first name wins,
+        # whatever the order they are proposed in
+        segs = [Segmentation(0, (5, 9))]
+        later, first = record(0, 4, kind, old, "rule_b"), record(0, 4, kind, old, "rule_a")
+        for edits in ([later, first], [first, later]):
+            assert apply(edits, segs) == ([Segmentation(0, (4, 9) if old else (4, 5, 9))],
+                                          [first])
 
     def test_repeats_change_nothing(self):
         rng = np.random.default_rng(79)
@@ -260,11 +275,10 @@ class TestApplyEdits:
             for _ in range(int(rng.integers(1, 8))):
                 mid, offset = int(rng.integers(0, 2)), int(rng.integers(1, length))
                 if rng.random() < 0.5:
-                    edits.append(BoundaryEdit(mid, offset, "add", provenance="rule_b"))
+                    edits.append(record(mid, offset, "add", None, "rule_b"))
                 else:
-                    edits.append(BoundaryEdit(mid, offset, "move",
-                                              old_offset=int(rng.integers(1, length)),
-                                              provenance="rule_a"))
+                    edits.append(record(mid, offset, "move", int(rng.integers(1, length)),
+                                        "rule_a"))
             repeats = [edits[int(k)] for k in rng.integers(0, len(edits), size=3)]
             assert apply(edits + repeats, segs, length) == apply(edits, segs, length)
 
@@ -322,12 +336,13 @@ class TestAgainstMemberLoops:
         kinds = set()
         for leaf, ref_leaf, positions, segs, messages in random_leaves(rng, 1500):
             _, segs_by_id, lengths = reference_boundaries(segs, messages)
-            got = cluster_edits(leaf, positions, join_trace(segs, messages))
+            got = edit_records(cluster_edits(leaf, positions, join_trace(segs, messages)))
             assert got == reference_cluster_edits(ref_leaf, positions, segs_by_id, lengths)
             # every field is a plain Python value, as the JSON writer needs
-            assert all(type(e.message_id) is int and type(e.offset) is int
-                       and type(e.old_offset) in (int, type(None)) for e in got)
-            kinds.update(e.kind for e in got)
+            assert all(type(e["message"]) is int and type(e["offset"]) is int
+                       and type(e["old_offset"]) in (int, type(None))
+                       and type(e["provenance"]) is str for e in got)
+            kinds.update(e["kind"] for e in got)
         assert kinds == {"add", "move"}
 
     def test_apply_edits_keeps_untouched_messages(self):
@@ -336,7 +351,8 @@ class TestAgainstMemberLoops:
             trace = join_trace(segs, messages)
             edits = cluster_edits(leaf, positions, trace)
             new, applied = apply_edits(edits, trace)
-            assert (new.segmentations(), applied) == reference_apply_edits(edits, segs)
-            touched = {e.message_id for e in applied}
+            assert (new.segmentations(), edit_records(applied)) == \
+                reference_apply_edits(edit_records(edits), segs)
+            touched = set(applied["message"].tolist())
             for old, seg in zip(segs, new.segmentations()):
                 assert (seg.cuts != old.cuts) == (old.message_id in touched)
