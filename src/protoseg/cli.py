@@ -10,6 +10,18 @@ returns or raises.  The pipeline builds tens of thousands of small
 objects per trace but no reference cycles, so reference counting frees
 all of it and the collector's passes would find nothing; a test holds
 every command path to zero cyclic garbage.
+
+`main` also turns off numpy's advice to the kernel to back each array
+of 4 MiB or more with transparent huge pages, and leaves it off for the
+rest of the process.  Such an array often comes from the C heap, and
+the advice stays on that part of the heap after the array is freed; the
+kernel's khugepaged may later fold each 2 MiB of it, however little of
+it is in use, into one resident huge page.  Whether it does depends on
+the host, on how soon khugepaged reaches the process and whether it
+finds free huge pages, so the peak RSS of identical runs differed by
+about 20 MB.  Turning the advice back on after a command
+would not help: the next large array, the program's or the caller's,
+would advise the heap again.
 """
 
 from __future__ import annotations
@@ -21,6 +33,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import evaluate as ev
 from . import refine, synth, traceio
 from .cluster import tree_to_json
@@ -31,6 +45,8 @@ from .model import AnalysisParams, ProtosegError, Segmentation, UsageError, segm
 MESSAGE_LIMIT = 2000
 
 _ENV_OUT = "PROTOSEG_OUT"
+
+_MULTIARRAY = (np._core if hasattr(np, "_core") else np.core).multiarray  # numpy 2 or 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,6 +300,7 @@ def main(argv=None) -> int:
     except _CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _MULTIARRAY._set_madvise_hugepage(False)
     # no command makes a reference cycle (tests/test_cycles.py), so the
     # cyclic collector would only walk its many small objects
     enabled = gc.isenabled()

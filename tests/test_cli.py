@@ -1,8 +1,14 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import protoseg
 from protoseg import cli
 from protoseg.cli import main
 
@@ -43,6 +49,39 @@ def test_segment_rerun_is_byte_identical(synth_dir, tmp_path):
                      "--no-dedupe", "--out", str(out)]) == 0
     for name in ("segments.json", "edits.json", "clusters.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# numpy advises the kernel to back each array of 4 MiB or more with huge
+# pages, and the advice outlives the array on the heap; after main, no
+# array gives it.  A fresh interpreter, where numpy still has its default.
+_HUGEPAGE_SCRIPT = """
+import sys
+import numpy as np
+from protoseg.cli import main
+def advised():
+    with open("/proc/self/smaps") as fh:
+        return sum(line.startswith("VmFlags:") and "hg" in line.split() for line in fh)
+block = np.ones(8 << 17)  # 8 MiB
+before = advised()
+del block
+assert main(sys.argv[1:]) == 0
+block = np.ones(8 << 17)
+print(before, advised())
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="reads /proc/self/smaps")
+def test_segment_turns_numpys_huge_page_advice_off(synth_dir, tmp_path):
+    src = str(Path(protoseg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["segment", "--trace", str(synth_dir / "trace.hex"), "--no-dedupe",
+            "--out", str(tmp_path / "seg")]
+    out = subprocess.run([sys.executable, "-c", _HUGEPAGE_SCRIPT, *argv], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    before, after = map(int, out.splitlines()[-1].split())
+    if not before:
+        pytest.skip("this kernel records no huge page advice")
+    assert after == 0
 
 
 def test_evaluate_compares_pipelines(synth_dir, tmp_path, capsys):
